@@ -28,9 +28,11 @@ def merge_block(block_size: int, json_keys: int = 2, depth: int = 1) -> dict:
     return merged.document.to_plain()
 
 
-@pytest.mark.parametrize("block_size", (25, 100, 400))
+@pytest.mark.parametrize("block_size", (25, 100, 400, 1000))
 def test_merge_block_scaling(benchmark, block_size):
-    """Per-block merge cost: the quadratic scan term dominates growth."""
+    """Per-block merge cost on one growing list.  1000 is the calibration's
+    Figure-3 anchor block: the cost model charges it ~10^6 scan steps, the
+    engine itself must stay near-linear (tail appends keep the order)."""
 
     plain = benchmark(merge_block, block_size)
     assert len(plain["tempReadings"]) == block_size
@@ -40,6 +42,14 @@ def test_merge_block_scaling(benchmark, block_size):
 def test_merge_complexity_scaling(benchmark, keys, depth):
     plain = benchmark(merge_block, 25, keys, depth)
     assert len(plain) == keys
+
+
+def test_merge_wallclock_benchmark_block(benchmark):
+    """The JSON half of one ``local_crdt_mixed`` block (benchmarks/perf):
+    15 records of 3 keys, depth 3, merged into one hot document."""
+
+    plain = benchmark(merge_block, 15, 3, 3)
+    assert [len(readings) for readings in plain.values()] == [15, 15, 15]
 
 
 def test_convert_to_plain(benchmark):

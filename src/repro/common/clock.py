@@ -8,15 +8,16 @@ JSON CRDT and ticks it for every operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class LamportTimestamp:
+class LamportTimestamp(NamedTuple):
     """A Lamport timestamp ``(counter, actor)``.
 
     Ordering is lexicographic, which yields the arbitrary-but-deterministic
-    total order CRDTs need for tie-breaking concurrent operations.
+    total order CRDTs need for tie-breaking concurrent operations.  A tuple
+    type because every set, dict and ``max`` of the JSON CRDT hashes and
+    compares these: the tuple does both in C.
     """
 
     counter: int

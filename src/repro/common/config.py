@@ -69,7 +69,7 @@ class TopologyConfig:
 
 @dataclass(frozen=True)
 class CRDTConfig:
-    """FabricCRDT-specific knobs (see DESIGN.md §3 for the semantics).
+    """FabricCRDT-specific knobs (see README "Merge engine" for the semantics).
 
     * ``seed_from_state`` — merge the committed world-state value into the
       fresh per-block CRDT before merging transaction values.  ``False``

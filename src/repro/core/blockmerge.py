@@ -12,7 +12,7 @@ module:
    value with the merged, metadata-stripped result, so all transactions in
    the block commit the identical converged value.
 
-Differences from the paper's pseudocode, both configurable (DESIGN.md §3):
+Differences from the paper's pseudocode (README "Merge engine"):
 
 * ``seed_from_state`` first merges the currently committed value of each key
   into the fresh CRDT.  The literal algorithm starts from an empty CRDT each
@@ -20,8 +20,11 @@ Differences from the paper's pseudocode, both configurable (DESIGN.md §3):
   in a block endorsed against stale state; seeding restores the cross-block
   no-update-loss guarantee.  State-CRDT envelopes (counters) are *always*
   seeded — an unseeded counter would forget its committed total.
-* transactions whose CRDT payloads fail to decode or mix incompatible kinds
-  are invalidated with ``BAD_PAYLOAD`` instead of crashing the committer.
+* transactions whose CRDT payloads fail to decode, nest deeper than
+  ``MAX_NESTING_DEPTH``, or mix incompatible kinds are invalidated with
+  ``BAD_PAYLOAD`` instead of crashing the committer; a JSON payload is
+  checked whole before it is merged, so a rejected one leaves no trace in
+  the value the block commits.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ def validate_merge_block(
             continue  # handled as a non-CRDT transaction (line 14)
         try:
             decoded = [(w, cache.decode(w.value)) for w in crdt_writes]
-        except SerializationError:
+        except (SerializationError, RecursionError):  # malformed, or nested past the parser
             forced_codes[tx_index] = ValidationCode.BAD_PAYLOAD
             continue
         try:

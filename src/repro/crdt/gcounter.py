@@ -40,8 +40,18 @@ class GCounter(StateCRDT):
         self._require_same_type(other)
         merged = dict(self._entries)
         for actor, count in other._entries.items():
-            merged[actor] = max(merged.get(actor, 0), count)
-        return GCounter(merged)
+            if count > merged.get(actor, 0):
+                merged[actor] = count
+        return self._trusted(merged)
+
+    @classmethod
+    def _trusted(cls, entries: dict[str, int]) -> "GCounter":
+        """Wrap entries taken from counters that ``__init__`` already checked
+        (positive ``int`` counts); the dict is adopted, not copied."""
+
+        counter = cls.__new__(cls)
+        counter._entries = entries
+        return counter
 
     def value(self) -> int:
         return sum(self._entries.values())

@@ -2,8 +2,8 @@
 
 from .convert import document_to_plain, list_to_plain, map_to_plain, slot_to_plain
 from .cursor import Cursor, CursorBuilder, ListStep, MapStep, Step
-from .document import JsonDocument, replicate
-from .genops import MergeOptions, merge_json
+from .document import JsonDocument, Located, replicate
+from .genops import MAX_NESTING_DEPTH, MergeOptions, merge_json
 from .ids import CONTENT_COUNTER, OpId, content_id, is_content_id
 from .mutation import (
     AssignKey,
@@ -28,6 +28,8 @@ __all__ = [
     "replicate",
     "merge_json",
     "MergeOptions",
+    "MAX_NESTING_DEPTH",
+    "Located",
     "Operation",
     "OpId",
     "content_id",

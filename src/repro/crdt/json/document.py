@@ -17,11 +17,11 @@ replicate the returned operations to other documents.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, NamedTuple, Optional, Union
 
 from ...common.clock import LamportClock
 from ...common.errors import CausalityError, CursorError
-from .cursor import Cursor, ListStep, MapStep, Step
+from .cursor import Cursor, MapStep
 from .ids import OpId
 from .mutation import (
     AssignKey,
@@ -34,6 +34,28 @@ from .mutation import (
 )
 from .nodes import Cell, DocumentStats, ListNode, MapNode, Slot
 from .operation import Operation
+
+
+class Located(NamedTuple):
+    """Where an operation applies: found by one walk, then used in place."""
+
+    #: The container the mutation targets.
+    node: Union[MapNode, ListNode]
+    #: Every slot on the path with the branch taken through it; applying an
+    #: operation adds its ID to each (presence and branch winner).
+    trail: tuple[tuple[Slot, str], ...]
+    #: Element IDs of the list cells on the path: structural dependencies.
+    path_ids: frozenset[OpId]
+
+    def below(self, slot: Slot, branch: str, element_id: Optional[OpId] = None) -> "Located":
+        """One step further down, through ``slot``'s existing child.
+
+        ``element_id`` names the list cell owning ``slot``, if it is one.
+        """
+
+        child = slot.map_child if branch == "map" else slot.list_child
+        path_ids = self.path_ids if element_id is None else self.path_ids | {element_id}
+        return Located(child, self.trail + ((slot, branch),), path_ids)
 
 
 class JsonDocument:
@@ -117,84 +139,91 @@ class JsonDocument:
 
     # -- execution ------------------------------------------------------------
 
-    def _execute(self, operation: Operation) -> None:
-        mutation = operation.mutation
-        container = self._resolve_container(operation.cursor, mutation, operation.id)
-        if isinstance(mutation, AssignKey):
-            self._do_assign(container, mutation, operation.id)
-        elif isinstance(mutation, InsertAfter):
-            self._do_insert(container, mutation, operation.id)
-        elif isinstance(mutation, DeleteKey):
-            self._do_delete_key(container, mutation)
-        elif isinstance(mutation, DeleteElem):
-            self._do_delete_elem(container, mutation)
-        else:  # pragma: no cover - exhaustive over Mutation union
-            raise TypeError(f"unknown mutation: {mutation!r}")
-        self._applied.add(operation.id)
-        self._op_log.append(operation)
-        self.clock.merge(operation.id)
-        self.stats.ops_applied += 1
+    def locate(self, cursor: Cursor, branch: str) -> Located:
+        """Walk ``cursor`` once from the root to the container it names.
 
-    def _resolve_container(self, cursor: Cursor, mutation: Mutation, op_id: OpId):
-        """Walk the cursor from the root, creating missing nodes.
-
-        Per the paper: "for every node in the cursor, if the node already
-        exists, we add the identifier of the current operation to the node;
-        if the node ... is missing, we add the node."
+        ``branch`` is the kind of container the mutation targets (``"map"``
+        for assign/delete-key, ``"list"`` for insert/delete-element).  Per
+        the paper: "if the node ... is missing, we add the node"; the other
+        half — "if the node already exists, we add the identifier of the
+        current operation to the node" — is the trail, applied with the
+        operation itself.
         """
 
-        node: Any = self.root
         steps = cursor.steps
+        if not steps and branch != "map":
+            raise CursorError(f"{cursor}: the document root is a map, not a {branch}")
+        node: Any = self.root
+        trail: list[tuple[Slot, str]] = []
+        path_ids: list[OpId] = []
+        last = len(steps) - 1
         for index, step in enumerate(steps):
-            next_branch = self._branch_after(steps, index, mutation)
             if isinstance(step, MapStep):
                 if not isinstance(node, MapNode):
                     raise CursorError(f"{cursor}: step {step} expects a map")
                 slot = node.ensure_slot(step.key, self.stats)
-                slot.touch(op_id)
-                node = self._descend_slot(slot, next_branch, op_id)
             else:  # ListStep
                 if not isinstance(node, ListNode):
                     raise CursorError(f"{cursor}: step {step} expects a list")
                 cell = node.get(step.element_id)
                 if cell is None:
                     raise CursorError(f"{cursor}: unknown list element {step.element_id}")
-                cell.slot.touch(op_id)
-                node = self._descend_slot(cell.slot, next_branch, op_id)
-        expected = MapNode if isinstance(mutation, (AssignKey, DeleteKey)) else ListNode
-        if not isinstance(node, expected):
-            raise CursorError(
-                f"{cursor}: mutation {type(mutation).__name__} targets a "
-                f"{expected.__name__}, found {type(node).__name__}"
-            )
-        return node
+                slot = cell.slot
+                path_ids.append(step.element_id)
+            if index == last:
+                via = branch
+            else:
+                via = "map" if isinstance(steps[index + 1], MapStep) else "list"
+            node = self._child(slot, via)
+            trail.append((slot, via))
+        return Located(node, tuple(trail), frozenset(path_ids))
 
-    @staticmethod
-    def _branch_after(steps: tuple[Step, ...], index: int, mutation: Mutation) -> str:
-        """Which branch (map/list) to descend into after ``steps[index]``."""
+    def _child(self, slot: Slot, branch: str):
+        """The slot's child map or list, added if missing."""
 
-        if index + 1 < len(steps):
-            return "map" if isinstance(steps[index + 1], MapStep) else "list"
-        return "map" if isinstance(mutation, (AssignKey, DeleteKey)) else "list"
-
-    def _descend_slot(self, slot: Slot, branch: str, op_id: OpId):
         if branch == "map":
             if slot.map_child is None:
                 slot.map_child = MapNode()
                 self.stats.nodes_created += 1
-            slot.note_branch("map", op_id)
             return slot.map_child
         if slot.list_child is None:
             slot.list_child = ListNode()
             self.stats.nodes_created += 1
-        slot.note_branch("list", op_id)
         return slot.list_child
+
+    def _execute(self, operation: Operation) -> None:
+        branch = "map" if isinstance(operation.mutation, (AssignKey, DeleteKey)) else "list"
+        self._apply_located(operation, self.locate(operation.cursor, branch))
+
+    def _apply_located(self, operation: Operation, at: Located) -> None:
+        """Apply ``operation`` in place at the container already found."""
+
+        op_id = operation.id
+        for slot, via in at.trail:
+            slot.presence.add(op_id)
+            slot.note_branch(via, op_id)
+        mutation = operation.mutation
+        if isinstance(mutation, AssignKey):
+            self._do_assign(at.node, mutation, op_id)
+        elif isinstance(mutation, InsertAfter):
+            self._do_insert(at.node, mutation, op_id)
+        elif isinstance(mutation, DeleteKey):
+            self._do_delete(at.node.slot(mutation.key), mutation.observed)
+        elif isinstance(mutation, DeleteElem):
+            cell = at.node.get(mutation.element_id)
+            self._do_delete(cell.slot if cell is not None else None, mutation.observed)
+        else:  # pragma: no cover - exhaustive over Mutation union
+            raise TypeError(f"unknown mutation: {mutation!r}")
+        self._applied.add(op_id)
+        self._op_log.append(operation)
+        self.clock.merge(op_id)
+        self.stats.ops_applied += 1
 
     # -- mutation handlers ---------------------------------------------------------
 
     def _do_assign(self, node: MapNode, mutation: AssignKey, op_id: OpId) -> None:
         slot = node.ensure_slot(mutation.key, self.stats)
-        slot.touch(op_id)
+        slot.presence.add(op_id)
         for overwritten in mutation.overwrites:
             slot.leaf_values.pop(overwritten, None)
         self._write_payload(slot, mutation.payload, op_id)
@@ -205,71 +234,65 @@ class JsonDocument:
         if mutation.anchor is not None and mutation.anchor not in node.cells:
             raise CursorError(f"insert anchor {mutation.anchor} missing")
         cell = Cell(element_id=op_id, anchor=mutation.anchor)
-        cell.slot.touch(op_id)
+        cell.slot.presence.add(op_id)
         self._write_payload(cell.slot, mutation.payload, op_id)
         node.insert(cell, self.stats)
 
     def _write_payload(self, slot: Slot, payload: Payload, op_id: OpId) -> None:
-        if payload.kind is PayloadKind.LEAF:
+        kind = payload.kind
+        if kind is PayloadKind.LEAF:
             slot.leaf_values[op_id] = payload.leaf
             slot.note_branch("leaf", op_id)
-        elif payload.kind is PayloadKind.EMPTY_MAP:
-            if slot.map_child is None:
-                slot.map_child = MapNode()
-                self.stats.nodes_created += 1
-            slot.note_branch("map", op_id)
         else:
-            if slot.list_child is None:
-                slot.list_child = ListNode()
-                self.stats.nodes_created += 1
-            slot.note_branch("list", op_id)
+            branch = "map" if kind is PayloadKind.EMPTY_MAP else "list"
+            self._child(slot, branch)
+            slot.note_branch(branch, op_id)
 
-    def _do_delete_key(self, node: MapNode, mutation: DeleteKey) -> None:
-        slot = node.slot(mutation.key)
+    @staticmethod
+    def _do_delete(slot: Optional[Slot], observed: frozenset[OpId]) -> None:
         if slot is None:
-            return  # deleting a never-seen key is a no-op
-        slot.presence -= mutation.observed
-        for observed in mutation.observed:
-            slot.leaf_values.pop(observed, None)
-
-    def _do_delete_elem(self, node: ListNode, mutation: DeleteElem) -> None:
-        cell = node.get(mutation.element_id)
-        if cell is None:
-            return
-        cell.slot.presence -= mutation.observed
-        for observed in mutation.observed:
-            cell.slot.leaf_values.pop(observed, None)
+            return  # deleting a never-seen key or element is a no-op
+        slot.presence -= observed
+        for op_id in observed:
+            slot.leaf_values.pop(op_id, None)
 
     # -- local editing API ------------------------------------------------------------
+    #
+    # Every edit takes ``at``: the result of ``locate(cursor, ...)`` when the
+    # caller already holds it (``merge_json`` carries it down its recursion),
+    # otherwise the cursor is walked here, once.
 
     def assign(
         self, cursor: Cursor, key: str, value: str,
         deps: Optional[frozenset[OpId]] = None,
+        at: Optional[Located] = None,
     ) -> Operation:
         """Assign string ``value`` at ``key`` of the map at ``cursor``."""
 
-        node = self._peek_container(cursor, expect=MapNode)
-        slot = node.slot(key) if node is not None else None
+        if at is None:
+            at = self.locate(cursor, "map")
+        slot = at.node.slot(key)
         overwrites = frozenset(slot.leaf_values) if slot is not None else frozenset()
-        return self._emit(
-            cursor,
-            AssignKey(key, Payload.string(value), overwrites),
-            deps=deps,
-        )
+        mutation = AssignKey(key, Payload.string(value), overwrites)
+        return self._emit(cursor, mutation, at, overwrites, deps=deps)
 
     def assign_container(
         self, cursor: Cursor, key: str, kind: str,
         deps: Optional[frozenset[OpId]] = None,
+        at: Optional[Located] = None,
     ) -> Operation:
         """Create an empty map (``kind='map'``) or list (``'list'``) at key."""
 
+        if at is None:
+            at = self.locate(cursor, "map")
         payload = Payload.empty_map() if kind == "map" else Payload.empty_list()
-        return self._emit(cursor, AssignKey(key, payload), deps=deps)
+        return self._emit(cursor, AssignKey(key, payload), at, deps=deps)
 
     def insert_after(
         self, cursor: Cursor, anchor: Optional[OpId], payload: Payload,
         op_id: Optional[OpId] = None,
         deps: Optional[frozenset[OpId]] = None,
+        at: Optional[Located] = None,
     ) -> Operation:
         """Insert into the list at ``cursor`` after ``anchor`` (None = head).
 
@@ -277,117 +300,71 @@ class JsonDocument:
         merging); the clock is still ticked so later IDs dominate.
         """
 
-        return self._emit(cursor, InsertAfter(anchor, payload), op_id=op_id, deps=deps)
+        if at is None:
+            at = self.locate(cursor, "list")
+        refs = () if anchor is None else (anchor,)
+        return self._emit(cursor, InsertAfter(anchor, payload), at, refs, op_id, deps)
 
     def append(
         self, cursor: Cursor, payload: Payload,
         op_id: Optional[OpId] = None,
         deps: Optional[frozenset[OpId]] = None,
+        at: Optional[Located] = None,
     ) -> Operation:
         """Insert at the end of the visible list at ``cursor``."""
 
-        node = self._peek_container(cursor, expect=ListNode)
-        anchor = node.last_visible_id(self.stats) if node is not None else None
-        return self.insert_after(cursor, anchor, payload, op_id=op_id, deps=deps)
+        if at is None:
+            at = self.locate(cursor, "list")
+        anchor = at.node.last_visible_id(self.stats)
+        return self.insert_after(cursor, anchor, payload, op_id=op_id, deps=deps, at=at)
 
     def delete_key(
         self, cursor: Cursor, key: str, deps: Optional[frozenset[OpId]] = None,
     ) -> Operation:
-        node = self._peek_container(cursor, expect=MapNode)
-        slot = node.slot(key) if node is not None else None
+        at = self.locate(cursor, "map")
+        slot = at.node.slot(key)
         observed = frozenset(slot.presence) if slot is not None else frozenset()
-        return self._emit(cursor, DeleteKey(key, observed), deps=deps)
+        return self._emit(cursor, DeleteKey(key, observed), at, observed, deps=deps)
 
     def delete_elem(
         self, cursor: Cursor, element_id: OpId, deps: Optional[frozenset[OpId]] = None,
     ) -> Operation:
-        node = self._peek_container(cursor, expect=ListNode)
-        cell = node.get(element_id) if node is not None else None
+        at = self.locate(cursor, "list")
+        cell = at.node.get(element_id)
         observed = frozenset(cell.slot.presence) if cell is not None else frozenset()
-        return self._emit(cursor, DeleteElem(element_id, observed), deps=deps)
-
-    @staticmethod
-    def _referenced_ids(cursor: Cursor, mutation: Mutation) -> set[OpId]:
-        """Every operation ID this op structurally depends on.
-
-        An operation cannot execute before the cells its cursor traverses
-        exist, before its insert anchor exists, or before the values it
-        overwrites / the presence IDs it observed were written.  Declaring
-        these as dependencies makes out-of-order delivery safe.
-        """
-
-        referenced: set[OpId] = {
-            step.element_id for step in cursor.steps if isinstance(step, ListStep)
-        }
-        if isinstance(mutation, InsertAfter):
-            if mutation.anchor is not None:
-                referenced.add(mutation.anchor)
-        elif isinstance(mutation, AssignKey):
-            referenced.update(mutation.overwrites)
-        elif isinstance(mutation, DeleteKey):
-            referenced.update(mutation.observed)
-        elif isinstance(mutation, DeleteElem):
-            referenced.add(mutation.element_id)
-            referenced.update(mutation.observed)
-        return referenced
+        refs = observed | {element_id}
+        return self._emit(cursor, DeleteElem(element_id, observed), at, refs, deps=deps)
 
     def _emit(
         self,
         cursor: Cursor,
         mutation: Mutation,
+        at: Located,
+        refs: Iterable[OpId] = (),
         op_id: Optional[OpId] = None,
         deps: Optional[frozenset[OpId]] = None,
     ) -> Operation:
-        new_id = op_id if op_id is not None else self.clock.tick()
-        if op_id is not None:
-            self.clock.tick()  # keep clock ahead even for externally named ops
-        full_deps = self._referenced_ids(cursor, mutation)
-        if deps:
-            full_deps |= deps
-        full_deps.discard(new_id)
-        operation = Operation(
-            id=new_id,
-            deps=frozenset(full_deps),
-            cursor=cursor,
-            mutation=mutation,
-        )
-        if operation.id in self._applied:
+        """Name, build and apply a local operation at ``at``.
+
+        ``refs`` are the operation IDs the mutation names.  An operation
+        cannot execute before the cells its cursor traverses exist
+        (``at.path_ids``), before its insert anchor exists, or before the
+        values it overwrites / the presence IDs it observed were written;
+        declaring these as dependencies makes out-of-order delivery safe.
+        """
+
+        ticked = self.clock.tick()  # the clock stays ahead even of externally named ops
+        new_id = ticked if op_id is None else op_id
+        full_deps = at.path_ids.union(refs, deps or ())
+        if new_id in full_deps:
+            full_deps = full_deps - {new_id}
+        operation = Operation(id=new_id, deps=full_deps, cursor=cursor, mutation=mutation)
+        if new_id in self._applied:
             return operation  # already present (content-addressed duplicate)
-        self._execute(operation)
-        self._drain_buffer()
+        self._apply_located(operation, at)
+        if self._buffer:
+            self._drain_buffer()
         return operation
-
-    def _peek_container(self, cursor: Cursor, expect: type):
-        """Resolve a cursor read-only; ``None`` if the path does not exist."""
-
-        node: Any = self.root
-        steps = cursor.steps
-        for index, step in enumerate(steps):
-            if isinstance(step, MapStep):
-                if not isinstance(node, MapNode):
-                    return None
-                slot = node.slot(step.key)
-                if slot is None:
-                    return None
-                branch = self._peek_branch(steps, index, expect)
-                node = slot.map_child if branch == "map" else slot.list_child
-            else:
-                if not isinstance(node, ListNode):
-                    return None
-                cell = node.get(step.element_id)
-                if cell is None:
-                    return None
-                branch = self._peek_branch(steps, index, expect)
-                node = cell.slot.map_child if branch == "map" else cell.slot.list_child
-            if node is None:
-                return None
-        return node if isinstance(node, expect) else None
-
-    @staticmethod
-    def _peek_branch(steps: tuple[Step, ...], index: int, expect: type) -> str:
-        if index + 1 < len(steps):
-            return "map" if isinstance(steps[index + 1], MapStep) else "list"
-        return "map" if expect is MapNode else "list"
 
     # -- reading ------------------------------------------------------------------
 

@@ -5,9 +5,12 @@ Algorithm 2 does: for each key, extend the cursor; strings become assign
 operations, lists and maps recurse.  Every generated operation chains its
 dependency list to the previous one (the algorithm's ``dependencies.Add``
 after each operation), is applied immediately, and is also returned so tests
-can replicate the op stream to other documents.
+can replicate the op stream to other documents.  The walk descends the value
+and the document tree together: each level hands the next its
+:class:`~repro.crdt.json.document.Located`, so no operation re-resolves its
+cursor from the root.
 
-Two behaviours are configurable (DESIGN.md §3):
+Two behaviours are configurable (README "Merge engine"):
 
 * ``dedup_identical`` — list-item operation IDs are content-addressed, so an
   item that is byte-identical *at the same path with the same occurrence
@@ -24,13 +27,13 @@ Two behaviours are configurable (DESIGN.md §3):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Sequence
 
-from ...common.errors import UnsupportedValueError
+from ...common.errors import SerializationError, UnsupportedValueError
 from ...common.serialization import canonical_json
 from .cursor import Cursor, ListStep, MapStep
-from .document import JsonDocument
-from .ids import OpId, content_id
+from .document import JsonDocument, Located
+from .ids import OpId, content_id_of_canonical
 from .mutation import Payload
 from .operation import Operation
 
@@ -43,6 +46,14 @@ class MergeOptions:
     stringify_scalars: bool = True
 
 
+#: Deepest container nesting ``merge_json`` accepts (the top-level object is
+#: level 1).  Merging and converting recurse once or twice per level, so a
+#: value nested a few hundred levels would end in ``RecursionError`` inside
+#: the committer; 64 leaves an order of magnitude of stack to spare and is
+#: far beyond any document the paper's workloads (depth <= 6) produce.
+MAX_NESTING_DEPTH = 64
+
+
 def merge_json(
     document: JsonDocument,
     value: Mapping[str, Any],
@@ -51,16 +62,64 @@ def merge_json(
     """Merge a JSON object into ``document``; returns the operations applied.
 
     The paper's ``MergeCRDT(JsonCRDT, Json)``.  The top-level value must be a
-    JSON object, as in Fabric chaincode values stored through CouchDB.
+    JSON object, as in Fabric chaincode values stored through CouchDB.  The
+    whole value is checked before the first operation is applied, so a
+    rejected value (:class:`UnsupportedValueError`) leaves no trace.
     """
 
-    if not isinstance(value, Mapping):
+    if _kind(value) != "map":
         raise UnsupportedValueError(
             f"top-level CRDT values must be JSON objects, got {type(value).__name__}"
         )
+    _check_value(value, options)
     ops: list[Operation] = []
-    _merge_map(document, Cursor(), value, ops, options)
+    root = Cursor()
+    _merge_map(document, root, document.locate(root, "map"), value, ops, options)
     return ops
+
+
+def _kind(value: Any) -> str:
+    """``"map"``, ``"list"`` or ``"leaf"``: exact builtin types first, the
+    abstract-base-class checks (an order of magnitude slower) only after."""
+
+    cls = type(value)
+    if cls is dict:
+        return "map"
+    if cls is list:
+        return "list"
+    if cls is str:
+        return "leaf"
+    if isinstance(value, Mapping):
+        return "map"
+    if isinstance(value, Sequence) and not isinstance(value, (str, bytes)):
+        return "list"
+    return "leaf"
+
+
+def _check_value(value: Any, options: MergeOptions) -> None:
+    """Reject a value the merge cannot finish: one iterative walk over it."""
+
+    pending = [(value, 1)]
+    while pending:
+        container, depth = pending.pop()
+        if depth > MAX_NESTING_DEPTH:
+            raise UnsupportedValueError(
+                f"value nested deeper than {MAX_NESTING_DEPTH} levels"
+            )
+        if _kind(container) == "map":
+            for key in container:
+                if not isinstance(key, str):
+                    raise UnsupportedValueError(f"map keys must be strings, got {key!r}")
+            children = container.values()
+        else:
+            children = container
+        for child in children:
+            if type(child) is str:
+                continue
+            if _kind(child) == "leaf":
+                _coerce_leaf(child, options)
+            else:
+                pending.append((child, depth + 1))
 
 
 def _chain_deps(ops: list[Operation]) -> frozenset[OpId]:
@@ -73,74 +132,71 @@ def _coerce_leaf(value: Any, options: MergeOptions) -> str:
     if isinstance(value, str):
         return value
     if value is None or isinstance(value, (bool, int, float)):
-        if options.stringify_scalars:
+        if not options.stringify_scalars:
+            raise UnsupportedValueError(
+                f"non-string scalar {value!r} (enable stringify_scalars or pre-convert)"
+            )
+        try:
             return canonical_json(value)
-        raise UnsupportedValueError(
-            f"non-string scalar {value!r} (enable stringify_scalars or pre-convert)"
-        )
+        except SerializationError as exc:  # NaN and the infinities
+            raise UnsupportedValueError(f"unsupported JSON leaf: {value!r}") from exc
     raise UnsupportedValueError(f"unsupported JSON leaf: {type(value).__name__}")
 
 
 def _merge_map(
     document: JsonDocument,
     cursor: Cursor,
+    at: Located,
     mapping: Mapping[str, Any],
     ops: list[Operation],
     options: MergeOptions,
 ) -> None:
     for key, value in mapping.items():
-        if not isinstance(key, str):
-            raise UnsupportedValueError(f"map keys must be strings, got {key!r}")
-        if isinstance(value, Mapping):
-            ops.append(
-                document.assign_container(cursor, key, "map", deps=_chain_deps(ops))
-            )
-            _merge_map(document, cursor.extended(MapStep(key)), value, ops, options)
-        elif isinstance(value, Sequence) and not isinstance(value, (str, bytes)):
-            ops.append(
-                document.assign_container(cursor, key, "list", deps=_chain_deps(ops))
-            )
-            _merge_list(document, cursor.extended(MapStep(key)), value, ops, options)
-        else:
+        kind = _kind(value)
+        if kind == "leaf":
             leaf = _coerce_leaf(value, options)
-            ops.append(document.assign(cursor, key, leaf, deps=_chain_deps(ops)))
+            ops.append(document.assign(cursor, key, leaf, deps=_chain_deps(ops), at=at))
+            continue
+        ops.append(document.assign_container(cursor, key, kind, deps=_chain_deps(ops), at=at))
+        below = at.below(at.node.slots[key], kind)
+        merge = _merge_map if kind == "map" else _merge_list
+        merge(document, cursor.extended(MapStep(key)), below, value, ops, options)
 
 
 def _merge_list(
     document: JsonDocument,
     cursor: Cursor,
+    at: Located,
     items: Sequence[Any],
     ops: list[Operation],
     options: MergeOptions,
 ) -> None:
+    path_repr = cursor.path_repr()
     occurrences: dict[str, int] = {}
     for item in items:
-        if isinstance(item, Mapping):
-            payload = Payload.empty_map()
-            normalized: Any = item
-        elif isinstance(item, Sequence) and not isinstance(item, (str, bytes)):
-            payload = Payload.empty_list()
-            normalized = item
+        kind = _kind(item)
+        if kind == "leaf":
+            item = _coerce_leaf(item, options)
+            payload = Payload.string(item)
         else:
-            normalized = _coerce_leaf(item, options)
-            payload = Payload.string(normalized)
-
-        content_key = canonical_json(normalized)
+            payload = Payload.empty_map() if kind == "map" else Payload.empty_list()
+        content_key = canonical_json(item)
         occurrence = occurrences.get(content_key, 0)
         occurrences[content_key] = occurrence + 1
 
-        elem_id: Optional[OpId] = None
+        elem_id = None
         if options.dedup_identical:
-            elem_id = content_id(cursor.path_repr(), normalized, occurrence)
+            elem_id = content_id_of_canonical(path_repr, content_key, occurrence)
             if document.has_applied(elem_id):
                 # Identical item already merged at this path: idempotent skip,
                 # including its entire subtree (identical by construction).
                 continue
 
-        operation = document.append(cursor, payload, op_id=elem_id, deps=_chain_deps(ops))
+        operation = document.append(
+            cursor, payload, op_id=elem_id, deps=_chain_deps(ops), at=at
+        )
         ops.append(operation)
-        item_cursor = cursor.extended(ListStep(operation.id))
-        if isinstance(item, Mapping):
-            _merge_map(document, item_cursor, item, ops, options)
-        elif isinstance(item, Sequence) and not isinstance(item, (str, bytes)):
-            _merge_list(document, item_cursor, item, ops, options)
+        if kind != "leaf":
+            below = at.below(at.node.cells[operation.id].slot, kind, operation.id)
+            merge = _merge_map if kind == "map" else _merge_list
+            merge(document, cursor.extended(ListStep(operation.id)), below, item, ops, options)

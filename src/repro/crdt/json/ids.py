@@ -1,6 +1,6 @@
 """Operation identifiers for the JSON CRDT.
 
-Two ID schemes coexist (see DESIGN.md §3, decision 2):
+Two ID schemes coexist (see README "Merge engine"):
 
 * **Clock IDs** — ``(counter, actor)`` Lamport timestamps ticked from the
   document's clock, exactly as the paper describes (§5.2: "we ensure that the
@@ -40,9 +40,15 @@ def content_id(path_repr: str, content: Any, occurrence: int) -> OpId:
                     value, so ``["a", "a"]`` yields two distinct IDs.
     """
 
+    return content_id_of_canonical(path_repr, canonical_json(content), occurrence)
+
+
+def content_id_of_canonical(path_repr: str, canonical: str, occurrence: int) -> OpId:
+    """:func:`content_id` for content already in canonical JSON text."""
+
     if occurrence < 0:
         raise ValueError("occurrence must be non-negative")
-    material = f"{path_repr}\x00{canonical_json(content)}\x00{occurrence}"
+    material = f"{path_repr}\x00{canonical}\x00{occurrence}"
     return OpId(CONTENT_COUNTER, "h:" + sha256_hex(material.encode("utf-8"))[:24])
 
 

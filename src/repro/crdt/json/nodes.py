@@ -28,9 +28,11 @@ class DocumentStats:
     * ``ops_applied`` — operations executed against the document.
     * ``ops_buffered`` — operations that had to wait for dependencies.
     * ``nodes_created`` — slots/cells materialized.
-    * ``list_scan_steps`` — list cells traversed while resolving anchors and
-      orders; this is the term that grows with document size and makes
-      per-block merge cost superlinear (the effect behind Figure 3).
+    * ``list_scan_steps`` — the modelled cost of resolving list orders and
+      append anchors; this is the term that grows with document size and
+      makes per-block merge cost superlinear (the effect behind Figure 3).
+      It is a charge, not a count of cells this implementation visits: see
+      :class:`ListNode` and README "Merge engine".
     """
 
     ops_applied: int = 0
@@ -63,11 +65,6 @@ class Slot:
     def visible(self) -> bool:
         return bool(self.presence)
 
-    def touch(self, op_id: OpId) -> None:
-        """Record that ``op_id`` asserted this slot on its cursor path."""
-
-        self.presence.add(op_id)
-
     def note_branch(self, branch: str, op_id: OpId) -> None:
         current = self.branch_ops.get(branch)
         if current is None or op_id > current:
@@ -76,16 +73,18 @@ class Slot:
     def winning_branch(self) -> Optional[str]:
         """The branch written by the highest op ID, or ``None`` if empty."""
 
-        candidates = {
-            branch: op_id
-            for branch, op_id in self.branch_ops.items()
-            if (branch == "leaf" and self.leaf_values)
-            or (branch == "map" and self.map_child is not None)
-            or (branch == "list" and self.list_child is not None)
-        }
-        if not candidates:
-            return None
-        return max(candidates.items(), key=lambda item: item[1])[0]
+        winner: Optional[str] = None
+        winner_id: Optional[OpId] = None
+        for branch, op_id in self.branch_ops.items():
+            if branch == "leaf":
+                live = bool(self.leaf_values)
+            elif branch == "map":
+                live = self.map_child is not None
+            else:
+                live = self.list_child is not None
+            if live and (winner_id is None or op_id > winner_id):
+                winner, winner_id = branch, op_id
+        return winner
 
     def winning_leaf(self) -> Optional[str]:
         """Deterministic resolution of the multi-value register: highest ID."""
@@ -135,15 +134,22 @@ class ListNode:
 
     The converged order is: depth-first over the "inserted-after" forest,
     with concurrent siblings ordered by descending element ID — the classic
-    RGA rule.  The order is cached and invalidated on insert, since blocks
-    repeatedly convert documents after merging many values.
+    RGA rule.  A cell anchored at the current tail has no sibling and no
+    descendant to compete with, so a tail append extends the known order;
+    any other insert drops it and the next reader rebuilds it.
+
+    ``DocumentStats.list_scan_steps`` is the cost model's input and is
+    charged by a fixed rule, whatever this class actually visits: an insert
+    makes one rebuild of the order due, paid (``len`` cells) by the next
+    reader, and finding the append anchor pays a scan of the whole order.
     """
 
-    __slots__ = ("cells", "_order_cache")
+    __slots__ = ("cells", "_order", "_rebuild_due")
 
     def __init__(self) -> None:
         self.cells: dict[OpId, Cell] = {}
-        self._order_cache: Optional[list[OpId]] = None
+        self._order: Optional[list[OpId]] = []
+        self._rebuild_due = False
 
     def __contains__(self, element_id: OpId) -> bool:
         return element_id in self.cells
@@ -160,53 +166,67 @@ class ListNode:
         if cell.anchor is not None and cell.anchor not in self.cells:
             raise ValueError(f"unknown anchor: {cell.anchor}")
         self.cells[cell.element_id] = cell
-        self._order_cache = None
+        order = self._order
+        if order is not None:
+            if cell.anchor == (order[-1] if order else None):
+                order.append(cell.element_id)
+            else:
+                self._order = None
+        self._rebuild_due = True
         stats.nodes_created += 1
 
     def ordered_ids(self, stats: Optional[DocumentStats] = None) -> list[OpId]:
-        """All element IDs (visible or not) in converged order."""
+        """All element IDs (visible or not) in converged order.
 
-        if self._order_cache is None:
-            children: dict[Optional[OpId], list[OpId]] = {}
-            for cell in self.cells.values():
-                children.setdefault(cell.anchor, []).append(cell.element_id)
-            for siblings in children.values():
-                siblings.sort(reverse=True)
-            order: list[OpId] = []
-            stack: list[OpId] = list(reversed(children.get(None, [])))
-            while stack:
-                element_id = stack.pop()
-                order.append(element_id)
-                for child in reversed(children.get(element_id, [])):
-                    stack.append(child)
-            self._order_cache = order
+        The list is the node's own: read it, do not keep or change it.
+        """
+
+        if self._order is None:
+            self._order = self._rebuilt_order()
+        if self._rebuild_due:
+            self._rebuild_due = False
             if stats is not None:
-                stats.list_scan_steps += len(order)
-        return self._order_cache
+                stats.list_scan_steps += len(self._order)
+        return self._order
+
+    def _rebuilt_order(self) -> list[OpId]:
+        children: dict[Optional[OpId], list[OpId]] = {}
+        for cell in self.cells.values():
+            children.setdefault(cell.anchor, []).append(cell.element_id)
+        for siblings in children.values():
+            siblings.sort(reverse=True)
+        order: list[OpId] = []
+        stack: list[OpId] = list(reversed(children.get(None, [])))
+        while stack:
+            element_id = stack.pop()
+            order.append(element_id)
+            for child in reversed(children.get(element_id, [])):
+                stack.append(child)
+        return order
 
     def visible_cells(self, stats: Optional[DocumentStats] = None) -> Iterator[Cell]:
+        cells = self.cells
         for element_id in self.ordered_ids(stats):
-            cell = self.cells[element_id]
-            if cell.visible:
+            cell = cells[element_id]
+            if cell.slot.presence:
                 yield cell
 
     def last_visible_id(self, stats: Optional[DocumentStats] = None) -> Optional[OpId]:
         """Element ID of the last visible cell (the append anchor).
 
-        Scanning to the end is what real RGA appends pay; the scan length is
-        charged to ``stats.list_scan_steps`` and drives the superlinear
-        per-block merge cost (Figure 3's mechanism).
+        Found from the tail; charged to ``stats.list_scan_steps`` as the
+        head-to-tail scan a plain RGA append pays, which drives the
+        superlinear per-block merge cost (Figure 3's mechanism).
         """
 
-        last: Optional[OpId] = None
-        steps = 0
-        for element_id in self.ordered_ids(stats):
-            steps += 1
-            if self.cells[element_id].visible:
-                last = element_id
+        order = self.ordered_ids(stats)
         if stats is not None:
-            stats.list_scan_steps += steps
-        return last
+            stats.list_scan_steps += len(order)
+        cells = self.cells
+        for element_id in reversed(order):
+            if cells[element_id].slot.presence:
+                return element_id
+        return None
 
     def __len__(self) -> int:
         return sum(1 for _ in self.visible_cells())

@@ -37,12 +37,36 @@ class TestMergeWorkMeasurement:
     def test_measurement_deterministic(self):
         assert measure_merge_work(15) == measure_merge_work(15)
 
+    @pytest.mark.parametrize(
+        "arguments, ops, scan_steps, merged_value_bytes",
+        [
+            ((ANCHOR_FIG3_BLOCK, 2, 1), 5000, 999000, 31934),
+            ((ANCHOR_FIG5_BLOCK, ANCHOR_FIG5_KEYS, ANCHOR_FIG5_DEPTH), 1650, 3600, 10717),
+        ],
+    )
+    def test_anchor_work_is_pinned(self, arguments, ops, scan_steps, merged_value_bytes):
+        """The anchors' measured work feeds every simulated figure: a merge
+        engine change that moves these counts moves all of them, silently.
+        Literals recorded at commit e652425."""
+
+        sample = measure_merge_work(*arguments)
+        assert (sample.ops, sample.scan_steps, sample.merged_value_bytes) == (
+            ops, scan_steps, merged_value_bytes,
+        )
+
 
 class TestCalibration:
     def test_constants_positive(self):
         model = calibrated_cost_model()
         assert model.merge_per_op_s > 0
         assert model.merge_per_scan_step_s > 0
+
+    def test_solved_constants_are_pinned(self):
+        """Bit-identical to commit e652425: same inputs, same arithmetic."""
+
+        model = calibrated_cost_model()
+        assert model.merge_per_op_s == 3.356253584952043e-05
+        assert model.merge_per_scan_step_s == 4.824015012712953e-05
 
     def test_anchor_fig3_reproduced_by_formula(self):
         model = calibrated_cost_model()

@@ -1,9 +1,12 @@
 """Unit tests for Algorithm 1 (ValidateMergeBlock)."""
 
+import pytest
+
 from repro.common.config import CRDTConfig
 from repro.common.serialization import from_bytes, to_bytes
 from repro.common.types import ReadItem, ReadWriteSet, ValidationCode, Version, WriteItem
 from repro.core.blockmerge import validate_merge_block
+from repro.crdt.json import MAX_NESTING_DEPTH
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block
 from repro.fabric.statedb import StateDB
 
@@ -166,6 +169,69 @@ class TestBadPayloads:
         _, plan = run_algorithm1(peer, [json_tx, envelope_tx])
         assert plan.skip_mvcc == frozenset({0})
         assert plan.forced_codes == {1: ValidationCode.BAD_PAYLOAD}
+
+    def test_rejected_payload_leaves_no_trace_in_committed_value(self):
+        """A payload that fails on its second key must not leave its first
+        key in the document every peer commits."""
+
+        peer = build_peer()
+        good = crdt_tx(peer, 1, "k", {"ok": "kept", "l": ["x"]})
+        bad = crdt_tx(peer, 2, "k", {"a": "leaked", "b": 1})
+        _, plan = run_algorithm1(
+            peer, [good, bad], config=CRDTConfig(stringify_scalars=False)
+        )
+        assert plan.forced_codes == {1: ValidationCode.BAD_PAYLOAD}
+        assert plan.skip_mvcc == frozenset({0})
+        assert from_bytes(plan.replacement_writes[0][0].value) == {"ok": "kept", "l": ["x"]}
+
+    def test_rejected_payload_first_in_block_leaves_no_trace(self):
+        peer = build_peer()
+        bad = crdt_tx(peer, 1, "k", {"a": "leaked", "b": {"c": [None]}})
+        good = crdt_tx(peer, 2, "k", {"ok": "kept"})
+        _, plan = run_algorithm1(
+            peer, [bad, good], config=CRDTConfig(stringify_scalars=False)
+        )
+        assert plan.forced_codes == {0: ValidationCode.BAD_PAYLOAD}
+        assert from_bytes(plan.replacement_writes[1][0].value) == {"ok": "kept"}
+
+    def test_non_finite_number_forces_bad_payload(self):
+        """``json.loads`` accepts ``NaN``; canonical JSON cannot write it."""
+
+        peer = build_peer()
+        rwset = ReadWriteSet.build(writes=[WriteItem("k", b'{"a": "x", "b": NaN}', is_crdt=True)])
+        good = crdt_tx(peer, 2, "k", {"ok": "kept"})
+        _, plan = run_algorithm1(peer, [endorsed_tx(peer, rwset, 1), good])
+        assert plan.forced_codes == {0: ValidationCode.BAD_PAYLOAD}
+        assert from_bytes(plan.replacement_writes[1][0].value) == {"ok": "kept"}
+
+    @staticmethod
+    def nested_bytes(levels: int) -> bytes:
+        """A JSON object nested ``levels`` containers deep, as raw bytes."""
+
+        return b'{"a":' * levels + b'"x"' + b"}" * levels
+
+    def test_nesting_at_the_limit_merges(self):
+        peer = build_peer()
+        rwset = ReadWriteSet.build(
+            writes=[WriteItem("k", self.nested_bytes(MAX_NESTING_DEPTH), is_crdt=True)]
+        )
+        _, plan = run_algorithm1(peer, [endorsed_tx(peer, rwset, 1)])
+        assert plan.forced_codes == {}
+        assert plan.replacement_writes[0][0].value == self.nested_bytes(MAX_NESTING_DEPTH)
+
+    @pytest.mark.parametrize("levels", (MAX_NESTING_DEPTH + 1, 600, 100_000))
+    def test_deeper_nesting_forces_bad_payload_not_a_crash(self, levels):
+        """600 levels used to raise ``RecursionError`` out of the merge, and
+        100 000 out of the JSON parser: one transaction stopped every peer."""
+
+        peer = build_peer()
+        rwset = ReadWriteSet.build(
+            writes=[WriteItem("k", self.nested_bytes(levels), is_crdt=True)]
+        )
+        good = crdt_tx(peer, 2, "k", {"ok": "kept"})
+        _, plan = run_algorithm1(peer, [endorsed_tx(peer, rwset, 1), good])
+        assert plan.forced_codes == {0: ValidationCode.BAD_PAYLOAD}
+        assert from_bytes(plan.replacement_writes[1][0].value) == {"ok": "kept"}
 
 
 class TestSeeding:
