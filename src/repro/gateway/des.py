@@ -19,7 +19,7 @@ from typing import Generator, Optional, Sequence
 from ..common.config import NetworkConfig
 from ..common.errors import FabricError
 from ..common.rng import SeedSequence
-from ..common.types import TxStatus, ValidationCode
+from ..common.types import TxStatus
 from ..fabric.client import Client, EndorsementRoundFailure, select_endorsing_orgs
 from ..fabric.costmodel import CostModel
 from ..fabric.nodes import OrdererNode, PeerNode, send_after
@@ -357,24 +357,11 @@ class DESTransport(Transport):
         while True:
             flow = tx.flow
             if flow is not None and flow.triggered and flow.ok:
-                value = flow.value
-                if isinstance(value, EndorsementRoundFailure):
-                    tx.endorse_failure = value
-                    raise EndorseError(value)
-                if tx._result_bytes is None and value is not None:
-                    tx._result_bytes = value.envelope.chaincode_result
-                if tx.chaincode_event is None and value is not None:
-                    tx.chaincode_event = value.envelope.event
-                if value is not None and value.envelope.rwset.is_read_only:
-                    # Never ordered; resolve like the sync transport does.
-                    # Cached so repeated commit_status() calls stay equal.
-                    tx.ordered = False
-                    tx._readonly_status = TxStatus(
-                        tx_id=tx.tx_id,
-                        code=ValidationCode.VALID,
-                        submit_time=tx.submit_time,
-                        commit_time=self.env.now,
-                    )
+                if flow.value is not None:
+                    tx.record_endorsement(flow.value, self.env.now)
+                if tx.endorse_failure is not None:
+                    raise EndorseError(tx.endorse_failure)
+                if not tx.ordered:
                     return tx._readonly_status
             status = self.channel.statuses.get(tx.tx_id)
             if status is not None:

@@ -25,7 +25,7 @@ from ..fabric.block import Block
 from ..fabric.client import EndorsementRoundFailure, select_endorsing_orgs
 from ..fabric.orderer import OrderingService
 from .channel import Channel
-from .errors import CommitError, EndorseError
+from .errors import CommitError, EndorseError, SubmitError
 
 #: Callback fired when an endorsement round fails: ``(tx_id, time)``.
 EndorsementFailureHook = Callable[[str, float], None]
@@ -59,13 +59,17 @@ class SubmittedTransaction:
         #: False for read-only invocations, which are never ordered (§3).
         self.ordered = ordered
         self._result_bytes = result_bytes
-        #: The simulation process running the client flow (DES transport only).
+        #: The client flow still resolving this transaction's endorsement —
+        #: a simulation process (DES) or an asyncio task (sockets).
         self.flow = flow
         #: Set when the endorsement round failed; the transaction was never
         #: ordered and ``commit_status()`` raises :class:`EndorseError`.
-        #: On both transports the failure surfaces at ``commit_status()``,
+        #: On every transport the failure surfaces at ``commit_status()``,
         #: never at ``submit_async()`` — identical control flow everywhere.
         self.endorse_failure = endorse_failure
+        #: Set when the endorsed envelope could not be handed to the orderer
+        #: (socket transport); ``commit_status()`` raises it.
+        self.submit_error: Optional[SubmitError] = None
         #: Cached status for never-ordered (read-only) transactions, so
         #: repeated ``commit_status()`` calls return equal values.
         self._readonly_status: Optional[TxStatus] = None
@@ -73,16 +77,39 @@ class SubmittedTransaction:
         self.chaincode = chaincode
         self.function = function
         #: The :class:`~repro.fabric.transaction.ChaincodeEvent` the handler
-        #: set during endorsement (``ctx.events.set``), if any.  On the DES
-        #: transport it becomes available once the endorsement flow resolves
-        #: (``commit_status()`` / ``result()``).
+        #: set during endorsement (``ctx.events.set``), if any.  On the
+        #: deferred-outcome transports (DES, sockets) it becomes available
+        #: once the endorsement flow resolves (``commit_status()`` / ``result()``).
         self.chaincode_event = chaincode_event
+
+    def record_endorsement(self, outcome, resolved_at: float) -> None:
+        """Copy a flow's endorsement round (what ``Client.assemble`` returned)
+        onto this handle: the failure, or the chaincode result and event — and,
+        for a read-only transaction, "never ordered" with its status cached."""
+
+        if isinstance(outcome, EndorsementRoundFailure):
+            self.endorse_failure = outcome
+            return
+        envelope = outcome.envelope
+        if self._result_bytes is None:
+            self._result_bytes = envelope.chaincode_result
+        if self.chaincode_event is None:
+            self.chaincode_event = envelope.event
+        if envelope.rwset.is_read_only:
+            # Read transactions are not ordered or committed (paper §3).
+            self.ordered = False
+            self._readonly_status = TxStatus(
+                tx_id=self.tx_id,
+                code=ValidationCode.VALID,
+                submit_time=self.submit_time,
+                commit_time=resolved_at,
+            )
 
     @property
     def done(self) -> bool:
         """True once the commit status is known without further driving."""
 
-        if self.endorse_failure is not None or not self.ordered:
+        if self.endorse_failure is not None or self.submit_error is not None or not self.ordered:
             return True
         return self.tx_id in self._transport.channel.statuses
 
@@ -118,6 +145,8 @@ class SubmittedTransaction:
             self._transport.wait_for(self)
         if self.endorse_failure is not None:
             raise EndorseError(self.endorse_failure)
+        if self.submit_error is not None:
+            raise self.submit_error
         if self._result_bytes is None:
             raise CommitError(self.tx_id, "no chaincode result available")
         return from_bytes(self._result_bytes)

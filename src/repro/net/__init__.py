@@ -54,6 +54,7 @@ from .cluster import Cluster
 from .errors import (
     CommitTimeoutError,
     ConnectionClosed,
+    DeliverStreamError,
     PeerUnreachableError,
     RequestTimeout,
     TransportError,
@@ -75,6 +76,7 @@ __all__ = [
     "RequestTimeout",
     "PeerUnreachableError",
     "CommitTimeoutError",
+    "DeliverStreamError",
     "ConnectionClosed",
     "WireError",
     "FrameError",

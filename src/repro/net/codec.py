@@ -224,11 +224,17 @@ async def read_message(
     return from_bytes(await read_frame(reader, max_frame_bytes))
 
 
-async def write_message(writer: asyncio.StreamWriter, message: Any) -> None:
-    """Frame and send one message, draining the transport buffer."""
+def send_message(writer: asyncio.StreamWriter, message: Any) -> None:
+    """Frame one message into the transport buffer without waiting on it."""
 
     data = encode_message(message)
     if _metric_sinks:
         _count_frame("out", len(data) - HEADER_BYTES)
     writer.write(data)
+
+
+async def write_message(writer: asyncio.StreamWriter, message: Any) -> None:
+    """Frame and send one message, draining the transport buffer."""
+
+    send_message(writer, message)
     await writer.drain()

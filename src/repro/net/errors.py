@@ -41,6 +41,16 @@ class PeerUnreachableError(TransportError):
     """A node could not be reached (connect refused / reset / DNS)."""
 
 
+class DeliverStreamError(TransportError):
+    """A peer's deliver stream died (``reason``: ``"unreachable"``, ``"closed"``
+    or ``"protocol"``): its mirror will never advance again."""
+
+    def __init__(self, peer: str, reason: str, detail: str) -> None:
+        super().__init__(f"deliver stream from {peer} is dead ({reason}): {detail}")
+        self.peer = peer
+        self.reason = reason
+
+
 class ClusterStartupError(TransportError):
     """A spawned node process failed to come up within the deadline."""
 
@@ -67,6 +77,7 @@ __all__ = [
     "ConnectionClosed",
     "RequestTimeout",
     "PeerUnreachableError",
+    "DeliverStreamError",
     "ClusterStartupError",
     "CommitTimeoutError",
     "SubmitError",

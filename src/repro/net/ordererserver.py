@@ -11,7 +11,7 @@ One process serves one channel:
   stream stays live.  Peers follow this stream from block 0 and commit
   each block themselves — the orderer never validates.
 * ``flush`` force-cuts the pending batch (the in-process transports'
-  ``flush`` made remote), and a background task enforces
+  ``flush`` made remote), and one timer per open batch enforces
   ``batch_timeout_s`` against the wall clock, exactly the third of
   Fabric's three cut triggers.
 
@@ -42,9 +42,6 @@ from .wire import (
     metrics_result_message,
 )
 
-#: How often the batch-timeout watchdog checks the deadline.
-TIMEOUT_TICK_S = 0.05
-
 
 class OrdererState:
     """The server's mutable state: the ordering service plus fan-out."""
@@ -60,9 +57,25 @@ class OrdererState:
         #: times of sampled transactions awaiting their block cut.
         self.telemetry = None
         self._arrivals: dict[str, float] = {}
+        #: The open batch's ``batch_timeout_s`` timer (Fabric's third cut trigger).
+        self._timer: Optional[asyncio.TimerHandle] = None
 
     def now(self) -> float:
         return time.monotonic() - self.started
+
+    def arm_timeout(self) -> None:
+        """Arm the wall-clock timer of a batch that just opened (any cut cancels it)."""
+
+        if self._timer is None and self.service.has_pending:
+            self._timer = asyncio.get_running_loop().call_later(
+                self.service.timeout_deadline() - self.now(), self._on_timeout
+            )
+
+    def _on_timeout(self) -> None:
+        self._timer = None
+        block = self.service.cut_on_timeout(self.now(), self.service.batch_epoch)
+        if block is not None:
+            self.publish([block])
 
     def enable_telemetry(self) -> None:
         from ..telemetry import Telemetry
@@ -76,6 +89,9 @@ class OrdererState:
             self._arrivals[tx_id] = self.now()
 
     def publish(self, blocks: list[Block]) -> None:
+        if blocks and self._timer is not None:
+            self._timer.cancel()  # the batch that timer belonged to was cut
+            self._timer = None
         for block in blocks:
             self.blocks.append(block)
             if self.telemetry is not None:
@@ -159,6 +175,7 @@ async def _handle_connection(
                 state.note_arrival(envelope.tx_id)
                 cut = state.service.submit(envelope, now=state.now())
                 state.publish(cut)
+                state.arm_timeout()
                 await write_message(
                     writer,
                     {
@@ -203,18 +220,6 @@ async def _handle_connection(
         writer.close()
 
 
-async def _timeout_watchdog(state: OrdererState) -> None:
-    """Enforce ``batch_timeout_s``: Fabric's third cut trigger, wall-clock."""
-
-    while True:
-        await asyncio.sleep(TIMEOUT_TICK_S)
-        deadline = state.service.timeout_deadline()
-        if deadline is not None and state.now() >= deadline:
-            block = state.service.cut_on_timeout(state.now(), state.service.batch_epoch)
-            if block is not None:
-                state.publish([block])
-
-
 async def _serve(state: OrdererState, port_conn) -> None:
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
@@ -228,12 +233,8 @@ async def _serve(state: OrdererState, port_conn) -> None:
     port_conn.send(port)
     port_conn.close()
 
-    watchdog = asyncio.create_task(_timeout_watchdog(state))
-    try:
-        async with server:
-            await stop.wait()
-    finally:
-        watchdog.cancel()
+    async with server:
+        await stop.wait()
 
 
 def orderer_process_main(config_dict: dict, port_conn) -> None:

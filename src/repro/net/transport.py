@@ -19,25 +19,35 @@ The design mirrors how a real Fabric Gateway client is structured:
   machinery (deliver sessions, block/contract streams, checkpoints) then
   runs unmodified on the mirrors — the streams cannot tell a mirror from
   an in-process peer.
-* **One private event loop**, driven synchronously.  Public methods run
-  ``loop.run_until_complete(...)``; the per-peer deliver readers are
-  long-lived tasks on the same loop, so they make progress during *any*
+* **One private event loop**, driven synchronously.  Blocking public
+  methods run ``loop.run_until_complete(...)``; the per-peer deliver
+  readers, the per-connection reply readers and the per-transaction flows
+  are tasks on the same loop, so they make progress during *any* blocking
   transport call (and during :meth:`pump`, for pure event consumers).
-  No background threads, no locks beyond per-connection request ordering.
-* **Typed failure, never a hang.**  Every request carries a deadline; an
-  endorsement that times out or hits a dead peer becomes an
+  No background threads, no locks.
+* **Pipelined requests.**  ``submit_async`` only *writes* the endorse
+  frames and returns a handle whose ``flow`` task collects the replies,
+  assembles the envelope and hands it to the orderer **in submission
+  order**; ``commit_status()`` awaits that flow, then sleeps until the
+  anchor mirror absorbs the block.  ``flush`` / ``evaluate`` /
+  ``wait_for_height`` first let every in-flight flow reach the orderer.
+* **Typed failure, never a hang, never at ``submit_async()``.**  Every
+  request carries its own deadline; an endorsement that times out or hits
+  a dead peer becomes an
   :class:`~repro.fabric.transaction.EndorsementFailure` inside the normal
-  endorsement round (surfacing as ``EndorseError`` at ``commit_status()``),
-  a failed broadcast raises :class:`~repro.gateway.errors.SubmitError`,
-  and a commit that never arrives raises
-  :class:`~repro.net.errors.CommitTimeoutError`.
+  endorsement round (``EndorseError`` at ``commit_status()``), a failed
+  broadcast raises :class:`~repro.gateway.errors.SubmitError` there too,
+  a dead anchor deliver stream :class:`~repro.net.errors.DeliverStreamError`,
+  a commit that never arrives :class:`~repro.net.errors.CommitTimeoutError`.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Optional, Sequence
+from collections import deque
+from typing import Callable, Optional, Sequence
 
+from ..common.errors import FabricError
 from ..common.serialization import from_bytes
 from ..common.types import TxStatus, Version
 from ..events.deliver import DeliverService
@@ -45,7 +55,7 @@ from ..fabric.client import Client, EndorsementRoundFailure, select_endorsing_or
 from ..fabric.events import EventHub
 from ..fabric.ledger import Ledger
 from ..fabric.store import WriteBatch
-from ..fabric.transaction import EndorsementFailure, Proposal, TransactionEnvelope
+from ..fabric.transaction import EndorsementFailure, Proposal
 from ..gateway.channel import NUM_CLIENTS, Channel
 from ..gateway.errors import EndorseError, SubmitError
 from ..gateway.transport import (
@@ -54,10 +64,18 @@ from ..gateway.transport import (
     Transport,
 )
 from ..telemetry.lifecycle import record_phase
-from .codec import install_codec_metrics, read_message, uninstall_codec_metrics, write_message
+from .codec import (
+    FrameError,
+    install_codec_metrics,
+    read_message,
+    send_message,
+    uninstall_codec_metrics,
+    write_message,
+)
 from .errors import (
     CommitTimeoutError,
     ConnectionClosed,
+    DeliverStreamError,
     PeerUnreachableError,
     RequestTimeout,
     TransportError,
@@ -69,6 +87,7 @@ from .profile import (
     default_policy,
 )
 from .wire import (
+    WireError,
     dec_committed_block,
     dec_endorsement_failure,
     dec_proposal_response,
@@ -167,12 +186,104 @@ class RemoteChannel(Channel):
 
 
 class _NodeConnection:
-    """One request/response connection, with FIFO request ordering."""
+    """One pipelined request connection: replies matched first-in first-out.
 
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.lock = asyncio.Lock()
+    A node answers a connection's requests in the order it reads them, so
+    many can be in flight with no request id on the wire.  A request that
+    outlives its deadline fails with :class:`RequestTimeout` but *stays
+    queued*: its late reply is dropped, never handed to the next request.
+    A broken connection fails every queued and later request with
+    :class:`PeerUnreachableError`.
+    """
+
+    def __init__(self, name: str, reader, writer, timeout_s: float) -> None:
+        self.name = name
+        self.reader: asyncio.StreamReader = reader
+        self.writer: asyncio.StreamWriter = writer
+        self.timeout_s = timeout_s
+        self._loop = asyncio.get_running_loop()
+        #: ``(future, deadline, label)`` per unanswered request, oldest first.
+        self._waiting: deque[tuple[asyncio.Future, float, str]] = deque()
+        #: One timer, at the oldest live deadline (deadlines rise along the queue).
+        self._expiry: Optional[asyncio.TimerHandle] = None
+        self._broken: Optional[Exception] = None
+        self._high_water = writer.transport.get_write_buffer_limits()[1]
+        self._reader_task = self._loop.create_task(self._read_replies())
+
+    def send(self, message: dict) -> asyncio.Future:
+        """Write one request now (no loop entry); the future is its reply."""
+
+        label = message["type"]
+        future = self._loop.create_future()
+        if self._broken is not None:
+            future.set_exception(self._unreachable(label))
+            return future
+        send_message(self.writer, message)
+        deadline = self._loop.time() + self.timeout_s
+        self._waiting.append((future, deadline, label))
+        if self._expiry is None:
+            self._expiry = self._loop.call_at(deadline, self._expire)
+        return future
+
+    @property
+    def congested(self) -> bool:
+        """Whether the write buffer is past asyncio's own high-water mark."""
+
+        return self.writer.transport.get_write_buffer_size() > self._high_water
+
+    async def drain(self) -> None:
+        try:
+            await self.writer.drain()
+        except (ConnectionError, OSError):
+            pass  # the reader task reports the break to every queued request
+
+    async def _read_replies(self) -> None:
+        try:
+            while True:
+                message = await read_message(self.reader)
+                kind = message_type(message)
+                if not self._waiting:
+                    raise WireError(f"unsolicited {kind!r} message")
+                future, _deadline, label = self._waiting.popleft()
+                if future.done():
+                    continue  # expired: this is its late reply
+                if kind == "error":
+                    rejected = f"{label} to {self.name} rejected: {message.get('error')}"
+                    future.set_exception(TransportError(rejected))
+                else:
+                    future.set_result(message)
+        except (ConnectionClosed, ConnectionError, OSError, FrameError, WireError) as exc:
+            self._fail(exc)
+
+    def _expire(self) -> None:
+        self._expiry = None
+        now = self._loop.time()
+        for future, deadline, label in self._waiting:
+            if future.done():
+                continue
+            if deadline > now:
+                self._expiry = self._loop.call_at(deadline, self._expire)
+                return
+            late = f"{label} to {self.name} timed out after {self.timeout_s:g}s"
+            future.set_exception(RequestTimeout(late))
+
+    def _unreachable(self, label: str) -> PeerUnreachableError:
+        return PeerUnreachableError(f"{label} to {self.name} failed: {self._broken}")
+
+    def _fail(self, exc: Exception) -> None:
+        self._broken = exc
+        while self._waiting:
+            future, _deadline, label = self._waiting.popleft()
+            if not future.done():
+                future.set_exception(self._unreachable(label))
+
+    def close(self) -> asyncio.Task:
+        """Fail what is queued and close; returns the reader task to reap."""
+
+        self._reader_task.cancel()
+        self._fail(ConnectionClosed("transport closed"))
+        self.writer.close()
+        return self._reader_task
 
 
 class SocketTransport(Transport):
@@ -201,6 +312,16 @@ class SocketTransport(Transport):
         self._loop = asyncio.new_event_loop()
         self._conns: dict[str, _NodeConnection] = {}
         self._deliver_tasks: list[asyncio.Task] = []
+        #: Deliver streams that died, by peer name.
+        self._stream_errors: dict[str, DeliverStreamError] = {}
+        #: Set when a mirror absorbed a block, a deliver stream died or the
+        #: last in-flight flow finished: whatever a waiter may sleep on.
+        self._progress = asyncio.Event()
+        self._in_flight = 0  # flows not finished yet
+        #: The newest flow's "broadcast written" future: the next flow's turn.
+        self._last_written: Optional[asyncio.Future] = None
+        #: Size of the orderer's open batch, per its latest acknowledgement.
+        self._orderer_pending = 0
         self._closed = False
 
     # -- construction -------------------------------------------------------------
@@ -213,7 +334,8 @@ class SocketTransport(Transport):
         commit_timeout_s: float = DEFAULT_COMMIT_TIMEOUT_S,
         telemetry=None,
     ) -> "SocketTransport":
-        """Open request connections to every node and start deliver streams."""
+        """Open request connections to every node, start the deliver streams
+        and return once every mirror has caught up with its peer."""
 
         transport = cls(profile, request_timeout_s, commit_timeout_s, telemetry=telemetry)
         try:
@@ -231,10 +353,21 @@ class SocketTransport(Transport):
                 endpoint.host, endpoint.port, endpoint.name
             )
             self._deliver_tasks.append(
-                asyncio.get_running_loop().create_task(
-                    self._deliver_reader(endpoint, mirror)
-                )
+                self._loop.create_task(self._deliver_reader(endpoint, mirror))
             )
+        # Catch-up barrier: the streams replay from block 0, and a mirror
+        # still replaying would resolve "live from now" against an old height.
+        deadline = self._loop.time() + self.request_timeout_s
+        mirrors = self.channel.peers
+        infos = await asyncio.gather(
+            *(self._conns[mirror.name].send({"type": "ledger_info"}) for mirror in mirrors)
+        )
+        for mirror, info in zip(mirrors, infos):
+            height = info.get("height", 0)
+            if not await self._mirror_reaches(
+                mirror, lambda: mirror.ledger.height >= height, deadline
+            ):
+                raise RequestTimeout(f"mirror of {mirror.name} never reached height {height}")
 
     async def _open(self, host: str, port: int, label: str) -> _NodeConnection:
         try:
@@ -245,100 +378,114 @@ class SocketTransport(Transport):
             raise RequestTimeout(f"connecting to {label} at {host}:{port} timed out")
         except (ConnectionError, OSError) as exc:
             raise PeerUnreachableError(f"cannot reach {label} at {host}:{port}: {exc}")
-        return _NodeConnection(reader, writer)
+        return _NodeConnection(label, reader, writer, self.request_timeout_s)
 
     async def _deliver_reader(self, endpoint, mirror: MirrorPeer) -> None:
-        """Feed one mirror from its peer's deliver stream, forever."""
+        """Feed one mirror from its peer's deliver stream until ``close()``.
 
+        A stream that dies is recorded and counted: never mistaken for a quiet one.
+        """
+
+        reason = "unreachable"
         try:
             reader, writer = await asyncio.open_connection(endpoint.host, endpoint.port)
-        except (ConnectionError, OSError):
-            return
-        try:
-            await write_message(writer, {"type": "deliver", "start_block": 0})
-            while True:
-                message = await read_message(reader)
-                if message_type(message) != "block":
-                    raise TransportError(
-                        f"deliver stream from {endpoint.name} sent "
-                        f"{message.get('type')!r}"
-                    )
-                mirror.absorb(dec_committed_block(message.get("committed")))
-        except (ConnectionClosed, ConnectionError, OSError, asyncio.CancelledError):
-            return
-        finally:
-            writer.close()
+            reason = "closed"
+            try:
+                await write_message(writer, {"type": "deliver", "start_block": 0})
+                while True:
+                    message = await read_message(reader)
+                    if message_type(message) != "block":
+                        raise WireError(f"unexpected {message.get('type')!r} message")
+                    mirror.absorb(dec_committed_block(message.get("committed")))
+                    self._progress.set()
+            finally:
+                writer.close()
+        except (ConnectionClosed, ConnectionError, OSError) as exc:
+            self._stream_died(endpoint.name, reason, exc)
+        except FabricError as exc:  # bad frame, bad message, or a block that fails verification
+            self._stream_died(endpoint.name, "protocol", exc)
+
+    def _stream_died(self, peer: str, reason: str, exc: Exception) -> None:
+        self._stream_errors[peer] = DeliverStreamError(
+            peer, reason, str(exc) or type(exc).__name__
+        )
+        if self.telemetry is not None:
+            self.telemetry.metrics.counter(
+                "repro_net_deliver_stream_errors_total",
+                "Deliver streams that died, by peer and reason",
+            ).inc(peer=peer, reason=reason)
+        self._progress.set()
 
     # -- plumbing -----------------------------------------------------------------
 
-    def _run(self, coro):
+    def _run(self, awaitable):
         if self._closed:
             raise TransportError("transport is closed")
-        return self._loop.run_until_complete(coro)
+        return self._loop.run_until_complete(awaitable)
 
-    async def _request(self, node: str, message: dict, label: str) -> dict:
-        conn = self._conns[node]
+    async def _drain(self) -> None:
+        """Let every in-flight flow finish (each is bounded by request deadlines)."""
+
+        while self._in_flight:
+            self._progress.clear()
+            await self._progress.wait()
+
+    async def _mirror_reaches(
+        self, mirror: MirrorPeer, reached: Callable[[], bool], deadline: float
+    ) -> bool:
+        """Sleep until ``mirror``'s blocks make ``reached()`` true (False at
+        ``deadline``); raise its :class:`DeliverStreamError` once its stream is dead."""
+
+        timer = self._loop.call_at(deadline, self._progress.set)
         try:
-            async with conn.lock:
-                await asyncio.wait_for(
-                    write_message(conn.writer, message), self.request_timeout_s
-                )
-                reply = await asyncio.wait_for(
-                    read_message(conn.reader), self.request_timeout_s
-                )
-        except asyncio.TimeoutError:
-            raise RequestTimeout(
-                f"{label} to {node} timed out after {self.request_timeout_s:g}s"
-            )
-        except (ConnectionClosed, ConnectionError, OSError) as exc:
-            raise PeerUnreachableError(f"{label} to {node} failed: {exc}")
-        if message_type(reply) == "error":
-            raise TransportError(f"{label} to {node} rejected: {reply.get('error')}")
-        return reply
+            while not reached():
+                if mirror.name in self._stream_errors:
+                    raise self._stream_errors[mirror.name]
+                if self._loop.time() >= deadline:
+                    return False
+                self._progress.clear()
+                await self._progress.wait()
+            return True
+        finally:
+            timer.cancel()
 
     def pump(self, seconds: float = 0.05) -> None:
         """Run the event loop briefly so deliver streams make progress.
 
-        Event-stream consumers that are not otherwise calling the
-        transport use this to let blocks arrive (the loop only runs inside
-        transport calls — there is no background thread).
+        Only pure event-stream consumers need this: the loop runs inside
+        every blocking transport call — there is no background thread.
         """
 
         self._run(asyncio.sleep(seconds))
 
     # -- endorsement --------------------------------------------------------------
 
-    async def _endorse_one(
-        self, peer_name: str, proposal: Proposal, timestamp: float
-    ):
-        try:
-            reply = await self._request(
-                peer_name,
-                {
-                    "type": "endorse",
-                    "proposal": enc_proposal(proposal),
-                    "timestamp": timestamp,
-                },
-                "endorse",
-            )
-        except TransportError as exc:
-            # A dead or slow peer is an endorsement failure, not a crash:
-            # the round continues and the policy decides if it still passes.
-            return EndorsementFailure(
-                proposal.tx_id, peer_name, f"transport: {exc}"
-            )
-        if reply.get("ok"):
-            return dec_proposal_response(reply.get("response"))
-        return dec_endorsement_failure(reply.get("failure"))
-
-    async def _endorse(
+    def _send_proposal(
         self, proposal: Proposal, peer_names: Sequence[str], timestamp: float
-    ):
-        outcomes = await asyncio.gather(
-            *(self._endorse_one(name, proposal, timestamp) for name in peer_names)
-        )
-        responses = [o for o in outcomes if not isinstance(o, EndorsementFailure)]
-        failures = [o for o in outcomes if isinstance(o, EndorsementFailure)]
+    ) -> list[tuple[str, asyncio.Future]]:
+        message = {
+            "type": "endorse",
+            "proposal": enc_proposal(proposal),
+            "timestamp": timestamp,
+        }
+        return [(name, self._conns[name].send(message)) for name in peer_names]
+
+    async def _collect(self, proposal: Proposal, replies):
+        responses, failures = [], []
+        for peer_name, reply in replies:
+            try:
+                message = await reply
+            except TransportError as exc:
+                # A dead or slow peer is an endorsement failure, not a crash:
+                # the round continues and the policy decides if it still passes.
+                failures.append(
+                    EndorsementFailure(proposal.tx_id, peer_name, f"transport: {exc}")
+                )
+                continue
+            if message.get("ok"):
+                responses.append(dec_proposal_response(message.get("response")))
+            else:
+                failures.append(dec_endorsement_failure(message.get("failure")))
         return responses, failures
 
     # -- the Transport ABC --------------------------------------------------------
@@ -351,6 +498,14 @@ class SocketTransport(Transport):
         client_index: int = 0,
         on_endorsement_failure: Optional[EndorsementFailureHook] = None,
     ) -> SubmittedTransaction:
+        """Write the endorse frames and return; the handle's flow does the rest.
+
+        Nothing is awaited, so every outcome surfaces at ``commit_status()``
+        / ``result()``, exactly as on the DES transport.
+        """
+
+        if self._closed:
+            raise TransportError("transport is closed")
         channel = self.channel
         client = channel.client(client_index)
         policy = channel.policy_for(chaincode)
@@ -361,32 +516,61 @@ class SocketTransport(Transport):
         proposal = client.new_proposal(channel.name, chaincode, function, args, policy, now)
         endorsing_orgs = select_endorsing_orgs(policy, channel.org_names)
         peer_names = [self.profile.peers_of(org)[0].name for org in endorsing_orgs]
-        responses, failures = self._run(self._endorse(proposal, peer_names, now))
-        outcome = client.assemble(proposal, responses, failures)
-        if isinstance(outcome, EndorsementRoundFailure):
-            if on_endorsement_failure is not None:
-                on_endorsement_failure(proposal.tx_id, now)
-            self._record_submit(proposal.tx_id, started, "endorse_failed")
-            return SubmittedTransaction(
-                self, proposal.tx_id, now, ordered=False, endorse_failure=outcome,
-                chaincode=chaincode, function=function,
-            )
-        envelope = outcome.envelope
-        result_bytes = envelope.chaincode_result
-        if envelope.rwset.is_read_only:
-            self._record_submit(proposal.tx_id, started, "read_only")
-            return SubmittedTransaction(
-                self, proposal.tx_id, now, ordered=False, result_bytes=result_bytes,
-                chaincode=chaincode, function=function,
-                chaincode_event=envelope.event,
-            )
-        self._run(self._broadcast(envelope))
-        self._record_submit(proposal.tx_id, started, "ordered")
-        return SubmittedTransaction(
-            self, proposal.tx_id, now, result_bytes=result_bytes,
-            chaincode=chaincode, function=function,
-            chaincode_event=envelope.event,
+        replies = self._send_proposal(proposal, peer_names, now)
+        tx = SubmittedTransaction(
+            self, proposal.tx_id, now, chaincode=chaincode, function=function
         )
+        turn, written = self._last_written, self._loop.create_future()
+        self._last_written = written
+        self._in_flight += 1
+        flow = self._flow(
+            tx, client, proposal, replies, turn, written, on_endorsement_failure, started
+        )
+        tx.flow = self._loop.create_task(flow)
+        for name in peer_names:
+            if self._conns[name].congested:  # all the back-pressure a closed loop needs
+                self._run(self._conns[name].drain())
+        return tx
+
+    async def _flow(
+        self, tx, client, proposal, replies, turn, written, on_endorsement_failure, started
+    ) -> None:
+        """One transaction after its endorse frames left, recorded onto ``tx``.
+
+        Broadcasts leave in submission order (``turn`` is the previous
+        flow's "written"), so blocks are cut as if every submit had blocked.
+        """
+
+        try:
+            responses, failures = await self._collect(proposal, replies)
+            outcome = client.assemble(proposal, responses, failures)
+            tx.record_endorsement(outcome, self.now)
+            if turn is not None:
+                await turn
+            if tx.endorse_failure is not None:
+                if on_endorsement_failure is not None:
+                    on_endorsement_failure(proposal.tx_id, self.now)
+                self._record_submit(proposal.tx_id, started, "endorse_failed")
+            elif not tx.ordered:
+                self._record_submit(proposal.tx_id, started, "read_only")
+            else:
+                ack = self._conns["orderer"].send(
+                    {"type": "broadcast", "envelope": enc_envelope(outcome.envelope)}
+                )
+                written.set_result(None)
+                try:
+                    self._orderer_pending = (await ack).get("pending", 0)
+                    self._record_submit(proposal.tx_id, started, "ordered")
+                except TransportError as exc:
+                    tx.submit_error = SubmitError(
+                        tx.tx_id, f"could not hand {tx.tx_id} to the orderer: {exc}"
+                    )
+        finally:
+            if not written.done():
+                written.set_result(None)
+            self._in_flight -= 1
+            if not self._in_flight:
+                self._progress.set()
 
     def _record_submit(self, tx_id: str, started: float, outcome: str) -> None:
         if self.telemetry is not None:
@@ -394,18 +578,6 @@ class SocketTransport(Transport):
                 self.telemetry, "submit", tx_id, started, self.telemetry.now(),
                 node="client", outcome=outcome,
             )
-
-    async def _broadcast(self, envelope: TransactionEnvelope) -> dict:
-        try:
-            return await self._request(
-                "orderer",
-                {"type": "broadcast", "envelope": enc_envelope(envelope)},
-                "broadcast",
-            )
-        except TransportError as exc:
-            raise SubmitError(
-                envelope.tx_id, f"could not hand {envelope.tx_id} to the orderer: {exc}"
-            ) from exc
 
     def evaluate(self, chaincode, function, args, client_index: int = 0):
         """Read-only invocation, endorsed by the remote anchor peer."""
@@ -416,8 +588,12 @@ class SocketTransport(Transport):
         now = self.now
         proposal = client.new_proposal(channel.name, chaincode, function, args, policy, now)
         anchor = self.profile.anchor_peer.name
-        responses, failures = self._run(self._endorse(proposal, [anchor], now))
-        outcome = client.assemble(proposal, responses, failures)
+
+        async def endorsed():
+            await self._drain()  # earlier submissions reach the orderer first
+            return await self._collect(proposal, self._send_proposal(proposal, [anchor], now))
+
+        outcome = client.assemble(proposal, *self._run(endorsed()))
         if isinstance(outcome, EndorsementRoundFailure):
             raise EndorseError(outcome)
         return from_bytes(outcome.envelope.chaincode_result)
@@ -425,30 +601,43 @@ class SocketTransport(Transport):
     def wait_for(self, tx: SubmittedTransaction) -> TxStatus:
         status = self.channel.statuses.get(tx.tx_id)
         if status is None:
-            # Drain anything already on the wire before forcing a cut.
-            self.pump(0.01)
-            status = self.channel.statuses.get(tx.tx_id)
-        if status is None:
-            # Same semantics as SyncTransport.wait_for: an unresolved
-            # transaction is (presumably) sitting in the pending batch.
-            self.flush()
-            status = self._run(self._await_status(tx.tx_id))
+            status = self._run(self._resolve(tx))
         return status
 
-    async def _await_status(self, tx_id: str) -> TxStatus:
-        deadline = self._loop.time() + self.commit_timeout_s
-        while True:
-            status = self.channel.statuses.get(tx_id)
-            if status is not None:
-                return status
-            if self._loop.time() >= deadline:
-                raise CommitTimeoutError(tx_id, self.commit_timeout_s)
-            await asyncio.sleep(0.005)
+    async def _resolve(self, tx: SubmittedTransaction) -> TxStatus:
+        """Await ``tx``'s flow, then its block on the anchor mirror."""
+
+        await tx.flow
+        if tx.endorse_failure is not None:
+            raise EndorseError(tx.endorse_failure)
+        if tx.submit_error is not None:
+            raise tx.submit_error
+        if not tx.ordered:
+            return tx._readonly_status
+        statuses = self.channel.statuses
+        if tx.tx_id not in statuses:
+            # As SyncTransport.wait_for: an unresolved transaction may sit in
+            # the orderer's open batch — cut it, once no flow can still fill it.
+            await self._drain()
+            if self._orderer_pending:
+                await self._flush()
+            deadline = self._loop.time() + self.commit_timeout_s
+            if not await self._mirror_reaches(
+                self.channel.anchor_peer, lambda: tx.tx_id in statuses, deadline
+            ):
+                raise CommitTimeoutError(tx.tx_id, self.commit_timeout_s)
+        return statuses[tx.tx_id]
 
     def flush(self) -> dict:
-        """Force-cut the orderer's pending batch (remote ``flush``)."""
+        """Force-cut the orderer's pending batch, earlier submissions included."""
 
-        return self._run(self._request("orderer", {"type": "flush"}, "flush"))
+        return self._run(self._flush())
+
+    async def _flush(self) -> dict:
+        await self._drain()
+        reply = await self._conns["orderer"].send({"type": "flush"})
+        self._orderer_pending = 0
+        return reply
 
     # -- cluster inspection -------------------------------------------------------
 
@@ -460,7 +649,7 @@ class SocketTransport(Transport):
         """
 
         name = self.profile.peers[peer_index].name
-        return self._run(self._request(name, {"type": "ledger_info"}, "ledger_info"))
+        return self._run(self._conns[name].send({"type": "ledger_info"}))
 
     def node_metrics(self, node: str, include_spans: bool = False) -> dict:
         """One node's telemetry over the wire (``"orderer"`` or a peer name).
@@ -474,7 +663,7 @@ class SocketTransport(Transport):
         request = {"type": "metrics"}
         if include_spans:
             request["include_spans"] = True
-        return self._run(self._request(node, request, "metrics"))
+        return self._run(self._conns[node].send(request))
 
     def cluster_metrics(self, include_spans: bool = False) -> dict[str, dict]:
         """Every node's ``metrics_result``, keyed by node name.
@@ -507,13 +696,14 @@ class SocketTransport(Transport):
         self._run(self._await_height(height, timeout_s))
 
     async def _await_height(self, height: int, timeout_s: float) -> None:
+        await self._drain()  # earlier submissions reach the orderer first
         deadline = self._loop.time() + timeout_s
         pending = list(range(len(self.profile.peers)))
         while pending:
             still: list[int] = []
             for index in pending:
                 name = self.profile.peers[index].name
-                info = await self._request(name, {"type": "ledger_info"}, "ledger_info")
+                info = await self._conns[name].send({"type": "ledger_info"})
                 if info.get("height", 0) < height:
                     still.append(index)
             pending = still
@@ -533,19 +723,21 @@ class SocketTransport(Transport):
 
         if self._closed:
             return
+        async def settle() -> None:
+            # Submissions nobody awaited still reach the orderer first (each
+            # flow is bounded by request deadlines).
+            await self._drain()
+            tasks = list(self._deliver_tasks)
+            for task in tasks:
+                task.cancel()
+            tasks.extend(conn.close() for conn in self._conns.values())
+            await asyncio.gather(*tasks, return_exceptions=True)
+            await asyncio.sleep(0)  # transports flush their close frames
+
+        self._loop.run_until_complete(settle())
         if self._codec_handle is not None:
             uninstall_codec_metrics(self._codec_handle)
             self._codec_handle = None
-        for task in self._deliver_tasks:
-            task.cancel()
-        if self._deliver_tasks:
-            self._loop.run_until_complete(
-                asyncio.gather(*self._deliver_tasks, return_exceptions=True)
-            )
-        for conn in self._conns.values():
-            conn.writer.close()
-        # One settling pass so transports flush their close frames.
-        self._loop.run_until_complete(asyncio.sleep(0))
         self.channel.close()
         self._loop.close()
         self._closed = True

@@ -1,12 +1,13 @@
 """Failure injection: dead or frozen processes surface as typed errors.
 
 The robustness contract of the socket transport is "typed failure, never
-a hang": a peer process that died mid-engagement turns into an
-``EndorsementFailure`` inside the normal endorsement round (so
-``commit_status()`` raises :class:`EndorseError`), a dead orderer turns a
-broadcast into :class:`SubmitError`, and a *frozen* (SIGSTOPped) node
-trips the per-request deadline as :class:`RequestTimeout` instead of
-blocking the caller forever.
+a hang, never at ``submit_async()``": a peer process that died
+mid-engagement turns into an ``EndorsementFailure`` inside the normal
+endorsement round (so ``commit_status()`` raises :class:`EndorseError`), a
+dead orderer turns a broadcast into :class:`SubmitError` — also at
+``commit_status()`` / ``result()`` — and a *frozen* (SIGSTOPped) node trips
+the per-request deadline as :class:`RequestTimeout` instead of blocking the
+caller forever.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import dataclasses
 import json
 import os
 import signal
+import time
 
 import pytest
 
@@ -66,11 +68,16 @@ def test_dead_peers_fail_the_transaction_instead_of_hanging(cluster):
         contract = Gateway.connect(transport).get_contract("iot")
         kill_processes(cluster, "repro-peer-")
 
+        # The outcome is deferred: submit_async only writes the proposal.
         tx = contract.submit_async("record", record_call("dev-dead", 0))
-        assert tx.endorse_failure is not None
-        assert any("transport:" in f.reason for f in tx.endorse_failure.failures)
+        started = time.monotonic()
         with pytest.raises(EndorseError):
             tx.commit_status()
+        assert time.monotonic() - started < 2.0 + 1.0  # the request deadline, not a hang
+        assert any("transport:" in f.reason for f in tx.endorse_failure.failures)
+        assert tx.done
+        with pytest.raises(EndorseError):
+            tx.result()
 
 
 def test_evaluate_against_dead_anchor_raises_endorse_error(cluster):
@@ -90,8 +97,14 @@ def test_dead_orderer_turns_broadcast_into_submit_error(cluster):
         contract.submit("populate", json.dumps({"keys": ["dev-orderer"]}))
         kill_processes(cluster, "repro-orderer")
 
+        tx = contract.submit_async("record", record_call("dev-orderer", 0))
+        started = time.monotonic()
         with pytest.raises(SubmitError):
-            contract.submit_async("record", record_call("dev-orderer", 0))
+            tx.commit_status()
+        assert time.monotonic() - started < 2.0 + 1.0
+        assert tx.submit_error is not None and tx.done
+        with pytest.raises(SubmitError):
+            tx.result()
         with pytest.raises(TransportError):
             transport.flush()
 
