@@ -49,7 +49,13 @@ def merkle_root(leaves: Iterable[bytes]) -> bytes:
     ``sha256(b"")`` so that empty blocks still have a deterministic data hash.
     """
 
-    level = [sha256(leaf) for leaf in leaves]
+    return merkle_root_of_digests(sha256(leaf) for leaf in leaves)
+
+
+def merkle_root_of_digests(digests: Iterable[bytes]) -> bytes:
+    """:func:`merkle_root` for a caller that already holds ``sha256(leaf)``."""
+
+    level = list(digests)
     if not level:
         return sha256(b"")
     while len(level) > 1:

@@ -11,7 +11,8 @@ implements it:
 * Read/write-set entry records used by proposals and validation.
 
 Everything is immutable (frozen dataclasses / NamedTuples) so that read/write
-sets can be hashed, signed, and compared structurally.
+sets can be hashed, signed, and compared structurally.  The records a ledger
+retains per committed transaction are slotted: no per-instance ``__dict__``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class TxType(enum.Enum):
     CONFIG = "config"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Version:
     """Fabric's committed-key version: height of the committing transaction.
 
@@ -83,7 +84,7 @@ class Version:
 GENESIS_VERSION: Optional[Version] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadItem:
     """One entry of a transaction read-set: key and observed version.
 
@@ -95,7 +96,7 @@ class ReadItem:
     version: Optional[Version]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteItem:
     """One entry of a transaction write-set.
 
@@ -116,7 +117,7 @@ class WriteItem:
             raise ValueError("CRDT writes cannot be deletes")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RangeQueryInfo:
     """Recorded range query for phantom-read validation.
 
@@ -130,13 +131,15 @@ class RangeQueryInfo:
     results_hash: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadWriteSet:
     """The simulated execution result of one chaincode invocation."""
 
     reads: tuple[ReadItem, ...] = ()
     writes: tuple[WriteItem, ...] = ()
     range_queries: tuple[RangeQueryInfo, ...] = ()
+    #: memo of ``repro.fabric.transaction.rwset_hash``, taken once: immutable
+    _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -195,7 +198,7 @@ class TxStatus:
         return self.commit_time - self.submit_time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyModification:
     """One historical modification of a key (for ``GetHistoryForKey``)."""
 

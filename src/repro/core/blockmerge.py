@@ -22,9 +22,9 @@ Differences from the paper's pseudocode (README "Merge engine"):
   seeded — an unseeded counter would forget its committed total.
 * transactions whose CRDT payloads fail to decode, nest deeper than
   ``MAX_NESTING_DEPTH``, or mix incompatible kinds are invalidated with
-  ``BAD_PAYLOAD`` instead of crashing the committer; a JSON payload is
-  checked whole before it is merged, so a rejected one leaves no trace in
-  the value the block commits.
+  ``BAD_PAYLOAD`` instead of crashing the committer; all of a transaction's
+  CRDT writes are checked before any is merged, so a rejected transaction
+  leaves no trace in the values the block commits.
 """
 
 from __future__ import annotations
@@ -32,13 +32,16 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..common.config import CRDTConfig
-from ..common.errors import CRDTError, SerializationError
+from ..common.errors import CRDTError, MergeTypeError, SerializationError
 from ..common.serialization import from_bytes
 from ..common.types import ValidationCode, WriteItem
+from ..crdt.base import StateCRDT
+from ..crdt.json import MergeOptions, check_mergeable, merge_checked
+from ..crdt.registry import crdt_from_dict_envelope
 from ..fabric.block import Block
 from ..fabric.peer import MergePlan
 from ..fabric.store import StateStore
-from .jsonmerge import MergedKey, init_empty_crdt, is_crdt_envelope, merge_crdt
+from .jsonmerge import MergedKey, init_empty_crdt, is_crdt_envelope, merge_crdt, merge_options
 
 
 class _BlockDecodeCache:
@@ -91,6 +94,7 @@ def validate_merge_block(
     merge_ops = 0
     merge_scan_steps = 0
     cache = _BlockDecodeCache()
+    options = merge_options(config)
 
     # -- first pass: merge every flagged key-value (lines 3-14) ---------------
     for tx_index, tx in enumerate(block.transactions):
@@ -101,24 +105,20 @@ def validate_merge_block(
             continue  # handled as a non-CRDT transaction (line 14)
         try:
             decoded = [(w, cache.decode(w.value)) for w in crdt_writes]
-        except (SerializationError, RecursionError):  # malformed, or nested past the parser
+            ready = _check_writes(decoded, crdts, actor, state, options, config, cache)
+        except (SerializationError, RecursionError, CRDTError):  # unparsable, or refused
             forced_codes[tx_index] = ValidationCode.BAD_PAYLOAD
             continue
-        try:
-            for write, value in decoded:
-                merged = crdts.get(write.key)
-                if merged is None:  # lines 8-10: InitEmptyCRDT
-                    merged = init_empty_crdt(write.key, value, actor)
-                    _seed_from_state(merged, state, config, cache)
-                    crdts[write.key] = merged
+        for merged, value in ready:  # checked: nothing below can raise
+            crdts[merged.key] = merged  # lines 8-10 take effect only now
+            if merged.document is None:
+                merged.state_crdt = value  # line 11, merged while checking
+                merge_ops += 1
+            else:
                 before = _scan_steps(merged)
-                operations = merge_crdt(merged, value, config)  # line 11
-                merge_ops += len(operations) + merged.envelope_merge_ops
-                merged.envelope_merge_ops = 0
+                merge_ops += len(merge_checked(merged.document, value, options))  # line 11
                 merge_scan_steps += _scan_steps(merged) - before
-        except CRDTError:
-            forced_codes[tx_index] = ValidationCode.BAD_PAYLOAD
-            continue
+            merged.values_merged += 1
         crdt_tx_indices.add(tx_index)
 
     # (line 15 — MVCC validation of non-CRDT transactions — runs in the peer.)
@@ -155,35 +155,69 @@ def validate_merge_block(
     )
 
 
-def _seed_from_state(
-    merged: MergedKey,
+def _check_writes(
+    decoded: list[tuple[WriteItem, Any]],
+    crdts: dict[str, MergedKey],
+    actor: str,
     state: StateStore,
+    options: MergeOptions,
     config: CRDTConfig,
-    cache: Optional[_BlockDecodeCache] = None,
+    cache: _BlockDecodeCache,
+) -> list[tuple[MergedKey, Any]]:
+    """Check all CRDT writes of one transaction; ``crdts`` is left as it is.
+
+    Returns, per write, the key's CRDT (fresh and seeded, lines 8-10, if new
+    to the block) and what to give it: a JSON object ``merge_checked`` will
+    take, or the key's state CRDT with the envelope merged in — that merge is
+    pure and can refuse on content.  Raises :class:`CRDTError` for anything
+    ``merge_crdt`` would refuse, in the block or earlier in this transaction.
+    """
+
+    created: dict[str, MergedKey] = {}
+    staged: dict[str, StateCRDT] = {}  # this transaction's state merges so far
+    ready: list[tuple[MergedKey, Any]] = []
+    for write, value in decoded:
+        merged = crdts.get(write.key) or created.get(write.key)
+        if merged is None:
+            merged = created[write.key] = init_empty_crdt(write.key, value, actor)
+            _seed_from_state(merged, state, config, cache)
+        if is_crdt_envelope(value) != (merged.document is None):
+            raise MergeTypeError(f"key {write.key!r}: not a {merged.kind} CRDT value")
+        if merged.document is None:
+            current = staged.get(write.key, merged.state_crdt)
+            value = staged[write.key] = current.merge(crdt_from_dict_envelope(value))
+        else:
+            check_mergeable(value, options)
+        ready.append((merged, value))
+    return ready
+
+
+def _seed_from_state(
+    merged: MergedKey, state: StateStore, config: CRDTConfig, cache: _BlockDecodeCache
 ) -> None:
     """Merge the committed value of the key into the fresh CRDT.
 
-    JSON CRDTs seed only when ``config.seed_from_state`` asks for it;
-    state-CRDT envelopes always seed (their value is cumulative).  ``cache``
-    is the per-block decode memo: within one block the committed bytes of a
-    key are fixed, so the hot key's state is deserialized at most once per
-    block rather than once per transaction touching it.
+    JSON CRDTs seed only when ``config.seed_from_state`` asks for it (and
+    read nothing otherwise); state-CRDT envelopes always seed (their value is
+    cumulative).  ``cache`` is the per-block decode memo: within one block
+    the committed bytes of a key are fixed, so the hot key's state is
+    deserialized at most once per block rather than once per transaction.
     """
 
+    if merged.kind == "json" and not config.seed_from_state:
+        return
     raw = state.get_value(merged.key)
     if raw is None:
         return
     try:
-        committed_value = cache.decode(raw) if cache is not None else from_bytes(raw)
+        committed_value = cache.decode(raw)
     except SerializationError:
         return  # non-JSON committed value: nothing to seed from
     if merged.kind == "state":
         if is_crdt_envelope(committed_value):
             merge_crdt(merged, committed_value, config)
             merged.values_merged -= 1  # seeding is not a client update
-            merged.envelope_merge_ops = 0
-        return
-    if config.seed_from_state and isinstance(committed_value, dict):
+    elif isinstance(committed_value, dict):
         merge_crdt(merged, committed_value, config)
         merged.values_merged -= 1
 

@@ -57,8 +57,6 @@ class MergedKey:
     document: Optional[JsonDocument] = None
     state_crdt: Optional[StateCRDT] = None
     values_merged: int = 0
-    #: ops applied for cheap (envelope) merges, for work accounting
-    envelope_merge_ops: int = 0
 
     @property
     def kind(self) -> str:
@@ -114,7 +112,6 @@ def merge_crdt(
         incoming = crdt_from_dict_envelope(value)
         merged.state_crdt = merged.state_crdt.merge(incoming)  # type: ignore[arg-type]
         merged.values_merged += 1
-        merged.envelope_merge_ops += 1
         return []
     if not isinstance(value, dict):
         raise UnsupportedValueError(

@@ -3,7 +3,7 @@
 from .convert import document_to_plain, list_to_plain, map_to_plain, slot_to_plain
 from .cursor import Cursor, CursorBuilder, ListStep, MapStep, Step
 from .document import JsonDocument, Located, replicate
-from .genops import MAX_NESTING_DEPTH, MergeOptions, merge_json
+from .genops import MAX_NESTING_DEPTH, MergeOptions, check_mergeable, merge_checked, merge_json
 from .ids import CONTENT_COUNTER, OpId, content_id, is_content_id
 from .mutation import (
     AssignKey,
@@ -27,6 +27,8 @@ __all__ = [
     "JsonDocument",
     "replicate",
     "merge_json",
+    "check_mergeable",
+    "merge_checked",
     "MergeOptions",
     "MAX_NESTING_DEPTH",
     "Located",

@@ -67,11 +67,26 @@ def merge_json(
     rejected value (:class:`UnsupportedValueError`) leaves no trace.
     """
 
+    check_mergeable(value, options)
+    return merge_checked(document, value, options)
+
+
+def check_mergeable(value: Any, options: MergeOptions = MergeOptions()) -> None:
+    """Raise :class:`UnsupportedValueError` unless ``merge_checked`` can merge
+    ``value`` to the end — what a committer asks before it applies anything."""
+
     if _kind(value) != "map":
         raise UnsupportedValueError(
             f"top-level CRDT values must be JSON objects, got {type(value).__name__}"
         )
     _check_value(value, options)
+
+
+def merge_checked(
+    document: JsonDocument, value: Mapping[str, Any], options: MergeOptions
+) -> list[Operation]:
+    """The apply half of ``merge_json``: ``value`` passed ``check_mergeable``."""
+
     ops: list[Operation] = []
     root = Cursor()
     _merge_map(document, root, document.locate(root, "map"), value, ops, options)

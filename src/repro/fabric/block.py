@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from ..common.hashing import chain_hash, merkle_root
+from ..common.hashing import chain_hash, merkle_root_of_digests
 from ..common.types import ValidationCode, WriteItem
 from .transaction import TransactionEnvelope
 
@@ -54,7 +54,7 @@ class Block:
 
     @staticmethod
     def data_hash_for(transactions: tuple[TransactionEnvelope, ...]) -> bytes:
-        return merkle_root(tx.payload_bytes() for tx in transactions)
+        return merkle_root_of_digests(tx.payload_digest() for tx in transactions)
 
     @classmethod
     def build(

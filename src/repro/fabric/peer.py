@@ -395,6 +395,7 @@ class Peer:
 
         if not tx.endorsements:
             return False
+        tx.payload_digest()  # one read-write-set encoding for this and verify_integrity
         response_hash = sha256(
             endorsed_payload_bytes(tx.rwset, tx.chaincode_result, tx.event)
         )

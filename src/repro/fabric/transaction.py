@@ -12,7 +12,7 @@ The lifecycle mirrors Figure 1 of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..common.hashing import sha256, short_hash
@@ -134,8 +134,20 @@ def rwset_to_dict(rwset: ReadWriteSet) -> dict:
     }
 
 
+def _rwset_bytes(rwset: ReadWriteSet) -> bytes:
+    """The canonical encoding every digest of a read-write set is taken over."""
+
+    return to_bytes(rwset_to_dict(rwset))
+
+
 def rwset_hash(rwset: ReadWriteSet) -> bytes:
-    return sha256(to_bytes(rwset_to_dict(rwset)))
+    """SHA-256 of the canonical encoding, memoised on the immutable object."""
+
+    digest = rwset._digest
+    if digest is None:
+        digest = sha256(_rwset_bytes(rwset))
+        object.__setattr__(rwset, "_digest", digest)
+    return digest
 
 
 @dataclass(frozen=True)
@@ -175,9 +187,14 @@ def endorsed_payload_bytes(
     return material + b"\x01" + event.digest_bytes()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransactionEnvelope:
-    """The signed transaction submitted for ordering (Step 3 in Figure 1)."""
+    """The signed transaction submitted for ordering (Step 3 in Figure 1).
+
+    ``_summary`` memoises ``(sha256(payload_bytes()), len(payload_bytes()))``
+    for the size cut, VSCC and the data hash: digests and an int, never the
+    bytes.  A copy (``with_rwset``, ``replace``, a wire decode) starts empty.
+    """
 
     proposal: Proposal
     rwset: ReadWriteSet
@@ -185,6 +202,9 @@ class TransactionEnvelope:
     chaincode_result: bytes = b""
     client_signature: Optional[SignedPayload] = None
     event: Optional[ChaincodeEvent] = None
+    _summary: Optional[tuple[bytes, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def tx_id(self) -> str:
@@ -195,13 +215,32 @@ class TransactionEnvelope:
         return TxType.CRDT if self.rwset.has_crdt_writes else TxType.STANDARD
 
     def payload_bytes(self) -> bytes:
-        return self.proposal.header_bytes() + to_bytes(rwset_to_dict(self.rwset))
+        return self.proposal.header_bytes() + _rwset_bytes(self.rwset)
+
+    def _summarise(self) -> tuple[bytes, int]:
+        """Digest and length of :meth:`payload_bytes`, from one encoding of
+        the read-write set that also fills its :func:`rwset_hash` memo."""
+
+        summary = self._summary
+        if summary is None:
+            encoded = _rwset_bytes(self.rwset)
+            if self.rwset._digest is None:
+                object.__setattr__(self.rwset, "_digest", sha256(encoded))
+            payload = self.proposal.header_bytes() + encoded
+            summary = (sha256(payload), len(payload))
+            object.__setattr__(self, "_summary", summary)
+        return summary
+
+    def payload_digest(self) -> bytes:
+        """``sha256(payload_bytes())`` — the transaction's Merkle leaf."""
+
+        return self._summarise()[0]
 
     def byte_size(self) -> int:
         """Approximate wire size, used by the orderer's byte-based cutting."""
 
         overhead_per_endorsement = 96  # signature + header, roughly
-        return len(self.payload_bytes()) + overhead_per_endorsement * len(self.endorsements)
+        return self._summarise()[1] + overhead_per_endorsement * len(self.endorsements)
 
     def with_rwset(self, rwset: ReadWriteSet) -> "TransactionEnvelope":
         """Copy with a replaced read-write set.

@@ -194,6 +194,139 @@ class TestBadPayloads:
         assert plan.forced_codes == {0: ValidationCode.BAD_PAYLOAD}
         assert from_bytes(plan.replacement_writes[1][0].value) == {"ok": "kept"}
 
+    @staticmethod
+    def two_key_tx(peer, nonce, first, second):
+        """One transaction with two CRDT writes, in write-set order."""
+
+        writes = [WriteItem(key, to_bytes(value), is_crdt=True) for key, value in (first, second)]
+        return endorsed_tx(peer, ReadWriteSet.build(writes=writes), nonce)
+
+    def test_transaction_rejected_on_its_second_key_leaves_its_first_unmerged(self):
+        """The ROADMAP item-3 bug: the rejected transaction's first key used
+        to stay in the value every *other* transaction commits."""
+
+        peer = build_peer()
+        good = crdt_tx(peer, 1, "a", {"l": ["ok"]})
+        bad = self.two_key_tx(
+            peer, 2, ("a", {"l": ["LEAK"]}), ("b", ["not", "an", "object"])
+        )
+        _, plan = run_algorithm1(peer, [good, bad])
+        assert plan.forced_codes == {1: ValidationCode.BAD_PAYLOAD}
+        assert plan.skip_mvcc == frozenset({0})
+        assert from_bytes(plan.replacement_writes[0][0].value) == {"l": ["ok"]}
+        assert 1 not in plan.replacement_writes
+        assert plan.work["merge_docs"] == 1  # "b" was never created
+
+    def test_transaction_rejected_on_its_first_key_leaves_its_second_unmerged(self):
+        peer = build_peer()
+        bad = self.two_key_tx(
+            peer, 1, ("b", ["not", "an", "object"]), ("a", {"l": ["LEAK"]})
+        )
+        good = crdt_tx(peer, 2, "a", {"l": ["ok"]})
+        _, plan = run_algorithm1(peer, [bad, good])
+        assert plan.forced_codes == {0: ValidationCode.BAD_PAYLOAD}
+        assert from_bytes(plan.replacement_writes[1][0].value) == {"l": ["ok"]}
+        assert plan.work["merge_docs"] == 1
+
+    def test_envelope_after_json_on_one_key_inside_one_transaction(self):
+        """The kind check also runs against the CRDT an earlier write of the
+        same transaction would create — and a rejected transaction's kind
+        does not stick to the key for the rest of the block."""
+
+        from repro.crdt import GCounter
+        from repro.crdt.registry import crdt_to_dict_envelope
+
+        peer = build_peer()
+        counter = crdt_to_dict_envelope(GCounter().increment("a"))
+        bad = self.two_key_tx(peer, 1, ("k", {"l": ["LEAK"]}), ("k", counter))
+        good = crdt_tx(peer, 2, "k", counter)
+        _, plan = run_algorithm1(peer, [bad, good])
+        assert plan.forced_codes == {0: ValidationCode.BAD_PAYLOAD}
+        assert plan.skip_mvcc == frozenset({1})
+        assert from_bytes(plan.replacement_writes[1][0].value) == counter
+
+    def test_second_key_of_another_counter_type_leaves_the_first_unmerged(self):
+        from repro.crdt import GCounter, PNCounter
+        from repro.crdt.registry import crdt_to_dict_envelope
+
+        peer = build_peer()
+        one = crdt_to_dict_envelope(GCounter().increment("a"))
+        other = crdt_to_dict_envelope(PNCounter().increment("z"))
+        good = self.two_key_tx(peer, 1, ("g", one), ("p", other))
+        bad = self.two_key_tx(
+            peer, 2, ("g", crdt_to_dict_envelope(GCounter().increment("LEAK"))), ("p", one)
+        )
+        _, plan = run_algorithm1(peer, [good, bad])
+        assert plan.forced_codes == {1: ValidationCode.BAD_PAYLOAD}
+        assert from_bytes(plan.replacement_writes[0][0].value) == one
+
+    @staticmethod
+    def clashing_envelopes(kind):
+        """Two well-formed envelopes of one type whose *contents* refuse to
+        merge — no decode or type check can see it, only the merge."""
+
+        from repro.common.clock import LamportTimestamp
+        from repro.crdt import HEAD, RGA, GCounter, ORMap, PNCounter, TextDocument
+        from repro.crdt.registry import crdt_to_dict_envelope
+
+        if kind == "or-map":  # one tag bound to two CRDT types
+            pair = (ORMap().put("f", GCounter(), "t1"), ORMap().put("f", PNCounter(), "t1"))
+        else:  # one element id with two contents
+            one = LamportTimestamp(1, "a")
+            pair = (RGA().insert_after(HEAD, one, "ok"), RGA().insert_after(HEAD, one, "LEAK"))
+            if kind == "text":
+                pair = tuple(TextDocument("editor", rga) for rga in pair)  # the empty one's actor
+        return tuple(crdt_to_dict_envelope(crdt) for crdt in pair)
+
+    @pytest.mark.parametrize("kind", ["rga", "text", "or-map"])
+    def test_envelopes_that_clash_on_content_force_bad_payload(self, kind):
+        """``StateCRDT.merge`` refuses on content too: that rejects the one
+        transaction, it does not leave ``validate_merge_block``."""
+
+        peer = build_peer()
+        ok, clash = self.clashing_envelopes(kind)
+        txs = [crdt_tx(peer, 1, "k", ok), crdt_tx(peer, 2, "k", clash), crdt_tx(peer, 3, "k", ok)]
+        _, plan = run_algorithm1(peer, txs)
+        assert plan.forced_codes == {1: ValidationCode.BAD_PAYLOAD}
+        assert plan.skip_mvcc == frozenset({0, 2})
+        assert from_bytes(plan.replacement_writes[0][0].value) == ok
+        assert plan.work["merge_ops"] == 2
+
+    @pytest.mark.parametrize("kind", ["rga", "text", "or-map"])
+    def test_content_clash_on_the_second_key_leaves_the_first_unmerged(self, kind):
+        peer = build_peer()
+        ok, clash = self.clashing_envelopes(kind)
+        good = self.two_key_tx(peer, 1, ("a", {"l": ["ok"]}), ("k", ok))
+        bad = self.two_key_tx(peer, 2, ("a", {"l": ["LEAK"]}), ("k", clash))
+        _, plan = run_algorithm1(peer, [good, bad])
+        assert plan.forced_codes == {1: ValidationCode.BAD_PAYLOAD}
+        committed = [from_bytes(write.value) for write in plan.replacement_writes[0]]
+        assert committed == [{"l": ["ok"]}, ok]
+
+    def test_content_clash_with_the_committed_value_forces_bad_payload(self):
+        """The seed merge runs inside the check as well."""
+
+        peer = build_peer()
+        ok, clash = self.clashing_envelopes("rga")
+        peer.validate_and_commit(build_block(peer, [crdt_tx(peer, 1, "k", ok)]))
+        bad = self.two_key_tx(peer, 2, ("a", {"l": ["LEAK"]}), ("k", clash))
+        good = crdt_tx(peer, 3, "a", {"l": ["ok"]})
+        _, plan = run_algorithm1(peer, [bad, good])
+        assert plan.forced_codes == {0: ValidationCode.BAD_PAYLOAD}
+        assert from_bytes(plan.replacement_writes[1][0].value) == {"l": ["ok"]}
+        assert plan.work["merge_docs"] == 1
+
+    def test_one_transaction_writing_a_state_key_twice_merges_both(self):
+        from repro.crdt import GCounter
+        from repro.crdt.registry import crdt_to_dict_envelope
+
+        peer = build_peer()
+        a, b = (crdt_to_dict_envelope(GCounter().increment(actor, 2)) for actor in "ab")
+        _, plan = run_algorithm1(peer, [self.two_key_tx(peer, 1, ("k", a), ("k", b))])
+        merged = crdt_to_dict_envelope(GCounter().increment("a", 2).increment("b", 2))
+        assert from_bytes(plan.replacement_writes[0][0].value) == merged
+        assert plan.work["merge_ops"] == 2
+
     def test_non_finite_number_forces_bad_payload(self):
         """``json.loads`` accepts ``NaN``; canonical JSON cannot write it."""
 
