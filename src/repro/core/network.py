@@ -13,6 +13,7 @@ from ..common.config import CRDTConfig, NetworkConfig, fabric_config, fabriccrdt
 from ..fabric.chaincode import ChaincodeRegistry
 from ..fabric.identity import Identity, MembershipRegistry
 from ..fabric.localnet import LocalNetwork
+from ..fabric.peer import Peer
 from .peer import CRDTPeer
 
 
@@ -33,6 +34,12 @@ def crdt_peer_factory(crdt_config: Optional[CRDTConfig] = None):
         return CRDTPeer(identity, membership, chaincodes, crdt_config, **kwargs)
 
     return factory
+
+
+def peer_factory_for(config: NetworkConfig):
+    """The peer type ``config`` asks for: CRDT-merging peers or vanilla ones."""
+
+    return crdt_peer_factory(config.crdt) if config.crdt_enabled else Peer
 
 
 def crdt_network(config: Optional[NetworkConfig] = None) -> LocalNetwork:

@@ -66,9 +66,10 @@ def select_endorsing_orgs(
 class Client:
     """A submitting client bound to one identity.
 
-    The transport (how proposals reach peers) is injected by the caller: the
-    synchronous network calls :meth:`endorse_at` directly; the discrete-event
-    network performs the sends itself and uses :meth:`assemble` only.
+    The transport (how proposals reach peers) is the caller's: every
+    :class:`~repro.gateway.transport.Transport` performs the sends itself and
+    uses :meth:`assemble` only; :meth:`endorse_at` is the in-process round
+    for callers that hold the peers.
     """
 
     def __init__(self, identity: Identity, membership: MembershipRegistry) -> None:

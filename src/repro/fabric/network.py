@@ -46,7 +46,6 @@ class SimulatedNetwork:
         config: Optional[NetworkConfig] = None,
         cost: Optional[CostModel] = None,
         peer_factory: Optional[PeerFactory] = None,
-        endorse_at: str = "all",
         ordering_cls: type[OrderingService] = OrderingService,
     ) -> None:
         # Imported lazily: the gateway package itself imports fabric
@@ -56,7 +55,7 @@ class SimulatedNetwork:
 
         self.channel: "Channel" = Channel(config, peer_factory)
         self.transport: "DESTransport" = DESTransport(
-            env, self.channel, cost=cost, endorse_at=endorse_at, ordering_cls=ordering_cls
+            env, self.channel, cost=cost, ordering_cls=ordering_cls
         )
 
     # -- accessors -----------------------------------------------------------------
@@ -72,10 +71,6 @@ class SimulatedNetwork:
     @property
     def cost(self) -> CostModel:
         return self.transport.cost
-
-    @property
-    def endorse_at(self) -> str:
-        return self.transport.endorse_at
 
     @property
     def membership(self):
@@ -149,9 +144,6 @@ class SimulatedNetwork:
 
     # -- transaction flow ------------------------------------------------------------------
 
-    def endorsing_nodes(self, policy: EndorsementPolicy) -> list[PeerNode]:
-        return self.transport.endorsing_nodes(policy)
-
     def submit_flow(
         self,
         client: Client,
@@ -176,12 +168,10 @@ class SimulatedNetwork:
             "SimulatedNetwork.submit_flow is deprecated; use the Gateway API "
             "(Gateway.connect(network).get_contract(...).submit_async)",
         )
-        policy = self.channel.policy_for(chaincode)
-        proposal = client.new_proposal(
-            self.channel.name, chaincode, function, args, policy,
-            submit_time=self.env.now,
+        submission = self.transport.begin(
+            client, chaincode, function, args, on_endorsement_failure
         )
-        result = yield from self.transport.flow(client, proposal, on_endorsement_failure)
+        result = yield from self.transport.flow(submission)
         return result
 
     # -- lifecycle --------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Any, Callable, Generator, Optional
 
 from ..sim.engine import Environment
 from ..sim.resources import Resource, Store
-from ..telemetry.lifecycle import record_phase
+from ..telemetry.lifecycle import record_commit_phases, record_phase
 from .costmodel import CostModel
 from .orderer import OrderingService
 from .peer import Peer
@@ -146,25 +146,13 @@ class PeerNode:
                     yield self.env.timeout(service)
                 self.peer.apply_prepared(prepared, commit_time=self.env.now)
                 if self.telemetry is not None:
-                    # Deliver: block receipt -> commit pipeline pickup;
-                    # validate: the commit service window (work computed at
-                    # its start, state visible at its end); apply: atomic at
+                    # Validate is the commit service window (work computed at
+                    # its start, state visible at its end); apply is atomic at
                     # the window's end, hence zero-width in virtual time.
-                    committed_at = self.env.now
-                    for tx_index, tx in enumerate(ready.transactions):
-                        record_phase(
-                            self.telemetry, "deliver", tx.tx_id,
-                            received, validate_start, node=self.name, block=number,
-                        )
-                        record_phase(
-                            self.telemetry, "validate", tx.tx_id,
-                            validate_start, committed_at, node=self.name,
-                            code=prepared.metadata.code_for(tx_index).name,
-                        )
-                        record_phase(
-                            self.telemetry, "apply", tx.tx_id,
-                            committed_at, committed_at, node=self.name, block=number,
-                        )
+                    record_commit_phases(
+                        self.telemetry, self.name, prepared,
+                        received, validate_start, self.env.now, self.env.now,
+                    )
 
 
 class OrdererNode:

@@ -14,11 +14,10 @@ answers questions about it (statuses, world state, convergence).
 
 from __future__ import annotations
 
-import inspect
 import os
 from typing import Callable, Optional
 
-from ..common.config import NetworkConfig
+from ..common.config import NetworkConfig, TopologyConfig
 from ..common.errors import FabricError
 from ..common.types import Json, TxStatus, ValidationCode
 from ..fabric.block import CommittedBlock
@@ -31,23 +30,61 @@ from ..fabric.peer import Peer
 from ..fabric.policy import EndorsementPolicy, or_policy
 from ..fabric.store import StateStore, create_store
 
+#: ``factory(identity, membership, chaincodes, store=...)`` building one peer.
 PeerFactory = Callable[..., Peer]
 
 #: Clients enrolled per channel (the paper's Caliper setup uses four).
 NUM_CLIENTS = 4
 
 
-def _accepts_store(factory: PeerFactory) -> bool:
-    """Whether a peer factory takes the ``store`` keyword argument."""
+def enroll_members(
+    membership: MembershipRegistry, topology: TopologyConfig
+) -> tuple[list[Identity], list[Identity]]:
+    """Enrol a channel's peers, then its clients, in the one canonical order.
 
-    try:
-        parameters = inspect.signature(factory).parameters
-    except (TypeError, ValueError):  # builtins / C callables: assume modern
-        return True
-    return "store" in parameters or any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
+    Peers per org, ``peer{i}`` within each; ``client{i}`` round-robin over
+    the orgs.  Every process of a socket cluster runs this same routine, so
+    peer indices mean the same thing everywhere — and because enrolment
+    secrets are a pure function of the qualified name, each process gets
+    signature-compatible identities without any key exchange.
+    """
+
+    peers = [
+        membership.enroll(org_name, f"peer{index}")
+        for org_name in topology.org_names
+        for index in range(topology.peers_per_org)
+    ]
+    clients = [
+        membership.enroll(topology.org_names[index % topology.num_orgs], f"client{index}")
+        for index in range(NUM_CLIENTS)
+    ]
+    return peers, clients
+
+
+def open_peer_store(config: NetworkConfig, identity: Identity) -> StateStore:
+    """The configured, still empty state store of one peer.
+
+    sqlite peers get one database each — file-backed under ``state_dir``,
+    private in-memory otherwise.
+    """
+
+    path = None
+    if config.state_dir is not None:
+        os.makedirs(config.state_dir, exist_ok=True)
+        path = os.path.join(config.state_dir, f"{identity.qualified_name}.sqlite")
+    store = create_store(config.state_backend, path)
+    if len(store):
+        # A fresh channel starts at genesis; silently pairing a prior
+        # run's world state with an empty ledger would corrupt every
+        # read (and stay invisible to the divergence check, since all
+        # peers would be equally stale).
+        store.close()
+        raise FabricError(
+            f"state database {path!r} already holds {identity.qualified_name}'s "
+            "state from a previous run; remove it or point state_dir at a "
+            "fresh directory (reopen old state with SqliteStore(path) directly)"
+        )
+    return store
 
 
 class Channel:
@@ -64,23 +101,13 @@ class Channel:
         self._policies: dict[str, EndorsementPolicy] = {}
         self.peer_factory: PeerFactory = peer_factory if peer_factory is not None else Peer
 
-        topology = self.config.topology
-        self.peers: list[Peer] = []
-        for org_name in topology.org_names:
-            for peer_index in range(topology.peers_per_org):
-                identity = self.membership.enroll(org_name, f"peer{peer_index}")
-                self.peers.append(self._build_peer(identity))
+        peer_identities, client_identities = enroll_members(
+            self.membership, self.config.topology
+        )
+        self.peers: list[Peer] = [self._build_peer(identity) for identity in peer_identities]
+        self.clients = [Client(identity, self.membership) for identity in client_identities]
 
-        self.clients = [
-            Client(
-                self.membership.enroll(
-                    topology.org_names[i % topology.num_orgs], f"client{i}"
-                ),
-                self.membership,
-            )
-            for i in range(NUM_CLIENTS)
-        ]
-
+        self._closed = False
         #: Transaction statuses observed on the anchor peer, by tx ID.
         self.statuses: dict[str, TxStatus] = {}
         # Commit tracking rides the event service's deliver session (from
@@ -92,52 +119,13 @@ class Channel:
             self._on_commit, start_block=0
         )
 
-    # -- peer construction -------------------------------------------------------
-
-    def _create_peer_store(self, identity: Identity) -> Optional[StateStore]:
-        """The configured state backend for one peer (``None`` = default).
-
-        The memory backend returns ``None`` so legacy factories run through
-        the exact historical construction path; sqlite peers get one
-        database each — file-backed under ``state_dir``, private in-memory
-        otherwise.
-        """
-
-        if self.config.state_backend == "memory":
-            return None
-        path = None
-        if self.config.state_dir is not None:
-            os.makedirs(self.config.state_dir, exist_ok=True)
-            path = os.path.join(
-                self.config.state_dir, f"{identity.qualified_name}.sqlite"
-            )
-        store = create_store(self.config.state_backend, path)
-        if len(store):
-            # A fresh channel starts at genesis; silently pairing a prior
-            # run's world state with an empty ledger would corrupt every
-            # read (and stay invisible to the divergence check, since all
-            # peers would be equally stale).
-            store.close()
-            raise FabricError(
-                f"state database {path!r} already holds {identity.qualified_name}'s "
-                "state from a previous run; remove it or point state_dir at a "
-                "fresh directory (reopen old state with SqliteStore(path) directly)"
-            )
-        return store
-
     def _build_peer(self, identity: Identity) -> Peer:
-        store = self._create_peer_store(identity)
-        if store is None:
-            return self.peer_factory(identity, self.membership, self.chaincodes)
-        if _accepts_store(self.peer_factory):
-            return self.peer_factory(
-                identity, self.membership, self.chaincodes, store=store
-            )
-        # Factory predates the store parameter: build it, then swap the
-        # (still empty, pre-genesis) store for the configured backend.
-        peer = self.peer_factory(identity, self.membership, self.chaincodes)
-        peer.ledger.reset_store(store)
-        return peer
+        """One of the channel's peers (a remote channel builds mirrors instead)."""
+
+        return self.peer_factory(
+            identity, self.membership, self.chaincodes,
+            store=open_peer_store(self.config, identity),
+        )
 
     # -- topology accessors ------------------------------------------------------
 
@@ -246,7 +234,7 @@ class Channel:
         which holds a live event-hub subscription on the anchor peer.
         """
 
-        if getattr(self, "_closed", False):
+        if self._closed:
             return
         self._closed = True
         self._deliver_session.close()

@@ -19,19 +19,16 @@ from typing import Generator, Optional, Sequence
 from ..common.config import NetworkConfig
 from ..common.errors import FabricError
 from ..common.rng import SeedSequence
-from ..common.types import TxStatus
-from ..fabric.client import Client, EndorsementRoundFailure, select_endorsing_orgs
+from ..fabric.client import EndorsementRoundFailure
 from ..fabric.costmodel import CostModel
 from ..fabric.nodes import OrdererNode, PeerNode, send_after
 from ..fabric.orderer import OrderingService
-from ..fabric.policy import EndorsementPolicy
-from ..fabric.transaction import EndorsementFailure, Proposal, ProposalResponse
+from ..fabric.transaction import TransactionEnvelope
 from ..sim.engine import Environment
 from ..sim.resources import Store
-from ..telemetry.lifecycle import record_phase
 from .channel import Channel
-from .errors import CommitError, EndorseError
-from .transport import EndorsementFailureHook, SubmittedTransaction, Transport
+from .errors import CommitError
+from .transport import EndorsementFailureHook, Submission, SubmittedTransaction, Transport
 
 
 class DESTransport(Transport):
@@ -42,15 +39,11 @@ class DESTransport(Transport):
         env: Environment,
         channel: Channel,
         cost: Optional[CostModel] = None,
-        endorse_at: str = "all",
         ordering_cls: type[OrderingService] = OrderingService,
     ) -> None:
-        if endorse_at not in ("all", "policy"):
-            raise FabricError(f"unknown endorsement mode: {endorse_at!r}")
         self.env = env
         self.channel = channel
         self.cost = cost if cost is not None else CostModel()
-        self.endorse_at = endorse_at
         self._seeds = SeedSequence(channel.config.seed)
 
         self.peer_nodes: list[PeerNode] = [
@@ -64,8 +57,6 @@ class DESTransport(Transport):
         for node in self.peer_nodes:
             self.orderer_node.attach_peer(node)
         self._flow_rng = self._seeds.stream("flows")
-        #: Telemetry context (``None`` = off; see :meth:`enable_telemetry`).
-        self.telemetry = None
 
     # -- telemetry (opt-in, out-of-band) -------------------------------------------
 
@@ -114,24 +105,6 @@ class DESTransport(Transport):
     def anchor_node(self) -> PeerNode:
         return self.peer_nodes[0]
 
-    def endorsing_nodes(self, policy: EndorsementPolicy) -> list[PeerNode]:
-        """The peers a client sends a proposal to.
-
-        ``"all"`` mirrors Caliper/Fabric-SDK defaults (send to every peer);
-        ``"policy"`` contacts one peer per org of a minimal satisfying set.
-        """
-
-        if self.endorse_at == "all":
-            return list(self.peer_nodes)
-        orgs = select_endorsing_orgs(policy, self.channel.org_names)
-        nodes = []
-        for org in orgs:
-            for node in self.peer_nodes:
-                if node.peer.org_name == org:
-                    nodes.append(node)
-                    break
-        return nodes
-
     # -- bootstrap (before the clock starts) ---------------------------------------------
 
     def bootstrap(
@@ -144,14 +117,9 @@ class DESTransport(Transport):
         """
 
         channel = self.channel
-        client = channel.clients[0]
-        policy = channel.policy_for(chaincode)
         blocks = []
         for args in args_list:
-            proposal = client.new_proposal(
-                channel.name, chaincode, function, args, policy, 0.0
-            )
-            outcome = client.endorse_at(proposal, [channel.anchor_peer])
+            outcome = self.endorsed_by_anchor(channel.clients[0], chaincode, function, args)
             if isinstance(outcome, EndorsementRoundFailure):
                 raise FabricError(f"bootstrap endorsement failed: {outcome.reason}")
             blocks.extend(self.ordering.submit(outcome.envelope, 0.0))
@@ -165,87 +133,51 @@ class DESTransport(Transport):
 
     # -- transaction flow ------------------------------------------------------------------
 
-    def flow(
-        self,
-        client: Client,
-        proposal: Proposal,
-        on_endorsement_failure: Optional[EndorsementFailureHook] = None,
-    ) -> Generator:
+    def _endorsed(self, submission: Submission, reply_box: Store) -> Generator:
+        """One transaction's endorsement round, from proposals sent to settled.
+
+        The per-transaction half both flows share: collect every endorser's
+        reply, then the base class's ``settle``.
+        """
+
+        replies = []
+        for _ in self.peer_nodes:
+            replies.append((yield reply_box.get()))
+        return self.settle(submission, replies)
+
+    def _broadcast(self, ordered: list[tuple[Submission, TransactionEnvelope]]) -> None:
+        """One envelope burst to ordering: a single latency draw."""
+
+        delay = self.cost.client_to_orderer.sample(self._flow_rng)
+        for submission, envelope in ordered:
+            send_after(self.env, self.orderer_node.envelope_box, envelope, delay)
+            # The whole burst leaves the client at the same instant.
+            self.submitted(submission, "ordered")
+
+    def flow(self, submission: Submission) -> Generator:
         """One transaction's client-side lifecycle (run as a process).
 
+        The proposal goes to every peer (the Caliper/Fabric-SDK default).
         Returns (as the process value) the assembled transaction or the
         endorsement-round failure.  Commit outcomes are observed through
         peer event hubs, not through this flow — the client is open-loop.
         """
 
-        nodes = self.endorsing_nodes(proposal.policy)
         reply_box: Store = Store(self.env)
-        for node in nodes:
+        for node in self.peer_nodes:
             send_after(
                 self.env,
                 node.proposal_box,
-                (proposal, reply_box),
+                (submission.proposal, reply_box),
                 self.cost.client_to_peer.sample(self._flow_rng),
             )
-        responses: list[ProposalResponse] = []
-        failures: list[EndorsementFailure] = []
-        for _ in range(len(nodes)):
-            outcome = yield reply_box.get()
-            if isinstance(outcome, ProposalResponse):
-                responses.append(outcome)
-            else:
-                failures.append(outcome)
-        assembled = client.assemble(proposal, responses, failures)
-        if isinstance(assembled, EndorsementRoundFailure):
-            if on_endorsement_failure is not None:
-                on_endorsement_failure(proposal.tx_id, self.env.now)
-            record_phase(
-                self.telemetry, "submit", proposal.tx_id,
-                proposal.submit_time, self.env.now,
-                node="client", outcome="endorse_failed",
-            )
-            return assembled
-        if assembled.envelope.rwset.is_read_only:
-            # Read transactions are not ordered or committed (paper §3),
-            # matching the synchronous transport.
-            record_phase(
-                self.telemetry, "submit", proposal.tx_id,
-                proposal.submit_time, self.env.now,
-                node="client", outcome="read_only",
-            )
-            return assembled
-        send_after(
-            self.env,
-            self.orderer_node.envelope_box,
-            assembled.envelope,
-            self.cost.client_to_orderer.sample(self._flow_rng),
-        )
-        # Submit span: proposal creation -> envelope handed to ordering.
-        record_phase(
-            self.telemetry, "submit", proposal.tx_id,
-            proposal.submit_time, self.env.now, node="client", outcome="ordered",
-        )
-        return assembled
+        outcome = yield from self._endorsed(submission, reply_box)
+        if submission.tx.ordered:
+            self._broadcast([(submission, outcome.envelope)])
+        return outcome
 
-    def submit_async(
-        self,
-        chaincode: str,
-        function: str,
-        args: Sequence[str],
-        client_index: int = 0,
-        on_endorsement_failure: Optional[EndorsementFailureHook] = None,
-    ) -> SubmittedTransaction:
-        channel = self.channel
-        client = channel.client(client_index)
-        policy = channel.policy_for(chaincode)
-        proposal = client.new_proposal(
-            channel.name, chaincode, function, args, policy, submit_time=self.env.now
-        )
-        process = self.env.process(self.flow(client, proposal, on_endorsement_failure))
-        return SubmittedTransaction(
-            self, proposal.tx_id, self.env.now, flow=process,
-            chaincode=chaincode, function=function,
-        )
+    def _start(self, submission: Submission) -> None:
+        submission.tx.flow = self.env.process(self.flow(submission))
 
     def submit_batch(
         self,
@@ -268,104 +200,41 @@ class DESTransport(Transport):
 
         if not calls:
             return []
-        channel = self.channel
-        client = channel.client(client_index)
-        policy = channel.policy_for(chaincode)
-        now = self.env.now
-        proposals = [
-            client.new_proposal(
-                channel.name, chaincode, function, args, policy, submit_time=now
-            )
+        client = self.channel.client(client_index)
+        submissions = [
+            self.begin(client, chaincode, function, args, on_endorsement_failure)
             for args in calls
         ]
-        # Per-transaction outcome events: SubmittedTransaction.flow duck-types
-        # a Process (triggered/ok/value), so wait_for() reads batch members
-        # exactly like singleton flows.
-        outcomes = [self.env.event() for _ in proposals]
-        self.env.process(
-            self._batch_flow(client, proposals, outcomes, on_endorsement_failure)
-        )
-        return [
-            SubmittedTransaction(
-                self, proposal.tx_id, now, flow=outcome,
-                chaincode=chaincode, function=function,
-            )
-            for proposal, outcome in zip(proposals, outcomes)
-        ]
+        for submission in submissions:
+            # A batch member's flow is the event its settlement triggers.
+            submission.tx.flow = self.env.event()
+        self.env.process(self._batch_flow(submissions))
+        return [submission.tx for submission in submissions]
 
-    def _batch_flow(
-        self,
-        client: Client,
-        proposals: list[Proposal],
-        outcomes: list,
-        on_endorsement_failure: Optional[EndorsementFailureHook],
-    ) -> Generator:
+    def _batch_flow(self, submissions: list[Submission]) -> Generator:
         """One batched client lifecycle: proposal burst → envelope burst."""
 
-        nodes = self.endorsing_nodes(proposals[0].policy)
-        reply_boxes = [Store(self.env) for _ in proposals]
-        for node in nodes:
+        reply_boxes = [Store(self.env) for _ in submissions]
+        for node in self.peer_nodes:
             # One latency draw per peer: the batch travels as one message.
             delay = self.cost.client_to_peer.sample(self._flow_rng)
-            for proposal, reply_box in zip(proposals, reply_boxes):
-                send_after(self.env, node.proposal_box, (proposal, reply_box), delay)
-        envelopes = []
-        for proposal, reply_box, outcome in zip(proposals, reply_boxes, outcomes):
-            responses: list[ProposalResponse] = []
-            failures: list[EndorsementFailure] = []
-            for _ in range(len(nodes)):
-                reply = yield reply_box.get()
-                if isinstance(reply, ProposalResponse):
-                    responses.append(reply)
-                else:
-                    failures.append(reply)
-            assembled = client.assemble(proposal, responses, failures)
-            if isinstance(assembled, EndorsementRoundFailure):
-                if on_endorsement_failure is not None:
-                    on_endorsement_failure(proposal.tx_id, self.env.now)
-                record_phase(
-                    self.telemetry, "submit", proposal.tx_id,
-                    proposal.submit_time, self.env.now,
-                    node="client", outcome="endorse_failed",
+            for submission, reply_box in zip(submissions, reply_boxes):
+                send_after(
+                    self.env, node.proposal_box, (submission.proposal, reply_box), delay
                 )
-            elif assembled.envelope.rwset.is_read_only:
-                record_phase(
-                    self.telemetry, "submit", proposal.tx_id,
-                    proposal.submit_time, self.env.now,
-                    node="client", outcome="read_only",
-                )
-            else:
-                envelopes.append(assembled.envelope)
-            outcome.succeed(assembled)
-        if envelopes:
-            # One envelope burst to ordering: a single latency draw.
-            delay = self.cost.client_to_orderer.sample(self._flow_rng)
-            for envelope in envelopes:
-                send_after(self.env, self.orderer_node.envelope_box, envelope, delay)
-            if self.telemetry is not None:
-                # The whole burst leaves the client at the same instant.
-                for envelope in envelopes:
-                    record_phase(
-                        self.telemetry, "submit", envelope.tx_id,
-                        envelope.proposal.submit_time, self.env.now,
-                        node="client", outcome="ordered",
-                    )
+        ordered = []
+        for submission, reply_box in zip(submissions, reply_boxes):
+            outcome = yield from self._endorsed(submission, reply_box)
+            if submission.tx.ordered:
+                ordered.append((submission, outcome.envelope))
+            submission.tx.flow.succeed(outcome)
+        if ordered:
+            self._broadcast(ordered)
 
-    def wait_for(self, tx: SubmittedTransaction) -> TxStatus:
+    def wait_for(self, tx: SubmittedTransaction) -> None:
         """Step the simulation until ``tx`` resolves on the anchor peer."""
 
-        while True:
-            flow = tx.flow
-            if flow is not None and flow.triggered and flow.ok:
-                if flow.value is not None:
-                    tx.record_endorsement(flow.value, self.env.now)
-                if tx.endorse_failure is not None:
-                    raise EndorseError(tx.endorse_failure)
-                if not tx.ordered:
-                    return tx._readonly_status
-            status = self.channel.statuses.get(tx.tx_id)
-            if status is not None:
-                return status
+        while not tx.done:
             if self.env.peek() == float("inf"):
                 raise CommitError(
                     tx.tx_id,

@@ -11,9 +11,10 @@ parent's interpreter state.
 Port allocation is race-free: every child binds ``127.0.0.1:0`` itself
 and reports the kernel-assigned port back through a pipe, so two clusters
 can run side by side (CI shards, tests) without coordination.  Startup is
-fail-fast — a child that does not report its port within the deadline
-takes the whole cluster down with a :class:`ClusterStartupError` rather
-than leaving half a network running.
+fail-fast — a child that does not report its port within the deadline, or
+reports instead why it cannot start (a peer refusing a used state
+database), takes the whole cluster down with a
+:class:`ClusterStartupError` rather than leaving half a network running.
 
 Shutdown is deterministic: SIGTERM first (the servers close their state
 stores on it), a bounded join, then SIGKILL for stragglers.  The class is
@@ -28,6 +29,8 @@ import struct
 from typing import Optional, Sequence
 
 from ..common.config import NetworkConfig
+from ..fabric.identity import MembershipRegistry
+from ..gateway.channel import enroll_members
 from .codec import HEADER_BYTES, MAGIC, encode_message
 from .errors import ClusterStartupError, PeerUnreachableError
 from .ordererserver import orderer_process_main
@@ -38,7 +41,6 @@ from .profile import (
     Endpoint,
     PeerEndpoint,
     config_to_dict,
-    peer_identity_names,
     resolve_chaincode_refs,
 )
 from .wire import WireError, message_type
@@ -130,6 +132,20 @@ class Cluster:
             _stop_processes(processes)
             return ClusterStartupError(detail)
 
+        def reported_port(recv_end, label: str) -> int:
+            """The port a spawned node bound — or why it did not come up."""
+
+            if not recv_end.poll(startup_timeout_s):
+                raise fail(f"{label} did not report a port within {startup_timeout_s:g}s")
+            try:
+                reported = recv_end.recv()
+            except EOFError:
+                raise fail(f"{label} exited before reporting a port") from None
+            recv_end.close()
+            if not isinstance(reported, int):
+                raise fail(f"{label} failed to start: {reported}")
+            return reported
+
         # Orderer first: peers connect to its deliver stream on startup.
         orderer_recv, orderer_send = ctx.Pipe(duplex=False)
         orderer_proc = ctx.Process(
@@ -141,10 +157,7 @@ class Cluster:
         orderer_proc.start()
         orderer_send.close()
         processes.append(orderer_proc)
-        if not orderer_recv.poll(startup_timeout_s):
-            raise fail(f"orderer did not report a port within {startup_timeout_s:g}s")
-        orderer_port = orderer_recv.recv()
-        orderer_recv.close()
+        orderer_port = reported_port(orderer_recv, "orderer")
 
         # The partial profile the peers boot from (no peer ports yet —
         # peers only need the config, the chaincodes, and the orderer).
@@ -157,8 +170,9 @@ class Cluster:
 
         peer_endpoints: list[PeerEndpoint] = []
         pending: list[tuple[str, str, object]] = []
-        for org_name, identity_name in peer_identity_names(resolved_config.topology):
-            qualified = f"{org_name}.{identity_name}"
+        peer_identities, _ = enroll_members(MembershipRegistry(), resolved_config.topology)
+        for identity in peer_identities:
+            qualified, org_name = identity.qualified_name, identity.org.name
             recv_end, send_end = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=peer_process_main,
@@ -172,13 +186,7 @@ class Cluster:
             pending.append((qualified, org_name, recv_end))
 
         for qualified, org_name, recv_end in pending:
-            if not recv_end.poll(startup_timeout_s):
-                raise fail(
-                    f"peer {qualified} did not report a port within "
-                    f"{startup_timeout_s:g}s"
-                )
-            port = recv_end.recv()
-            recv_end.close()
+            port = reported_port(recv_end, f"peer {qualified}")
             peer_endpoints.append(PeerEndpoint(qualified, org_name, HOST, port))
 
         profile = ClusterProfile(

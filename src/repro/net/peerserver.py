@@ -25,17 +25,18 @@ from __future__ import annotations
 import asyncio
 import signal
 import time
-from typing import Optional
 
-from ..core.network import crdt_peer_factory
+from ..common.errors import FabricError
+from ..core.network import peer_factory_for
+from ..fabric.chaincode import ChaincodeRegistry
+from ..fabric.identity import MembershipRegistry
 from ..fabric.peer import Peer
-from ..fabric.store import StateStore, create_store
 from ..fabric.transaction import ProposalResponse
-from ..gateway.channel import NUM_CLIENTS
-from ..telemetry.lifecycle import record_phase
+from ..gateway.channel import enroll_members, open_peer_store
+from ..telemetry.lifecycle import record_commit_phases, record_phase
 from .codec import FrameError, install_codec_metrics, read_message, write_message
 from .errors import ConnectionClosed, PeerUnreachableError
-from .profile import ClusterProfile, build_chaincode_registry, build_membership
+from .profile import ClusterProfile
 from .wire import (
     WireError,
     dec_block,
@@ -55,32 +56,23 @@ ORDERER_CONNECT_TIMEOUT_S = 30.0
 def build_peer(profile: ClusterProfile, qualified_name: str) -> Peer:
     """Construct this process's peer exactly as the in-process channel would.
 
-    Same membership enrollment order, same chaincode deployment, same
-    state-backend selection (``memory``, or one sqlite database per peer
-    under ``state_dir`` — private in-memory sqlite when no directory is
-    configured).  That sameness is what makes per-peer state fingerprints
-    comparable against a :class:`~repro.fabric.localnet.LocalNetwork` run.
+    The channel's own enrolment order and per-peer store selection (with its
+    refusal of a database a previous run left behind), the peer type the
+    config asks for.  That sameness is what makes per-peer state
+    fingerprints comparable against a
+    :class:`~repro.fabric.localnet.LocalNetwork` run.
     """
 
     config = profile.config
-    membership = build_membership(config.topology, NUM_CLIENTS)
-    chaincodes, _ = build_chaincode_registry(profile.chaincodes)
+    membership = MembershipRegistry()
+    enroll_members(membership, config.topology)
+    chaincodes = ChaincodeRegistry()
+    for ref in profile.chaincodes:
+        chaincodes.deploy(ref.instantiate())
     identity = membership.identity(qualified_name)
-
-    store: Optional[StateStore] = None
-    if config.state_backend != "memory":
-        path = None
-        if config.state_dir is not None:
-            import os
-
-            os.makedirs(config.state_dir, exist_ok=True)
-            path = os.path.join(config.state_dir, f"{qualified_name}.sqlite")
-        store = create_store(config.state_backend, path)
-
-    if config.crdt_enabled:
-        factory = crdt_peer_factory(config.crdt)
-        return factory(identity, membership, chaincodes, store=store)
-    return Peer(identity, membership, chaincodes, store=store)
+    return peer_factory_for(config)(
+        identity, membership, chaincodes, store=open_peer_store(config, identity)
+    )
 
 
 class PeerState:
@@ -142,33 +134,18 @@ async def _follow_orderer(state: PeerState, host: str, port: int) -> None:
                         f"orderer deliver stream sent {message.get('type')!r}"
                     )
                 block = dec_block(message.get("block"))
-                if state.telemetry is None:
-                    state.peer.validate_and_commit(block, commit_time=state.now())
-                else:
-                    # Same pipeline, split so each stage's window is spanned:
-                    # deliver = socket receipt -> committer pickup (immediate
-                    # here — one event loop), validate = prepare_block,
-                    # apply = the WriteBatch commit.
-                    received = state.now()
-                    prepared = state.peer.prepare_block(block)
-                    validated = state.now()
-                    state.peer.apply_prepared(prepared, commit_time=validated)
-                    applied = state.now()
-                    name = state.peer.name
-                    for tx_index, tx in enumerate(block.transactions):
-                        record_phase(
-                            state.telemetry, "deliver", tx.tx_id,
-                            received, received, node=name, block=block.number,
-                        )
-                        record_phase(
-                            state.telemetry, "validate", tx.tx_id,
-                            received, validated, node=name,
-                            code=prepared.metadata.code_for(tx_index).name,
-                        )
-                        record_phase(
-                            state.telemetry, "apply", tx.tx_id,
-                            validated, applied, node=name, block=block.number,
-                        )
+                # deliver = socket receipt -> committer pickup (immediate here —
+                # one event loop), validate = prepare_block, apply = the
+                # WriteBatch commit; the clock is read once per stage.
+                received = state.now()
+                prepared = state.peer.prepare_block(block)
+                validated = state.now()
+                state.peer.apply_prepared(prepared, commit_time=validated)
+                if state.telemetry is not None:
+                    record_commit_phases(
+                        state.telemetry, state.peer.name, prepared,
+                        received, received, validated, state.now(),
+                    )
         except (ConnectionClosed, ConnectionError, OSError):
             writer.close()
             continue  # reconnect from the new height
@@ -332,7 +309,12 @@ def peer_process_main(
     """Entry point of a spawned peer process."""
 
     profile = ClusterProfile.from_dict(profile_dict)
-    state = PeerState(build_peer(profile, qualified_name))
+    try:
+        state = PeerState(build_peer(profile, qualified_name))
+    except FabricError as exc:
+        port_conn.send(str(exc))  # in place of the port: why this peer cannot start
+        port_conn.close()
+        return
     if profile.config.telemetry_enabled:
         state.enable_telemetry()
     asyncio.run(_serve(state, orderer_host, orderer_port, port_conn))

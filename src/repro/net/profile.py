@@ -13,10 +13,10 @@ Chaincodes are named by *import spec* (``"repro.workload.iot:IoTChaincode"``)
 rather than pickled: every process instantiates its own copy from the
 spec, exactly like peers in a real network each run their own chaincode
 container.  Identities never travel at all — the membership registry
-derives per-identity secrets deterministically
-(:meth:`~repro.fabric.identity.MembershipRegistry.enroll`), so every
-process rebuilds an identical registry from the topology alone and HMAC
-signatures verify across process boundaries without key distribution.
+derives per-identity secrets deterministically, so every process rebuilds
+an identical registry from the topology alone
+(:func:`~repro.gateway.channel.enroll_members`) and HMAC signatures verify
+across process boundaries without key distribution.
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ from ..common.config import (
     OrdererConfig,
     TopologyConfig,
 )
-from ..fabric.chaincode import ChaincodeRegistry
-from ..fabric.identity import MembershipRegistry
-from ..fabric.policy import PolicyNode, or_policy
+from ..fabric.policy import PolicyNode
 from .wire import WireError, dec_policy, enc_policy
 
 
@@ -201,66 +199,6 @@ class ClusterProfile:
             )
         except (KeyError, TypeError) as exc:
             raise WireError(f"malformed cluster profile: {exc}") from exc
-
-
-# -- shared construction helpers ----------------------------------------------
-
-
-def peer_identity_names(topology: TopologyConfig) -> list[tuple[str, str]]:
-    """``(org, identity)`` pairs in the channel's canonical enrollment order.
-
-    Must match :class:`~repro.gateway.channel.Channel` exactly — peers per
-    org, ``peer{i}`` within each — so peer indices mean the same thing on
-    every process and on the in-process networks.
-    """
-
-    return [
-        (org_name, f"peer{index}")
-        for org_name in topology.org_names
-        for index in range(topology.peers_per_org)
-    ]
-
-
-def build_membership(topology: TopologyConfig, num_clients: int) -> MembershipRegistry:
-    """Rebuild the network's membership registry from the topology.
-
-    Enrollment secrets are a pure function of the qualified name, so every
-    process that runs this gets signature-compatible identities.
-    """
-
-    membership = MembershipRegistry()
-    for org_name, identity_name in peer_identity_names(topology):
-        membership.enroll(org_name, identity_name)
-    for index in range(num_clients):
-        membership.enroll(
-            topology.org_names[index % topology.num_orgs], f"client{index}"
-        )
-    return membership
-
-
-def build_chaincode_registry(
-    refs: Sequence[ChaincodeRef],
-) -> tuple[ChaincodeRegistry, dict[str, PolicyNode]]:
-    """Instantiate and deploy every referenced chaincode; return policies.
-
-    Only explicitly-set policies appear in the returned map — the caller
-    applies the topology-wide default for the rest.
-    """
-
-    registry = ChaincodeRegistry()
-    policies: dict[str, PolicyNode] = {}
-    for ref in refs:
-        chaincode = ref.instantiate()
-        registry.deploy(chaincode)
-        if ref.policy is not None:
-            policies[chaincode.name] = ref.policy
-    return registry, policies
-
-
-def default_policy(topology: TopologyConfig) -> PolicyNode:
-    """The channel default: ``OR`` over all organizations (as Channel.deploy)."""
-
-    return or_policy(*topology.org_names)
 
 
 def resolve_chaincode_refs(

@@ -48,22 +48,15 @@ from collections import deque
 from typing import Callable, Optional, Sequence
 
 from ..common.errors import FabricError
-from ..common.serialization import from_bytes
-from ..common.types import TxStatus, Version
-from ..events.deliver import DeliverService
-from ..fabric.client import Client, EndorsementRoundFailure, select_endorsing_orgs
+from ..common.types import Version
 from ..fabric.events import EventHub
+from ..fabric.identity import Identity
 from ..fabric.ledger import Ledger
 from ..fabric.store import WriteBatch
 from ..fabric.transaction import EndorsementFailure, Proposal
-from ..gateway.channel import NUM_CLIENTS, Channel
-from ..gateway.errors import EndorseError, SubmitError
-from ..gateway.transport import (
-    EndorsementFailureHook,
-    SubmittedTransaction,
-    Transport,
-)
-from ..telemetry.lifecycle import record_phase
+from ..gateway.channel import Channel
+from ..gateway.errors import SubmitError
+from ..gateway.transport import EndorserReply, Submission, SubmittedTransaction, Transport
 from .codec import (
     FrameError,
     install_codec_metrics,
@@ -80,12 +73,7 @@ from .errors import (
     RequestTimeout,
     TransportError,
 )
-from .profile import (
-    ClusterProfile,
-    build_chaincode_registry,
-    build_membership,
-    default_policy,
-)
+from .profile import ClusterProfile
 from .wire import (
     WireError,
     dec_committed_block,
@@ -154,35 +142,13 @@ class RemoteChannel(Channel):
     """
 
     def __init__(self, profile: ClusterProfile) -> None:
-        # Deliberately no super().__init__: the base constructor builds
-        # live peers; this channel mirrors remote ones.
-        self.config = profile.config
         self.profile = profile
-        self.membership = build_membership(profile.config.topology, NUM_CLIENTS)
-        self.chaincodes, explicit = build_chaincode_registry(profile.chaincodes)
-        fallback = default_policy(profile.config.topology)
-        self._policies = {
-            name: explicit.get(name, fallback) for name in self.chaincodes.names()
-        }
-        self.peers = [
-            MirrorPeer(endpoint.name, endpoint.org) for endpoint in profile.peers
-        ]
-        topology = profile.config.topology
-        self.clients = [
-            Client(
-                self.membership.enroll(
-                    topology.org_names[i % topology.num_orgs], f"client{i}"
-                ),
-                self.membership,
-            )
-            for i in range(NUM_CLIENTS)
-        ]
-        self.statuses: dict[str, TxStatus] = {}
-        # Commit tracking rides the anchor mirror's deliver session, the
-        # same pattern the base channel uses on its anchor peer.
-        self._deliver_session = DeliverService(self.anchor_peer).deliver(
-            self._on_commit, start_block=0
-        )
+        super().__init__(profile.config)
+        for ref in profile.chaincodes:
+            self.deploy(ref.instantiate(), ref.policy)
+
+    def _build_peer(self, identity: Identity) -> MirrorPeer:
+        return MirrorPeer(identity.qualified_name, identity.org.name)
 
 
 class _NodeConnection:
@@ -470,34 +436,27 @@ class SocketTransport(Transport):
         }
         return [(name, self._conns[name].send(message)) for name in peer_names]
 
-    async def _collect(self, proposal: Proposal, replies):
-        responses, failures = [], []
+    async def _collect(self, proposal: Proposal, replies) -> list[EndorserReply]:
+        collected: list[EndorserReply] = []
         for peer_name, reply in replies:
             try:
                 message = await reply
             except TransportError as exc:
                 # A dead or slow peer is an endorsement failure, not a crash:
                 # the round continues and the policy decides if it still passes.
-                failures.append(
+                collected.append(
                     EndorsementFailure(proposal.tx_id, peer_name, f"transport: {exc}")
                 )
                 continue
             if message.get("ok"):
-                responses.append(dec_proposal_response(message.get("response")))
+                collected.append(dec_proposal_response(message.get("response")))
             else:
-                failures.append(dec_endorsement_failure(message.get("failure")))
-        return responses, failures
+                collected.append(dec_endorsement_failure(message.get("failure")))
+        return collected
 
     # -- the Transport ABC --------------------------------------------------------
 
-    def submit_async(
-        self,
-        chaincode: str,
-        function: str,
-        args: Sequence[str],
-        client_index: int = 0,
-        on_endorsement_failure: Optional[EndorsementFailureHook] = None,
-    ) -> SubmittedTransaction:
+    def _start(self, submission: Submission) -> None:
         """Write the endorse frames and return; the handle's flow does the rest.
 
         Nothing is awaited, so every outcome surfaces at ``commit_status()``
@@ -506,61 +465,41 @@ class SocketTransport(Transport):
 
         if self._closed:
             raise TransportError("transport is closed")
-        channel = self.channel
-        client = channel.client(client_index)
-        policy = channel.policy_for(chaincode)
-        now = self.now
-        # Submit spans run on the client Telemetry's own wall clock (the
-        # transport's protocol ``now`` is a constant zero by design).
-        started = self.telemetry.now() if self.telemetry is not None else 0.0
-        proposal = client.new_proposal(channel.name, chaincode, function, args, policy, now)
-        endorsing_orgs = select_endorsing_orgs(policy, channel.org_names)
-        peer_names = [self.profile.peers_of(org)[0].name for org in endorsing_orgs]
-        replies = self._send_proposal(proposal, peer_names, now)
-        tx = SubmittedTransaction(
-            self, proposal.tx_id, now, chaincode=chaincode, function=function
-        )
+        proposal = submission.proposal
+        peer_names = [mirror.name for mirror in self.endorsers(proposal)]
+        replies = self._send_proposal(proposal, peer_names, self.now)
         turn, written = self._last_written, self._loop.create_future()
         self._last_written = written
         self._in_flight += 1
-        flow = self._flow(
-            tx, client, proposal, replies, turn, written, on_endorsement_failure, started
+        submission.tx.flow = self._loop.create_task(
+            self._flow(submission, replies, turn, written)
         )
-        tx.flow = self._loop.create_task(flow)
         for name in peer_names:
             if self._conns[name].congested:  # all the back-pressure a closed loop needs
                 self._run(self._conns[name].drain())
-        return tx
 
-    async def _flow(
-        self, tx, client, proposal, replies, turn, written, on_endorsement_failure, started
-    ) -> None:
-        """One transaction after its endorse frames left, recorded onto ``tx``.
+    async def _flow(self, submission: Submission, replies, turn, written) -> None:
+        """One transaction after its endorse frames left, recorded onto its handle.
 
-        Broadcasts leave in submission order (``turn`` is the previous
-        flow's "written"), so blocks are cut as if every submit had blocked.
+        Rounds settle and broadcasts leave in submission order (``turn`` is
+        the previous flow's "written"), so failure hooks fire and blocks are
+        cut as if every submit had blocked.
         """
 
+        tx = submission.tx
         try:
-            responses, failures = await self._collect(proposal, replies)
-            outcome = client.assemble(proposal, responses, failures)
-            tx.record_endorsement(outcome, self.now)
+            collected = await self._collect(submission.proposal, replies)
             if turn is not None:
                 await turn
-            if tx.endorse_failure is not None:
-                if on_endorsement_failure is not None:
-                    on_endorsement_failure(proposal.tx_id, self.now)
-                self._record_submit(proposal.tx_id, started, "endorse_failed")
-            elif not tx.ordered:
-                self._record_submit(proposal.tx_id, started, "read_only")
-            else:
+            outcome = self.settle(submission, collected)
+            if tx.ordered:
                 ack = self._conns["orderer"].send(
                     {"type": "broadcast", "envelope": enc_envelope(outcome.envelope)}
                 )
                 written.set_result(None)
                 try:
                     self._orderer_pending = (await ack).get("pending", 0)
-                    self._record_submit(proposal.tx_id, started, "ordered")
+                    self.submitted(submission, "ordered")
                 except TransportError as exc:
                     tx.submit_error = SubmitError(
                         tx.tx_id, f"could not hand {tx.tx_id} to the orderer: {exc}"
@@ -572,61 +511,38 @@ class SocketTransport(Transport):
             if not self._in_flight:
                 self._progress.set()
 
-    def _record_submit(self, tx_id: str, started: float, outcome: str) -> None:
-        if self.telemetry is not None:
-            record_phase(
-                self.telemetry, "submit", tx_id, started, self.telemetry.now(),
-                node="client", outcome=outcome,
-            )
+    def _ask_anchor(self, proposal: Proposal) -> list[EndorserReply]:
+        """An evaluation's proposal goes to the remote anchor peer."""
 
-    def evaluate(self, chaincode, function, args, client_index: int = 0):
-        """Read-only invocation, endorsed by the remote anchor peer."""
-
-        channel = self.channel
-        client = channel.client(client_index)
-        policy = channel.policy_for(chaincode)
-        now = self.now
-        proposal = client.new_proposal(channel.name, chaincode, function, args, policy, now)
         anchor = self.profile.anchor_peer.name
 
-        async def endorsed():
+        async def asked():
             await self._drain()  # earlier submissions reach the orderer first
-            return await self._collect(proposal, self._send_proposal(proposal, [anchor], now))
+            return await self._collect(
+                proposal, self._send_proposal(proposal, [anchor], self.now)
+            )
 
-        outcome = client.assemble(proposal, *self._run(endorsed()))
-        if isinstance(outcome, EndorsementRoundFailure):
-            raise EndorseError(outcome)
-        return from_bytes(outcome.envelope.chaincode_result)
+        return self._run(asked())
 
-    def wait_for(self, tx: SubmittedTransaction) -> TxStatus:
-        status = self.channel.statuses.get(tx.tx_id)
-        if status is None:
-            status = self._run(self._resolve(tx))
-        return status
+    def wait_for(self, tx: SubmittedTransaction) -> None:
+        self._run(self._resolve(tx))
 
-    async def _resolve(self, tx: SubmittedTransaction) -> TxStatus:
+    async def _resolve(self, tx: SubmittedTransaction) -> None:
         """Await ``tx``'s flow, then its block on the anchor mirror."""
 
         await tx.flow
-        if tx.endorse_failure is not None:
-            raise EndorseError(tx.endorse_failure)
-        if tx.submit_error is not None:
-            raise tx.submit_error
-        if not tx.ordered:
-            return tx._readonly_status
-        statuses = self.channel.statuses
-        if tx.tx_id not in statuses:
-            # As SyncTransport.wait_for: an unresolved transaction may sit in
-            # the orderer's open batch — cut it, once no flow can still fill it.
-            await self._drain()
-            if self._orderer_pending:
-                await self._flush()
-            deadline = self._loop.time() + self.commit_timeout_s
-            if not await self._mirror_reaches(
-                self.channel.anchor_peer, lambda: tx.tx_id in statuses, deadline
-            ):
-                raise CommitTimeoutError(tx.tx_id, self.commit_timeout_s)
-        return statuses[tx.tx_id]
+        if tx.done:
+            return
+        # As SyncTransport.wait_for: an unresolved transaction may sit in the
+        # orderer's open batch — cut it, once no flow can still fill it.
+        await self._drain()
+        if self._orderer_pending:
+            await self._flush()
+        deadline = self._loop.time() + self.commit_timeout_s
+        if not await self._mirror_reaches(
+            self.channel.anchor_peer, lambda: tx.done, deadline
+        ):
+            raise CommitTimeoutError(tx.tx_id, self.commit_timeout_s)
 
     def flush(self) -> dict:
         """Force-cut the orderer's pending batch, earlier submissions included."""

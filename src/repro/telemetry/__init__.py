@@ -43,6 +43,7 @@ from .lifecycle import (
     lifecycle_span_id,
     phase_breakdown,
     phases_by_trace,
+    record_commit_phases,
     record_phase,
     span_tree,
 )
@@ -125,6 +126,7 @@ __all__ = [
     "merge_snapshots",
     "phase_breakdown",
     "phases_by_trace",
+    "record_commit_phases",
     "record_phase",
     "span_tree",
 ]

@@ -20,9 +20,10 @@ processes* — client, orderer, peers — link into one tree when collected,
 with no trace context on the wire (the wire protocol is unchanged except
 for the out-of-band ``metrics`` request).
 
-:func:`record_phase` is the one call every instrumentation site makes; it
-checks the sampler, so unsampled transactions cost one hash and no
-allocation.
+:func:`record_phase` is the one call every instrumentation site makes
+(:func:`record_commit_phases` makes it for a committed block's three
+per-peer phases); it checks the sampler, so unsampled transactions cost
+one hash and no allocation.
 """
 
 from __future__ import annotations
@@ -98,6 +99,37 @@ def record_phase(
         attrs=dict(attrs),
     )
     return telemetry.tracer.record(span)
+
+
+def record_commit_phases(
+    telemetry,
+    node: str,
+    prepared,
+    received: float,
+    picked_up: float,
+    validated: float,
+    applied: float,
+) -> None:
+    """One committed block's deliver / validate / apply spans, per transaction.
+
+    ``prepared`` is the peer's :class:`~repro.fabric.peer.PreparedCommit`;
+    the four instants bound the three phases: deliver = block receipt ->
+    committer pickup, validate = ``prepare_block``, apply = the
+    ``WriteBatch`` commit.
+    """
+
+    number = prepared.block.number
+    for tx_index, tx in enumerate(prepared.block.transactions):
+        record_phase(
+            telemetry, "deliver", tx.tx_id, received, picked_up, node=node, block=number
+        )
+        record_phase(
+            telemetry, "validate", tx.tx_id, picked_up, validated, node=node,
+            code=prepared.metadata.code_for(tx_index).name,
+        )
+        record_phase(
+            telemetry, "apply", tx.tx_id, validated, applied, node=node, block=number
+        )
 
 
 # -- assembling collected spans ------------------------------------------------

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..common.config import NetworkConfig
-from ..core.network import crdt_peer_factory
+from ..core.network import peer_factory_for
 from ..fabric.costmodel import CostModel
 from ..fabric.network import SimulatedNetwork
 from ..fabric.orderer import OrderingService
@@ -63,9 +63,10 @@ def build_network(
 ) -> SimulatedNetwork:
     """A simulated network with the right peer type for ``config``."""
 
-    factory = crdt_peer_factory(config.crdt) if config.crdt_enabled else None
     kwargs = {} if ordering_cls is None else {"ordering_cls": ordering_cls}
-    return SimulatedNetwork(env, config, cost=cost, peer_factory=factory, **kwargs)
+    return SimulatedNetwork(
+        env, config, cost=cost, peer_factory=peer_factory_for(config), **kwargs
+    )
 
 
 def populate_ledger(network: SimulatedNetwork, keys: list[str]) -> None:

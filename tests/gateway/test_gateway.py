@@ -1,8 +1,8 @@
-"""Gateway API tests: one submit/evaluate surface over both transports.
+"""Gateway API tests: one submit/evaluate surface over every transport.
 
 Every scenario here runs the *same* contract code against the synchronous
-``LocalNetwork`` and the discrete-event ``SimulatedNetwork`` — asserting the
-transport-agnosticism the Gateway exists for.
+``LocalNetwork``, the discrete-event ``SimulatedNetwork`` and a spawned
+socket cluster — asserting the transport-agnosticism the Gateway exists for.
 """
 
 import json
@@ -23,6 +23,7 @@ from repro.gateway import (
     MVCCConflictError,
     SubmittedTransaction,
 )
+from repro.net import Cluster, SocketTransport
 from repro.sim import Environment
 from repro.workload.iot import IoTChaincode, encode_call, reading_payload
 
@@ -59,8 +60,30 @@ def des_contract(crdt: bool = False, max_message_count: int = 10) -> Contract:
     return Gateway.connect(network).get_contract("iot")
 
 
-CONTRACT_BUILDERS = [sync_contract, des_contract]
-BUILDER_IDS = ["sync", "des"]
+#: How to stop what the running test spawned (a cluster, then its client).
+_SPAWNED = []
+
+
+def socket_contract(crdt: bool = False, max_message_count: int = 10) -> Contract:
+    config = small_config(
+        max_message_count=max_message_count, crdt_enabled=crdt, num_orgs=2, peers_per_org=1
+    )
+    cluster = Cluster.spawn(config, chaincodes=["repro.workload.iot:IoTChaincode"])
+    _SPAWNED.append(cluster.terminate)
+    transport = SocketTransport.connect(cluster.profile)
+    _SPAWNED.append(transport.close)
+    return Gateway.connect(transport).get_contract("iot")
+
+
+@pytest.fixture(autouse=True)
+def stop_spawned_clusters():
+    yield
+    while _SPAWNED:
+        _SPAWNED.pop()()  # the client before its cluster
+
+
+CONTRACT_BUILDERS = [sync_contract, des_contract, socket_contract]
+BUILDER_IDS = ["sync", "des", "socket"]
 
 
 class TestSubmitHappyPath:
