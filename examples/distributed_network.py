@@ -11,8 +11,11 @@ gives the unchanged Gateway API a client seat at that network —
    real orderer socket, and merge at commit exactly as in-process;
 2. every peer process reports its own ledger height and 32-byte state
    fingerprint, so convergence is checked against ground truth;
-3. the client keeps verified *mirror* ledgers fed by deliver streams —
-   ``gateway.block_events()`` / checkpoint / resume work over sockets;
+3. the client is a *light* one: commit statuses ride one header-chained
+   status stream from the anchor peer, and a verified *mirror* ledger of a
+   peer is opened (replayed from block 0) only by what reads it —
+   ``gateway.block_events()`` / checkpoint / resume, ``channel.state_of``,
+   ``channel.ledger_of(i)``, ``world_states_converged()``;
 4. shutdown is deterministic: context managers close sockets and
    SIGTERM the node processes.
 
@@ -73,14 +76,17 @@ def main() -> None:
             print(f"  merged tempReadings: {readings} (no MVCC casualties)")
 
             print("--- ground truth from the peer processes themselves ---")
-            transport.wait_for_height(transport.channel.anchor_peer.ledger.height)
+            transport.wait_for_height(transport.channel.ledger_of(0).height)
             for index in range(len(cluster.profile.peers)):
                 info = transport.ledger_info(index)
                 print(
                     f"  {info['peer']:<12} height {info['height']}  "
                     f"fingerprint {info['fingerprint'][:16]}…"
                 )
-            assert transport.channel.world_states_converged()
+            # block_events() opened the anchor's mirror; nothing read the others yet.
+            assert transport.deliver_streams() == {"Org1.peer0": "full"}
+            assert transport.channel.world_states_converged()  # opens the other three
+            assert len(transport.deliver_streams()) == len(cluster.profile.peers)
             print("  client-side mirrors converged with all peer processes")
 
             print("--- block events, streamed over deliver sockets ---")

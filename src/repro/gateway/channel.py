@@ -15,7 +15,7 @@ answers questions about it (statuses, world state, convergence).
 from __future__ import annotations
 
 import os
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from ..common.config import NetworkConfig, TopologyConfig
 from ..common.errors import FabricError
@@ -177,7 +177,12 @@ class Channel:
     # -- status tracking -------------------------------------------------------------
 
     def _on_commit(self, committed: CommittedBlock) -> None:
-        for status in statuses_from_block(committed):
+        self.record_statuses(statuses_from_block(committed))
+
+    def record_statuses(self, statuses: Iterable[TxStatus]) -> None:
+        """One committed block's statuses, as the anchor reported them."""
+
+        for status in statuses:
             self.statuses[status.tx_id] = status
 
     def status_of(self, tx_id: str) -> Optional[ValidationCode]:
@@ -197,14 +202,17 @@ class Channel:
 
         from ..common.serialization import from_bytes
 
-        raw = self.anchor_peer.ledger.state.get_value(key)
+        raw = self.world_state().get_value(key)
         return from_bytes(raw) if raw is not None else None
 
     def ledger_of(self, peer_index: int = 0) -> Ledger:
+        """One peer's ledger: what every state accessor here reads through (a
+        remote channel overrides it to open that peer's mirror first)."""
+
         return self.peers[peer_index].ledger
 
     def world_state(self) -> StateStore:
-        return self.anchor_peer.ledger.state
+        return self.ledger_of(0).state
 
     def world_states_converged(self) -> bool:
         """True if every peer holds an identical world state.
@@ -215,9 +223,10 @@ class Channel:
         materialization per call.
         """
 
-        reference = self.anchor_peer.ledger.state.fingerprint()
+        reference = self.world_state().fingerprint()
         return all(
-            peer.ledger.state.fingerprint() == reference for peer in self.peers[1:]
+            self.ledger_of(index).state.fingerprint() == reference
+            for index in range(1, len(self.peers))
         )
 
     def assert_states_converged(self) -> None:

@@ -46,17 +46,6 @@ from .errors import GatewayError, commit_error_for
 from .transport import EndorsementFailureHook, SubmittedTransaction, Transport
 
 
-def _peer_at(channel: Channel, peer_index: int):
-    """The peer a stream attaches to; indices are absolute, never relative."""
-
-    if not 0 <= peer_index < len(channel.peers):
-        raise GatewayError(
-            f"peer_index {peer_index} out of range "
-            f"(channel has {len(channel.peers)} peers)"
-        )
-    return channel.peers[peer_index]
-
-
 def _resolve_start(
     checkpoint: Optional[Checkpoint],
     start_block: Optional[int],
@@ -123,7 +112,7 @@ class Gateway:
         by iterating (non-blocking drain).
         """
 
-        peer = _peer_at(self.channel, peer_index)
+        peer = self.transport.event_source(peer_index)
         start = _resolve_start(checkpoint, start_block, peer.ledger.height)
         return BlockEventStream(
             peer,
@@ -260,7 +249,7 @@ class Contract:
         mid-block.
         """
 
-        peer = _peer_at(self.channel, peer_index)
+        peer = self.transport.event_source(peer_index)
         start = _resolve_start(checkpoint, start_block, peer.ledger.height)
         return ContractEventStream(
             peer,

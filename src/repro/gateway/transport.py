@@ -50,7 +50,7 @@ from ..fabric.orderer import OrderingService
 from ..fabric.transaction import EndorsementFailure, Proposal, ProposalResponse
 from ..telemetry.lifecycle import record_phase
 from .channel import Channel
-from .errors import CommitError, EndorseError, SubmitError
+from .errors import CommitError, EndorseError, GatewayError, SubmitError
 
 #: Callback fired when an endorsement round fails: ``(tx_id, time)``.
 EndorsementFailureHook = Callable[[str, float], None]
@@ -215,6 +215,18 @@ class Transport(ABC):
         from ..events.scheduling import InlineSchedule
 
         return InlineSchedule()
+
+    def event_source(self, peer_index: int = 0):
+        """The peer an event stream attaches to; indices are absolute, never
+        relative.  A transport whose peers are remote overrides this to make
+        sure the stream has a ledger to replay from."""
+
+        peers = self.channel.peers
+        if not 0 <= peer_index < len(peers):
+            raise GatewayError(
+                f"peer_index {peer_index} out of range (channel has {len(peers)} peers)"
+            )
+        return peers[peer_index]
 
     # -- the client side of a submission, identical on every transport -----------
 

@@ -17,7 +17,7 @@ Layers, bottom up:
 
 * :mod:`repro.net.codec` — length-prefixed frames over a byte stream;
 * :mod:`repro.net.wire` — the typed message schema (proposals, proposal
-  responses, envelopes, blocks, deliver subscriptions);
+  responses, envelopes, blocks, block statuses, deliver subscriptions);
 * :mod:`repro.net.profile` — the serializable cluster connection profile;
 * :mod:`repro.net.peerserver` / :mod:`repro.net.ordererserver` — asyncio
   servers wrapping the existing node logic;
@@ -26,7 +26,13 @@ Layers, bottom up:
 * :mod:`repro.net.transport` — :class:`SocketTransport`, the client side:
   a full :class:`~repro.gateway.transport.Transport` so the Gateway API,
   event streams, and the benchmark runner work against the cluster
-  unchanged.
+  unchanged.  It is a *light client*: commit statuses ride one
+  header-chained ``deliver_status`` stream from the anchor peer (the header
+  chain is always verified, block bodies are trusted to the anchor), and a
+  peer's :class:`MirrorPeer` — a verified ledger + world state replayed
+  from block 0 — is opened only by what reads it
+  (:meth:`SocketTransport.open_mirror`, reached from event streams and
+  ``channel.ledger_of(i)``).
 
 Quickstart::
 

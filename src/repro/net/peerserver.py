@@ -6,7 +6,9 @@ block-scoped ``WriteBatch`` commit path on either state backend.  This
 module contributes only the deployment shell:
 
 * an asyncio TCP server answering ``endorse`` / ``ledger_info`` / ``ping``
-  requests and serving ``deliver`` streams of committed blocks;
+  requests and serving committed blocks as streams — whole (``deliver``)
+  or as header + validation codes (``deliver_status``, Fabric's filtered
+  blocks);
 * a follower task that subscribes to the orderer's deliver stream from
   block 0 and runs ``validate_and_commit`` on each block — the peer's
   committer, fed over a socket instead of a method call.
@@ -25,9 +27,11 @@ from __future__ import annotations
 import asyncio
 import signal
 import time
+from typing import Callable
 
 from ..common.errors import FabricError
 from ..core.network import peer_factory_for
+from ..fabric.block import CommittedBlock
 from ..fabric.chaincode import ChaincodeRegistry
 from ..fabric.identity import MembershipRegistry
 from ..fabric.peer import Peer
@@ -40,7 +44,10 @@ from .profile import ClusterProfile
 from .wire import (
     WireError,
     dec_block,
+    dec_integer,
+    dec_number,
     dec_proposal,
+    enc_block_status,
     enc_committed_block,
     enc_endorsement_failure,
     enc_proposal_response,
@@ -151,10 +158,28 @@ async def _follow_orderer(state: PeerState, host: str, port: int) -> None:
             continue  # reconnect from the new height
 
 
+def _full_block(committed: CommittedBlock) -> dict:
+    return {"type": "block", "committed": enc_committed_block(committed)}
+
+
+def _block_status(committed: CommittedBlock) -> dict:
+    return {"type": "block_status", "status": enc_block_status(committed)}
+
+
+#: What a block is rendered as, by the request that opened the stream.
+DELIVER_FRAMES: dict[str, Callable[[CommittedBlock], dict]] = {
+    "deliver": _full_block,
+    "deliver_status": _block_status,
+}
+
+
 async def _handle_deliver(
-    state: PeerState, writer: asyncio.StreamWriter, start_block: int
+    state: PeerState,
+    writer: asyncio.StreamWriter,
+    start_block: int,
+    render: Callable[[CommittedBlock], dict],
 ) -> None:
-    """Stream committed blocks: ledger replay, then live commits.
+    """Stream committed blocks as ``render`` frames: ledger replay, then live.
 
     The hub subscription is installed *before* replay (the deliver-service
     pattern from :mod:`repro.events.deliver`): blocks committed mid-replay
@@ -169,18 +194,13 @@ async def _handle_deliver(
     cursor = start_block
     try:
         while cursor < state.peer.ledger.height:
-            committed = state.peer.ledger.block_at(cursor)
-            await write_message(
-                writer, {"type": "block", "committed": enc_committed_block(committed)}
-            )
+            await write_message(writer, render(state.peer.ledger.block_at(cursor)))
             cursor += 1
         while True:
             committed = await queue.get()
             if committed.block.number < cursor:
                 continue
-            await write_message(
-                writer, {"type": "block", "committed": enc_committed_block(committed)}
-            )
+            await write_message(writer, render(committed))
             cursor = committed.block.number + 1
     finally:
         unsubscribe()
@@ -212,10 +232,10 @@ async def _handle_connection(
             elif kind == "endorse":
                 try:
                     proposal = dec_proposal(message.get("proposal"))
+                    timestamp = dec_number(message.get("timestamp", 0.0), "endorse timestamp")
                 except WireError as exc:
                     await write_message(writer, error_message(str(exc)))
                     continue
-                timestamp = float(message.get("timestamp", 0.0))
                 arrived = state.now()
                 outcome = peer.endorse(proposal, timestamp)
                 record_phase(
@@ -255,14 +275,15 @@ async def _handle_connection(
                 await write_message(
                     writer, metrics_result_message(state.telemetry, peer.name, message)
                 )
-            elif kind == "deliver":
-                start = message.get("start_block", 0)
-                if not isinstance(start, int) or start < 0:
-                    await write_message(
-                        writer, error_message(f"bad deliver start_block {start!r}")
-                    )
-                    return
-                await _handle_deliver(state, writer, start)
+            elif kind in DELIVER_FRAMES:
+                try:
+                    start = dec_integer(message.get("start_block", 0), f"{kind} start_block")
+                    if start < 0:
+                        raise WireError(f"{kind} start_block: {start} is negative")
+                except WireError as exc:
+                    await write_message(writer, error_message(str(exc)))
+                    continue
+                await _handle_deliver(state, writer, start, DELIVER_FRAMES[kind])
                 return
             else:
                 await write_message(

@@ -9,28 +9,44 @@ checkpoint/resume, and the channel's commit-status tracking.
 
 The design mirrors how a real Fabric Gateway client is structured:
 
-* **Mirror peers.**  For each remote peer the transport keeps a
-  :class:`MirrorPeer` — a real :class:`~repro.fabric.ledger.Ledger` plus
-  :class:`~repro.fabric.events.EventHub` — fed by that peer's deliver
-  stream.  Absorbing a block re-verifies its integrity and hash chain
-  (``Ledger.append_block``), so every streamed block is cryptographically
-  checked against what the orderer cut; applying its effective writes
-  rebuilds the peer's world state client-side.  All existing event-service
-  machinery (deliver sessions, block/contract streams, checkpoints) then
-  runs unmodified on the mirrors — the streams cannot tell a mirror from
-  an in-process peer.
+* **A light client.**  What a submitter needs from the commit side is the
+  validation code of its transaction, so :meth:`SocketTransport.connect`
+  opens **one** deliver connection, to the anchor, and asks for *block
+  statuses* (``deliver_status`` — Fabric's filtered blocks): the block
+  header, the commit time and ``[tx_id, code, submit_time]`` per
+  transaction.  Every header must continue the chain (number = last + 1,
+  ``previous_hash`` = hash of the last header), so a dropped, duplicated,
+  reordered or spliced frame kills the stream as a typed protocol error —
+  never a silent gap.  Block *bodies* are trusted to the anchor, as
+  Fabric's Gateway trusts its peer's filtered blocks.
+* **Mirror peers, on demand.**  Each remote peer has a :class:`MirrorPeer`
+  — a real :class:`~repro.fabric.ledger.Ledger` plus
+  :class:`~repro.fabric.events.EventHub` — that stays empty until someone
+  asks for it: ``gateway.block_events()`` / ``contract.contract_events()``
+  (through :meth:`SocketTransport.event_source`) or a mirrored-state read
+  (``channel.ledger_of(i)`` and the accessors built on it).  Both reach
+  :meth:`SocketTransport.open_mirror`, which replaces that peer's deliver
+  connection by a full ``deliver`` stream from block 0 and returns once the
+  mirror is at the peer's current height.  Absorbing a block re-verifies
+  its integrity and hash chain (``Ledger.append_block``), so on an opened
+  mirror every block is checked against what the orderer cut, from genesis;
+  applying its effective writes rebuilds the peer's world state client-side.
+  All existing event-service machinery (deliver sessions, block/contract
+  streams, checkpoints) runs unmodified on an opened mirror — the streams
+  cannot tell it from an in-process peer.
 * **One private event loop**, driven synchronously.  Blocking public
-  methods run ``loop.run_until_complete(...)``; the per-peer deliver
-  readers, the per-connection reply readers and the per-transaction flows
-  are tasks on the same loop, so they make progress during *any* blocking
-  transport call (and during :meth:`pump`, for pure event consumers).
+  methods run ``loop.run_until_complete(...)``; the deliver readers, the
+  per-connection reply readers and the per-transaction flows are tasks on
+  the same loop, so they make progress during *any* blocking transport
+  call (and during :meth:`pump`, for pure event consumers).
   No background threads, no locks.
 * **Pipelined requests.**  ``submit_async`` only *writes* the endorse
   frames and returns a handle whose ``flow`` task collects the replies,
   assembles the envelope and hands it to the orderer **in submission
   order**; ``commit_status()`` awaits that flow, then sleeps until the
-  anchor mirror absorbs the block.  ``flush`` / ``evaluate`` /
-  ``wait_for_height`` first let every in-flight flow reach the orderer.
+  anchor's status stream (or opened mirror) reports the block.  ``flush``
+  / ``evaluate`` / ``wait_for_height`` first let every in-flight flow
+  reach the orderer.
 * **Typed failure, never a hang, never at ``submit_async()``.**  Every
   request carries its own deadline; an endorsement that times out or hits
   a dead peer becomes an
@@ -47,8 +63,8 @@ import asyncio
 from collections import deque
 from typing import Callable, Optional, Sequence
 
-from ..common.errors import FabricError
-from ..common.types import Version
+from ..common.types import TxStatus, Version
+from ..fabric.block import GENESIS_PREVIOUS_HASH, BlockHeader
 from ..fabric.events import EventHub
 from ..fabric.identity import Identity
 from ..fabric.ledger import Ledger
@@ -76,6 +92,7 @@ from .errors import (
 from .profile import ClusterProfile
 from .wire import (
     WireError,
+    dec_block_status,
     dec_committed_block,
     dec_endorsement_failure,
     dec_proposal_response,
@@ -97,7 +114,9 @@ class MirrorPeer:
     Quacks like :class:`~repro.fabric.peer.Peer` for everything the event
     service needs — ``ledger``, ``events``, ``name`` — so deliver sessions
     and Gateway streams attach to it unchanged.  It cannot endorse; the
-    transport routes endorsements to the real peer over its socket.
+    transport routes endorsements to the real peer over its socket.  It
+    exists from construction (endorser selection needs names and orgs) but
+    holds nothing until :meth:`SocketTransport.open_mirror` feeds it.
     """
 
     def __init__(self, name: str, org_name: str) -> None:
@@ -134,12 +153,17 @@ class RemoteChannel(Channel):
 
     Shares the real Channel's *surface* — clients, policies, chaincode
     registry, status tracking, convergence checks — but its peers are
-    :class:`MirrorPeer` replicas fed by deliver streams instead of live
-    protocol engines.  Membership is rebuilt deterministically from the
-    topology, so this channel's clients produce signatures (and, with the
-    same submission order, transaction IDs) identical to an in-process
-    channel's.
+    :class:`MirrorPeer` replicas instead of live protocol engines.
+    ``statuses`` fills from the anchor's status stream; a mirror is fed only
+    once it is read: :meth:`ledger_of` (and so ``state_of`` /
+    ``world_state`` / ``world_states_converged``) opens it first.
+    Membership is rebuilt deterministically from the topology, so this
+    channel's clients produce signatures (and, with the same submission
+    order, transaction IDs) identical to an in-process channel's.
     """
+
+    #: ``open_mirror(peer_index)`` of the transport that feeds this channel.
+    open_mirror: Callable[[int], MirrorPeer]
 
     def __init__(self, profile: ClusterProfile) -> None:
         self.profile = profile
@@ -149,6 +173,12 @@ class RemoteChannel(Channel):
 
     def _build_peer(self, identity: Identity) -> MirrorPeer:
         return MirrorPeer(identity.qualified_name, identity.org.name)
+
+    def ledger_of(self, peer_index: int = 0) -> Ledger:
+        """Peer ``peer_index``'s mirrored ledger, opened (from block 0, caught
+        up to the peer's current height) by the first call."""
+
+        return self.open_mirror(peer_index).ledger
 
 
 class _NodeConnection:
@@ -253,7 +283,12 @@ class _NodeConnection:
 
 
 class SocketTransport(Transport):
-    """A :class:`Transport` speaking the wire protocol to a live cluster."""
+    """A :class:`Transport` speaking the wire protocol to a live cluster.
+
+    A light client: commit statuses ride one header-chained status stream
+    from the anchor; a peer's full mirror is opened by the first call that
+    reads it (:meth:`open_mirror`) and costs nothing until then.
+    """
 
     def __init__(
         self,
@@ -264,6 +299,7 @@ class SocketTransport(Transport):
     ) -> None:
         self.profile = profile
         self.channel = RemoteChannel(profile)
+        self.channel.open_mirror = self.open_mirror
         self.request_timeout_s = request_timeout_s
         self.commit_timeout_s = commit_timeout_s
         #: Client-side :class:`~repro.telemetry.Telemetry` (optional):
@@ -277,11 +313,19 @@ class SocketTransport(Transport):
         )
         self._loop = asyncio.new_event_loop()
         self._conns: dict[str, _NodeConnection] = {}
-        self._deliver_tasks: list[asyncio.Task] = []
+        #: The reader of each peer's one deliver connection, by peer name: the
+        #: anchor's status stream, or the full stream of an opened mirror.
+        self._streams: dict[str, asyncio.Task] = {}
+        #: Peers whose mirror was opened: their stream carries whole blocks.
+        self._mirrored: set[str] = set()
+        #: Where the status stream's header chain stands: the next block
+        #: number and the hash its ``previous_hash`` must equal.
+        self._status_next = 0
+        self._status_link = GENESIS_PREVIOUS_HASH
         #: Deliver streams that died, by peer name.
         self._stream_errors: dict[str, DeliverStreamError] = {}
-        #: Set when a mirror absorbed a block, a deliver stream died or the
-        #: last in-flight flow finished: whatever a waiter may sleep on.
+        #: Set when a deliver stream brought a block or died, or the last
+        #: in-flight flow finished: whatever a waiter may sleep on.
         self._progress = asyncio.Event()
         self._in_flight = 0  # flows not finished yet
         #: The newest flow's "broadcast written" future: the next flow's turn.
@@ -300,8 +344,8 @@ class SocketTransport(Transport):
         commit_timeout_s: float = DEFAULT_COMMIT_TIMEOUT_S,
         telemetry=None,
     ) -> "SocketTransport":
-        """Open request connections to every node, start the deliver streams
-        and return once every mirror has caught up with its peer."""
+        """Open request connections to every node and the anchor's status
+        stream; return once that stream has caught up with the anchor."""
 
         transport = cls(profile, request_timeout_s, commit_timeout_s, telemetry=telemetry)
         try:
@@ -314,26 +358,43 @@ class SocketTransport(Transport):
     async def _open_all(self) -> None:
         orderer = self.profile.orderer
         self._conns["orderer"] = await self._open(orderer.host, orderer.port, "orderer")
-        for endpoint, mirror in zip(self.profile.peers, self.channel.peers):
+        for endpoint in self.profile.peers:
             self._conns[endpoint.name] = await self._open(
                 endpoint.host, endpoint.port, endpoint.name
             )
-            self._deliver_tasks.append(
-                self._loop.create_task(self._deliver_reader(endpoint, mirror))
-            )
-        # Catch-up barrier: the streams replay from block 0, and a mirror
-        # still replaying would resolve "live from now" against an old height.
-        deadline = self._loop.time() + self.request_timeout_s
-        mirrors = self.channel.peers
-        infos = await asyncio.gather(
-            *(self._conns[mirror.name].send({"type": "ledger_info"}) for mirror in mirrors)
+        await self._follow(0, "deliver_status")
+
+    async def _follow(self, peer_index: int, request: str) -> None:
+        """Make ``request`` the peer's one deliver connection, from block 0, and
+        sleep until it has brought everything the peer holds right now.
+
+        The catch-up barrier: a stream still replaying would resolve "live
+        from now" (and a commit wait) against an old height.
+        """
+
+        endpoint, mirror = self.profile.peers[peer_index], self.channel.peers[peer_index]
+        replaced = self._streams.pop(endpoint.name, None)
+        if replaced is not None:
+            replaced.cancel()
+            await asyncio.gather(replaced, return_exceptions=True)
+            self._stream_errors.pop(endpoint.name, None)  # the old connection's, if it died
+        self._streams[endpoint.name] = self._loop.create_task(
+            self._deliver_reader(endpoint, mirror, request)
         )
-        for mirror, info in zip(mirrors, infos):
-            height = info.get("height", 0)
-            if not await self._mirror_reaches(
-                mirror, lambda: mirror.ledger.height >= height, deadline
-            ):
-                raise RequestTimeout(f"mirror of {mirror.name} never reached height {height}")
+        deadline = self._loop.time() + self.request_timeout_s
+        info = await self._conns[endpoint.name].send({"type": "ledger_info"})
+        height = info.get("height", 0)
+        if not await self._stream_reaches(
+            endpoint.name, lambda: self._stream_height(mirror) >= height, deadline
+        ):
+            raise RequestTimeout(
+                f"{request} stream of {endpoint.name} never reached height {height}"
+            )
+
+    def _stream_height(self, mirror: MirrorPeer) -> int:
+        """How many blocks the peer's deliver connection has brought so far."""
+
+        return mirror.ledger.height if mirror.name in self._mirrored else self._status_next
 
     async def _open(self, host: str, port: int, label: str) -> _NodeConnection:
         try:
@@ -346,8 +407,10 @@ class SocketTransport(Transport):
             raise PeerUnreachableError(f"cannot reach {label} at {host}:{port}: {exc}")
         return _NodeConnection(label, reader, writer, self.request_timeout_s)
 
-    async def _deliver_reader(self, endpoint, mirror: MirrorPeer) -> None:
-        """Feed one mirror from its peer's deliver stream until ``close()``.
+    async def _deliver_reader(self, endpoint, mirror: MirrorPeer, request: str) -> None:
+        """Read one peer's deliver connection until ``close()`` (or until
+        :meth:`_follow` replaces it): whole blocks into an opened mirror,
+        block statuses onto the channel.
 
         A stream that dies is recorded and counted: never mistaken for a quiet one.
         """
@@ -357,19 +420,38 @@ class SocketTransport(Transport):
             reader, writer = await asyncio.open_connection(endpoint.host, endpoint.port)
             reason = "closed"
             try:
-                await write_message(writer, {"type": "deliver", "start_block": 0})
+                await write_message(writer, {"type": request, "start_block": 0})
                 while True:
                     message = await read_message(reader)
-                    if message_type(message) != "block":
-                        raise WireError(f"unexpected {message.get('type')!r} message")
-                    mirror.absorb(dec_committed_block(message.get("committed")))
+                    kind = message_type(message)
+                    if kind == "block" and mirror.name in self._mirrored:
+                        mirror.absorb(dec_committed_block(message.get("committed")))
+                    elif kind == "block_status" and mirror.name not in self._mirrored:
+                        self._absorb_status(*dec_block_status(message.get("status")))
+                    else:
+                        raise WireError(f"unexpected {kind!r} message")
                     self._progress.set()
             finally:
                 writer.close()
         except (ConnectionClosed, ConnectionError, OSError) as exc:
             self._stream_died(endpoint.name, reason, exc)
-        except FabricError as exc:  # bad frame, bad message, or a block that fails verification
+        except Exception as exc:
+            # Whatever else decoding or verifying can raise — a bad frame or
+            # message, a broken chain, a block that fails its hash checks —
+            # ends the stream typed and counted, never as a lost task.
             self._stream_died(endpoint.name, "protocol", exc)
+
+    def _absorb_status(self, header: BlockHeader, statuses: list[TxStatus]) -> None:
+        """Record one block's statuses, once its header continues the chain."""
+
+        if header.number != self._status_next or header.previous_hash != self._status_link:
+            raise WireError(
+                f"block status {header.number} does not continue the chain "
+                f"at block {self._status_next}"
+            )
+        self._status_next = header.number + 1
+        self._status_link = header.hash()
+        self.channel.record_statuses(statuses)
 
     def _stream_died(self, peer: str, reason: str, exc: Exception) -> None:
         self._stream_errors[peer] = DeliverStreamError(
@@ -396,17 +478,17 @@ class SocketTransport(Transport):
             self._progress.clear()
             await self._progress.wait()
 
-    async def _mirror_reaches(
-        self, mirror: MirrorPeer, reached: Callable[[], bool], deadline: float
+    async def _stream_reaches(
+        self, peer: str, reached: Callable[[], bool], deadline: float
     ) -> bool:
-        """Sleep until ``mirror``'s blocks make ``reached()`` true (False at
-        ``deadline``); raise its :class:`DeliverStreamError` once its stream is dead."""
+        """Sleep until ``peer``'s deliver stream makes ``reached()`` true (False
+        at ``deadline``); raise its :class:`DeliverStreamError` once it is dead."""
 
         timer = self._loop.call_at(deadline, self._progress.set)
         try:
             while not reached():
-                if mirror.name in self._stream_errors:
-                    raise self._stream_errors[mirror.name]
+                if peer in self._stream_errors:
+                    raise self._stream_errors[peer]
                 if self._loop.time() >= deadline:
                     return False
                 self._progress.clear()
@@ -528,7 +610,7 @@ class SocketTransport(Transport):
         self._run(self._resolve(tx))
 
     async def _resolve(self, tx: SubmittedTransaction) -> None:
-        """Await ``tx``'s flow, then its block on the anchor mirror."""
+        """Await ``tx``'s flow, then its block on the anchor's deliver stream."""
 
         await tx.flow
         if tx.done:
@@ -539,8 +621,8 @@ class SocketTransport(Transport):
         if self._orderer_pending:
             await self._flush()
         deadline = self._loop.time() + self.commit_timeout_s
-        if not await self._mirror_reaches(
-            self.channel.anchor_peer, lambda: tx.done, deadline
+        if not await self._stream_reaches(
+            self.profile.anchor_peer.name, lambda: tx.done, deadline
         ):
             raise CommitTimeoutError(tx.tx_id, self.commit_timeout_s)
 
@@ -554,6 +636,43 @@ class SocketTransport(Transport):
         reply = await self._conns["orderer"].send({"type": "flush"})
         self._orderer_pending = 0
         return reply
+
+    # -- mirrors, on demand -------------------------------------------------------
+
+    def open_mirror(self, peer_index: int = 0) -> MirrorPeer:
+        """Peer ``peer_index``'s mirror, fed: the first call replaces the peer's
+        deliver connection (the status stream, on the anchor) by its full block
+        stream from block 0 and returns once the mirror holds everything the
+        peer has committed so far; later calls open nothing.
+
+        Every block is re-verified from genesis on the way in.  On the
+        anchor, statuses arrive through the mirror from then on, so
+        ``channel.statuses`` and the anchor's mirrored ledger never disagree.
+        """
+
+        mirror = self.channel.peers[peer_index]
+        if mirror.name not in self._mirrored:
+            self._run(self._open_mirror(peer_index))
+        return mirror
+
+    async def _open_mirror(self, peer_index: int) -> None:
+        self._mirrored.add(self.profile.peers[peer_index].name)
+        await self._follow(peer_index, "deliver")
+
+    def event_source(self, peer_index: int = 0) -> MirrorPeer:
+        """An event stream replays from a ledger: the peer's mirror, opened."""
+
+        super().event_source(peer_index)  # the bounds check
+        return self.open_mirror(peer_index)
+
+    def deliver_streams(self) -> dict[str, str]:
+        """The live deliver connections: peer name -> ``"status"`` or ``"full"``."""
+
+        return {
+            name: "full" if name in self._mirrored else "status"
+            for name, task in self._streams.items()
+            if not task.done()
+        }
 
     # -- cluster inspection -------------------------------------------------------
 
@@ -643,7 +762,7 @@ class SocketTransport(Transport):
             # Submissions nobody awaited still reach the orderer first (each
             # flow is bounded by request deadlines).
             await self._drain()
-            tasks = list(self._deliver_tasks)
+            tasks = list(self._streams.values())
             for task in tasks:
                 task.cancel()
             tasks.extend(conn.close() for conn in self._conns.values())

@@ -1,8 +1,9 @@
 """The typed message schema: protocol structures <-> JSON wire form.
 
 One encoder/decoder pair per protocol structure (proposals, read-write
-sets, proposal responses, envelopes, blocks, committed blocks) plus the
-top-level request/response messages the servers speak.  Encoding rules:
+sets, proposal responses, envelopes, blocks, committed blocks, and the
+*block status* a light client follows commits by) plus the top-level
+request/response messages the servers speak.  Encoding rules:
 
 * ``bytes`` fields travel base64 (signatures, hashes, chaincode values);
 * :class:`~repro.common.types.Version` travels as its compact ``"b:t"``
@@ -12,8 +13,10 @@ top-level request/response messages the servers speak.  Encoding rules:
   (``{"principal": org}`` / ``{"out_of": {...}}``).
 
 Every decoder is *strict*: unknown validation codes, malformed versions,
-missing fields, or the wrong JSON shape raise :class:`WireError` — never a
-bare ``KeyError`` a server loop would have to guess about.  Round-tripping
+missing fields, or the wrong JSON shape (a non-object, a non-list where a
+list is required, a non-number where a number is required) raise
+:class:`WireError` — never a bare ``KeyError`` / ``TypeError`` a server or
+reader loop would have to guess about.  Round-tripping
 is exact (``decode(encode(x)) == x``), which the hypothesis property tests
 in ``tests/net`` pin down per message type; exactness matters beyond
 hygiene because block data hashes are recomputed from decoded envelopes on
@@ -31,6 +34,7 @@ from ..common.types import (
     RangeQueryInfo,
     ReadItem,
     ReadWriteSet,
+    TxStatus,
     ValidationCode,
     Version,
     WriteItem,
@@ -60,6 +64,18 @@ def _require(mapping: Any, key: str, context: str) -> Any:
         raise WireError(f"{context}: missing field {key!r}") from None
 
 
+def _object(data: Any, context: str) -> dict:
+    if not isinstance(data, dict):
+        raise WireError(f"{context}: expected an object, got {type(data).__name__}")
+    return data
+
+
+def _list(data: Any, context: str) -> list:
+    if not isinstance(data, list):
+        raise WireError(f"{context}: expected a list, got {type(data).__name__}")
+    return data
+
+
 # -- scalars ----------------------------------------------------------------
 
 
@@ -74,6 +90,18 @@ def dec_bytes(text: Any, context: str = "bytes") -> bytes:
         return base64.b64decode(text.encode("ascii"), validate=True)
     except (binascii.Error, ValueError) as exc:
         raise WireError(f"{context}: invalid base64: {exc}") from None
+
+
+def dec_number(value: Any, context: str = "number") -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise WireError(f"{context}: expected a number, got {value!r}")
+    return float(value)
+
+
+def dec_integer(value: Any, context: str = "integer") -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise WireError(f"{context}: expected an integer, got {value!r}")
+    return value
 
 
 def enc_version(version: Optional[Version]) -> Optional[str]:
@@ -192,7 +220,7 @@ def dec_rwset(data: Any, context: str = "rwset") -> ReadWriteSet:
             key=_require(item, "key", f"{context}.reads"),
             version=dec_version(item.get("version"), f"{context}.reads"),
         )
-        for item in _require(data, "reads", context)
+        for item in _list(_require(data, "reads", context), f"{context}.reads")
     )
     writes = tuple(
         WriteItem(
@@ -201,7 +229,7 @@ def dec_rwset(data: Any, context: str = "rwset") -> ReadWriteSet:
             is_delete=bool(item.get("is_delete", False)),
             is_crdt=bool(item.get("is_crdt", False)),
         )
-        for item in _require(data, "writes", context)
+        for item in _list(_require(data, "writes", context), f"{context}.writes")
     )
     range_queries = tuple(
         RangeQueryInfo(
@@ -209,7 +237,9 @@ def dec_rwset(data: Any, context: str = "rwset") -> ReadWriteSet:
             end_key=_require(item, "end_key", f"{context}.range_queries"),
             results_hash=dec_bytes(_require(item, "results_hash", f"{context}.range_queries")),
         )
-        for item in _require(data, "range_queries", context)
+        for item in _list(
+            _require(data, "range_queries", context), f"{context}.range_queries"
+        )
     )
     return ReadWriteSet(reads, writes, range_queries)
 
@@ -275,7 +305,7 @@ def dec_proposal(data: Any, context: str = "proposal") -> Proposal:
         args=tuple(args),
         creator=_require(data, "creator", context),
         policy=dec_policy(_require(data, "policy", context), f"{context}.policy"),
-        submit_time=float(_require(data, "submit_time", context)),
+        submit_time=dec_number(_require(data, "submit_time", context), f"{context}.submit_time"),
     )
 
 
@@ -335,13 +365,15 @@ def enc_envelope(envelope: TransactionEnvelope) -> dict:
 
 
 def dec_envelope(data: Any, context: str = "envelope") -> TransactionEnvelope:
-    client_signature = data.get("client_signature")
+    client_signature = _object(data, context).get("client_signature")
     return TransactionEnvelope(
         proposal=dec_proposal(_require(data, "proposal", context), f"{context}.proposal"),
         rwset=dec_rwset(_require(data, "rwset", context), f"{context}.rwset"),
         endorsements=tuple(
             dec_signed(item, f"{context}.endorsements")
-            for item in _require(data, "endorsements", context)
+            for item in _list(
+                _require(data, "endorsements", context), f"{context}.endorsements"
+            )
         ),
         chaincode_result=dec_bytes(_require(data, "chaincode_result", context), context),
         client_signature=(
@@ -356,33 +388,42 @@ def dec_envelope(data: Any, context: str = "envelope") -> TransactionEnvelope:
 # -- blocks ------------------------------------------------------------------
 
 
+def enc_header(header: BlockHeader) -> dict:
+    return {
+        "number": header.number,
+        "previous_hash": enc_bytes(header.previous_hash),
+        "data_hash": enc_bytes(header.data_hash),
+    }
+
+
 def enc_block(block: Block) -> dict:
     return {
-        "header": {
-            "number": block.header.number,
-            "previous_hash": enc_bytes(block.header.previous_hash),
-            "data_hash": enc_bytes(block.header.data_hash),
-        },
+        "header": enc_header(block.header),
         "transactions": [enc_envelope(tx) for tx in block.transactions],
         "cut_reason": block.cut_reason,
         "cut_time": block.cut_time,
     }
 
 
+def dec_header(data: Any, context: str = "block header") -> BlockHeader:
+    return BlockHeader(
+        number=dec_integer(_require(data, "number", context), f"{context}.number"),
+        previous_hash=dec_bytes(_require(data, "previous_hash", context), context),
+        data_hash=dec_bytes(_require(data, "data_hash", context), context),
+    )
+
+
 def dec_block(data: Any, context: str = "block") -> Block:
-    header = _require(data, "header", context)
     return Block(
-        header=BlockHeader(
-            number=_require(header, "number", f"{context}.header"),
-            previous_hash=dec_bytes(_require(header, "previous_hash", f"{context}.header")),
-            data_hash=dec_bytes(_require(header, "data_hash", f"{context}.header")),
-        ),
+        header=dec_header(_require(data, "header", context), f"{context}.header"),
         transactions=tuple(
             dec_envelope(item, f"{context}.transactions")
-            for item in _require(data, "transactions", context)
+            for item in _list(
+                _require(data, "transactions", context), f"{context}.transactions"
+            )
         ),
         cut_reason=_require(data, "cut_reason", context),
-        cut_time=float(_require(data, "cut_time", context)),
+        cut_time=dec_number(_require(data, "cut_time", context), f"{context}.cut_time"),
     )
 
 
@@ -395,10 +436,10 @@ def enc_metadata(metadata: BlockMetadata) -> dict:
 
 def dec_metadata(data: Any, context: str = "metadata") -> BlockMetadata:
     return BlockMetadata(
-        block_num=_require(data, "block_num", context),
+        block_num=dec_integer(_require(data, "block_num", context), f"{context}.block_num"),
         flags=[
             dec_validation_code(name, context)
-            for name in _require(data, "flags", context)
+            for name in _list(_require(data, "flags", context), f"{context}.flags")
         ],
     )
 
@@ -425,12 +466,15 @@ def enc_committed_block(committed: CommittedBlock) -> dict:
 
 
 def dec_committed_block(data: Any, context: str = "committed block") -> CommittedBlock:
-    effective_raw = data.get("effective_writes")
+    effective_raw = _object(data, context).get("effective_writes")
     effective = None
     if effective_raw is not None:
         effective = tuple(
             (
-                _require(item, "tx_index", f"{context}.effective_writes"),
+                dec_integer(
+                    _require(item, "tx_index", f"{context}.effective_writes"),
+                    f"{context}.effective_writes.tx_index",
+                ),
                 WriteItem(
                     key=_require(item, "key", f"{context}.effective_writes"),
                     value=dec_bytes(_require(item, "value", f"{context}.effective_writes")),
@@ -438,14 +482,54 @@ def dec_committed_block(data: Any, context: str = "committed block") -> Committe
                     is_crdt=bool(item.get("is_crdt", False)),
                 ),
             )
-            for item in effective_raw
+            for item in _list(effective_raw, f"{context}.effective_writes")
         )
     return CommittedBlock(
         block=dec_block(_require(data, "block", context), f"{context}.block"),
         metadata=dec_metadata(_require(data, "metadata", context), f"{context}.metadata"),
-        commit_time=float(_require(data, "commit_time", context)),
+        commit_time=dec_number(_require(data, "commit_time", context), f"{context}.commit_time"),
         effective_writes=effective,
     )
+
+
+def enc_block_status(committed: CommittedBlock) -> dict:
+    """A committed block as a light client needs it (Fabric's *filtered block*):
+    the header that chains it, the commit time, and ``[tx_id, code,
+    submit_time]`` per transaction — no read-write sets, no payloads."""
+
+    metadata = committed.metadata
+    return {
+        "header": enc_header(committed.block.header),
+        "commit_time": committed.commit_time,
+        "txs": [
+            [tx.tx_id, metadata.code_for(index).name, tx.proposal.submit_time]
+            for index, tx in enumerate(committed.block.transactions)
+        ],
+    }
+
+
+def dec_block_status(
+    data: Any, context: str = "block status"
+) -> tuple[BlockHeader, list[TxStatus]]:
+    """The block's header and exactly ``statuses_from_block`` of the full block."""
+
+    header = dec_header(_require(data, "header", context), f"{context}.header")
+    commit_time = dec_number(_require(data, "commit_time", context), f"{context}.commit_time")
+    statuses = []
+    for tx_num, item in enumerate(_list(_require(data, "txs", context), f"{context}.txs")):
+        if not isinstance(item, list) or len(item) != 3 or not isinstance(item[0], str):
+            raise WireError(f"{context}.txs: expected [tx_id, code, submit_time]")
+        statuses.append(
+            TxStatus(
+                tx_id=item[0],
+                code=dec_validation_code(item[1], f"{context}.txs"),
+                block_num=header.number,
+                tx_num=tx_num,
+                submit_time=dec_number(item[2], f"{context}.txs.submit_time"),
+                commit_time=commit_time,
+            )
+        )
+    return header, statuses
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +548,9 @@ MESSAGE_TYPES = frozenset(
         "flush",
         "flush_ack",
         "deliver",
+        "deliver_status",
         "block",
+        "block_status",
         "raw_block",
         "ledger_info",
         "ledger_info_result",

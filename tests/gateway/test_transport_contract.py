@@ -116,7 +116,10 @@ def drive(gateway) -> dict:
             raised = repr(exc)
         observed[outcome] = handle_state(tx, raised, hook_calls)
     observed["tally"] = contract.evaluate("tally", "ballot")
-    observed["heights"] = sorted({peer.ledger.height for peer in gateway.channel.peers})
+    channel = gateway.channel
+    observed["heights"] = sorted(
+        {channel.ledger_of(index).height for index in range(len(channel.peers))}
+    )
     return observed
 
 

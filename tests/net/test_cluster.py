@@ -4,19 +4,27 @@ One module-scoped cluster (an orderer + two peers, each its own OS
 process) serves every test: submission and commit statuses, CRDT merge
 across process boundaries, evaluate, remote fingerprint convergence, and
 the event service — block streams, contract events, checkpoint/resume —
-running over deliver sockets.
+running over deliver sockets.  The client is a light one: statuses ride
+the anchor's status stream, and a mirror exists only once ``ledger_of`` /
+an event stream asked for it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import socket
 
 import pytest
 
 from repro.common.config import TopologyConfig, fabriccrdt_config
+from repro.common.serialization import from_bytes
+from repro.fabric.policy import Principal
+from repro.fabric.transaction import Proposal
 from repro.gateway.gateway import Gateway
-from repro.net import Cluster, SocketTransport
+from repro.net import Cluster, FrameDecoder, SocketTransport
+from repro.net.codec import encode_message
+from repro.net.wire import enc_proposal
 from repro.workload.iot import encode_call, reading_payload
 
 CHAINCODES = [
@@ -62,6 +70,34 @@ def test_every_node_answers_health_pings(cluster):
     assert cluster.alive()
 
 
+def test_peer_answers_a_malformed_request_with_an_error_and_keeps_serving(cluster):
+    # A non-numeric timestamp (or start_block) used to escape the handler: the
+    # socket closed without a reply and every request queued behind it failed.
+    anchor = cluster.profile.anchor_peer
+    proposal = enc_proposal(
+        Proposal("t", "c", "iot", "read_device", (), "Org1.client0", Principal("Org1"))
+    )
+    decoder = FrameDecoder()
+    with socket.create_connection((anchor.host, anchor.port), timeout=10) as conn:
+
+        def ask(message: dict) -> dict:
+            conn.sendall(encode_message(message))
+            while not (frames := decoder.feed(chunk := conn.recv(65536))):
+                assert chunk, f"connection closed without a reply to {message['type']}"
+            return from_bytes(frames[0])
+
+        for bad in (
+            {"type": "endorse", "proposal": proposal, "timestamp": "abc"},
+            {"type": "endorse", "proposal": proposal, "timestamp": None},
+            {"type": "deliver_status", "start_block": "0"},
+            {"type": "deliver", "start_block": -1},
+        ):
+            reply = ask(bad)
+            assert reply["type"] == "error" and reply["error"], reply
+            info = ask({"type": "ledger_info"})
+            assert info["type"] == "ledger_info_result" and info["peer"] == anchor.name
+
+
 def test_submit_commits_on_every_process_peer(cluster, transport):
     contract = Gateway.connect(transport).get_contract("iot")
     contract.submit("populate", json.dumps({"keys": ["dev-a"]}))
@@ -74,14 +110,14 @@ def test_submit_commits_on_every_process_peer(cluster, transport):
     assert all(status.succeeded for status in statuses)
 
     # Ground truth from the peer processes themselves, not the mirrors.
-    height = transport.channel.anchor_peer.ledger.height
+    height = transport.ledger_info(0)["height"]
     transport.wait_for_height(height, timeout_s=10)
     infos = [transport.ledger_info(i) for i in range(2)]
     assert infos[0]["fingerprint"] == infos[1]["fingerprint"]
 
-    # The client-side mirrors replayed the same chain byte-for-byte.
+    # The client-side mirrors (opened here) replayed the same chain byte-for-byte.
     assert transport.channel.world_states_converged()
-    local = transport.channel.anchor_peer.ledger.state.fingerprint().hex()
+    local = transport.channel.ledger_of(0).state.fingerprint().hex()
     assert local == infos[0]["fingerprint"]
 
 
@@ -122,7 +158,7 @@ def test_block_events_stream_over_sockets_with_resume(cluster, transport):
     for i in range(4):
         contract.submit_async("vote", "election", "apple", f"voter{i}")
     transport.flush()
-    transport.wait_for_height(transport.channel.anchor_peer.ledger.height)
+    transport.wait_for_height(transport.channel.ledger_of(0).height)
     transport.pump()
 
     seen = list(live)
@@ -176,10 +212,10 @@ def test_sqlite_backend_cluster_converges():
             contract.submit("populate", json.dumps({"keys": ["dev-sql"]}))
             tx = contract.submit_async("record", record_call("dev-sql", 0))
             assert tx.commit_status().succeeded
-            transport.wait_for_height(transport.channel.anchor_peer.ledger.height)
+            transport.wait_for_height(transport.ledger_info(0)["height"])
             infos = [transport.ledger_info(i) for i in range(2)]
             assert infos[0]["fingerprint"] == infos[1]["fingerprint"]
             assert (
-                transport.channel.anchor_peer.ledger.state.fingerprint().hex()
+                transport.channel.ledger_of(0).state.fingerprint().hex()
                 == infos[0]["fingerprint"]
             )

@@ -4,8 +4,9 @@
 collects the replies and hands the envelope to the orderer.  These tests
 pin the guarantees that make that safe: submission order is block order,
 FIFO reply matching survives an expired request, ``flush``/``evaluate``
-observe earlier un-awaited submissions, a fresh transport starts caught
-up, and a dead deliver stream is a typed error rather than a long wait.
+observe earlier un-awaited submissions, a fresh transport (and a mirror
+opened later) starts caught up, and a dead deliver stream is a typed error
+rather than a long wait.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def test_unawaited_submissions_are_ordered_as_submitted_and_match_local():
             assert not any(tx.done for tx in submitted[-10:])  # nothing was awaited
             codes = [tx.commit_status().code for tx in submitted]
 
-            ledger = transport.channel.anchor_peer.ledger
+            ledger = transport.channel.ledger_of(0)
             assert ledger.height == 1 + 10  # populate, then ten full blocks
             assert chain_tx_ids(ledger)[1:] == [tx.tx_id for tx in submitted]
             assert [tx.tx_id for tx in submitted] == [tx.tx_id for tx in local_txs]
@@ -145,7 +146,7 @@ def test_flush_and_evaluate_observe_unawaited_submissions(shared_cluster):
     with SocketTransport.connect(shared_cluster.profile) as transport:
         contract = Gateway.connect(transport).get_contract("iot")
         contract.submit("populate", json.dumps({"keys": ["dev-drain"]}))
-        height = transport.channel.anchor_peer.ledger.height
+        height = transport.ledger_info(0)["height"]
 
         first = [contract.submit_async("record", record_call("dev-drain", i)) for i in range(3)]
         ack = transport.flush()
@@ -167,7 +168,7 @@ def test_flush_and_evaluate_observe_unawaited_submissions(shared_cluster):
 def test_close_lets_unawaited_submissions_reach_the_orderer(shared_cluster):
     with SocketTransport.connect(shared_cluster.profile) as transport:
         contract = Gateway.connect(transport).get_contract("iot")
-        height = transport.channel.anchor_peer.ledger.height
+        height = transport.ledger_info(0)["height"]
         for i in range(10):  # one full block, nothing awaited before close()
             contract.submit_async("record", record_call("dev-close", i))
     with SocketTransport.connect(shared_cluster.profile) as transport:
@@ -180,18 +181,22 @@ def test_close_lets_unawaited_submissions_reach_the_orderer(shared_cluster):
 def test_fresh_transport_starts_caught_up_and_live_means_now(shared_cluster):
     with SocketTransport.connect(shared_cluster.profile) as writer:
         voting = Gateway.connect(writer).get_contract("voting")
-        for i in range(35):
-            voting.submit_async("vote", "history", "apple", f"old{i}")
+        old = [voting.submit_async("vote", "history", "apple", f"old{i}") for i in range(35)]
         writer.flush()
-        writer.wait_for_height(writer.channel.anchor_peer.ledger.height)
+        assert old[-1].commit_status().succeeded
+        writer.wait_for_height(writer.ledger_info(0)["height"])
 
     with SocketTransport.connect(shared_cluster.profile) as transport:
-        mirror_heights = [mirror.ledger.height for mirror in transport.channel.peers]
-        peer_heights = [transport.ledger_info(i)["height"] for i in range(2)]
-        assert mirror_heights == peer_heights and min(peer_heights) >= 4
+        # A mirror opened on a cluster with history is at its peer's height
+        # when the call returns...
+        channel = transport.channel
+        assert all(mirror.ledger.height == 0 for mirror in channel.peers)  # not fed yet
+        assert channel.ledger_of(1).height == transport.ledger_info(1)["height"] >= 4
 
+        # ...and so is the one contract_events() opens: "live" means now.
         voting = Gateway.connect(transport).get_contract("voting")
         stream = voting.contract_events(event_name="voted")
+        assert channel.ledger_of(0).height == transport.ledger_info(0)["height"] >= 4
         submitted = [
             voting.submit_async("vote", "fresh", option, f"new{i}")
             for i, option in enumerate(["apple", "banana", "apple"])
@@ -227,15 +232,31 @@ def test_dead_anchor_stream_fails_the_commit_wait_at_once(cluster):
         assert counter.value(peer="Org1.peer0", reason=excinfo.value.reason) == 1
 
 
-def test_dead_non_anchor_stream_does_not_fail_commits(cluster):
+def commits_survive_the_death_of_the_other_peer(cluster, mirror_opened: bool) -> None:
     with SocketTransport.connect(cluster.profile) as transport:
         contract = Gateway.connect(transport).get_contract("iot")
         contract.submit("populate", json.dumps({"keys": ["dev-other"]}))
+        if mirror_opened:
+            transport.wait_for_height(1)  # a mirror is opened at its peer's height *now*
+            assert transport.channel.ledger_of(1).height == 1
+            assert transport.deliver_streams()["Org2.peer0"] == "full"
         other = peer_process(cluster, "Org2.peer0")
         other.kill()
         other.join(10.0)
         submitted = [contract.submit_async("record", record_call("dev-other", i)) for i in range(5)]
         assert all(tx.commit_status().succeeded for tx in submitted)
+        assert transport.deliver_streams() == {"Org1.peer0": "status"}
+        if mirror_opened:
+            assert transport.channel.ledger_of(1).height == 1  # what it held when its peer died
+
+
+def test_dead_non_anchor_stream_does_not_fail_commits(cluster):
+    # Never read, a non-anchor peer has no stream to lose.
+    commits_survive_the_death_of_the_other_peer(cluster, mirror_opened=False)
+
+
+def test_dead_non_anchor_stream_of_an_opened_mirror_does_not_fail_commits(cluster):
+    commits_survive_the_death_of_the_other_peer(cluster, mirror_opened=True)
 
 
 # -- the orderer's batch timeout is one timer, not a poll ---------------------------------
@@ -253,7 +274,5 @@ def test_batch_timeout_cuts_a_lone_envelope_on_time():
             transport.pump(0.005)  # never flushes: only the timeout can cut
         elapsed = time.monotonic() - started
         assert tx.done and 0.2 <= elapsed < 0.35, elapsed
-        block = transport.channel.anchor_peer.ledger.block_at(
-            transport.channel.anchor_peer.ledger.height - 1
-        ).block
-        assert block.cut_reason == "timeout"
+        ledger = transport.channel.ledger_of(0)
+        assert ledger.block_at(ledger.height - 1).block.cut_reason == "timeout"

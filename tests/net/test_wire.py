@@ -23,6 +23,7 @@ from repro.common.types import (
     WriteItem,
 )
 from repro.fabric.block import Block, BlockMetadata, CommittedBlock
+from repro.fabric.events import statuses_from_block
 from repro.fabric.identity import SignedPayload
 from repro.fabric.policy import OutOf, Principal, or_policy
 from repro.fabric.transaction import (
@@ -35,6 +36,7 @@ from repro.fabric.transaction import (
 from repro.net.wire import (
     WireError,
     dec_block,
+    dec_block_status,
     dec_committed_block,
     dec_endorsement_failure,
     dec_envelope,
@@ -45,6 +47,7 @@ from repro.net.wire import (
     dec_rwset,
     dec_version,
     enc_block,
+    enc_block_status,
     enc_committed_block,
     enc_endorsement_failure,
     enc_envelope,
@@ -274,7 +277,27 @@ def test_committed_block_round_trip(committed):
     assert decoded.writes_applied() == committed.writes_applied()
 
 
+@given(committed=committed_blocks())
+@settings(max_examples=25, deadline=None)
+def test_block_status_says_what_the_full_block_says(committed):
+    # What the light client records from a status frame is, field for field,
+    # what a full mirror would have recorded from the block itself.
+    encoded = enc_block_status(committed)
+    header, statuses = dec_block_status(encoded)
+    assert header == committed.block.header and header.hash() == committed.block.header.hash()
+    assert statuses == statuses_from_block(committed)
+    assert enc_block_status(dec_committed_block(enc_committed_block(committed))) == encoded
+    assert "rwset" not in repr(encoded)  # codes and ids only: no read-write sets
+
+
 # -- strictness ---------------------------------------------------------------
+
+_COMMITTED = enc_committed_block(
+    CommittedBlock(block=Block.build(0, b"\x00" * 32, ()), metadata=BlockMetadata(block_num=0))
+)
+_BLOCK = _COMMITTED["block"]
+_STATUS = {"header": _BLOCK["header"], "commit_time": 0.0, "txs": []}
+_PROPOSAL = enc_proposal(Proposal("t", "c", "cc", "f", (), "cl", Principal("Org1")))
 
 
 @pytest.mark.parametrize(
@@ -290,6 +313,22 @@ def test_committed_block_round_trip(committed):
         (dec_block, {"header": {}}),
         (dec_committed_block, {"block": {}}),
         (dec_metadata, {"block_num": 1, "flags": ["NOT_A_CODE"]}),
+        # What a deliver reader or an endorse handler may be handed: each of
+        # these used to escape as AttributeError / TypeError and kill the task.
+        (dec_committed_block, None),
+        (dec_committed_block, {**_COMMITTED, "block": {**_BLOCK, "transactions": 5}}),
+        (dec_committed_block, {**_COMMITTED, "effective_writes": 3}),
+        (dec_committed_block, {**_COMMITTED, "block": {**_BLOCK, "cut_time": None}}),
+        (dec_committed_block, {**_COMMITTED, "commit_time": None}),
+        (dec_metadata, {"block_num": 1, "flags": 7}),
+        (dec_envelope, None),
+        (dec_proposal, {**_PROPOSAL, "submit_time": "soon"}),
+        (dec_block_status, None),
+        (dec_block_status, {**_STATUS, "txs": 1}),
+        (dec_block_status, {**_STATUS, "commit_time": None}),
+        (dec_block_status, {**_STATUS, "header": {**_BLOCK["header"], "number": "0"}}),
+        (dec_block_status, {**_STATUS, "txs": [["tx", "VALID"]]}),
+        (dec_block_status, {**_STATUS, "txs": [["tx", "VALID", True]]}),
     ],
 )
 def test_malformed_input_raises_wire_error(decoder, bad):
