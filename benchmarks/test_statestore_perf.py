@@ -49,12 +49,18 @@ def _record(label: str, ops: int, seconds: float) -> None:
 
 
 @pytest.fixture(scope="module", autouse=True)
-def emit_bench_json():
-    """Write the accumulated rates in the BENCH JSON shape on teardown."""
+def emit_bench_json(tmp_path_factory):
+    """Write the accumulated rates in the BENCH JSON shape on teardown.
+
+    The file goes to ``$BENCH_STATESTORE_JSON`` when that is set (CI uploads
+    it), else under pytest's temporary directory — never into the checkout.
+    """
 
     yield
     if _RESULTS:
-        path = os.environ.get("BENCH_STATESTORE_JSON", "bench-statestore.json")
+        path = os.environ.get("BENCH_STATESTORE_JSON") or str(
+            tmp_path_factory.mktemp("bench") / "bench-statestore.json"
+        )
         JsonReporter(path).emit(BenchmarkReport(results=list(_RESULTS)))
 
 

@@ -13,8 +13,9 @@ The commit pipeline follows Fabric's committer exactly:
    earlier in the same block — invalidates the later occurrence.
 3. **MVCC** (sequential): compare each read's version against the committed
    state *plus the writes of preceding valid transactions in this block*;
-   any mismatch marks ``MVCC_READ_CONFLICT``.  Recorded range queries are
-   re-executed for phantom detection.
+   any mismatch marks ``MVCC_READ_CONFLICT``.  The committed versions are
+   read in bulk, once per block (``StateStore.get_versions``).  Recorded
+   range queries are re-executed for phantom detection.
 4. **Commit**: apply the writes of valid transactions at version
    ``(block_num, tx_num)``, append the block with its metadata, publish
    events.
@@ -302,6 +303,19 @@ class Peer:
                 int(plan.work.get("decode_cache_misses", 0)), peer=self.name
             )
 
+        # Fabric's LoadCommittedVersions: one bulk read of every committed
+        # version the MVCC stage below can ask for.  State does not change
+        # while a block is prepared, so these are the versions at its start.
+        read_keys = {
+            read.key
+            for tx_index, tx in enumerate(block.transactions)
+            if precodes[tx_index] is None
+            and tx_index not in plan.forced_codes
+            and tx_index not in plan.skip_mvcc
+            for read in tx.rwset.reads
+        }
+        committed = self.ledger.state.get_versions(read_keys) if read_keys else {}
+
         pending: dict[str, Optional[Version]] = {}
         effective: list[tuple[int, WriteItem]] = []
         for tx_index, tx in enumerate(block.transactions):
@@ -312,7 +326,7 @@ class Peer:
                 if tx_index in plan.skip_mvcc:
                     code = ValidationCode.VALID
                 else:
-                    code = self._mvcc_validate(tx.rwset, pending, work)
+                    code = self._mvcc_validate(tx.rwset, pending, committed, work)
             if code is ValidationCode.VALID:
                 version = Version(block.number, tx_index)
                 writes = plan.replacement_writes.get(tx_index, tx.rwset.writes)
@@ -410,16 +424,19 @@ class Peer:
         self,
         rwset: ReadWriteSet,
         pending: dict[str, Optional[Version]],
+        committed: dict[str, Optional[Version]],
         work: CommitWork,
     ) -> ValidationCode:
-        """Sequential read-set validation against state + in-block updates."""
+        """Sequential read-set validation: a read must see the version the
+        block's earlier valid writes left (``pending``), else the committed
+        version at block start (``committed``)."""
 
         for read in rwset.reads:
             work.mvcc_reads += 1
             if read.key in pending:
                 current = pending[read.key]
             else:
-                current = self.ledger.state.get_version(read.key)
+                current = committed[read.key]
             if read.version != current:
                 return ValidationCode.MVCC_READ_CONFLICT
         for range_query in rwset.range_queries:

@@ -10,8 +10,9 @@ harness — programs against :class:`StateStore`; the concrete backend
 ``NetworkConfig.state_backend``.
 
 The interface covers the read paths chaincode uses (point reads, versioned
-reads, key-range scans, Mango rich queries), batch application of
-block-scoped :class:`~repro.fabric.store.batch.WriteBatch` objects, and an
+reads, key-range scans, Mango rich queries), the committer's block-scoped
+access (one bulk version read for MVCC, batch application of
+:class:`~repro.fabric.store.batch.WriteBatch` objects), and an
 **incremental state fingerprint**: a 32-byte digest maintained write-by-write
 that two stores share exactly when their full ``(key, version, value)``
 content is identical.  Divergence checks compare fingerprints in O(1)
@@ -30,7 +31,7 @@ from __future__ import annotations
 import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from ...common.serialization import from_bytes
 from ...common.types import Version
@@ -90,6 +91,17 @@ class StateStore(ABC):
         entry = self.get(key)
         return entry.version if entry is not None else None
 
+    def get_versions(self, keys: Iterable[str]) -> dict[str, Optional[Version]]:
+        """Committed version of every key in ``keys`` (``None`` when absent).
+
+        The committer's bulk read — Fabric's ``LoadCommittedVersions``: MVCC
+        validation asks once per block for every key its read sets name.
+        The default asks :meth:`get_version` per key; SQL backends answer
+        in a few statements.
+        """
+
+        return {key: self.get_version(key) for key in keys}
+
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None
 
@@ -139,33 +151,12 @@ class StateStore(ABC):
     def apply_write(self, key: str, value: bytes, version: Version, is_delete: bool = False) -> None:
         """Commit one write.  Deletes remove the key entirely (like Fabric)."""
 
-    def apply_batch(self, batch, base_version: Optional[Version] = None) -> None:
+    def apply_batch(self, batch: WriteBatch) -> None:
         """Apply one block's :class:`WriteBatch` atomically.
 
         The default applies writes sequentially (sufficient for in-process
         backends); durable backends override this with a real transaction.
-
-        .. deprecated:: the legacy ``apply_batch([(key, value, is_delete),
-           ...], base_version)`` form still works but warns once; build a
-           :class:`WriteBatch` instead.
         """
-
-        if base_version is not None:
-            from ...common.deprecation import warn_once
-
-            warn_once(
-                "statestore-apply-batch-tuples",
-                "apply_batch([(key, value, is_delete), ...], base_version) is "
-                "deprecated; build a repro.fabric.store.WriteBatch and pass it",
-            )
-            legacy = WriteBatch(block_number=base_version.block_num)
-            for key, value, is_delete in batch:
-                legacy.put(key, value, base_version, is_delete)
-            batch = legacy
-        self._apply_batch(batch)
-
-    def _apply_batch(self, batch: WriteBatch) -> None:
-        """Backend batch application (override for real transactions)."""
 
         for write in batch:
             self.apply_write(write.key, write.value, write.version, write.is_delete)

@@ -1,7 +1,8 @@
 """A delegating :class:`StateStore` wrapper that measures backend latency.
 
 ``InstrumentedStore`` wraps any concrete backend and times its hot
-operations — point reads, single writes, and block batch application —
+operations — point reads, block-scoped version reads, single writes, and
+block batch application —
 into a telemetry registry's histograms, labelled by node and backend.
 Everything else delegates untouched, including the incremental
 fingerprint, so a wrapped store is observationally identical to the
@@ -16,7 +17,7 @@ simulated time — the cost model owns that) and the socket runtime.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from ...common.types import Version
 from .base import StateStore, VersionedValue
@@ -39,6 +40,11 @@ class InstrumentedStore(StateStore):
         self._get_seconds = metrics.histogram(
             "repro_store_get_seconds",
             "Point-read latency of the state store",
+            buckets=STORE_SECONDS_BUCKETS,
+        )
+        self._versions_seconds = metrics.histogram(
+            "repro_store_get_versions_seconds",
+            "Block-scoped MVCC version read latency (one observation per block)",
             buckets=STORE_SECONDS_BUCKETS,
         )
         self._put_seconds = metrics.histogram(
@@ -74,17 +80,20 @@ class InstrumentedStore(StateStore):
         finally:
             self._put_seconds.observe(perf_counter() - started, **self._labels)
 
-    def apply_batch(self, batch, base_version: Optional[Version] = None) -> None:
+    def get_versions(self, keys: Iterable[str]) -> dict[str, Optional[Version]]:
         started = perf_counter()
         try:
-            self.inner.apply_batch(batch, base_version)
+            return self.inner.get_versions(keys)
+        finally:
+            self._versions_seconds.observe(perf_counter() - started, **self._labels)
+
+    def apply_batch(self, batch: WriteBatch) -> None:
+        started = perf_counter()
+        try:
+            self.inner.apply_batch(batch)
         finally:
             self._batch_seconds.observe(perf_counter() - started, **self._labels)
-            if isinstance(batch, WriteBatch):
-                self._batch_writes.inc(len(batch), **self._labels)
-
-    def _apply_batch(self, batch: WriteBatch) -> None:
-        self.inner._apply_batch(batch)
+            self._batch_writes.inc(len(batch), **self._labels)
 
     # -- pure delegation ----------------------------------------------------------
 

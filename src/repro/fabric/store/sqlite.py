@@ -15,6 +15,12 @@ Design notes:
   range scans return exactly the lexicographic key order the rest of the
   system (and the memory backend) assumes — including composite keys with
   embedded ``\\x00`` separators, which TEXT affinity handles poorly.
+* **The committer's access is block-scoped.**  MVCC validation reads every
+  version a block needs with :meth:`SqliteStore.get_versions` (``key IN
+  (...)`` lookups), and a batch costs one lookup of the entries it
+  replaces, one ``executemany`` for its puts and one for its deletes —
+  Fabric's ``LoadCommittedVersions`` and bulk update, not a statement per
+  read and two per write.
 * **The fingerprint is persisted transactionally.**  The incremental XOR
   fingerprint (see :mod:`repro.fabric.store.base`) is updated in memory per
   write and written to the ``meta`` table in the same transaction as the
@@ -26,12 +32,12 @@ Design notes:
 from __future__ import annotations
 
 import sqlite3
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from ...common.errors import StateError
 from ...common.types import Version
 from .base import FINGERPRINT_BYTES, StateStore, VersionedValue, entry_digest
-from .batch import WriteBatch
+from .batch import BatchWrite, WriteBatch
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS state (
@@ -47,6 +53,13 @@ CREATE TABLE IF NOT EXISTS meta (
 """
 
 _FINGERPRINT_KEY = "fingerprint"
+
+#: ``IN``-list widths of the bulk lookups (see ``SqliteStore._select_in``):
+#: five statement shapes per lookup, whatever the block sizes; a lookup of
+#: n keys takes at most n // 512 + 5 statements.
+_IN_WIDTHS = (32, 64, 128, 256, 512)
+_MIN_IN_WIDTH, _MAX_IN_WIDTH = _IN_WIDTHS[0], _IN_WIDTHS[-1]
+_PLACEHOLDERS = {width: ", ".join("?" * width) for width in _IN_WIDTHS}
 
 
 class SqliteStore(StateStore):
@@ -144,50 +157,46 @@ class SqliteStore(StateStore):
                 VersionedValue(bytes(row[1]), Version(row[2], row[3])),
             )
 
+    def _select_in(self, columns: str, keys: Iterable[str]) -> list[tuple]:
+        """``SELECT columns FROM state WHERE key IN (keys)``, in fixed shapes.
+
+        The keys go in chunks whose widths are in :data:`_IN_WIDTHS`: the
+        largest width that the keys left fill, and a last chunk of fewer
+        than :data:`_MIN_IN_WIDTH` keys padded by repeating its last key
+        (``IN`` is set membership, so a repeat matches its row once).  Every
+        width is one prepared statement in the connection's cache; widths
+        that tracked the key count exactly would each be another.  Padding
+        costs SQLite about as much per value as a real key, so it stays
+        below :data:`_MIN_IN_WIDTH` values per lookup.
+        """
+
+        blobs = [key.encode("utf-8") for key in keys]
+        rows: list[tuple] = []
+        start = 0
+        while start < len(blobs):
+            left = len(blobs) - start
+            width = min(_MAX_IN_WIDTH, max(_MIN_IN_WIDTH, 1 << (left.bit_length() - 1)))
+            chunk = blobs[start : start + width]
+            start += width
+            chunk += chunk[-1:] * (width - len(chunk))
+            rows += self._conn.execute(
+                f"SELECT {columns} FROM state WHERE key IN ({_PLACEHOLDERS[width]})", chunk
+            ).fetchall()
+        return rows
+
+    def get_versions(self, keys: Iterable[str]) -> dict[str, Optional[Version]]:
+        self._require_open()
+        versions: dict[str, Optional[Version]] = dict.fromkeys(keys)
+        for key_blob, block, txn in self._select_in("key, block, txn", versions):
+            versions[key_blob.decode("utf-8")] = Version(block, txn)
+        return versions
+
     # -- writes ------------------------------------------------------------------
 
-    def _write_one(self, key: str, value: bytes, version: Version, is_delete: bool) -> None:
-        """Apply one write inside the caller's transaction, updating the
-        in-memory fingerprint accumulator."""
-
-        key_blob = self._key_blob(key)
-        existing = self._conn.execute(
-            "SELECT value, block, txn FROM state WHERE key = ?", (key_blob,)
-        ).fetchone()
-        if existing is not None:
-            self._fingerprint_acc ^= entry_digest(
-                key, bytes(existing[0]), Version(existing[1], existing[2])
-            )
-        if is_delete:
-            if existing is not None:
-                self._conn.execute("DELETE FROM state WHERE key = ?", (key_blob,))
-            return
-        self._conn.execute(
-            "INSERT OR REPLACE INTO state (key, value, block, txn) VALUES (?, ?, ?, ?)",
-            (key_blob, value, version.block_num, version.tx_num),
-        )
-        self._fingerprint_acc ^= entry_digest(key, value, version)
-
-    def _persist_fingerprint(self) -> None:
-        self._conn.execute(
-            "INSERT OR REPLACE INTO meta (name, value) VALUES (?, ?)",
-            (_FINGERPRINT_KEY, self._fingerprint_acc.to_bytes(FINGERPRINT_BYTES, "big")),
-        )
-
     def apply_write(self, key: str, value: bytes, version: Version, is_delete: bool = False) -> None:
-        self._require_open()
-        saved_fingerprint = self._fingerprint_acc
-        self._conn.execute("BEGIN")
-        try:
-            self._write_one(key, value, version, is_delete)
-            self._persist_fingerprint()
-        except BaseException:
-            self._conn.execute("ROLLBACK")
-            self._fingerprint_acc = saved_fingerprint
-            raise
-        self._conn.execute("COMMIT")
+        self._apply([BatchWrite(key, value, version, is_delete)])
 
-    def _apply_batch(self, batch: WriteBatch) -> None:
+    def apply_batch(self, batch: WriteBatch) -> None:
         """One block, one SQL transaction: all-or-nothing visibility.
 
         Intermediate same-key writes are coalesced away — only the last
@@ -195,13 +204,43 @@ class SqliteStore(StateStore):
         ``UpdateBatch`` commits.
         """
 
+        self._apply(batch.coalesced())
+
+    def _apply(self, writes: list[BatchWrite]) -> None:
+        """Apply distinct-key writes in one SQL transaction: one lookup of
+        the entries they replace, one statement for the puts, one for the
+        deletes, and the fingerprint persisted beside them."""
+
         self._require_open()
         saved_fingerprint = self._fingerprint_acc
         self._conn.execute("BEGIN")
         try:
-            for write in batch.coalesced():
-                self._write_one(write.key, write.value, write.version, write.is_delete)
-            self._persist_fingerprint()
+            for key_blob, value, block, txn in self._select_in(
+                "key, value, block, txn", (write.key for write in writes)
+            ):
+                self._fingerprint_acc ^= entry_digest(
+                    key_blob.decode("utf-8"), value, Version(block, txn)
+                )
+            puts, deletes = [], []
+            for write in writes:
+                key_blob = self._key_blob(write.key)
+                if write.is_delete:
+                    deletes.append((key_blob,))
+                    continue
+                version = write.version
+                puts.append((key_blob, write.value, version.block_num, version.tx_num))
+                self._fingerprint_acc ^= entry_digest(write.key, write.value, version)
+            if puts:
+                self._conn.executemany(
+                    "INSERT OR REPLACE INTO state (key, value, block, txn) VALUES (?, ?, ?, ?)",
+                    puts,
+                )
+            if deletes:
+                self._conn.executemany("DELETE FROM state WHERE key = ?", deletes)
+            self._conn.execute(
+                "INSERT OR REPLACE INTO meta (name, value) VALUES (?, ?)",
+                (_FINGERPRINT_KEY, self._fingerprint_acc.to_bytes(FINGERPRINT_BYTES, "big")),
+            )
         except BaseException:
             self._conn.execute("ROLLBACK")
             self._fingerprint_acc = saved_fingerprint

@@ -6,6 +6,7 @@ from repro.common.errors import StateError
 from repro.common.serialization import to_bytes
 from repro.common.types import Version
 from repro.fabric.statedb import StateDB, compile_selector
+from repro.fabric.store import WriteBatch
 
 
 def put(db, key, value, block=0, tx=0):
@@ -48,7 +49,10 @@ class TestVersionedStore:
 
     def test_apply_batch(self):
         db = StateDB()
-        db.apply_batch([("a", b"1", False), ("b", b"2", False)], Version(0, 0))
+        batch = WriteBatch(block_number=0)
+        batch.put("a", b"1", Version(0, 0))
+        batch.put("b", b"2", Version(0, 0))
+        db.apply_batch(batch)
         assert len(db) == 2
 
 
