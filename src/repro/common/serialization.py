@@ -11,6 +11,7 @@ UTF-8 JSON) used by every component.
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring
 from typing import Any
 
 from .errors import SerializationError
@@ -22,17 +23,29 @@ _ENCODER = json.JSONEncoder(
     allow_nan=False,
 )
 
+#: ``_ENCODER``'s settings as a C encoder built once: ``JSONEncoder.encode``
+#: builds a fresh one (and a closure) on every call, which costs more than
+#: encoding a small value.  No circular-reference markers: JSON decodes to
+#: trees, and a cyclic value still fails (``RecursionError``), never loops.
+_ENCODE_CHUNKS = (
+    c_make_encoder(None, _ENCODER.default, encode_basestring, None, ":", ",", True, False, False)
+    if c_make_encoder is not None
+    else None
+)
+
 
 def canonical_json(value: Any) -> str:
     """Serialize ``value`` to canonical JSON text.
 
     Raises :class:`SerializationError` for values outside the JSON model
-    (sets, bytes, NaN, custom objects...).
+    (sets, bytes, NaN, custom objects, cycles...).
     """
 
     try:
-        return _ENCODER.encode(value)
-    except (TypeError, ValueError) as exc:
+        if _ENCODE_CHUNKS is None:  # pragma: no cover - see _ENCODE_CHUNKS
+            return _ENCODER.encode(value)
+        return "".join(_ENCODE_CHUNKS(value, 0))
+    except (TypeError, ValueError, RecursionError) as exc:
         raise SerializationError(f"value is not canonically serializable: {exc}") from exc
 
 

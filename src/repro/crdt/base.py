@@ -97,6 +97,21 @@ class StateCRDT:
         return f"{type(self).__name__}({self.value()!r})"
 
 
+def tombstones_from_dict(raw: dict) -> dict[str, set[str]]:
+    """Observed-remove tombstones ``{key: [tag, ...]}`` as sets.
+
+    Raises ``ValueError`` unless every tag is a string: tags are sorted when
+    the state is written back, and a stray number among them would fail
+    there, in the committer, instead of here.
+    """
+
+    tombstones = {key: set(tags) for key, tags in raw.items()}
+    for tags in tombstones.values():
+        if not all(type(tag) is str for tag in tags):
+            raise ValueError(f"tombstone tags must be strings: {sorted(map(repr, tags))}")
+    return tombstones
+
+
 class OpCRDT:
     """Abstract operation-based CRDT.
 

@@ -19,10 +19,12 @@ class GCounter(StateCRDT):
     def __init__(self, entries: dict[str, int] | None = None) -> None:
         self._entries: dict[str, int] = {}
         for actor, count in (entries or {}).items():
-            if count < 0:
-                raise ValueError(f"negative count for {actor!r}: {count}")
+            # Exactly int: a float would be truncated and a bool counted, and
+            # either would make replicas disagree on what they merged.
+            if type(count) is not int or count < 0:
+                raise ValueError(f"count for {actor!r} must be a non-negative int: {count!r}")
             if count:
-                self._entries[actor] = int(count)
+                self._entries[actor] = count
 
     def increment(self, actor: str, amount: int = 1) -> "GCounter":
         """Return a new counter with ``actor`` incremented by ``amount``."""

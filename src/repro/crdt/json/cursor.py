@@ -15,7 +15,7 @@ from typing import Union
 from .ids import OpId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MapStep:
     """Descend into the value bound to ``key`` of a map node."""
 
@@ -25,7 +25,7 @@ class MapStep:
         return f".{self.key}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ListStep:
     """Descend into the list element identified by ``element_id``."""
 
@@ -38,7 +38,7 @@ class ListStep:
 Step = Union[MapStep, ListStep]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cursor:
     """An immutable path of steps from the document root."""
 

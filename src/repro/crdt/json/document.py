@@ -13,17 +13,22 @@
 Local editing (``assign`` / ``insert_at`` / ``delete_at`` / ...) generates
 operations against the current state and applies them immediately; callers
 replicate the returned operations to other documents.
+
+The document keeps state, not history: once an operation's effect is in the
+tree only its ID is remembered (idempotence and causal delivery need no
+more), so the returned operations are the caller's to keep or drop.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, NamedTuple, Optional, Union
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Union
 
 from ...common.clock import LamportClock
 from ...common.errors import CausalityError, CursorError
 from .cursor import Cursor, MapStep
 from .ids import OpId
 from .mutation import (
+    CONTAINER_PAYLOADS,
     AssignKey,
     DeleteElem,
     DeleteKey,
@@ -58,6 +63,10 @@ class Located(NamedTuple):
         return Located(child, self.trail + ((slot, branch),), path_ids)
 
 
+#: A mutation handler: ``(target, mutation, op_id)`` — see ``_apply_located``.
+Handler = Callable[[Any, Mutation, OpId], None]
+
+
 class JsonDocument:
     """A replicated JSON document (op-based CRDT)."""
 
@@ -68,7 +77,6 @@ class JsonDocument:
         self._applied: set[OpId] = set()
         #: op buffered -> missing dependencies
         self._buffer: dict[OpId, Operation] = {}
-        self._op_log: list[Operation] = []
 
     # -- introspection -------------------------------------------------------
 
@@ -79,12 +87,6 @@ class JsonDocument:
     @property
     def pending_count(self) -> int:
         return len(self._buffer)
-
-    @property
-    def op_log(self) -> tuple[Operation, ...]:
-        """All operations applied, in application order."""
-
-        return tuple(self._op_log)
 
     def has_applied(self, op_id: OpId) -> bool:
         return op_id in self._applied
@@ -192,43 +194,56 @@ class JsonDocument:
         return slot.list_child
 
     def _execute(self, operation: Operation) -> None:
-        branch = "map" if isinstance(operation.mutation, (AssignKey, DeleteKey)) else "list"
-        self._apply_located(operation, self.locate(operation.cursor, branch))
+        """Apply a remote operation: walk to its container, find its target."""
 
-    def _apply_located(self, operation: Operation, at: Located) -> None:
-        """Apply ``operation`` in place at the container already found."""
+        mutation = operation.mutation
+        if isinstance(mutation, AssignKey):
+            at = self.locate(operation.cursor, "map")
+            apply, target = self._assign_at, at.node.ensure_slot(mutation.key, self.stats)
+        elif isinstance(mutation, InsertAfter):
+            at = self.locate(operation.cursor, "list")
+            apply, target = self._insert_at, at.node
+        elif isinstance(mutation, DeleteKey):
+            at = self.locate(operation.cursor, "map")
+            apply, target = self._delete_at, at.node.slot(mutation.key)
+        elif isinstance(mutation, DeleteElem):
+            at = self.locate(operation.cursor, "list")
+            cell = at.node.get(mutation.element_id)
+            apply, target = self._delete_at, cell.slot if cell is not None else None
+        else:  # pragma: no cover - exhaustive over Mutation union
+            raise TypeError(f"unknown mutation: {mutation!r}")
+        self._apply_located(operation, at, apply, target)
+        self.clock.merge(operation.id)
+
+    def _apply_located(
+        self, operation: Operation, at: Located, apply: Handler, target: Any
+    ) -> None:
+        """Apply ``operation`` in place: the trail, then ``apply(target, ...)``.
+
+        ``target`` is what the mutation changes inside ``at.node`` — the
+        slot of an assign or delete (``None`` for a delete of nothing), the
+        list of an insert — and ``apply`` the handler for its mutation.
+        """
 
         op_id = operation.id
         for slot, via in at.trail:
             slot.presence.add(op_id)
-            slot.note_branch(via, op_id)
-        mutation = operation.mutation
-        if isinstance(mutation, AssignKey):
-            self._do_assign(at.node, mutation, op_id)
-        elif isinstance(mutation, InsertAfter):
-            self._do_insert(at.node, mutation, op_id)
-        elif isinstance(mutation, DeleteKey):
-            self._do_delete(at.node.slot(mutation.key), mutation.observed)
-        elif isinstance(mutation, DeleteElem):
-            cell = at.node.get(mutation.element_id)
-            self._do_delete(cell.slot if cell is not None else None, mutation.observed)
-        else:  # pragma: no cover - exhaustive over Mutation union
-            raise TypeError(f"unknown mutation: {mutation!r}")
+            branch_ops = slot.branch_ops  # keep the highest ID per branch
+            if via not in branch_ops or branch_ops[via] < op_id:
+                branch_ops[via] = op_id
+        apply(target, operation.mutation, op_id)
         self._applied.add(op_id)
-        self._op_log.append(operation)
-        self.clock.merge(op_id)
         self.stats.ops_applied += 1
 
-    # -- mutation handlers ---------------------------------------------------------
+    # -- mutation handlers: (target, mutation, op_id) --------------------------------
 
-    def _do_assign(self, node: MapNode, mutation: AssignKey, op_id: OpId) -> None:
-        slot = node.ensure_slot(mutation.key, self.stats)
+    def _assign_at(self, slot: Slot, mutation: AssignKey, op_id: OpId) -> None:
         slot.presence.add(op_id)
         for overwritten in mutation.overwrites:
             slot.leaf_values.pop(overwritten, None)
         self._write_payload(slot, mutation.payload, op_id)
 
-    def _do_insert(self, node: ListNode, mutation: InsertAfter, op_id: OpId) -> None:
+    def _insert_at(self, node: ListNode, mutation: InsertAfter, op_id: OpId) -> None:
         if op_id in node.cells:
             return  # content-addressed duplicate: idempotent by construction
         if mutation.anchor is not None and mutation.anchor not in node.cells:
@@ -242,19 +257,23 @@ class JsonDocument:
         kind = payload.kind
         if kind is PayloadKind.LEAF:
             slot.leaf_values[op_id] = payload.leaf
-            slot.note_branch("leaf", op_id)
+            branch = "leaf"
         else:
             branch = "map" if kind is PayloadKind.EMPTY_MAP else "list"
             self._child(slot, branch)
-            slot.note_branch(branch, op_id)
+        branch_ops = slot.branch_ops  # keep the highest ID per branch
+        if branch not in branch_ops or branch_ops[branch] < op_id:
+            branch_ops[branch] = op_id
 
     @staticmethod
-    def _do_delete(slot: Optional[Slot], observed: frozenset[OpId]) -> None:
+    def _delete_at(
+        slot: Optional[Slot], mutation: Union[DeleteKey, DeleteElem], op_id: OpId
+    ) -> None:
         if slot is None:
             return  # deleting a never-seen key or element is a no-op
-        slot.presence -= observed
-        for op_id in observed:
-            slot.leaf_values.pop(op_id, None)
+        slot.presence -= mutation.observed
+        for observed in mutation.observed:
+            slot.leaf_values.pop(observed, None)
 
     # -- local editing API ------------------------------------------------------------
     #
@@ -264,34 +283,35 @@ class JsonDocument:
 
     def assign(
         self, cursor: Cursor, key: str, value: str,
-        deps: Optional[frozenset[OpId]] = None,
+        deps: Optional[Iterable[OpId]] = None,
         at: Optional[Located] = None,
     ) -> Operation:
         """Assign string ``value`` at ``key`` of the map at ``cursor``."""
 
         if at is None:
             at = self.locate(cursor, "map")
-        slot = at.node.slot(key)
-        overwrites = frozenset(slot.leaf_values) if slot is not None else frozenset()
+        slot = at.node.ensure_slot(key, self.stats)
+        overwrites = frozenset(slot.leaf_values)
         mutation = AssignKey(key, Payload.string(value), overwrites)
-        return self._emit(cursor, mutation, at, overwrites, deps=deps)
+        return self._emit(cursor, mutation, at, self._assign_at, slot, overwrites, deps=deps)
 
     def assign_container(
         self, cursor: Cursor, key: str, kind: str,
-        deps: Optional[frozenset[OpId]] = None,
+        deps: Optional[Iterable[OpId]] = None,
         at: Optional[Located] = None,
     ) -> Operation:
         """Create an empty map (``kind='map'``) or list (``'list'``) at key."""
 
         if at is None:
             at = self.locate(cursor, "map")
-        payload = Payload.empty_map() if kind == "map" else Payload.empty_list()
-        return self._emit(cursor, AssignKey(key, payload), at, deps=deps)
+        payload = CONTAINER_PAYLOADS[kind]
+        slot = at.node.ensure_slot(key, self.stats)
+        return self._emit(cursor, AssignKey(key, payload), at, self._assign_at, slot, deps=deps)
 
     def insert_after(
         self, cursor: Cursor, anchor: Optional[OpId], payload: Payload,
         op_id: Optional[OpId] = None,
-        deps: Optional[frozenset[OpId]] = None,
+        deps: Optional[Iterable[OpId]] = None,
         at: Optional[Located] = None,
     ) -> Operation:
         """Insert into the list at ``cursor`` after ``anchor`` (None = head).
@@ -303,12 +323,14 @@ class JsonDocument:
         if at is None:
             at = self.locate(cursor, "list")
         refs = () if anchor is None else (anchor,)
-        return self._emit(cursor, InsertAfter(anchor, payload), at, refs, op_id, deps)
+        return self._emit(
+            cursor, InsertAfter(anchor, payload), at, self._insert_at, at.node, refs, op_id, deps
+        )
 
     def append(
         self, cursor: Cursor, payload: Payload,
         op_id: Optional[OpId] = None,
-        deps: Optional[frozenset[OpId]] = None,
+        deps: Optional[Iterable[OpId]] = None,
         at: Optional[Located] = None,
     ) -> Operation:
         """Insert at the end of the visible list at ``cursor``."""
@@ -316,35 +338,45 @@ class JsonDocument:
         if at is None:
             at = self.locate(cursor, "list")
         anchor = at.node.last_visible_id(self.stats)
-        return self.insert_after(cursor, anchor, payload, op_id=op_id, deps=deps, at=at)
+        return self.insert_after(cursor, anchor, payload, op_id, deps, at)
 
     def delete_key(
-        self, cursor: Cursor, key: str, deps: Optional[frozenset[OpId]] = None,
+        self, cursor: Cursor, key: str, deps: Optional[Iterable[OpId]] = None,
     ) -> Operation:
         at = self.locate(cursor, "map")
         slot = at.node.slot(key)
         observed = frozenset(slot.presence) if slot is not None else frozenset()
-        return self._emit(cursor, DeleteKey(key, observed), at, observed, deps=deps)
+        return self._emit(
+            cursor, DeleteKey(key, observed), at, self._delete_at, slot, observed, deps=deps
+        )
 
     def delete_elem(
-        self, cursor: Cursor, element_id: OpId, deps: Optional[frozenset[OpId]] = None,
+        self, cursor: Cursor, element_id: OpId, deps: Optional[Iterable[OpId]] = None,
     ) -> Operation:
         at = self.locate(cursor, "list")
         cell = at.node.get(element_id)
-        observed = frozenset(cell.slot.presence) if cell is not None else frozenset()
+        slot = cell.slot if cell is not None else None
+        observed = frozenset(slot.presence) if slot is not None else frozenset()
         refs = observed | {element_id}
-        return self._emit(cursor, DeleteElem(element_id, observed), at, refs, deps=deps)
+        return self._emit(
+            cursor, DeleteElem(element_id, observed), at, self._delete_at, slot, refs, deps=deps
+        )
 
     def _emit(
         self,
         cursor: Cursor,
         mutation: Mutation,
         at: Located,
+        apply: Handler,
+        target: Any,
         refs: Iterable[OpId] = (),
         op_id: Optional[OpId] = None,
-        deps: Optional[frozenset[OpId]] = None,
+        deps: Optional[Iterable[OpId]] = None,
     ) -> Operation:
         """Name, build and apply a local operation at ``at``.
+
+        The edit that built ``mutation`` already found its ``target`` and
+        names its handler ``apply`` (see :meth:`_apply_located`).
 
         ``refs`` are the operation IDs the mutation names.  An operation
         cannot execute before the cells its cursor traverses exist
@@ -358,10 +390,12 @@ class JsonDocument:
         full_deps = at.path_ids.union(refs, deps or ())
         if new_id in full_deps:
             full_deps = full_deps - {new_id}
-        operation = Operation(id=new_id, deps=full_deps, cursor=cursor, mutation=mutation)
+        operation = Operation(new_id, full_deps, cursor, mutation)
         if new_id in self._applied:
             return operation  # already present (content-addressed duplicate)
-        self._apply_located(operation, at)
+        self._apply_located(operation, at, apply, target)
+        if op_id is not None:
+            self.clock.merge(op_id)  # a ticked ID is the clock already; a named one may lead
         if self._buffer:
             self._drain_buffer()
         return operation
@@ -386,10 +420,14 @@ class JsonDocument:
         )
 
 
-def replicate(source: JsonDocument, actor: str) -> JsonDocument:
-    """A new document with the source's op log applied (a fresh replica)."""
+def replicate(operations: Iterable[Operation], actor: str) -> JsonDocument:
+    """A fresh replica: a new document with ``operations`` applied.
+
+    The operations are what the source's edits and ``merge_json`` returned;
+    the source keeps no history of them.
+    """
 
     replica = JsonDocument(actor)
-    replica.apply_all(source.op_log)
+    replica.apply_all(operations)
     replica.require_quiescent()
     return replica

@@ -33,8 +33,8 @@ from ...common.errors import SerializationError, UnsupportedValueError
 from ...common.serialization import canonical_json
 from .cursor import Cursor, ListStep, MapStep
 from .document import JsonDocument, Located
-from .ids import OpId, content_id_of_canonical
-from .mutation import Payload
+from .ids import content_id_of_canonical
+from .mutation import CONTAINER_PAYLOADS, Payload
 from .operation import Operation
 
 
@@ -89,8 +89,13 @@ def merge_checked(
 
     ops: list[Operation] = []
     root = Cursor()
-    _merge_map(document, root, document.locate(root, "map"), value, ops, options)
+    _merge_map(document, root, "$", document.locate(root, "map"), value, ops, options)
     return ops
+
+
+#: The kinds of the builtin types JSON decodes to.  The check and the merge
+#: look a value's type up here inline and call :func:`_kind` only on a miss.
+_EXACT_KINDS: dict[type, str] = {dict: "map", list: "list", str: "leaf"}
 
 
 def _kind(value: Any) -> str:
@@ -98,12 +103,8 @@ def _kind(value: Any) -> str:
     abstract-base-class checks (an order of magnitude slower) only after."""
 
     cls = type(value)
-    if cls is dict:
-        return "map"
-    if cls is list:
-        return "list"
-    if cls is str:
-        return "leaf"
+    if cls in _EXACT_KINDS:
+        return _EXACT_KINDS[cls]
     if isinstance(value, Mapping):
         return "map"
     if isinstance(value, Sequence) and not isinstance(value, (str, bytes)):
@@ -114,14 +115,14 @@ def _kind(value: Any) -> str:
 def _check_value(value: Any, options: MergeOptions) -> None:
     """Reject a value the merge cannot finish: one iterative walk over it."""
 
-    pending = [(value, 1)]
+    pending = [(value, "map", 1)]
     while pending:
-        container, depth = pending.pop()
+        container, kind, depth = pending.pop()
         if depth > MAX_NESTING_DEPTH:
             raise UnsupportedValueError(
                 f"value nested deeper than {MAX_NESTING_DEPTH} levels"
             )
-        if _kind(container) == "map":
+        if kind == "map":
             for key in container:
                 if not isinstance(key, str):
                     raise UnsupportedValueError(f"map keys must be strings, got {key!r}")
@@ -129,18 +130,12 @@ def _check_value(value: Any, options: MergeOptions) -> None:
         else:
             children = container
         for child in children:
-            if type(child) is str:
-                continue
-            if _kind(child) == "leaf":
+            cls = type(child)
+            kind = _EXACT_KINDS[cls] if cls in _EXACT_KINDS else _kind(child)
+            if kind != "leaf":
+                pending.append((child, kind, depth + 1))
+            elif cls is not str:
                 _coerce_leaf(child, options)
-            else:
-                pending.append((child, depth + 1))
-
-
-def _chain_deps(ops: list[Operation]) -> frozenset[OpId]:
-    """Dependency set for the next operation: the previously emitted op."""
-
-    return frozenset({ops[-1].id}) if ops else frozenset()
 
 
 def _coerce_leaf(value: Any, options: MergeOptions) -> str:
@@ -161,57 +156,69 @@ def _coerce_leaf(value: Any, options: MergeOptions) -> str:
 def _merge_map(
     document: JsonDocument,
     cursor: Cursor,
+    path: str,
     at: Located,
     mapping: Mapping[str, Any],
     ops: list[Operation],
     options: MergeOptions,
 ) -> None:
+    """Merge ``mapping`` into the map at ``cursor``.
+
+    ``path`` is ``cursor.path_repr()``, carried down the recursion a step at
+    a time rather than rendered again for every list (content IDs hash it).
+    """
+
     for key, value in mapping.items():
-        kind = _kind(value)
+        # Algorithm 2's ``dependencies``: each operation depends on the last.
+        deps = (ops[-1].id,) if ops else ()
+        cls = type(value)
+        kind = _EXACT_KINDS[cls] if cls in _EXACT_KINDS else _kind(value)
         if kind == "leaf":
-            leaf = _coerce_leaf(value, options)
-            ops.append(document.assign(cursor, key, leaf, deps=_chain_deps(ops), at=at))
+            ops.append(document.assign(cursor, key, _coerce_leaf(value, options), deps, at))
             continue
-        ops.append(document.assign_container(cursor, key, kind, deps=_chain_deps(ops), at=at))
+        ops.append(document.assign_container(cursor, key, kind, deps, at))
         below = at.below(at.node.slots[key], kind)
         merge = _merge_map if kind == "map" else _merge_list
-        merge(document, cursor.extended(MapStep(key)), below, value, ops, options)
+        cursor_below = cursor.extended(MapStep(key))
+        merge(document, cursor_below, f"{path}.{key}", below, value, ops, options)
 
 
 def _merge_list(
     document: JsonDocument,
     cursor: Cursor,
+    path: str,
     at: Located,
     items: Sequence[Any],
     ops: list[Operation],
     options: MergeOptions,
 ) -> None:
-    path_repr = cursor.path_repr()
     occurrences: dict[str, int] = {}
     for item in items:
-        kind = _kind(item)
+        cls = type(item)
+        kind = _EXACT_KINDS[cls] if cls in _EXACT_KINDS else _kind(item)
         if kind == "leaf":
             item = _coerce_leaf(item, options)
             payload = Payload.string(item)
         else:
-            payload = Payload.empty_map() if kind == "map" else Payload.empty_list()
-        content_key = canonical_json(item)
-        occurrence = occurrences.get(content_key, 0)
-        occurrences[content_key] = occurrence + 1
+            payload = CONTAINER_PAYLOADS[kind]
 
         elem_id = None
         if options.dedup_identical:
-            elem_id = content_id_of_canonical(path_repr, content_key, occurrence)
+            content_key = canonical_json(item)
+            occurrence = occurrences.get(content_key, 0)
+            occurrences[content_key] = occurrence + 1
+            elem_id = content_id_of_canonical(path, content_key, occurrence)
             if document.has_applied(elem_id):
                 # Identical item already merged at this path: idempotent skip,
                 # including its entire subtree (identical by construction).
                 continue
 
-        operation = document.append(
-            cursor, payload, op_id=elem_id, deps=_chain_deps(ops), at=at
-        )
+        deps = (ops[-1].id,) if ops else ()
+        operation = document.append(cursor, payload, elem_id, deps, at)
         ops.append(operation)
         if kind != "leaf":
             below = at.below(at.node.cells[operation.id].slot, kind, operation.id)
             merge = _merge_map if kind == "map" else _merge_list
-            merge(document, cursor.extended(ListStep(operation.id)), below, item, ops, options)
+            cursor_below = cursor.extended(ListStep(operation.id))
+            path_below = f"{path}[{operation.id}]"  # the ListStep's text
+            merge(document, cursor_below, path_below, below, item, ops, options)

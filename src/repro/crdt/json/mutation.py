@@ -27,7 +27,7 @@ class PayloadKind(enum.Enum):
     EMPTY_LIST = "list"    # a fresh empty list node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Payload:
     """The content carried by an assign/insert mutation."""
 
@@ -44,16 +44,27 @@ class Payload:
             raise TypeError(f"leaf payloads must be strings, got {type(value).__name__}")
         return cls(PayloadKind.LEAF, value)
 
-    @classmethod
-    def empty_map(cls) -> "Payload":
-        return cls(PayloadKind.EMPTY_MAP)
+    @staticmethod
+    def empty_map() -> "Payload":
+        """The empty-map payload: one shared frozen instance."""
 
-    @classmethod
-    def empty_list(cls) -> "Payload":
-        return cls(PayloadKind.EMPTY_LIST)
+        return _EMPTY_MAP
+
+    @staticmethod
+    def empty_list() -> "Payload":
+        """The empty-list payload: one shared frozen instance."""
+
+        return _EMPTY_LIST
 
 
-@dataclass(frozen=True)
+_EMPTY_MAP = Payload(PayloadKind.EMPTY_MAP)
+_EMPTY_LIST = Payload(PayloadKind.EMPTY_LIST)
+
+#: The payload creating an empty container, by kind (``"map"`` / ``"list"``).
+CONTAINER_PAYLOADS: dict[str, Payload] = {"map": _EMPTY_MAP, "list": _EMPTY_LIST}
+
+
+@dataclass(frozen=True, slots=True)
 class AssignKey:
     """Assign ``payload`` to ``key`` of the map node at the cursor.
 
@@ -67,7 +78,7 @@ class AssignKey:
     overwrites: frozenset[OpId] = field(default_factory=frozenset)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InsertAfter:
     """Insert a new element into the list node at the cursor.
 
@@ -79,7 +90,7 @@ class InsertAfter:
     payload: Payload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeleteKey:
     """Delete ``key`` from the map node at the cursor (observed-remove)."""
 
@@ -87,7 +98,7 @@ class DeleteKey:
     observed: frozenset[OpId]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeleteElem:
     """Delete the list element at the cursor's final list step."""
 

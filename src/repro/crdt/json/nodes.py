@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 from .ids import OpId
 
 
-@dataclass
+@dataclass(slots=True)
 class DocumentStats:
     """Work counters used by the benchmark cost model.
 
@@ -49,7 +49,7 @@ class DocumentStats:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class Slot:
     """A value container: MVR leaf values + optional child map / child list."""
 
@@ -58,17 +58,14 @@ class Slot:
     map_child: Optional["MapNode"] = None
     list_child: Optional["ListNode"] = None
     #: Highest op ID that wrote each branch — used to pick the winning branch
-    #: at conversion time when concurrent ops assigned different types.
+    #: at conversion time when concurrent ops assigned different types.  An
+    #: operation passing through or writing the slot raises its entry
+    #: (``JsonDocument._apply_located`` / ``_write_payload``).
     branch_ops: dict[str, OpId] = field(default_factory=dict)
 
     @property
     def visible(self) -> bool:
         return bool(self.presence)
-
-    def note_branch(self, branch: str, op_id: OpId) -> None:
-        current = self.branch_ops.get(branch)
-        if current is None or op_id > current:
-            self.branch_ops[branch] = op_id
 
     def winning_branch(self) -> Optional[str]:
         """The branch written by the highest op ID, or ``None`` if empty."""
@@ -95,7 +92,7 @@ class Slot:
         return self.leaf_values[winner]
 
 
-@dataclass
+@dataclass(slots=True)
 class MapNode:
     """An unordered mapping of string keys to slots."""
 
@@ -116,7 +113,7 @@ class MapNode:
         return sorted(key for key, slot in self.slots.items() if slot.visible)
 
 
-@dataclass
+@dataclass(slots=True)
 class Cell:
     """One RGA list element: identity, left anchor, and a slot of content."""
 

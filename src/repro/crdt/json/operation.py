@@ -15,7 +15,7 @@ from .ids import OpId
 from .mutation import Mutation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """One uniquely identified mutation of a JSON document."""
 

@@ -86,4 +86,8 @@ class MVRegister(StateCRDT):
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MVRegister":
-        return cls((e["value"], e["vv"]) for e in payload["entries"])
+        entries = [(e["value"], e["vv"]) for e in payload["entries"]]
+        for _, vv in entries:
+            if type(vv) is not dict or not all(type(n) is int and n >= 0 for n in vv.values()):
+                raise ValueError(f"a version vector maps actors to non-negative ints: {vv!r:.80}")
+        return cls(entries)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from ..common.errors import MergeTypeError
-from .base import StateCRDT
+from .base import StateCRDT, tombstones_from_dict
 from .registry import crdt_from_dict_envelope, crdt_to_dict_envelope
 
 
@@ -142,5 +142,4 @@ class ORMap(StateCRDT):
             key: {tag: crdt_from_dict_envelope(raw) for tag, raw in tagged.items()}
             for key, tagged in payload["entries"].items()
         }
-        tombstones = {key: set(tags) for key, tags in payload["tombstones"].items()}
-        return cls(entries, tombstones)
+        return cls(entries, tombstones_from_dict(payload["tombstones"]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from ..common.serialization import canonical_json
-from .base import StateCRDT
+from .base import StateCRDT, tombstones_from_dict
 
 
 class ORSet(StateCRDT):
@@ -111,7 +111,7 @@ class ORSet(StateCRDT):
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ORSet":
-        return cls(
-            {k: dict(v) for k, v in payload["adds"].items()},
-            {k: set(v) for k, v in payload["tombstones"].items()},
-        )
+        adds = payload["adds"]
+        if not all(type(tagged) is dict for tagged in adds.values()):
+            raise ValueError("or-set adds must map each element key to {tag: element}")
+        return cls(adds, tombstones_from_dict(payload["tombstones"]))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..common.errors import MergeTypeError
+from ..common.errors import CRDTError, MergeTypeError, SerializationError
 from ..common.serialization import from_bytes, to_bytes
 from .base import ENVELOPE_MARKER, ENVELOPE_VERSION, StateCRDT
 
@@ -76,6 +76,14 @@ def crdt_to_dict_envelope(value: StateCRDT) -> dict:
 
 
 def crdt_from_dict_envelope(envelope: dict) -> StateCRDT:
+    """The state CRDT an envelope holds.
+
+    Raises :class:`MergeTypeError` for anything that is not a well-formed
+    envelope of a registered type — a committer decodes envelopes straight
+    from client write-sets, so a malformed ``state`` must be refused like
+    any other bad payload, never escape as a ``KeyError`` or ``TypeError``.
+    """
+
     _ensure_builtins()
     if not isinstance(envelope, dict) or "crdt" not in envelope:
         raise MergeTypeError(f"not a CRDT envelope: {envelope!r:.120}")
@@ -85,10 +93,15 @@ def crdt_from_dict_envelope(envelope: dict) -> StateCRDT:
     if "state" not in envelope:
         raise MergeTypeError(f"envelope missing state payload: {envelope!r:.120}")
     type_name = envelope["crdt"]
-    cls = _REGISTRY.get(type_name)
+    cls = _REGISTRY.get(type_name) if isinstance(type_name, str) else None
     if cls is None:
-        raise MergeTypeError(f"unknown CRDT type: {type_name!r}")
-    return cls.from_dict(envelope["state"])
+        raise MergeTypeError(f"unknown CRDT type: {type_name!r:.120}")
+    try:
+        return cls.from_dict(envelope["state"])
+    except CRDTError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, SerializationError) as exc:
+        raise MergeTypeError(f"malformed {type_name} state: {exc!r:.120}") from exc
 
 
 def crdt_to_bytes(value: StateCRDT) -> bytes:

@@ -108,7 +108,10 @@ class TextDocument(StateCRDT):
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TextDocument":
-        return cls(payload["actor"], RGA.from_dict(payload["rga"]))
+        rga = RGA.from_dict(payload["rga"])
+        if not all(type(cell["value"]) is str for cell in payload["rga"]["cells"]):
+            raise ValueError("text cells hold strings")
+        return cls(payload["actor"], rga)
 
     def __repr__(self) -> str:
         preview = self.text()

@@ -49,8 +49,10 @@ class DeliverSession:
     ) -> None:
         if start_block < 0:
             raise DeliverError(f"deliver start_block must be non-negative: {start_block}")
-        self.peer = peer
-        self._consumer = consumer
+        #: The serving peer; ``None`` once closed (``peer_name`` stays).
+        self.peer: Optional[Peer] = peer
+        self.peer_name = peer.name
+        self._consumer: Optional[BlockConsumer] = consumer
         self._schedule = schedule if schedule is not None else InlineSchedule()
         #: Next block number owed to the consumer.
         self._next = start_block
@@ -78,9 +80,18 @@ class DeliverSession:
         return self
 
     def close(self) -> None:
-        """Detach from the hub; no further deliveries occur."""
+        """Detach from the hub and let go of the peer and the consumer; no
+        further deliveries occur.
+
+        The consumer is usually a bound method of whatever opened the
+        session (a channel, a stream), which holds the session in turn, and
+        the peer holds its whole ledger: a closed session keeps neither, so
+        no cycle through it can keep a ledger alive.
+        """
 
         self._closed = True
+        self._consumer = None
+        self.peer = None
         if self._unsubscribe is not None:
             self._unsubscribe()
             self._unsubscribe = None
@@ -122,10 +133,9 @@ class DeliverSession:
         self._catch_up(self._schedule)
 
     def _dispatch(self, committed: CommittedBlock, schedule: DeliverySchedule) -> None:
-        consumer = self._consumer
-
         def deliver() -> None:
-            if not self._closed:
+            consumer = self._consumer
+            if consumer is not None:  # None once closed
                 consumer(committed)
 
         schedule.dispatch(deliver)

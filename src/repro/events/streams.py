@@ -205,7 +205,7 @@ class EventStream:
 
     @property
     def peer_name(self) -> str:
-        return self._session.peer.name
+        return self._session.peer_name
 
     def close(self) -> None:
         """Stop deliveries.  Buffered events remain drainable by iteration."""
@@ -230,7 +230,7 @@ class BlockEventStream(EventStream):
     """Streams every committed block of one peer as :class:`BlockEvent`."""
 
     def _expand(self, committed: CommittedBlock) -> Iterator[BlockEvent]:
-        yield BlockEvent(committed=committed, peer_name=self._session.peer.name)
+        yield BlockEvent(committed=committed, peer_name=self._session.peer_name)
 
     def _position_after(self, event: BlockEvent) -> Checkpoint:
         return Checkpoint(event.block_number).advanced_past_block()
@@ -268,7 +268,7 @@ class ContractEventStream(EventStream):
             else 0
         )
         return contract_events_in_block(
-            committed, self._session.peer.name, self.event_filter, start_tx=start_tx
+            committed, self._session.peer_name, self.event_filter, start_tx=start_tx
         )
 
     def _position_after(self, event: ContractEvent) -> Checkpoint:

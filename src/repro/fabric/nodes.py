@@ -199,6 +199,14 @@ class OrdererNode:
 
         node.request_catchup = catchup
 
+    def close(self) -> None:
+        """Detach every attached peer: each holds a catch-up closure over
+        this node, and this node holds the peer — a cycle per peer."""
+
+        for node in self._peer_nodes:
+            node.request_catchup = None
+        self._peer_nodes.clear()
+
     def _loop(self) -> Generator:
         while True:
             envelope = yield self.envelope_box.get()

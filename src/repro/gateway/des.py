@@ -71,7 +71,8 @@ class DESTransport(Transport):
         to an uninstrumented one.
         """
 
-        telemetry.bind_clock(lambda: self.env.now)
+        env = self.env  # the clock holds the environment, not this transport
+        telemetry.bind_clock(lambda: env.now)
         self.telemetry = telemetry
         self.ordering.enable_telemetry(telemetry)
         self.orderer_node.telemetry = telemetry
@@ -230,6 +231,16 @@ class DESTransport(Transport):
             submission.tx.flow.succeed(outcome)
         if ordered:
             self._broadcast(ordered)
+
+    def close(self) -> None:
+        """Detach the timed nodes from each other, then release the channel.
+
+        The simulation's processes belong to the environment, which the
+        caller created and closes (:meth:`~repro.sim.engine.Environment.close`).
+        """
+
+        self.orderer_node.close()
+        super().close()
 
     def wait_for(self, tx: SubmittedTransaction) -> None:
         """Step the simulation until ``tx`` resolves on the anchor peer."""

@@ -30,6 +30,8 @@ class Environment:
         self._seq = 0
         #: Total events processed — cheap progress metric for long runs.
         self.events_processed = 0
+        #: Processes started and not yet finished (what :meth:`close` stops).
+        self._unfinished: set[Process] = set()
 
     # -- clock ---------------------------------------------------------------
 
@@ -142,6 +144,22 @@ class Environment:
         """Stop the run loop from inside a process callback."""
 
         raise StopSimulation(reason)
+
+    def close(self) -> None:
+        """End this simulation for good: close every unfinished process and
+        drop every scheduled event.
+
+        A process suspended on an event and that event refer to each other
+        (the event's callbacks hold the process), and the suspended frame
+        holds whatever the process was serving — so without this a finished
+        run's whole network stays alive as cyclic garbage until a full
+        collection.  Call it from outside the run loop, once nothing will
+        step this environment again.  Idempotent.
+        """
+
+        while self._unfinished:
+            self._unfinished.pop().close()  # may schedule (finally blocks)
+        self._heap.clear()
 
     def __repr__(self) -> str:
         return f"Environment(now={self._now}, pending={len(self._heap)})"

@@ -34,6 +34,7 @@ class Process(Event):
         self._generator = generator
         #: The event this process is currently waiting on (None if running).
         self._target: Optional[Event] = None
+        env._unfinished.add(self)
         bootstrap = Event(env)
         bootstrap.callbacks.append(self._resume)
         bootstrap.succeed()
@@ -61,10 +62,10 @@ class Process(Event):
                     value = event.value if event.triggered else None
                     next_event = self._generator.send(value)
             except StopIteration as stop:
-                self.succeed(stop.value)
+                self._finish(True, stop.value)
                 return
             except BaseException as exc:
-                self.fail(exc)
+                self._finish(False, exc)
                 return
 
             if not isinstance(next_event, Event):
@@ -74,9 +75,9 @@ class Process(Event):
                 try:
                     self._generator.throw(error)
                 except StopIteration as stop:
-                    self.succeed(stop.value)
+                    self._finish(True, stop.value)
                 except BaseException as exc:
-                    self.fail(exc)
+                    self._finish(False, exc)
                 return
 
             if next_event.processed:
@@ -87,6 +88,40 @@ class Process(Event):
             next_event.callbacks.append(self._resume)
             self._target = next_event
             return
+
+    def _finish(self, ok: bool, value: Any) -> None:
+        """The generator returned (``ok``) or raised: fire this process."""
+
+        self.env._unfinished.discard(self)
+        if ok:
+            self.succeed(value)
+        else:
+            self.fail(value)
+
+    def close(self) -> None:
+        """Stop a process that has not finished, without firing it.
+
+        It stops waiting on its target and its generator is closed (its
+        ``finally`` blocks run), which drops the frame and everything the
+        frame held.  Processes waiting on this one are not resumed.  A
+        finished process is left as it is.
+        """
+
+        if self.triggered:
+            return
+        self.env._unfinished.discard(self)
+        self._detach()
+        self._generator.close()
+
+    def _detach(self) -> None:
+        """Stop waiting on the current target (its callback list lets go)."""
+
+        if self._target is not None and self._target.callbacks is not None:
+            try:
+                self._target.callbacks.remove(self._resume)
+            except ValueError:
+                pass
+        self._target = None
 
     # -- interruption ------------------------------------------------------------
 
@@ -99,12 +134,7 @@ class Process(Event):
 
         if self.triggered:
             return
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-            self._target = None
+        self._detach()
         poison = Event(self.env)
         poison.callbacks.append(self._resume)
         poison.defused = True

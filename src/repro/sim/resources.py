@@ -185,6 +185,17 @@ class ResourceRequest(Event):
         super().__init__(env)
         self.resource = resource
 
+    @property
+    def value(self) -> "ResourceRequest":
+        """The request itself, once granted (what ``with (yield ...)`` binds).
+
+        Computed, not stored: a request holding itself as its value would be
+        a reference cycle, and garbage only a collection could free.
+        """
+
+        Event.value.fget(self)  # raises while still pending
+        return self
+
     def __enter__(self) -> "ResourceRequest":
         return self
 
@@ -237,4 +248,4 @@ class Resource:
         while self._queue and len(self._users) < self.capacity:
             request = self._queue.popleft()
             self._users.add(request)
-            request.succeed(request)
+            request.succeed()

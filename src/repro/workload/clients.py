@@ -108,6 +108,72 @@ class _Window:
         self.max_outstanding = max(self.max_outstanding, len(self.outstanding))
 
 
+class _Refill:
+    """One closed-loop round's reactions: refill the window, retire on commit.
+
+    Methods rather than nested closures: a refill passes the failure hook,
+    and the hook refills — as closures the two would hold each other, and
+    with them the round's whole network, past the round.
+    """
+
+    def __init__(
+        self, ctx: RoundContext, window: _Window, in_flight: int, batch_size: int
+    ) -> None:
+        self.ctx = ctx
+        self.window = window
+        self.in_flight = in_flight
+        self.batch_size = batch_size
+        self.queue = deque(ctx.plan)
+        self.num_clients = max((tx.client for tx in ctx.plan), default=0) + 1
+
+    def on_endorsement_failure(self, tx_id: str, now: float) -> None:
+        self.ctx.collector.on_endorsement_failure(tx_id, now)
+        self.window.outstanding.discard(tx_id)
+        self.refill()
+
+    def refill(self) -> None:
+        # On an inline-delivery transport (SyncTransport) a submit_batch
+        # call can cut a block, commit it, and deliver its events before
+        # returning — firing on_block (and this refill) reentrantly.
+        # The guard collapses nested calls into the outer loop, and the
+        # ``not tx.done`` filter keeps transactions that already resolved
+        # during the call from being tracked as in-flight ghosts that
+        # would pin window slots forever.
+        window, queue = self.window, self.queue
+        if window.refilling:
+            return
+        window.refilling = True
+        try:
+            while queue and len(window.outstanding) < self.in_flight:
+                room = min(
+                    self.batch_size, self.in_flight - len(window.outstanding), len(queue)
+                )
+                batch = [queue.popleft() for _ in range(room)]
+                client_index = window.batches_submitted % self.num_clients
+                window.batches_submitted += 1
+                submitted = self.ctx.contract.submit_batch(
+                    batch[0].function,
+                    [(tx.call_argument(),) for tx in batch],
+                    client_index=client_index,
+                    on_endorsement_failure=self.on_endorsement_failure,
+                )
+                window.outstanding.update(
+                    tx.tx_id for tx in submitted if not tx.done
+                )
+                window.note()
+        finally:
+            window.refilling = False
+
+    def on_block(self, event) -> None:
+        resolved = {
+            tx.tx_id for tx in event.committed.block.transactions
+        } & self.window.outstanding
+        if not resolved:
+            return
+        self.window.outstanding -= resolved
+        self.refill()
+
+
 class ClosedLoopClient(ClientStrategy):
     """Event-driven closed loop: submit-on-commit up to an in-flight cap.
 
@@ -156,59 +222,10 @@ class ClosedLoopClient(ClientStrategy):
     def start(self, ctx: RoundContext) -> None:
         in_flight, batch_size = self._resolve_caps(ctx.rate)
         self.window = _Window()
-        queue = deque(ctx.plan)
-        num_clients = max((tx.client for tx in ctx.plan), default=0) + 1
-        window = self.window
-
-        def on_endorsement_failure(tx_id: str, now: float) -> None:
-            ctx.collector.on_endorsement_failure(tx_id, now)
-            window.outstanding.discard(tx_id)
-            refill()
-
-        def refill() -> None:
-            # On an inline-delivery transport (SyncTransport) a submit_batch
-            # call can cut a block, commit it, and deliver its events before
-            # returning — firing on_block (and this refill) reentrantly.
-            # The guard collapses nested calls into the outer loop, and the
-            # ``not tx.done`` filter keeps transactions that already resolved
-            # during the call from being tracked as in-flight ghosts that
-            # would pin window slots forever.
-            if window.refilling:
-                return
-            window.refilling = True
-            try:
-                while queue and len(window.outstanding) < in_flight:
-                    room = min(
-                        batch_size, in_flight - len(window.outstanding), len(queue)
-                    )
-                    batch = [queue.popleft() for _ in range(room)]
-                    client_index = window.batches_submitted % num_clients
-                    window.batches_submitted += 1
-                    submitted = ctx.contract.submit_batch(
-                        batch[0].function,
-                        [(tx.call_argument(),) for tx in batch],
-                        client_index=client_index,
-                        on_endorsement_failure=on_endorsement_failure,
-                    )
-                    window.outstanding.update(
-                        tx.tx_id for tx in submitted if not tx.done
-                    )
-                    window.note()
-            finally:
-                window.refilling = False
-
-        def on_block(event) -> None:
-            resolved = {
-                tx.tx_id for tx in event.committed.block.transactions
-            } & window.outstanding
-            if not resolved:
-                return
-            window.outstanding -= resolved
-            refill()
-
+        loop = _Refill(ctx, self.window, in_flight, batch_size)
         self._stream = ctx.gateway.block_events()
-        self._stream.on_event(on_block)
-        refill()
+        self._stream.on_event(loop.on_block)
+        loop.refill()
 
     def finish(self) -> None:
         if self._stream is not None:

@@ -209,6 +209,7 @@ def run_round(
     client.finish()
     events.close()
     network.close()
+    env.close()  # the round is over: free its network now, not at the next full collection
     if not collector.done.triggered:
         raise RuntimeError(
             f"round ended with {len(collector.statuses)}/{len(plan)} "

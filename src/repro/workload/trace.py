@@ -4,17 +4,17 @@ The paper reports three aggregate metrics per experiment; for *analysis* of
 a run (EXPERIMENTS.md appendices, debugging queueing behaviour) one usually
 wants the raw per-transaction records and distribution views.  This module
 turns a :class:`~repro.workload.metrics.MetricsCollector`'s statuses into
-trace rows, latency percentiles (via numpy), a committed-throughput
-timeline, and CSV export.
+trace rows, latency percentiles, a committed-throughput timeline, and CSV
+export.  Standard library only: this module loads with every workload, the
+harness and the socket peer processes.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from ..common.types import TxStatus, ValidationCode
 
@@ -65,8 +65,32 @@ def latency_percentiles(
     ]
     if not latencies:
         return {q: float("nan") for q in quantiles}
-    values = np.percentile(np.asarray(latencies), quantiles)
-    return {q: float(v) for q, v in zip(quantiles, values)}
+    latencies.sort()
+    return {q: percentile(latencies, q) for q in quantiles}
+
+
+def percentile(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile of sorted values, linearly interpolated.
+
+    Bit for bit what ``numpy.percentile`` (its default ``"linear"`` method)
+    returns, by the same arithmetic in the same order: the virtual index
+    ``(n - 1) * (q / 100)``, and numpy's two-sided lerp — ``a + (b - a) * t``
+    below ``t = 0.5``, ``b - (b - a) * (1 - t)`` from it, which is exact at
+    both ends.
+    """
+
+    if not 0 <= q <= 100:
+        raise ValueError(f"percentile must be in [0, 100], got {q!r}")
+    last = len(ordered) - 1
+    virtual = last * (q / 100)
+    # numpy marks an index at or past the end as -1, and its weight is taken
+    # against that marker (virtual + 1): the same last value, by the same sum.
+    below = -1 if virtual >= last else math.floor(virtual)
+    a = ordered[below]
+    b = ordered[-1 if below == -1 else below + 1]
+    t = virtual - below
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 def throughput_timeline(

@@ -8,6 +8,7 @@ from repro.common.types import ReadItem, ReadWriteSet, ValidationCode, Version, 
 from repro.core.blockmerge import validate_merge_block
 from repro.crdt.json import MAX_NESTING_DEPTH
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block
+from repro.fabric.events import statuses_from_block
 from repro.fabric.statedb import StateDB
 
 from ..fabric.helpers import build_peer, endorsed_tx, write_rwset
@@ -336,6 +337,32 @@ class TestBadPayloads:
         _, plan = run_algorithm1(peer, [endorsed_tx(peer, rwset, 1), good])
         assert plan.forced_codes == {0: ValidationCode.BAD_PAYLOAD}
         assert from_bytes(plan.replacement_writes[1][0].value) == {"ok": "kept"}
+
+    @pytest.mark.parametrize(
+        "state", [{"entries": {"a": -1}}, {"a": "x"}, [1, 2], {"entries": {"a": 1.5}}]
+    )
+    def test_malformed_counter_between_good_votes_is_refused_not_a_crash(self, state):
+        """Every registered decoder used to raise KeyError/TypeError/ValueError
+        on a malformed ``state``: one crafted vote stopped every committer."""
+
+        from repro.core.peer import CRDTPeer
+        from repro.crdt import GCounter
+        from repro.crdt.registry import crdt_to_dict_envelope
+
+        peer = build_peer(peer_cls=CRDTPeer)
+        votes = [crdt_to_dict_envelope(GCounter().increment(voter)) for voter in ("v1", "v2")]
+        crafted = {"$fabriccrdt": 1, "crdt": "g-counter", "state": state}
+        txs = [crdt_tx(peer, 1, "votes", votes[0]), crdt_tx(peer, 2, "votes", crafted),
+               crdt_tx(peer, 3, "votes", votes[1])]
+        block, plan = run_algorithm1(peer, txs)
+        assert plan.forced_codes == {1: ValidationCode.BAD_PAYLOAD}
+        tally = crdt_to_dict_envelope(GCounter().increment("v1").increment("v2"))
+        assert from_bytes(plan.replacement_writes[0][0].value) == tally
+        committed = peer.validate_and_commit(block)
+        assert [status.code for status in statuses_from_block(committed)] == [
+            ValidationCode.VALID, ValidationCode.BAD_PAYLOAD, ValidationCode.VALID,
+        ]
+        assert from_bytes(peer.ledger.state.get_value("votes")) == tally
 
     @staticmethod
     def nested_bytes(levels: int) -> bytes:

@@ -34,6 +34,14 @@ class TestGCounter:
         with pytest.raises(ValueError):
             GCounter({"a": -5})
 
+    @pytest.mark.parametrize("count", [1.5, 2.0, True, "3", None])
+    def test_counts_are_exactly_ints(self, count):
+        # 1.5 used to be truncated to 1 and True counted as 1.
+        with pytest.raises(ValueError):
+            GCounter({"a": count})
+        with pytest.raises(ValueError):
+            PNCounter.from_dict({"p": {"entries": {}}, "n": {"entries": {"a": count}}})
+
     def test_merge_type_mismatch(self):
         with pytest.raises(MergeTypeError):
             GCounter().merge(GSet())

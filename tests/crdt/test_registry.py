@@ -1,8 +1,10 @@
 """Tests for the CRDT type registry and envelope serialization."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.common.errors import MergeTypeError
+from repro.common.errors import CRDTError, MergeTypeError
 from repro.crdt import (
     GCounter,
     ORSet,
@@ -83,3 +85,51 @@ class TestRegistration:
 
         with pytest.raises(MergeTypeError):
             register_crdt(Impostor)
+
+
+# -- malformed states: refused as CRDTError, never a crash ------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=10,
+)
+
+
+def states_shaped_like(cls: type[StateCRDT]):
+    """Arbitrary JSON, and objects with the type's own top-level keys."""
+
+    keys = sorted(cls().to_dict())
+    return st.one_of(json_values, st.fixed_dictionaries({key: json_values for key in keys}))
+
+
+@pytest.mark.parametrize("type_name", sorted(registered_types()))
+def test_an_arbitrary_state_decodes_or_is_refused(type_name):
+    """A committer decodes envelopes straight from client write-sets: any
+    ``state`` either decodes to something that merges and writes back, or is
+    refused with a ``CRDTError`` (``BAD_PAYLOAD``) — never ``KeyError`` or
+    ``TypeError`` out of the commit path."""
+
+    cls = registered_types()[type_name]
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=list(HealthCheck))
+    @given(states_shaped_like(cls))
+    def decode(state):
+        try:
+            crdt = crdt_from_dict_envelope({"crdt": type_name, "state": state})
+        except CRDTError:
+            return
+        assert type(crdt) is cls
+        crdt_to_dict_envelope(cls().merge(crdt).merge(crdt))
+
+    decode()
+
+
+@pytest.mark.parametrize(
+    "state", [{"entries": {"a": -1}}, {"a": "x"}, [1, 2], {"entries": {"a": 1.5}}, None]
+)
+def test_malformed_g_counter_states_are_merge_type_errors(state):
+    with pytest.raises(MergeTypeError):
+        crdt_from_dict_envelope({"crdt": "g-counter", "state": state})

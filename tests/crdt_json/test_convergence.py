@@ -31,10 +31,7 @@ json_objects = st.recursive(
 @given(st.lists(json_objects, min_size=1, max_size=4), st.randoms(use_true_random=False))
 def test_shuffled_delivery_converges(values, rng):
     source = JsonDocument("source")
-    for value in values:
-        merge_json(source, value)
-
-    operations = list(source.op_log)
+    operations = [op for value in values for op in merge_json(source, value)]
     rng.shuffle(operations)
     replica = JsonDocument("replica")
     replica.apply_all(operations)
@@ -46,10 +43,9 @@ def test_shuffled_delivery_converges(values, rng):
 @given(st.lists(json_objects, min_size=2, max_size=4))
 def test_replication_is_deterministic(values):
     source = JsonDocument("source")
-    for value in values:
-        merge_json(source, value)
-    replica_one = replicate(source, "r1")
-    replica_two = replicate(source, "r2")
+    operations = [op for value in values for op in merge_json(source, value)]
+    replica_one = replicate(operations, "r1")
+    replica_two = replicate(operations, "r2")
     assert replica_one.to_plain() == replica_two.to_plain() == source.to_plain()
 
 
@@ -129,12 +125,12 @@ def test_deterministic_interleave_regression():
 
     source = JsonDocument("s")
     rng = random.Random(99)
+    operations = []
     for i in range(20):
-        merge_json(
+        operations += merge_json(
             source,
             {"readings": [{"t": str(rng.randint(0, 50)), "seq": str(i)}]},
         )
-    operations = list(source.op_log)
     for seed in range(5):
         shuffled = operations[:]
         random.Random(seed).shuffle(shuffled)

@@ -137,7 +137,7 @@ class TestApply:
 
     def test_cursor_through_unknown_list_element_buffers(self):
         source = JsonDocument("src")
-        source.assign_container(Cursor(), "items", "list")
+        container = source.assign_container(Cursor(), "items", "list")
         insert = source.append(Cursor((MapStep("items"),)), Payload.empty_map())
         nested = source.assign(
             Cursor((MapStep("items"), ListStep(insert.id))), "k", "v"
@@ -145,7 +145,7 @@ class TestApply:
         replica = JsonDocument("rep")
         # nested references insert.id in its cursor: buffered until it arrives
         assert replica.apply(nested) is False
-        replica.apply_all(source.op_log)
+        replica.apply_all([container, insert, nested])
         replica.require_quiescent()
         assert replica.to_plain() == source.to_plain()
 
@@ -168,16 +168,8 @@ class TestApply:
 class TestClock:
     def test_clock_advances_past_applied_ops(self):
         source = JsonDocument("src")
-        for i in range(5):
-            source.assign(Cursor(), f"k{i}", "v")
+        operations = [source.assign(Cursor(), f"k{i}", "v") for i in range(5)]
         replica = JsonDocument("rep")
-        replica.apply_all(source.op_log)
+        replica.apply_all(operations)
         fresh = replica.assign(Cursor(), "mine", "v")
-        assert all(fresh.id > op.id for op in source.op_log)
-
-    def test_op_log_in_application_order(self):
-        doc = JsonDocument("a")
-        doc.assign(Cursor(), "x", "1")
-        doc.assign(Cursor(), "y", "2")
-        ids = [op.id for op in doc.op_log]
-        assert ids == sorted(ids)
+        assert all(fresh.id > op.id for op in operations)

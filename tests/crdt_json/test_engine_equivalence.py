@@ -66,7 +66,7 @@ def test_returned_operations_rebuild_the_document(merged_values, dedup, rng):
     operations = []
     for value in merged_values:
         operations.extend(merge_json(source, value, options))
-    assert tuple(operations) == source.op_log
+    assert len({op.id for op in operations}) == len(operations) == source.stats.ops_applied
 
     shuffled = operations[:]
     rng.shuffle(shuffled)

@@ -53,9 +53,7 @@ class TestRoundtrip:
     @given(st.lists(json_objects, min_size=1, max_size=3))
     def test_property_merge_ops_roundtrip(self, values):
         doc = JsonDocument("src")
-        for value in values:
-            merge_json(doc, value)
-        ops = list(doc.op_log)
+        ops = [op for value in values for op in merge_json(doc, value)]
         restored = operations_from_bytes(operations_to_bytes(ops))
         assert restored == ops
 
@@ -63,9 +61,7 @@ class TestRoundtrip:
     @given(st.lists(json_objects, min_size=1, max_size=3))
     def test_replica_built_from_serialized_ops_converges(self, values):
         source = JsonDocument("src")
-        for value in values:
-            merge_json(source, value)
-        wire = operations_to_bytes(list(source.op_log))
+        wire = operations_to_bytes([op for value in values for op in merge_json(source, value)])
         replica = JsonDocument("replica")
         replica.apply_all(operations_from_bytes(wire))
         replica.require_quiescent()

@@ -86,6 +86,17 @@ class TestClose:
         session.close()
         session.close()
 
+    def test_closed_session_keeps_neither_peer_nor_consumer(self, local_gateway, local_net):
+        # Whatever opened the session usually holds it, and the consumer is
+        # its bound method: a closed session must not close that cycle over
+        # the peer's ledger.
+        stream = local_gateway.block_events()
+        stream.on_event(lambda event: None)
+        session = stream._session
+        stream.close()
+        assert session.peer is None and session._consumer is None
+        assert stream.peer_name == local_net.anchor_peer.name
+
     def test_next_block_tracks_cursor(self, local_gateway, local_net):
         submit_marks(local_gateway, 8)
         session = DeliverService(local_net.anchor_peer).deliver(lambda b: None, start_block=0)

@@ -120,3 +120,65 @@ def test_determinism_same_program_same_trace():
         return trace
 
     assert run_once() == run_once()
+
+
+class _Held:
+    """Something a suspended process holds in its frame (weakly referenceable)."""
+
+
+def test_close_frees_suspended_processes_without_the_collector():
+    import gc
+    import weakref
+
+    from repro.sim.resources import Resource, Store
+
+    env = Environment()
+    store = Store(env)
+    pool = Resource(env, 1)
+    released = []
+
+    def waiter(held):
+        with (yield pool.request()):
+            try:
+                yield store.get()  # never satisfied
+            finally:
+                released.append(held is not None)
+
+    held = _Held()
+    ref = weakref.ref(held)
+    process = env.process(waiter(held))
+    env.process(waiter(_Held()))  # queued behind the first on the pool
+    env.timeout(5.0)  # still scheduled when the run is abandoned
+    env.run(until=1.0)
+    del held
+    gc.disable()
+    try:
+        env.close()
+        assert ref() is None  # the frame went with the generator: no cycle kept it
+    finally:
+        gc.enable()
+    assert released == [True]  # finally blocks ran; the queued one never started
+    assert process.is_alive and process.target is None
+    assert env.peek() == float("inf")
+    assert store.waiting_getters == 1  # the store is the caller's; it merely holds the event
+    env.close()  # idempotent
+
+
+def test_granted_request_value_is_the_request_without_holding_itself():
+    import gc
+
+    from repro.sim.resources import Resource
+
+    env = Environment()
+    pool = Resource(env, 1)
+    granted = []
+
+    def user():
+        request = pool.request()
+        granted.append((yield request) is request)
+        pool.release(request)
+        granted.append(request not in gc.get_referents(request))
+
+    env.process(user())
+    env.run()
+    assert granted == [True, True]

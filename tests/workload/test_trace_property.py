@@ -7,16 +7,25 @@ Whatever mix of committed/failed/in-flight transactions a run produced:
 * :func:`queue_depth_estimate` never reports a negative depth, and a run
   in which every submitted transaction committed drains back to zero;
 * :func:`export_csv` / :func:`import_csv` round-trip the statuses exactly,
-  including the derived ``succeeded``/``latency`` views.
+  including the derived ``succeeded``/``latency`` views;
+* :func:`percentile` is ``numpy.percentile``, bit for bit (numpy is only
+  the test's reference: the package itself never imports it).
 """
 
-from hypothesis import given
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.types import TxStatus, ValidationCode
 from repro.workload.trace import (
     export_csv,
     import_csv,
+    latency_percentiles,
+    percentile,
     queue_depth_estimate,
     throughput_timeline,
     trace_rows,
@@ -114,3 +123,59 @@ class TestCsvRoundTrip:
             assert status == original
             assert status.succeeded == original.succeeded
             assert status.latency == original.latency
+
+
+class TestPercentile:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+                st.floats(min_value=0.0, max_value=1e-6, allow_nan=False),
+                st.sampled_from([0.0, 0.5, 1.0, 2.0]),  # ties
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        st.lists(
+            st.one_of(
+                st.sampled_from([0, 50, 90, 95, 99, 100, 99.9]),
+                st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_matches_numpy_bit_for_bit(self, values, quantiles):
+        numpy = pytest.importorskip("numpy")
+        ordered = sorted(values)
+        expected = numpy.percentile(numpy.asarray(values), quantiles)
+        got = [percentile(ordered, q) for q in quantiles]
+        assert [x.hex() for x in got] == [float(y).hex() for y in expected]
+
+    @given(run=statuses(committed=True))
+    def test_latency_percentiles_are_ordered(self, run):
+        result = latency_percentiles(run, successful_only=False)
+        if run:
+            assert result[50] <= result[90] <= result[95] <= result[99]
+
+    @pytest.mark.parametrize("q", [-0.1, 100.5])
+    def test_out_of_range_rejected(self, q):
+        with pytest.raises(ValueError):
+            percentile([1.0, 2.0], q)
+
+
+def test_the_package_does_not_import_numpy():
+    """``repro.workload`` loads into the harness, every in-process workload
+    and both socket peer processes; numpy would cost each ≈ 100 ms and
+    ≈ 14 MB for one percentile."""
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import repro.workload, repro.net; sys.exit('numpy' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr or "numpy was imported"
