@@ -3,12 +3,14 @@
 
 Each vote is one line of chaincode — ``ctx.crdt.counter(key).incr(actor=
 voter)`` — and the handle does the rest: it reads the committed G-Counter
-envelope, applies the increment, and buffers the result through
-``put_crdt``.  The FabricCRDT committer recognizes envelopes and merges
-them with the counter's own join (per-actor maximum), so any number of
-concurrent votes in one block commit without conflicts and without losing a
-single ballot — the built-in-counters behaviour Fabric's FAB-10711 proposal
-sketched but never shipped.
+envelope, increments the voter's entry, and buffers the change (the voter's
+new entry alone, a delta) through ``put_crdt``.  The FabricCRDT committer
+recognizes envelopes and merges them into the committed counter with its own
+join (per-actor maximum), so any number of concurrent votes by *distinct*
+voters in one block commit without conflicts and without losing a single
+ballot — the built-in-counters behaviour Fabric's FAB-10711 proposal
+sketched but never shipped.  (One voter's two votes in one block count
+once: both carry that voter's committed count plus one.)
 
 Run:  python examples/voting.py
 """

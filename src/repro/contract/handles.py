@@ -9,7 +9,8 @@ hides that plumbing behind the CRDT's own operation interface (Almeida's
 1. reads the committed envelope for its key (recording the read, exactly
    like any other chaincode read),
 2. applies mutations through the :mod:`repro.crdt` classes, and
-3. buffers the updated envelope through ``put_crdt`` so the FabricCRDT
+3. buffers the change (a delta, or the whole state — see
+   :class:`StateCrdtHandle`) through ``put_crdt`` so the FabricCRDT
    committer merges it (Algorithm 1) instead of MVCC-validating it.
 
 Handles are cached per key within one invocation, so repeated mutations
@@ -44,7 +45,17 @@ from ..fabric.chaincode import ShimStub
 
 
 class StateCrdtHandle:
-    """Base handle over one key holding a state-based CRDT envelope."""
+    """Base handle over one key holding a state-based CRDT envelope.
+
+    The handle keeps the *view* — the committed state joined with this
+    invocation's mutations, which ``value()`` and the mutators return.  A
+    handle whose kind has δ-mutators (counters, sets) also keeps the join of
+    their deltas, and ships it when the committer merges every CRDT write
+    into the key's committed value (``stub.crdt_deltas``): the committed
+    bytes are those the view would have produced, for a fraction of the
+    envelope.  A vanilla peer stores a CRDT write as it is, so there the
+    view ships.
+    """
 
     #: Factory kind name (used in error messages and the factory cache).
     kind: str = "crdt"
@@ -54,18 +65,18 @@ class StateCrdtHandle:
     def __init__(self, stub: ShimStub, key: str) -> None:
         self._stub = stub
         self.key = key
-        self._crdt: Optional[StateCRDT] = None
-        self._loaded = False
+        self._view: Optional[StateCRDT] = None
+        self._delta: Optional[StateCRDT] = None
 
     # -- plumbing -----------------------------------------------------------
 
     def _load(self) -> StateCRDT:
-        """The working CRDT: committed envelope on first touch, else fresh."""
+        """The view: committed envelope on first touch, else fresh."""
 
-        if not self._loaded:
+        if self._view is None:
             committed = self._stub.get_state(self.key)
             if committed is None:
-                self._crdt = self.crdt_cls()
+                self._view = self.crdt_cls()
             elif is_dict_envelope(committed):
                 decoded = crdt_from_dict_envelope(committed)
                 if not isinstance(decoded, self.crdt_cls):
@@ -73,22 +84,28 @@ class StateCrdtHandle:
                         f"key {self.key!r} holds a {decoded.type_name!r} CRDT, "
                         f"not a {self.crdt_cls.type_name!r}"
                     )
-                self._crdt = decoded
+                self._view = decoded
             else:
                 raise ChaincodeError(
                     f"key {self.key!r} does not hold a CRDT envelope "
                     f"(found plain JSON; use ctx.state for ordinary values)"
                 )
-            self._loaded = True
-        assert self._crdt is not None
-        return self._crdt
+        return self._view
 
     def _store(self, crdt: StateCRDT) -> None:
-        """Adopt the mutated CRDT and buffer it as a flagged CRDT write."""
+        """Adopt ``crdt`` as the view and buffer all of it as a CRDT write."""
 
-        self._crdt = crdt
-        self._loaded = True
+        self._view = crdt
         self._stub.put_crdt(self.key, crdt_to_dict_envelope(crdt))
+
+    def _apply(self, delta: StateCRDT) -> None:
+        """Join ``delta`` into the view and into this invocation's delta, and
+        buffer the delta (or, on a vanilla channel, the view) as a CRDT write."""
+
+        self._view = self._load().merge(delta)
+        self._delta = delta if self._delta is None else self._delta.merge(delta)
+        shipped = self._delta if self._stub.crdt_deltas else self._view
+        self._stub.put_crdt(self.key, crdt_to_dict_envelope(shipped))
 
     # -- shared surface ------------------------------------------------------
 
@@ -115,9 +132,14 @@ class CounterHandle(StateCrdtHandle):
     def incr(self, amount: int = 1, actor: Optional[str] = None) -> int:
         """Increment by ``amount`` under ``actor`` (default: this tx's ID).
 
-        Concurrent increments in one block merge per-actor-maximum at commit
-        time, so no increment is ever lost.  Returns the locally observed
-        new total.
+        Returns the locally observed new total.  The committer merges
+        concurrent increments per actor by maximum, so increments under
+        distinct actors all count — which the default actor guarantees.  Two
+        transactions in one block under the *same* explicit actor each carry
+        that actor's committed count plus their own amount, and the maximum
+        keeps one of them: the other increment is lost.  Operation envelopes
+        — a ``+n`` write applied once per ordered transaction, ROADMAP item
+        8(b) — would make a shared actor safe.
         """
 
         if amount < 0:
@@ -126,7 +148,7 @@ class CounterHandle(StateCrdtHandle):
             )
         counter = self._load()
         assert isinstance(counter, GCounter)
-        self._store(counter.increment(self._actor(actor), amount))
+        self._apply(counter.increment_delta(self._actor(actor), amount))
         return self.value()
 
     def _actor(self, actor: Optional[str]) -> str:
@@ -146,17 +168,18 @@ class PNCounterHandle(StateCrdtHandle):
         return self.adjust(-amount, actor=actor)
 
     def adjust(self, delta: int, actor: Optional[str] = None) -> int:
-        """Apply a signed delta; returns the locally observed new value."""
+        """Apply a signed delta; returns the locally observed new value.
+
+        Like :meth:`CounterHandle.incr`, adjustments count exactly when their
+        actors differ (the default, this tx's ID, always does); two
+        transactions in one block adjusting under one explicit actor keep
+        only the larger of their P (or N) entries.
+        """
 
         counter = self._load()
         assert isinstance(counter, PNCounter)
         chosen = actor if actor is not None else self._stub.tx_id
-        adjusted = (
-            counter.increment(chosen, delta)
-            if delta >= 0
-            else counter.decrement(chosen, -delta)
-        )
-        self._store(adjusted)
+        self._apply(counter.increment_delta(chosen, delta))
         return self.value()
 
     def initialize(self, value: int, actor: str = "mint") -> int:
@@ -167,11 +190,10 @@ class PNCounterHandle(StateCrdtHandle):
         merging — the right semantics for account creation.
         """
 
-        counter = PNCounter().increment(actor, value) if value >= 0 else (
-            PNCounter().decrement(actor, -value)
-        )
-        self._crdt = counter
-        self._loaded = True
+        counter = PNCounter().increment(actor, value)
+        # The genesis state is this invocation's delta too: a later adjust
+        # turns the write into a merged one, which must still carry it.
+        self._view = self._delta = counter
         self._stub.put_state(self.key, crdt_to_dict_envelope(counter))
         return self.value()
 
@@ -194,14 +216,14 @@ class SetHandle(StateCrdtHandle):
         if tag is None:
             self._tag_sequence += 1
             tag = f"{self._stub.tx_id}#{self._tag_sequence}"
-        self._store(orset.add(element, tag))
+        self._apply(orset.add_delta(element, tag))
 
     def discard(self, element: Json) -> None:
         """Remove every currently observed tag of ``element`` (add-wins)."""
 
         orset = self._load()
         assert isinstance(orset, ORSet)
-        self._store(orset.remove(element))
+        self._apply(orset.remove_delta(element))
 
     def contains(self, element: Json) -> bool:
         orset = self._load()
@@ -213,7 +235,11 @@ class SetHandle(StateCrdtHandle):
 
 
 class RegisterHandle(StateCrdtHandle):
-    """A last-writer-wins register with deterministic tie-breaking."""
+    """A last-writer-wins register with deterministic tie-breaking.
+
+    Ships its whole state on every channel: a register's state is one value
+    and one stamp, which is already all a delta would hold.
+    """
 
     kind = "register"
     crdt_cls = LWWRegister
@@ -236,20 +262,24 @@ class RegisterHandle(StateCrdtHandle):
 
 
 class TextHandle(StateCrdtHandle):
-    """A collaborative plain-text document (RGA character sequence)."""
+    """A collaborative plain-text document (RGA character sequence).
+
+    Ships its whole state on every channel: an RGA delta's inserted
+    characters hang off anchor elements that live in committed state, so a
+    delta alone is not a mergeable document.
+    """
 
     kind = "text"
     crdt_cls = TextDocument
 
     def _load(self) -> StateCRDT:
-        if not self._loaded:
+        if self._view is None:
             document = super()._load()
             assert isinstance(document, TextDocument)
             # Edit under this transaction's identity so concurrent edits by
             # different transactions never collide on element IDs.
-            self._crdt = document.fork(self._stub.tx_id)
-        assert self._crdt is not None
-        return self._crdt
+            self._view = document.fork(self._stub.tx_id)
+        return self._view
 
     def insert(self, index: int, text: str) -> None:
         document = self._load()

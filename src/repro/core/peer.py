@@ -24,6 +24,11 @@ from .blockmerge import validate_merge_block
 class CRDTPeer(Peer):
     """A peer with the CRDT merge-commit path enabled."""
 
+    #: Algorithm 1 seeds every state-CRDT key from its committed value and
+    #: merges each write into it, so a handle's delta commits what its
+    #: whole state would.
+    merges_crdt_writes = True
+
     def __init__(
         self,
         identity: Identity,

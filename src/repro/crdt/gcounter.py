@@ -1,7 +1,9 @@
 """Grow-only counter (G-Counter).
 
 The paper's §2.2 walk-through example: one entry per actor, increments only;
-merge takes the per-actor maximum; the value is the sum.
+merge takes the per-actor maximum; the value is the sum.  An increment is
+written once, as a δ-mutator (Almeida et al., delta-state CRDTs): the delta
+is the actor's new entry, and the full mutator merges it in.
 """
 
 from __future__ import annotations
@@ -29,11 +31,15 @@ class GCounter(StateCRDT):
     def increment(self, actor: str, amount: int = 1) -> "GCounter":
         """Return a new counter with ``actor`` incremented by ``amount``."""
 
+        return self.merge(self.increment_delta(actor, amount))
+
+    def increment_delta(self, actor: str, amount: int = 1) -> "GCounter":
+        """δ-mutator of :meth:`increment`: a counter holding only ``actor``'s
+        new entry, which :meth:`increment` merges into this counter."""
+
         if amount < 0:
             raise ValueError("G-Counter cannot decrement; use PNCounter")
-        entries = dict(self._entries)
-        entries[actor] = entries.get(actor, 0) + amount
-        return GCounter(entries)
+        return GCounter({actor: self._entries.get(actor, 0) + amount})
 
     def actor_count(self, actor: str) -> int:
         return self._entries.get(actor, 0)

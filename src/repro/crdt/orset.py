@@ -3,7 +3,8 @@
 Each ``add`` creates a unique tag; ``remove`` tombstones exactly the tags it
 has *observed*.  A concurrent add therefore survives a concurrent remove
 (add-wins), which is the behaviour Riak's sets and the paper's JSON-CRDT list
-semantics build on.
+semantics build on.  Both mutators are δ-mutators underneath: an add's delta
+is its one tag, a remove's the tombstones of the tags it observed.
 """
 
 from __future__ import annotations
@@ -43,22 +44,26 @@ class ORSet(StateCRDT):
         type itself stays deterministic and easy to test.
         """
 
-        if not tag:
-            raise ValueError("tag must be non-empty")
-        key = canonical_json(element)
-        new = ORSet(self._adds, self._tombstones)
-        new._adds.setdefault(key, {})[tag] = element
-        return new
+        return self.merge(self.add_delta(element, tag))
 
     def remove(self, element: Any) -> "ORSet":
         """Remove every currently-observed tag of ``element``."""
 
+        return self.merge(self.remove_delta(element))
+
+    def add_delta(self, element: Any, tag: str) -> "ORSet":
+        """δ-mutator of :meth:`add`: a set holding the one new tag."""
+
+        if not tag:
+            raise ValueError("tag must be non-empty")
+        return ORSet({canonical_json(element): {tag: element}})
+
+    def remove_delta(self, element: Any) -> "ORSet":
+        """δ-mutator of :meth:`remove`: tombstones for the observed tags only."""
+
         key = canonical_json(element)
-        new = ORSet(self._adds, self._tombstones)
-        observed = set(new._adds.get(key, {}))
-        if observed:
-            new._tombstones.setdefault(key, set()).update(observed)
-        return new
+        observed = self._adds.get(key)
+        return ORSet(tombstones={key: set(observed)} if observed else None)
 
     # -- queries -------------------------------------------------------------
 

@@ -1,4 +1,7 @@
-"""Positive-negative counter (PN-Counter): two G-Counters, P minus N."""
+"""Positive-negative counter (PN-Counter): two G-Counters, P minus N.
+
+Both mutators are δ-mutators underneath: the delta is one P or N entry.
+"""
 
 from __future__ import annotations
 
@@ -18,14 +21,26 @@ class PNCounter(StateCRDT):
         self._negative = negative if negative is not None else GCounter()
 
     def increment(self, actor: str, amount: int = 1) -> "PNCounter":
-        if amount < 0:
-            return self.decrement(actor, -amount)
-        return PNCounter(self._positive.increment(actor, amount), self._negative)
+        return self.merge(self.increment_delta(actor, amount))
 
     def decrement(self, actor: str, amount: int = 1) -> "PNCounter":
+        return self.merge(self.decrement_delta(actor, amount))
+
+    def increment_delta(self, actor: str, amount: int = 1) -> "PNCounter":
+        """δ-mutator of :meth:`increment`: one P entry (one N entry if
+        ``amount`` is negative) and nothing else."""
+
         if amount < 0:
-            return self.increment(actor, -amount)
-        return PNCounter(self._positive, self._negative.increment(actor, amount))
+            return self.decrement_delta(actor, -amount)
+        return PNCounter(self._positive.increment_delta(actor, amount))
+
+    def decrement_delta(self, actor: str, amount: int = 1) -> "PNCounter":
+        """δ-mutator of :meth:`decrement`: one N entry (one P entry if
+        ``amount`` is negative) and nothing else."""
+
+        if amount < 0:
+            return self.increment_delta(actor, -amount)
+        return PNCounter(negative=self._negative.increment_delta(actor, amount))
 
     def merge(self, other: "PNCounter") -> "PNCounter":
         self._require_same_type(other)

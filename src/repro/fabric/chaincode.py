@@ -96,11 +96,17 @@ class ShimStub:
         tx_id: str,
         timestamp: float = 0.0,
         history: Optional[HistoryProvider] = None,
+        crdt_deltas: bool = False,
     ) -> None:
         self._state = state
         self.tx_id = tx_id
         self.timestamp = timestamp
         self._history = history
+        #: Whether the committer merges each ``put_crdt`` write into the
+        #: key's committed value (a FabricCRDT peer), so a state-CRDT handle
+        #: may write just its delta.  ``False`` — a vanilla peer, which
+        #: stores the write as it is — makes handles write whole states.
+        self.crdt_deltas = crdt_deltas
         self._reads: list[ReadItem] = []
         self._read_keys: set[str] = set()
         self._writes: dict[str, WriteItem] = {}  # key -> last write wins

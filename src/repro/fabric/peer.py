@@ -116,6 +116,10 @@ class PreparedCommit:
 class Peer:
     """One peer node (pure logic)."""
 
+    #: Whether the committer merges CRDT-flagged writes into the committed
+    #: value; endorsement tells the chaincode stub (``crdt_deltas``).
+    merges_crdt_writes = False
+
     def __init__(
         self,
         identity: Identity,
@@ -235,6 +239,7 @@ class Peer:
             proposal.tx_id,
             timestamp,
             history=self.ledger.history_for_key,
+            crdt_deltas=self.merges_crdt_writes,
         )
         try:
             result = chaincode.invoke(stub, proposal.function, proposal.args)

@@ -10,8 +10,9 @@ order.  The reorder ablation benchmark quantifies exactly that gap.
 
 Implementation: a precedence edge ``a → b`` is added whenever ``b`` writes a
 key ``a`` reads (``a`` must validate first); strongly connected components of
-size > 1 are conflict cycles, from which only the earliest-arrived member is
-kept in the schedulable set.  Cycle victims are *appended after* the
+size > 1 are conflict cycles (Tarjan), from which only the earliest-arrived
+member is kept in the schedulable set; the survivors are scheduled in the
+lexicographically least topological order (Kahn's algorithm on a heap).  Cycle victims are *appended after* the
 reordered prefix rather than dropped, so every submitted transaction still
 commits (as valid or invalid) and client accounting stays intact — this is
 the "reorder only" variant; ``early_abort=True`` drops them from the block
@@ -20,9 +21,8 @@ entirely like Fabric++ proper.
 
 from __future__ import annotations
 
+import heapq
 from typing import Sequence
-
-import networkx as nx
 
 from .orderer import OrderingService
 from .transaction import TransactionEnvelope
@@ -38,49 +38,93 @@ def reorder_batch(
     conflict cycles (they fail MVCC wherever they are placed).
     """
 
-    indexed = list(enumerate(transactions))
-    graph = nx.DiGraph()
-    graph.add_nodes_from(index for index, _ in indexed)
-
-    reads: dict[int, frozenset[str]] = {}
-    writes: dict[int, frozenset[str]] = {}
-    for index, tx in indexed:
-        reads[index] = frozenset(tx.rwset.read_keys)
-        writes[index] = frozenset(
-            write.key for write in tx.rwset.writes if not write.is_crdt
-        )
-
-    for a, _ in indexed:
-        for b, _ in indexed:
-            if a == b:
-                continue
-            # b writes a key a reads: a must be validated before b.
-            if writes[b] & reads[a]:
-                graph.add_edge(a, b)
+    count = len(transactions)
+    reads = [frozenset(tx.rwset.read_keys) for tx in transactions]
+    writes = [
+        frozenset(write.key for write in tx.rwset.writes if not write.is_crdt)
+        for tx in transactions
+    ]
+    # b writes a key a reads: a must be validated before b (edge a -> b).
+    successors = [
+        [b for b in range(count) if b != a and writes[b] & reads[a]] for a in range(count)
+    ]
 
     victims: set[int] = set()
-    for component in nx.strongly_connected_components(graph):
+    for component in _strongly_connected_components(successors):
         if len(component) > 1:
             keeper = min(component)  # earliest arrival survives the cycle
             victims.update(component - {keeper})
-
-    surviving = graph.subgraph(set(graph.nodes) - victims).copy()
-    # A keeper may still conflict with another keeper through a victim-free
-    # edge cycle created by subgraphing; re-check until acyclic.
-    while True:
-        cyclic = [c for c in nx.strongly_connected_components(surviving) if len(c) > 1]
-        if not cyclic:
-            break
-        for component in cyclic:
-            keeper = min(component)
-            extra = component - {keeper}
-            victims.update(extra)
-            surviving.remove_nodes_from(extra)
-
-    order = list(nx.lexicographical_topological_sort(surviving))
+    # One keeper per component leaves a subgraph of the condensation, which
+    # is acyclic: no second round of cycle breaking is ever needed.
+    order = _lexicographic_topological_order(successors, victims)
     scheduled = [transactions[index] for index in order]
     cycle_victims = [transactions[index] for index in sorted(victims)]
     return scheduled, cycle_victims
+
+
+def _strongly_connected_components(successors: list[list[int]]) -> list[set[int]]:
+    """Tarjan's algorithm over nodes ``0..n-1``, iterative (no recursion limit)."""
+
+    index: dict[int, int] = {}
+    lowlink: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    components: list[set[int]] = []
+    for root in range(len(successors)):
+        if root in index:
+            continue
+        work = [(root, 0)]  # (node, position of the next successor to visit)
+        while work:
+            node, position = work.pop()
+            if position == 0:
+                index[node] = lowlink[node] = len(index)
+                stack.append(node)
+                on_stack.add(node)
+            children = successors[node]
+            while position < len(children):
+                child = children[position]
+                position += 1
+                if child not in index:
+                    work.append((node, position))
+                    work.append((child, 0))
+                    break
+                if child in on_stack:
+                    lowlink[node] = min(lowlink[node], index[child])
+            else:
+                if lowlink[node] == index[node]:
+                    component: set[int] = set()
+                    while node not in component:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.add(member)
+                    components.append(component)
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+    return components
+
+
+def _lexicographic_topological_order(
+    successors: list[list[int]], removed: set[int]
+) -> list[int]:
+    """Kahn's algorithm over the nodes not in ``removed``, always emitting the
+    smallest ready node: the unique lexicographically least topological order."""
+
+    indegree = [0] * len(successors)
+    for node, children in enumerate(successors):
+        if node not in removed:
+            for child in children:
+                indegree[child] += 1
+    ready = [node for node in range(len(successors)) if node not in removed and not indegree[node]]
+    order: list[int] = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for child in successors[node]:
+            indegree[child] -= 1
+            if not indegree[child] and child not in removed:
+                heapq.heappush(ready, child)
+    return order
 
 
 class ReorderingOrderingService(OrderingService):

@@ -3,12 +3,17 @@
 import pytest
 
 from repro.common.errors import ChaincodeError
+from repro.common.serialization import from_bytes, to_bytes
+from repro.common.types import Version
 from repro.contract import Contract, query, transaction
+from repro.core.network import vanilla_network
 from repro.crdt.gcounter import GCounter
 from repro.crdt.registry import crdt_from_dict_envelope, crdt_to_dict_envelope
 from repro.fabric.chaincode import ShimStub
 from repro.fabric.statedb import StateDB
 from repro.gateway import Gateway
+
+from ..conftest import small_config
 
 
 class HandleContract(Contract):
@@ -23,6 +28,10 @@ class HandleContract(Contract):
     @transaction
     def adjust(self, ctx, key: str, delta: int):
         return {"value": ctx.crdt.pn_counter(key).adjust(delta)}
+
+    @transaction
+    def adjust_as(self, ctx, key: str, delta: int, actor: str):
+        return {"value": ctx.crdt.pn_counter(key).adjust(delta, actor=actor)}
 
     @transaction
     def add_member(self, ctx, key: str, member: str):
@@ -52,6 +61,10 @@ class HandleContract(Contract):
     @query
     def counter_value(self, ctx, key: str):
         return {"value": ctx.crdt.counter(key).value()}
+
+    @query
+    def pn_value(self, ctx, key: str):
+        return {"value": ctx.crdt.pn_counter(key).value()}
 
     @query
     def set_members(self, ctx, key: str):
@@ -217,3 +230,96 @@ class TestEndToEnd:
         assert all(tx.commit_status().succeeded for tx in txs)
         state = local_network.state_of("cfg")
         assert state["a"] == {"x": "1", "y": "2"}
+
+
+class TestDeltaWrites:
+    """What a state-CRDT handle writes: its delta where the committer merges
+    into the committed value, its whole view where the peer stores as-is."""
+
+    @staticmethod
+    def _seeded(counter: GCounter) -> StateDB:
+        db = StateDB()
+        db.apply_write("k", to_bytes(crdt_to_dict_envelope(counter)), Version(0, 0))
+        return db
+
+    def _written(self, stub: ShimStub):
+        (write,) = stub.build_rwset().writes
+        assert write.is_crdt
+        return crdt_from_dict_envelope(from_bytes(write.value))
+
+    def test_counter_writes_one_entry_when_the_committer_merges(self):
+        committed = GCounter({"a": 4, "b": 2, "c": 1})
+        stub = ShimStub(self._seeded(committed), "tx1", crdt_deltas=True)
+        handle = HandleContract().new_context(stub).crdt.counter("k")
+        assert handle.incr(2, actor="a") == 9
+        assert handle.incr(1, actor="a") == 10
+        assert self._written(stub).to_dict() == {"entries": {"a": 7}}
+
+    def test_bare_stub_writes_the_whole_view(self):
+        committed = GCounter({"a": 4, "b": 2, "c": 1})
+        stub = ShimStub(self._seeded(committed), "tx1")
+        assert stub.crdt_deltas is False
+        HandleContract().new_context(stub).crdt.counter("k").incr(2, actor="a")
+        assert self._written(stub) == GCounter({"a": 6, "b": 2, "c": 1})
+
+    def test_an_adjust_after_initialize_still_carries_the_genesis_state(self):
+        stub = ShimStub(StateDB(), "tx1", crdt_deltas=True)
+        handle = HandleContract().new_context(stub).crdt.pn_counter("k")
+        handle.initialize(10)
+        assert handle.adjust(-3, actor="a") == 7
+        assert self._written(stub).value() == 7
+
+    def test_a_crdt_channel_orders_deltas_and_commits_the_merged_state(
+        self, contract, local_network
+    ):
+        for voter in ("v1", "v2", "v3"):
+            contract.submit("bump", "votes", "1", voter)
+        tx = contract.submit_async("bump", "votes", "1", "v4")
+        assert tx.commit_status().succeeded
+        ledger = local_network.ledger_of(0)
+        (write,) = ledger.block_at(tx.commit_status().block_num).block.transactions[0].rwset.writes
+        assert from_bytes(write.value)["state"] == {"entries": {"v4": 1}}
+        assert crdt_from_dict_envelope(local_network.state_of("votes")).to_dict() == {
+            "entries": {"v1": 1, "v2": 1, "v3": 1, "v4": 1}
+        }
+
+
+class TestVanillaChannel:
+    """A vanilla peer stores a CRDT-flagged write as it is and merges nothing,
+    so a handle there must write its whole view: a delta would *replace* the
+    committed state with the last transaction's change."""
+
+    @pytest.fixture
+    def vanilla(self):
+        network = vanilla_network(small_config(max_message_count=10))
+        network.deploy(HandleContract())
+        return Gateway.connect(network).get_contract("handles")
+
+    def test_sequential_counter_increments_all_count(self, vanilla):
+        for actor in ("a", "b", "c", "a"):
+            assert vanilla.submit_async("bump", "k", "1", actor).commit_status().succeeded
+        assert vanilla.evaluate("counter_value", "k")["value"] == 4
+
+    def test_sequential_pn_adjustments_all_count(self, vanilla):
+        for actor in ("a", "b", "c", "a"):
+            assert vanilla.submit_async("adjust_as", "k", "1", actor).commit_status().succeeded
+        assert vanilla.evaluate("pn_value", "k")["value"] == 4
+
+    def test_sequential_set_adds_and_discards_all_apply(self, vanilla):
+        for member in ("a", "b", "c", "a"):
+            assert vanilla.submit_async("add_member", "k", member).commit_status().succeeded
+        assert sorted(vanilla.evaluate("set_members", "k")["members"]) == ["a", "b", "c"]
+        assert vanilla.submit_async("drop_member", "k", "b").commit_status().succeeded
+        assert sorted(vanilla.evaluate("set_members", "k")["members"]) == ["a", "c"]
+
+
+class TestSharedActor:
+    """The per-actor maximum keeps one of two same-actor increments in a block."""
+
+    def test_two_increments_under_one_explicit_actor_in_one_block_count_once(
+        self, contract
+    ):
+        txs = [contract.submit_async("bump", "shared", "1", "shared") for _ in range(2)]
+        assert all(tx.commit_status().succeeded for tx in txs)
+        assert txs[0].commit_status().block_num == txs[1].commit_status().block_num
+        assert contract.evaluate("counter_value", "shared")["value"] == 1

@@ -1,5 +1,7 @@
-"""Property tests: every handle round-trips its envelope; every registered
-CRDT type merges commutatively and idempotently through the envelope path.
+"""Property tests: every handle round-trips its envelope, over an empty key
+and over a committed value (where a delta differs from the whole state);
+every registered CRDT type merges commutatively and idempotently through the
+envelope path.
 
 These run the exact byte path the committer uses — handle mutation →
 ``put_crdt`` envelope → :func:`merge_envelopes` — rather than calling
@@ -7,10 +9,13 @@ These run the exact byte path the committer uses — handle mutation →
 object identity.
 """
 
+from typing import Optional
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.serialization import from_bytes, to_bytes
+from repro.common.serialization import canonical_json, from_bytes, to_bytes
+from repro.common.types import Version
 from repro.contract import Contract
 from repro.crdt.base import StateCRDT
 from repro.crdt.gcounter import GCounter
@@ -37,8 +42,13 @@ class AnyHandles(Contract):
     name = "any"
 
 
-def fresh_ctx(tx_id: str = "tx1"):
-    return AnyHandles().new_context(ShimStub(StateDB(), tx_id))
+def seeded_ctx(committed: Optional[StateCRDT], crdt_deltas: bool, tx_id: str = "tx1"):
+    """A context whose key ``k`` holds ``committed`` (absent for ``None``)."""
+
+    db = StateDB()
+    if committed is not None:
+        db.apply_write("k", committed.to_bytes(), Version(0, 0))
+    return AnyHandles().new_context(ShimStub(db, tx_id, crdt_deltas=crdt_deltas))
 
 
 actors = st.sampled_from(["a", "b", "c", "d"])
@@ -48,11 +58,37 @@ elements = st.one_of(st.text(max_size=6), st.integers(min_value=-9, max_value=9)
 texts = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=8
 )
+committed_gcounters = st.one_of(
+    st.none(), st.dictionaries(actors, amounts, min_size=1).map(GCounter)
+)
+committed_pncounters = st.one_of(
+    st.none(),
+    st.builds(
+        lambda p, n: PNCounter(GCounter(p), GCounter(n)),
+        st.dictionaries(actors, amounts, min_size=1),
+        st.dictionaries(actors, amounts),
+    ),
+)
+
+
+@st.composite
+def committed_orsets(draw):
+    """``None`` or a committed OR-Set; its tags never collide with a handle's."""
+
+    added = draw(st.lists(elements, max_size=6))
+    orset = ORSet()
+    for index, element in enumerate(added):
+        orset = orset.add(element, f"committed-{index}")
+    for element in draw(st.lists(st.sampled_from(added), max_size=3) if added else st.just([])):
+        orset = orset.remove(element)
+    return draw(st.sampled_from([None, orset]))
 
 
 # ---------------------------------------------------------------------------
-# Round-trip: handle mutations → envelope bytes → decoded CRDT with the
-# same user-facing value.
+# Round-trip: handle mutations → envelope bytes → the committed state the
+# merging committer (or, for a whole-state write, the vanilla peer) would
+# store — over an empty key and over a non-empty committed value, with the
+# stub writing deltas and writing whole states.
 # ---------------------------------------------------------------------------
 
 
@@ -62,66 +98,101 @@ def _written_envelope(stub: ShimStub, key: str) -> dict:
     return from_bytes(writes[0].value)
 
 
+def _stored(ctx, committed: Optional[StateCRDT]) -> StateCRDT:
+    """What the key holds after the write commits: on a delta stub the
+    committer's merge into the committed value, else the write itself."""
+
+    written = crdt_from_dict_envelope(_written_envelope(ctx.stub, "k"))
+    if ctx.stub.crdt_deltas and committed is not None:
+        return committed.merge(written)
+    return written
+
+
 @settings(max_examples=40, deadline=None)
-@given(ops=st.lists(st.tuples(actors, amounts), min_size=1, max_size=8))
-def test_counter_handle_roundtrip(ops):
-    ctx = fresh_ctx()
+@given(
+    committed=committed_gcounters,
+    crdt_deltas=st.booleans(),
+    ops=st.lists(st.tuples(actors, amounts), min_size=1, max_size=8),
+)
+def test_counter_handle_roundtrip(committed, crdt_deltas, ops):
+    ctx = seeded_ctx(committed, crdt_deltas)
     handle = ctx.crdt.counter("k")
     for actor, amount in ops:
         handle.incr(amount, actor=actor)
-    decoded = crdt_from_dict_envelope(_written_envelope(ctx.stub, "k"))
-    assert decoded.value() == handle.value() == sum(a for _, a in ops)
+    expected = (committed.value() if committed is not None else 0) + sum(a for _, a in ops)
+    assert _stored(ctx, committed).value() == handle.value() == expected
 
 
 @settings(max_examples=40, deadline=None)
-@given(ops=st.lists(st.tuples(actors, deltas), min_size=1, max_size=8))
-def test_pn_counter_handle_roundtrip(ops):
-    ctx = fresh_ctx()
+@given(
+    committed=committed_pncounters,
+    crdt_deltas=st.booleans(),
+    ops=st.lists(st.tuples(actors, deltas), min_size=1, max_size=8),
+)
+def test_pn_counter_handle_roundtrip(committed, crdt_deltas, ops):
+    ctx = seeded_ctx(committed, crdt_deltas)
     handle = ctx.crdt.pn_counter("k")
     for actor, delta in ops:
         handle.adjust(delta, actor=actor)
-    decoded = crdt_from_dict_envelope(_written_envelope(ctx.stub, "k"))
-    assert decoded.value() == handle.value() == sum(d for _, d in ops)
+    expected = (committed.value() if committed is not None else 0) + sum(d for _, d in ops)
+    assert _stored(ctx, committed).value() == handle.value() == expected
 
 
 @settings(max_examples=40, deadline=None)
-@given(ops=st.lists(st.tuples(st.booleans(), elements), min_size=1, max_size=8))
-def test_set_handle_roundtrip(ops):
-    ctx = fresh_ctx()
+@given(
+    committed=committed_orsets(),
+    crdt_deltas=st.booleans(),
+    ops=st.lists(st.tuples(st.booleans(), elements), min_size=1, max_size=8),
+)
+def test_set_handle_roundtrip(committed, crdt_deltas, ops):
+    ctx = seeded_ctx(committed, crdt_deltas)
     handle = ctx.crdt.set("k")
-    reference: set = set()
+    reference = {canonical_json(e): e for e in (committed.value() if committed else [])}
     for is_add, element in ops:
         if is_add:
             handle.add(element)
-            reference.add(element)
+            reference[canonical_json(element)] = element
         else:
             handle.discard(element)
-            reference.discard(element)
-    decoded = crdt_from_dict_envelope(_written_envelope(ctx.stub, "k"))
-    assert sorted(map(str, decoded.value())) == sorted(map(str, reference))
-    assert sorted(map(str, handle.elements())) == sorted(map(str, reference))
+            reference.pop(canonical_json(element), None)
+    expected = sorted(reference)
+    assert sorted(map(canonical_json, _stored(ctx, committed).value())) == expected
+    assert sorted(map(canonical_json, handle.elements())) == expected
 
 
 @settings(max_examples=40, deadline=None)
-@given(values=st.lists(texts, min_size=1, max_size=6))
-def test_register_handle_roundtrip(values):
-    ctx = fresh_ctx()
+@given(
+    committed=st.one_of(
+        st.none(), texts.map(lambda v: LWWRegister(v, LamportTimestamp(3, "genesis")))
+    ),
+    crdt_deltas=st.booleans(),
+    values=st.lists(texts, min_size=1, max_size=6),
+)
+def test_register_handle_roundtrip(committed, crdt_deltas, values):
+    ctx = seeded_ctx(committed, crdt_deltas)
     handle = ctx.crdt.register("k")
     for value in values:
         handle.assign(value)
+    # A register ships its whole state whatever the stub allows.
     decoded = crdt_from_dict_envelope(_written_envelope(ctx.stub, "k"))
     assert decoded.value() == handle.value() == values[-1]
 
 
 @settings(max_examples=30, deadline=None)
-@given(lines=st.lists(texts, min_size=1, max_size=5))
-def test_text_handle_roundtrip(lines):
-    ctx = fresh_ctx()
+@given(
+    committed=st.one_of(st.none(), texts.map(lambda t: TextDocument("genesis").append(t))),
+    crdt_deltas=st.booleans(),
+    lines=st.lists(texts, min_size=1, max_size=5),
+)
+def test_text_handle_roundtrip(committed, crdt_deltas, lines):
+    ctx = seeded_ctx(committed, crdt_deltas)
     handle = ctx.crdt.text("k")
     for line in lines:
         handle.append(line)
+    # Text ships its whole state whatever the stub allows.
     decoded = crdt_from_dict_envelope(_written_envelope(ctx.stub, "k"))
-    assert decoded.text() == handle.text() == "".join(lines)
+    prefix = committed.text() if committed is not None else ""
+    assert decoded.text() == handle.text() == prefix + "".join(lines)
 
 
 # ---------------------------------------------------------------------------

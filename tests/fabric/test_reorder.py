@@ -1,7 +1,15 @@
 """Tests for the Fabric++-style reordering orderer (the related-work baseline)."""
 
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.common.config import OrdererConfig
-from repro.common.types import ReadItem, ReadWriteSet, ValidationCode, WriteItem
+from repro.common.types import ReadItem, ReadWriteSet, ValidationCode, Version, WriteItem
 from repro.common.serialization import to_bytes
 from repro.fabric.block import Block
 from repro.fabric.reorder import ReorderingOrderingService, reorder_batch
@@ -133,3 +141,82 @@ class TestReorderingOrderingService:
         committed_blocks, service = self._commit_through(peer, txs, early_abort=True)
         assert sum(len(block.block) for block in committed_blocks) == 1
         assert service.reorder_stats["early_aborted"] == 4
+
+
+def _networkx_reorder(transactions):
+    """The networkx implementation ``reorder_batch`` replaced, kept as the
+    reference its schedule and victims are pinned to."""
+
+    nx = pytest.importorskip("networkx")
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(len(transactions)))
+    reads = [frozenset(tx.rwset.read_keys) for tx in transactions]
+    writes = [
+        frozenset(w.key for w in tx.rwset.writes if not w.is_crdt) for tx in transactions
+    ]
+    for a in range(len(transactions)):
+        for b in range(len(transactions)):
+            if a != b and writes[b] & reads[a]:
+                graph.add_edge(a, b)
+    victims: set[int] = set()
+    for component in nx.strongly_connected_components(graph):
+        if len(component) > 1:
+            victims.update(component - {min(component)})
+    surviving = graph.subgraph(set(graph.nodes) - victims).copy()
+    while True:
+        cyclic = [c for c in nx.strongly_connected_components(surviving) if len(c) > 1]
+        if not cyclic:
+            break
+        for component in cyclic:
+            extra = component - {min(component)}
+            victims.update(extra)
+            surviving.remove_nodes_from(extra)
+    order = list(nx.lexicographical_topological_sort(surviving))
+    return [transactions[i] for i in order], [transactions[i] for i in sorted(victims)]
+
+
+_KEYS = ("A", "B", "C", "D", "E")
+_tx_shapes = st.lists(
+    st.tuples(
+        st.sets(st.sampled_from(_KEYS), max_size=3),  # reads
+        st.sets(st.sampled_from(_KEYS), max_size=3),  # writes
+        st.booleans(),  # writes flagged as CRDT
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes=_tx_shapes)
+def test_schedule_and_victims_match_the_networkx_reference(shapes):
+    peer = build_peer()
+    txs = [
+        endorsed_tx(
+            peer,
+            write_rwset(
+                *((key, {"v": nonce}) for key in sorted(written)),
+                reads=tuple((key, Version(0, 0)) for key in sorted(read)),
+                crdt=crdt,
+            ),
+            nonce,
+        )
+        for nonce, (read, written, crdt) in enumerate(shapes)
+    ]
+    scheduled, victims = reorder_batch(txs)
+    expected_scheduled, expected_victims = _networkx_reorder(txs)
+    assert [tx.tx_id for tx in scheduled] == [tx.tx_id for tx in expected_scheduled]
+    assert [tx.tx_id for tx in victims] == [tx.tx_id for tx in expected_victims]
+
+
+def test_the_reorderer_does_not_import_networkx():
+    """networkx is not a declared dependency; the reorderer needs none."""
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import repro.fabric.reorder; sys.exit('networkx' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr or "networkx was imported"
