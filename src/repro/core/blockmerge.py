@@ -124,22 +124,19 @@ def validate_merge_block(
     # (line 15 — MVCC validation of non-CRDT transactions — runs in the peer.)
 
     # -- second pass: substitute merged values (lines 16-22) -------------------
-    committed_bytes = {key: merged.to_committed_bytes() for key, merged in crdts.items()}
-    replacement_writes: dict[int, tuple[WriteItem, ...]] = {}
-    for tx_index in crdt_tx_indices:
-        tx = block.transactions[tx_index]
-        new_writes = tuple(
-            WriteItem(
-                key=write.key,
-                value=committed_bytes[write.key],
-                is_delete=False,
-                is_crdt=True,
-            )
-            if write.is_crdt and write.key in committed_bytes
-            else write
-            for write in tx.rwset.writes
+    # Every CRDT write of a key in the block commits the same merged value,
+    # so one WriteItem per key serves all of the block's transactions.
+    merged_writes = {
+        key: WriteItem(key=key, value=merged.to_committed_bytes(), is_delete=False, is_crdt=True)
+        for key, merged in crdts.items()
+    }
+    replacement_writes: dict[int, tuple[WriteItem, ...]] = {
+        tx_index: tuple(
+            merged_writes.get(write.key, write) if write.is_crdt else write
+            for write in block.transactions[tx_index].rwset.writes
         )
-        replacement_writes[tx_index] = new_writes
+        for tx_index in crdt_tx_indices
+    }
 
     return MergePlan(
         skip_mvcc=frozenset(crdt_tx_indices),

@@ -112,14 +112,17 @@ class BlockMetadata:
 class CommittedBlock:
     """A block plus the metadata a peer attached when committing it.
 
-    ``effective_writes`` records exactly what was applied to the world state:
-    ``(tx_index, write)`` pairs for every valid transaction, in commit order.
-    For vanilla Fabric these equal the raw write-sets of valid transactions;
-    for FabricCRDT the CRDT-flagged writes carry the *merged* values
-    (Algorithm 1, line 22 replaces write values before commit).  Keeping them
-    here — rather than mutating the block — preserves the orderer's hash
-    chain while still making the world state a replayable function of the
-    ledger (see :meth:`repro.fabric.ledger.Ledger.rebuild_state`).
+    ``effective_writes`` is ``None`` unless a CRDT merge replaced a
+    write-set; then it records exactly what was applied to the world state:
+    ``(tx_index, write)`` pairs for every valid transaction, in commit order
+    (sorted by ``tx_index``), the CRDT-flagged writes carrying the *merged*
+    values (Algorithm 1, line 22 replaces write values before commit).  When
+    it is ``None`` the applied writes are the raw write-sets of the valid
+    transactions, and :meth:`writes_applied` derives them from the flags.
+    Keeping the merged values here — rather than mutating the block —
+    preserves the orderer's hash chain while still making the world state a
+    replayable function of the ledger (see
+    :meth:`repro.fabric.ledger.Ledger.rebuild_state`).
     """
 
     block: Block

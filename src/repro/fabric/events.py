@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..common.deprecation import warn_once
-from ..common.types import TxStatus, ValidationCode
+from ..common.types import TxStatus
 from .block import CommittedBlock
 
 BlockListener = Callable[[CommittedBlock, str], None]
@@ -93,11 +93,10 @@ def statuses_from_block(
 
     statuses = []
     for tx_index, tx in enumerate(committed.block.transactions):
-        code = committed.metadata.code_for(tx_index)
         statuses.append(
             TxStatus(
                 tx_id=tx.tx_id,
-                code=code if code is not ValidationCode.NOT_VALIDATED else code,
+                code=committed.metadata.code_for(tx_index),
                 block_num=committed.block.number,
                 tx_num=tx_index,
                 submit_time=(submit_times or {}).get(tx.tx_id, tx.proposal.submit_time),

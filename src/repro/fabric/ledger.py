@@ -11,6 +11,9 @@ transactions included in the blockchain ... results in the current state").
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import pairwise
+from operator import itemgetter
 from typing import Optional
 
 from ..common.errors import LedgerError
@@ -19,19 +22,33 @@ from .block import GENESIS_PREVIOUS_HASH, CommittedBlock
 from .store import MemoryStore, StateStore, WriteBatch
 
 
+#: A position packs a transaction's place in the chain into one ``int``:
+#: ``block << 32 | tx``.
+_TX_MASK = (1 << 32) - 1
+
+_tx_index_of = itemgetter(0)
+
+
 class Ledger:
     """One peer's ledger.
 
     ``store`` selects the world-state backend (default: the in-memory
     store); the blockchain structure itself — blocks, tx index, key
     history — always lives in memory.
+
+    The tx index and the key history hold *positions* into the chain, not
+    copies of what it holds: one packed ``int`` (``block << 32 | tx``) per
+    transaction id and per (key, writing transaction).
+    :meth:`history_for_key` builds the :class:`KeyModification` entries on
+    demand from the block's applied writes, as Fabric's history database
+    keeps ``(block, tx)`` and reads values from the block store.
     """
 
     def __init__(self, store: Optional[StateStore] = None) -> None:
         self.state: StateStore = store if store is not None else MemoryStore()
         self._blocks: list[CommittedBlock] = []
-        self._tx_index: dict[str, tuple[int, int]] = {}  # tx_id -> (block, index)
-        self._history: dict[str, list[KeyModification]] = {}
+        self._tx_index: dict[str, int] = {}  # tx_id -> position, first occurrence
+        self._history: dict[str, list[int]] = {}  # key -> positions of its writers
 
     def reset_store(self, store: StateStore) -> None:
         """Swap the world-state backend before any block committed.
@@ -80,14 +97,43 @@ class Ledger:
         return tx_id in self._tx_index
 
     def transaction_status(self, tx_id: str) -> Optional[ValidationCode]:
-        location = self._tx_index.get(tx_id)
-        if location is None:
+        position = self._tx_index.get(tx_id)
+        if position is None:
             return None
-        block_num, tx_index = location
-        return self._blocks[block_num].metadata.code_for(tx_index)
+        return self._blocks[position >> 32].metadata.code_for(position & _TX_MASK)
 
     def history_for_key(self, key: str) -> tuple[KeyModification, ...]:
-        return tuple(self._history.get(key, ()))
+        """Every applied write of ``key``, oldest first, read from the chain.
+
+        Costs one lookup per transaction that wrote ``key``: a vanilla block
+        serves the transaction's own write-set, a merged one the slice of
+        ``effective_writes`` found by bisection on the transaction index.
+        """
+
+        modifications: list[KeyModification] = []
+        for position in self._history.get(key, ()):
+            block_num, tx_index = position >> 32, position & _TX_MASK
+            committed = self._blocks[block_num]
+            tx = committed.block.transactions[tx_index]
+            effective = committed.effective_writes
+            if effective is None:
+                writes = tx.rwset.writes
+            else:
+                lo = bisect_left(effective, tx_index, key=_tx_index_of)
+                hi = bisect_right(effective, tx_index, lo, key=_tx_index_of)
+                writes = (write for _, write in effective[lo:hi])
+            version = Version(block_num, tx_index)
+            modifications.extend(
+                KeyModification(
+                    tx_id=tx.tx_id,
+                    value=write.value,
+                    is_delete=write.is_delete,
+                    version=version,
+                )
+                for write in writes
+                if write.key == key
+            )
+        return tuple(modifications)
 
     # -- commit -------------------------------------------------------------------
 
@@ -103,19 +149,28 @@ class Ledger:
             )
         if not block.verify_integrity(expected_previous_hash=self.last_hash):
             raise LedgerError(f"block {block.number} fails integrity check")
-        self._blocks.append(committed)
-        for tx_index, tx in enumerate(block.transactions):
-            self._tx_index.setdefault(tx.tx_id, (block.number, tx_index))
-        for tx_index, write in committed.writes_applied():
-            tx = block.transactions[tx_index]
-            self._history.setdefault(write.key, []).append(
-                KeyModification(
-                    tx_id=tx.tx_id,
-                    value=write.value,
-                    is_delete=write.is_delete,
-                    version=Version(block.number, tx_index),
-                )
+        effective = committed.effective_writes
+        if effective is not None and any(
+            later < earlier for (earlier, _), (later, _) in pairwise(effective)
+        ):
+            # history_for_key bisects them by transaction index
+            raise LedgerError(
+                f"block {block.number}: effective writes out of transaction order"
             )
+        self._blocks.append(committed)
+        # One int per transaction, shared by the tx index and the history.
+        base = block.number << 32
+        positions = [base | tx_index for tx_index in range(len(block.transactions))]
+        for tx, position in zip(block.transactions, positions):
+            self._tx_index.setdefault(tx.tx_id, position)
+        history = self._history
+        for tx_index, write in committed.writes_applied():
+            position = positions[tx_index]
+            key_positions = history.get(write.key)
+            if key_positions is None:
+                history[write.key] = [position]
+            elif key_positions[-1] != position:  # a key written twice by one tx: once
+                key_positions.append(position)
 
     # -- replay ---------------------------------------------------------------------
 

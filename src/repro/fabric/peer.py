@@ -107,7 +107,9 @@ class PreparedCommit:
 
     block: Block
     metadata: BlockMetadata
-    effective_writes: tuple[tuple[int, WriteItem], ...]
+    #: ``None`` unless the merge plan replaced a write-set (see
+    #: :class:`~repro.fabric.block.CommittedBlock`).
+    effective_writes: Optional[tuple[tuple[int, WriteItem], ...]]
     work: CommitWork
     #: The block-scoped state mutation, applied atomically by the store.
     batch: WriteBatch
@@ -321,8 +323,14 @@ class Peer:
         }
         committed = self.ledger.state.get_versions(read_keys) if read_keys else {}
 
+        # A commit whose writes are the raw write-sets of its valid
+        # transactions keeps no second list of them: CommittedBlock derives
+        # them from flags + rwsets.
+        effective: Optional[list[tuple[int, WriteItem]]] = (
+            [] if plan.replacement_writes else None
+        )
         pending: dict[str, Optional[Version]] = {}
-        effective: list[tuple[int, WriteItem]] = []
+        batch = WriteBatch(block_number=block.number)
         for tx_index, tx in enumerate(block.transactions):
             code = precodes[tx_index]
             if code is None and tx_index in plan.forced_codes:
@@ -337,14 +345,12 @@ class Peer:
                 writes = plan.replacement_writes.get(tx_index, tx.rwset.writes)
                 for write in writes:
                     pending[write.key] = None if write.is_delete else version
-                    effective.append((tx_index, write))
+                    work.writes_applied += 1
+                    work.bytes_written += len(write.value)
+                    batch.put(write.key, write.value, version, write.is_delete)
+                    if effective is not None:
+                        effective.append((tx_index, write))
             metadata.mark(tx_index, code)
-
-        batch = WriteBatch(block_number=block.number)
-        for tx_index, write in effective:
-            work.writes_applied += 1
-            work.bytes_written += len(write.value)
-            batch.put(write.key, write.value, Version(block.number, tx_index), write.is_delete)
         work.distinct_keys_written = len(batch.distinct_keys())
         work.merge_ops = int(plan.work.get("merge_ops", 0))
         work.merge_scan_steps = int(plan.work.get("merge_scan_steps", 0))
@@ -353,7 +359,7 @@ class Peer:
         return PreparedCommit(
             block=block,
             metadata=metadata,
-            effective_writes=tuple(effective),
+            effective_writes=None if effective is None else tuple(effective),
             work=work,
             batch=batch,
         )

@@ -33,6 +33,7 @@ from repro.fabric.transaction import (
     ProposalResponse,
     TransactionEnvelope,
 )
+from repro.net.transport import MirrorPeer
 from repro.net.wire import (
     WireError,
     dec_block,
@@ -59,6 +60,8 @@ from repro.net.wire import (
     enc_version,
     message_type,
 )
+
+from ..fabric.helpers import build_peer, endorsed_tx, write_rwset
 
 # -- strategies ---------------------------------------------------------------
 
@@ -275,6 +278,51 @@ def test_committed_block_round_trip(committed):
     assert list(decoded.metadata.flags) == list(committed.metadata.flags)
     assert decoded.commit_time == committed.commit_time
     assert decoded.writes_applied() == committed.writes_applied()
+
+
+def test_vanilla_committed_block_round_trips_into_a_mirror():
+    # A vanilla commit keeps no effective-writes list: the frame carries
+    # ``null`` and the mirror derives the writes from flags + write-sets.
+    peer = build_peer()
+    mirror = MirrorPeer("mirror", "Org1")
+    blocks = [
+        (
+            endorsed_tx(peer, write_rwset(("a", {"n": 1}), ("b", {"n": 1})), nonce=1),
+            endorsed_tx(peer, write_rwset(("a", {"n": 2})), nonce=2),
+        ),
+        (
+            endorsed_tx(
+                peer,
+                ReadWriteSet.build(writes=[WriteItem("b", b"", is_delete=True)]),
+                nonce=3,
+            ),
+            endorsed_tx(peer, write_rwset(("a", {"n": 3}), reads=(("a", None),)), nonce=4),
+            endorsed_tx(peer, write_rwset(("c", {"n": 1})), nonce=1),  # duplicate id
+        ),
+    ]
+    for txs in blocks:
+        block = Block.build(peer.ledger.height, peer.ledger.last_hash, txs)
+        committed = peer.validate_and_commit(block)
+        assert committed.effective_writes is None
+        encoded = enc_committed_block(committed)
+        assert encoded["effective_writes"] is None
+        mirror.absorb(dec_committed_block(encoded))
+
+    codes = [code for _, code in peer.ledger.block_at(1).statuses()]
+    assert codes == [
+        ValidationCode.VALID,
+        ValidationCode.MVCC_READ_CONFLICT,
+        ValidationCode.DUPLICATE_TXID,
+    ]
+    assert mirror.ledger.state.fingerprint() == peer.ledger.state.fingerprint()
+    assert mirror.ledger.state.snapshot_versions() == peer.ledger.state.snapshot_versions()
+    for key in ("a", "b", "c"):
+        assert mirror.ledger.history_for_key(key) == peer.ledger.history_for_key(key)
+    for txs in blocks:
+        for tx in txs:
+            assert mirror.ledger.transaction_status(tx.tx_id) == (
+                peer.ledger.transaction_status(tx.tx_id)
+            )
 
 
 @given(committed=committed_blocks())
