@@ -8,7 +8,7 @@ import pytest
 
 from repro.bench.analytic import predict_figure3, predict_point
 from repro.bench.experiments import _network_config, ExperimentScale
-from repro.workload.caliper import run_workload
+from repro.workload.runner import Round, run_round
 from repro.workload.spec import table1_spec
 
 from conftest import run_once
@@ -31,8 +31,8 @@ def test_model_matches_simulator(block_size, cost_model):
 
     scale = ExperimentScale(transactions=SIM_TXS, light_topology=True)
     spec = table1_spec(total_transactions=SIM_TXS, seed=7)
-    simulated = run_workload(
-        spec, _network_config(scale, block_size, True), cost=cost_model
+    simulated = run_round(
+        Round(spec, _network_config(scale, block_size, True)), cost=cost_model
     )
     predicted = predict_point(
         block_size, total_transactions=SIM_TXS, cost=cost_model

@@ -47,7 +47,7 @@ from .contract import Context, Contract as ContractBase, query, transaction
 from .core.network import crdt_network, vanilla_network
 from .events import BlockEvent, Checkpoint, ContractEvent, FileCheckpointer
 from .core.peer import CRDTPeer
-from .fabric.chaincode import Chaincode, ShimStub
+from .fabric.chaincode import ShimStub
 from .fabric.localnet import LocalNetwork
 from .fabric.peer import Peer
 from .gateway import (
@@ -78,7 +78,6 @@ __all__ = [
     "CRDTPeer",
     "Peer",
     "LocalNetwork",
-    "Chaincode",
     "ShimStub",
     "ContractBase",
     "Context",

@@ -27,7 +27,7 @@ import sys
 import time
 
 from ..telemetry import merge_snapshots
-from ..workload.report import format_result_details
+from ..workload.reporter import format_result_details
 from ..workload.reporter import JsonReporter, deterministic_fingerprint, golden_drift
 from ..workload.runner import Benchmark, Round
 from ..workload.spec import table1_spec

@@ -28,7 +28,7 @@ from ..common.config import (
 )
 from ..fabric.costmodel import CostModel
 from ..workload.metrics import BenchmarkResult
-from ..workload.report import format_figure
+from ..workload.reporter import format_figure
 from ..workload.runner import Benchmark, Round, run_round
 from ..workload.spec import (
     WorkloadSpec,

@@ -1,12 +1,12 @@
 """``repro.contract`` — typed, decorator-based chaincode authoring.
 
-The successor to the raw-shim :class:`~repro.fabric.chaincode.Chaincode`
-surface: a :class:`Contract` base class with ``@transaction`` / ``@query``
-decorated handlers (explicit registry, typed argument coercion), a
-:class:`Context` per invocation (``ctx.state``, ``ctx.events``), and —
-the FabricCRDT headline — ``ctx.crdt``, a typed CRDT handle factory whose
-mutation methods read the committed envelope, apply the operation through
-the :mod:`repro.crdt` classes, and buffer the result through ``put_crdt``.
+The chaincode authoring surface: a :class:`Contract` base class with
+``@transaction`` / ``@query`` decorated handlers (explicit registry, typed
+argument coercion), a :class:`Context` per invocation (``ctx.state``,
+``ctx.events``), and — the FabricCRDT headline — ``ctx.crdt``, a typed CRDT
+handle factory whose mutation methods read the committed envelope, apply
+the operation through the :mod:`repro.crdt` classes, and buffer the result
+through ``put_crdt``.
 
 Quick example::
 
@@ -19,9 +19,6 @@ Quick example::
         def vote(self, ctx, ballot: str, option: str, voter: str):
             total = ctx.crdt.counter(f"vote/{ballot}/{option}").incr(actor=voter)
             return {"ballot": ballot, "option": option, "observed_total": total}
-
-Legacy ``Chaincode`` subclasses keep working (one shared deployment
-protocol), but their ``fn_`` dispatch emits a ``DeprecationWarning``.
 """
 
 from .context import Context, EventRegister, StateAccessor

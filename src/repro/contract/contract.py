@@ -1,13 +1,12 @@
 """The Contract base class and its ``@transaction`` / ``@query`` decorators.
 
-Raw-shim chaincode (:class:`repro.fabric.chaincode.Chaincode`) dispatches by
-``getattr(self, f"fn_{function}")`` and hands every argument through as the
-proposal's raw strings.  :class:`Contract` replaces both conventions with an
-explicit registry:
+Fabric's shim hands chaincode one entry, ``invoke(stub, function, args)``,
+with every argument as the proposal's raw string.  :class:`Contract`
+implements that entry with an explicit registry:
 
-* handlers are *decorated*, not name-mangled — ``@transaction`` marks a
-  submit-style handler, ``@query`` a read-only one; anything undecorated is
-  unreachable from a proposal, so there is no ``fn__private`` surface;
+* handlers are *decorated* — ``@transaction`` marks a submit-style handler,
+  ``@query`` a read-only one; anything undecorated, and any ``_private``
+  name, is unreachable from a proposal;
 * arguments are *coerced* from the proposal's strings to the handler's
   annotations (``int``, ``float``, ``bool``, ``dict``, ``list``, ``str``)
   with readable errors, so chaincode never starts with ``int(amount)``
@@ -268,9 +267,9 @@ class Contract:
     *coerced_args)`` where ``ctx`` is a fresh
     :class:`~repro.contract.context.Context` per invocation.
 
-    The class satisfies the same deployment protocol as legacy
-    :class:`~repro.fabric.chaincode.Chaincode` (``name`` + ``invoke``), so
-    ``network.deploy(...)`` and the Gateway work unchanged.
+    The class satisfies the channel's deployment protocol,
+    :class:`~repro.fabric.chaincode.DeployableChaincode` (``name`` +
+    ``invoke``), so ``network.deploy(...)`` and the Gateway accept it.
     """
 
     #: Chaincode name used in proposals.

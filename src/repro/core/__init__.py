@@ -1,14 +1,7 @@
 """FabricCRDT: the paper's contribution — CRDT-merged transaction commits."""
 
 from .blockmerge import validate_merge_block
-from .counters import (
-    VotingChaincode,
-    add_to_set,
-    adjust_pn_counter,
-    increment_counter,
-    read_crdt,
-    write_crdt,
-)
+from .counters import VotingChaincode
 from .jsonmerge import (
     MergedKey,
     init_empty_crdt,
@@ -32,10 +25,5 @@ __all__ = [
     "crdt_network",
     "vanilla_network",
     "crdt_peer_factory",
-    "increment_counter",
-    "adjust_pn_counter",
-    "add_to_set",
-    "read_crdt",
-    "write_crdt",
     "VotingChaincode",
 ]

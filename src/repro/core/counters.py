@@ -2,64 +2,16 @@
 
 The paper's prototype merges JSON CRDTs only and names counter/map/graph
 CRDTs as future work; Fabric's own FAB-10711 proposal sketched built-in
-parallel increments.  The real machinery now lives in
-:mod:`repro.contract.handles` — typed state handles behind ``ctx.crdt`` —
-and this module is a **thin compatibility layer**: the original
-stub-oriented helpers (``increment_counter`` and friends) delegate to the
-same handles, so code written against the old surface keeps its exact
-behaviour while new code uses ``ctx.crdt.counter(key).incr()`` directly.
+parallel increments.  The machinery lives in :mod:`repro.contract.handles`
+— typed state handles behind ``ctx.crdt`` — and this module holds the
+voting contract that exercises them.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..common.errors import ChaincodeError
 from ..common.types import Json
 from ..contract import Context, Contract, query, transaction
-from ..contract.handles import CounterHandle, PNCounterHandle, SetHandle
-from ..crdt.base import StateCRDT
-from ..crdt.registry import crdt_from_dict_envelope, crdt_to_dict_envelope
-from ..fabric.chaincode import ShimStub
-
-
-def read_crdt(stub: ShimStub, key: str) -> Optional[StateCRDT]:
-    """Read and decode a state-CRDT envelope from the ledger."""
-
-    value = stub.get_state(key)
-    if value is None:
-        return None
-    if not isinstance(value, dict) or "crdt" not in value:
-        raise ChaincodeError(f"key {key!r} does not hold a CRDT envelope")
-    return crdt_from_dict_envelope(value)
-
-
-def write_crdt(stub: ShimStub, key: str, value: StateCRDT) -> None:
-    """Write a state CRDT as a flagged envelope (merged at commit time)."""
-
-    stub.put_crdt(key, crdt_to_dict_envelope(value))
-
-
-def increment_counter(stub: ShimStub, key: str, actor: str, amount: int = 1) -> int:
-    """Increment a grow-only counter at ``key`` by ``amount``.
-
-    Compatibility wrapper over :class:`~repro.contract.handles.CounterHandle`;
-    returns the locally observed new total.
-    """
-
-    return CounterHandle(stub, key).incr(amount, actor=actor)
-
-
-def adjust_pn_counter(stub: ShimStub, key: str, actor: str, delta: int) -> int:
-    """Increment/decrement a PN-Counter at ``key`` by ``delta``."""
-
-    return PNCounterHandle(stub, key).adjust(delta, actor=actor)
-
-
-def add_to_set(stub: ShimStub, key: str, element: Json, tag: str) -> None:
-    """Add ``element`` to an OR-Set at ``key`` under a unique ``tag``."""
-
-    SetHandle(stub, key).add(element, tag=tag)
+from ..crdt.registry import crdt_from_dict_envelope
 
 
 class VotingChaincode(Contract):

@@ -53,4 +53,4 @@ def vanilla_network(config: Optional[NetworkConfig] = None) -> LocalNetwork:
     """A synchronous vanilla Fabric network (the baseline)."""
 
     resolved = config if config is not None else fabric_config()
-    return LocalNetwork(resolved)
+    return LocalNetwork(resolved, peer_factory=Peer)

@@ -71,7 +71,7 @@ class DeliverSession:
         instants on the DES clock).
         """
 
-        self._unsubscribe = self.peer.events.subscribe_internal(self._on_live)
+        self._unsubscribe = self.peer.events.subscribe(self._on_live)
         self._replaying = True
         try:
             self._catch_up(InlineSchedule())

@@ -1,7 +1,7 @@
 """Hyperledger Fabric substrate: the Execute-Order-Validate engine."""
 
 from .block import GENESIS_PREVIOUS_HASH, Block, BlockHeader, BlockMetadata, CommittedBlock
-from .chaincode import Chaincode, ChaincodeRegistry, ShimStub
+from .chaincode import ChaincodeRegistry, ShimStub
 from .client import (
     AssembledTransaction,
     Client,
@@ -23,12 +23,13 @@ from .policy import (
     majority_policy,
     or_policy,
 )
-from .statedb import StateDB, VersionedValue, compile_selector
 from .store import (
     MemoryStore,
     SqliteStore,
     StateStore,
+    VersionedValue,
     WriteBatch,
+    compile_selector,
     create_store,
 )
 from .transaction import (
@@ -46,7 +47,6 @@ __all__ = [
     "BlockMetadata",
     "CommittedBlock",
     "GENESIS_PREVIOUS_HASH",
-    "Chaincode",
     "ChaincodeRegistry",
     "ShimStub",
     "Client",
@@ -74,7 +74,6 @@ __all__ = [
     "and_policy",
     "or_policy",
     "majority_policy",
-    "StateDB",
     "VersionedValue",
     "compile_selector",
     "StateStore",

@@ -1,4 +1,4 @@
-"""Chaincode base class and the shim stub.
+"""The chaincode deployment protocol and the shim stub.
 
 Chaincode runs during *endorsement* (Step 1–2 of Figure 1): the peer executes
 ``invoke`` against a read-only snapshot of its world state while the stub
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence, runtime_checkable
 
-from ..common.deprecation import warn_once
 from ..common.errors import ChaincodeError
 from ..common.hashing import sha256
 from ..common.serialization import from_bytes, to_bytes
@@ -268,10 +267,10 @@ class ShimStub:
 
 @runtime_checkable
 class DeployableChaincode(Protocol):
-    """What a channel needs from deployed chaincode, whatever its style.
+    """What a channel needs from deployed chaincode: a name and Fabric's one
+    shim entry, ``invoke(stub, function, args)``.
 
-    Satisfied by old-style :class:`Chaincode` subclasses and by new-style
-    :class:`repro.contract.Contract` subclasses alike.
+    :class:`repro.contract.Contract` implements it with a decorator registry.
     """
 
     name: str
@@ -280,79 +279,8 @@ class DeployableChaincode(Protocol):
         ...  # pragma: no cover - protocol definition
 
 
-class Chaincode:
-    """Base class for raw-shim chaincode (smart contracts).
-
-    .. deprecated:: prefer :class:`repro.contract.Contract` with
-       ``@transaction`` / ``@query`` decorated handlers — an explicit
-       registry with typed argument coercion instead of ``fn_`` name
-       dispatch.  This class remains as a compatibility shim; its ``fn_``
-       dispatch emits a :class:`DeprecationWarning` once per process.
-
-    Subclasses either define ``fn_<function>`` handlers or override
-    :meth:`invoke` wholesale; the return value (any JSON) becomes the
-    chaincode result carried in the proposal response.
-    """
-
-    #: Chaincode name used in proposals.
-    name: str = "chaincode"
-
-    def invoke(self, stub: ShimStub, function: str, args: tuple[str, ...]) -> Json:
-        warn_once(
-            "chaincode-fn-dispatch",
-            "Chaincode's fn_-prefix dispatch is deprecated; subclass "
-            "repro.contract.Contract and decorate handlers with @transaction/@query",
-        )
-        handler = None
-        if _is_public_function_name(function):
-            handler = getattr(self, f"fn_{function}", None)
-        if handler is None:
-            raise ChaincodeError(
-                f"{self.name}: unknown function {function!r}; "
-                f"available: {', '.join(self.transaction_names()) or '(none)'}"
-            )
-        return handler(stub, *args)
-
-    @classmethod
-    def transaction_names(cls) -> tuple[str, ...]:
-        """The invokable function names (``fn_`` handlers, public only)."""
-
-        return tuple(
-            sorted(
-                name[len("fn_"):]
-                for name in dir(cls)
-                if name.startswith("fn_")
-                and _is_public_function_name(name[len("fn_"):])
-                and callable(getattr(cls, name))
-            )
-        )
-
-    def init(self, stub: ShimStub) -> None:
-        """Optional: populate initial state (called on deployment)."""
-
-
-def _is_public_function_name(function: str) -> bool:
-    """Only plain public identifiers are dispatchable.
-
-    Rejects ``_private`` names (which would otherwise reach ``fn__private``
-    handlers) and anything that is not an identifier, so proposal-supplied
-    function strings can never address internal attributes.
-    """
-
-    return (
-        isinstance(function, str)
-        and function.isidentifier()
-        and not function.startswith("_")
-    )
-
-
 class ChaincodeRegistry:
-    """Chaincodes deployed on a channel, by name.
-
-    Accepts anything satisfying :class:`DeployableChaincode` — old-style
-    ``Chaincode`` subclasses and new-style ``repro.contract.Contract``
-    subclasses share one registry.
-    """
+    """Chaincodes deployed on a channel, by name."""
 
     def __init__(self) -> None:
         self._chaincodes: dict[str, DeployableChaincode] = {}

@@ -1,11 +1,11 @@
 """Commit event delivery (Fabric's event hub / block listener).
 
-Peers publish every committed block to their hub.  The hub is now an
-*internal* building block of the event service: the deliver sessions in
-:mod:`repro.events.deliver` ride it for live delivery, and everything else
-subscribes through Gateway streams (``gateway.block_events()`` /
+Peers publish every committed block to their hub.  The hub is a building
+block of the event service: the deliver sessions in
+:mod:`repro.events.deliver` ride it for live delivery, and applications
+subscribe through Gateway streams (``gateway.block_events()`` /
 ``contract.contract_events()``), which add replay, filtering, and
-checkpointing on top.  Direct ``subscribe`` calls still work but warn once.
+checkpointing on top.
 
 Subscribers never run inside the commit path's timing — in the
 discrete-event network, publishing happens at the instant the commit
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..common.deprecation import warn_once
 from ..common.types import TxStatus
 from .block import CommittedBlock
 
@@ -34,25 +33,10 @@ class EventHub:
     def subscribe(self, listener: BlockListener) -> Callable[[], None]:
         """Register a listener; returns an unsubscribe function.
 
-        .. deprecated:: use the event service instead —
-           ``Gateway.connect(network).block_events()`` (or
-           ``contract.contract_events()``) streams the same commits with
-           replay, filtering, and checkpointing.
-        """
-
-        warn_once(
-            "eventhub-subscribe",
-            "peer.events.subscribe is deprecated; use the Gateway event "
-            "service (gateway.block_events() / contract.contract_events())",
-        )
-        return self.subscribe_internal(listener)
-
-    def subscribe_internal(self, listener: BlockListener) -> Callable[[], None]:
-        """Register a listener without the deprecation warning.
-
-        Reserved for the event service's own deliver sessions
-        (:mod:`repro.events.deliver`); everything else should go through
-        the Gateway streams.
+        The event service's deliver sessions (:mod:`repro.events.deliver`)
+        ride this for live delivery; applications read the same commits
+        through the Gateway streams, which add replay, filtering, and
+        checkpointing.
         """
 
         self._listeners.append(listener)

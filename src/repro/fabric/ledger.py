@@ -50,21 +50,6 @@ class Ledger:
         self._tx_index: dict[str, int] = {}  # tx_id -> position, first occurrence
         self._history: dict[str, list[int]] = {}  # key -> positions of its writers
 
-    def reset_store(self, store: StateStore) -> None:
-        """Swap the world-state backend before any block committed.
-
-        Used by the channel to honour ``NetworkConfig.state_backend`` with
-        peer factories that predate the ``store`` parameter.
-        """
-
-        if self._blocks:
-            raise LedgerError(
-                f"cannot swap the state store at height {self.height}; "
-                "backends are chosen before genesis"
-            )
-        self.state.close()
-        self.state = store
-
     # -- chain accessors ---------------------------------------------------------
 
     @property

@@ -8,29 +8,24 @@ Execute-Order-Validate lifecycle; blocks are dispatched to *all* peers as
 they are cut, and :meth:`flush` force-cuts the pending batch (standing in
 for the batch timeout).
 
-The constructor takes a ``peer_factory`` so the same wiring serves vanilla
-Fabric and FabricCRDT (see :func:`repro.core.network.crdt_network`).
-
-Prefer the Gateway API for new code::
+The peer type follows the config (vanilla Fabric or FabricCRDT) unless a
+``peer_factory`` overrides it (see :func:`repro.core.network.crdt_network`).
+Transactions go through the Gateway API::
 
     gateway = Gateway.connect(network)
     contract = gateway.get_contract("iot")
     contract.submit("record", call)
-
-:meth:`invoke` and :meth:`query` remain as deprecated shims over the same
-transport.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..common.config import NetworkConfig
-from ..common.deprecation import warn_once
 from ..common.types import Json, TxStatus, ValidationCode
 from .block import Block
 from .chaincode import DeployableChaincode
-from .client import Client, EndorsementRoundFailure
+from .client import Client
 from .identity import MembershipRegistry
 from .ledger import Ledger
 from .peer import Peer
@@ -111,52 +106,7 @@ class LocalNetwork:
     def policy_for(self, chaincode_name: str) -> EndorsementPolicy:
         return self.channel.policy_for(chaincode_name)
 
-    # -- deprecated transaction shims ------------------------------------------------
-
-    def invoke(
-        self,
-        chaincode: str,
-        function: str,
-        args: Sequence[str] = (),
-        client_index: int = 0,
-        now: float = 0.0,
-    ) -> Union[str, EndorsementRoundFailure]:
-        """Run one transaction through endorse → order → (maybe) commit.
-
-        .. deprecated:: use ``Gateway.connect(network).get_contract(...)``
-           and ``Contract.submit`` / ``submit_async`` instead.
-
-        Returns the transaction ID on successful submission (the transaction
-        commits when its block is cut — immediately if the block filled, or
-        on :meth:`flush`), or the endorsement failure.
-        """
-
-        warn_once(
-            "localnetwork-invoke",
-            "LocalNetwork.invoke is deprecated; use the Gateway API "
-            "(Gateway.connect(network).get_contract(...).submit_async)",
-        )
-        tx = self.transport.submit_async(
-            chaincode, function, args, client_index=client_index, now=now
-        )
-        if tx.endorse_failure is not None:
-            return tx.endorse_failure
-        return tx.tx_id
-
-    def query(
-        self, chaincode: str, function: str, args: Sequence[str] = (), client_index: int = 0
-    ) -> Json:
-        """Evaluate a read-only invocation against the anchor peer.
-
-        .. deprecated:: use ``Contract.evaluate`` instead.
-        """
-
-        warn_once(
-            "localnetwork-query",
-            "LocalNetwork.query is deprecated; use the Gateway API "
-            "(Gateway.connect(network).get_contract(...).evaluate)",
-        )
-        return self.transport.evaluate(chaincode, function, args, client_index=client_index)
+    # -- ordering --------------------------------------------------------------------
 
     def flush(self, now: float = 0.0) -> Optional[Block]:
         """Force-cut the pending batch and commit it everywhere."""

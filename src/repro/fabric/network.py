@@ -8,24 +8,20 @@ the in-order commit pipeline whose service window produces the paper's MVCC
 conflicts (§3), epoch-guarded batch timers — is documented on the node
 classes themselves.
 
-Clients are *not* defined here — the Caliper-equivalent driver in
-:mod:`repro.workload.caliper` submits through the Gateway API
-(``Contract.submit_async``); :meth:`SimulatedNetwork.submit_flow` remains
-as a deprecated shim over the same flow.
+Clients are *not* defined here: they submit through the Gateway API
+(``Gateway.connect(network).get_contract(...).submit_async``), as the
+benchmark runner's client strategies (:mod:`repro.workload.clients`) do.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..common.config import NetworkConfig
-from ..common.deprecation import warn_once
-from ..common.rng import SeedSequence  # noqa: F401  (re-exported for compat)
 from ..sim.engine import Environment
 from .chaincode import DeployableChaincode
 from .client import Client
 from .costmodel import CostModel
-from .nodes import OrdererNode, PeerNode, send_after  # noqa: F401  (compat re-export)
 from .orderer import OrderingService
 from .peer import Peer
 from .policy import EndorsementPolicy
@@ -33,6 +29,7 @@ from .policy import EndorsementPolicy
 if TYPE_CHECKING:  # pragma: no cover
     from ..gateway.channel import Channel
     from ..gateway.des import DESTransport
+    from .nodes import OrdererNode, PeerNode
 
 PeerFactory = Callable[..., Peer]
 
@@ -141,38 +138,6 @@ class SimulatedNetwork:
         """Run setup transactions synchronously at time zero (§7.2)."""
 
         self.transport.bootstrap(chaincode, function, args_list)
-
-    # -- transaction flow ------------------------------------------------------------------
-
-    def submit_flow(
-        self,
-        client: Client,
-        chaincode: str,
-        function: str,
-        args: Sequence[str],
-        on_endorsement_failure: Optional[Callable[[str, float], None]] = None,
-    ) -> Generator:
-        """One transaction's client-side lifecycle (run as a process).
-
-        .. deprecated:: use ``Gateway.connect(network).get_contract(...)``
-           and ``Contract.submit_async`` instead — it schedules the same
-           flow and returns a :class:`SubmittedTransaction` handle.
-
-        Returns (as the process value) the assembled transaction or the
-        endorsement-round failure.  Commit outcomes are observed through
-        peer event hubs, not through this flow — the client is open-loop.
-        """
-
-        warn_once(
-            "simulatednetwork-submit-flow",
-            "SimulatedNetwork.submit_flow is deprecated; use the Gateway API "
-            "(Gateway.connect(network).get_contract(...).submit_async)",
-        )
-        submission = self.transport.begin(
-            client, chaincode, function, args, on_endorsement_failure
-        )
-        result = yield from self.transport.flow(submission)
-        return result
 
     # -- lifecycle --------------------------------------------------------------------
 

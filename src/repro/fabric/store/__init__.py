@@ -3,8 +3,7 @@
 The package exposes one abstract interface, :class:`StateStore`, and two
 implementations:
 
-* :class:`MemoryStore` — the historical in-memory ``StateDB`` behaviour
-  (dict + sorted keys), byte-identical deterministic metrics;
+* :class:`MemoryStore` — an in-memory dict plus sorted keys, the default;
 * :class:`SqliteStore` — a persistent, crash-and-reopen-able backend with
   an indexed key table and transactional block batches.
 

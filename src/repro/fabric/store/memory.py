@@ -1,10 +1,8 @@
-"""The in-memory backend: the historical ``StateDB`` behaviour.
+"""The in-memory backend, the default world state.
 
-A dict keyed by state key plus a sorted key list for range scans — exactly
-the pre-refactor implementation, so every read path (and therefore every
-deterministic metric derived from simulation behaviour) is byte-identical
-to the seed.  On top of that it maintains the incremental XOR fingerprint
-of :mod:`repro.fabric.store.base`, updated in O(1) per write.
+A dict keyed by state key plus a sorted key list for range scans.  On top
+of that it maintains the incremental XOR fingerprint of
+:mod:`repro.fabric.store.base`, updated in O(1) per write.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """The channel runtime shared by every network front-end.
 
-Before the Gateway refactor, :class:`~repro.fabric.localnet.LocalNetwork`
-and :class:`~repro.fabric.network.SimulatedNetwork` each owned a private
-copy of the same wiring: membership enrolment, the peer set built through a
-``peer_factory``, the client pool, the chaincode registry plus endorsement
-policies, and commit-event → status tracking.  :class:`Channel` is that
-wiring extracted once; the front-ends differ only in *transport* (how
-proposals, envelopes, and blocks move — see :mod:`repro.gateway.transport`).
+:class:`~repro.fabric.localnet.LocalNetwork` and
+:class:`~repro.fabric.network.SimulatedNetwork` share one wiring:
+membership enrolment, the peer set (built by a ``peer_factory``, by default
+the peer type the config asks for), the client pool, the chaincode registry
+plus endorsement policies, and commit-event → status tracking.
+:class:`Channel` is that wiring; the front-ends differ only in *transport*
+(how proposals, envelopes, and blocks move — see
+:mod:`repro.gateway.transport`).
 
 A channel knows nothing about time: it holds the pure protocol state and
 answers questions about it (statuses, world state, convergence).
@@ -99,7 +100,13 @@ class Channel:
         self.membership = MembershipRegistry()
         self.chaincodes = ChaincodeRegistry()
         self._policies: dict[str, EndorsementPolicy] = {}
-        self.peer_factory: PeerFactory = peer_factory if peer_factory is not None else Peer
+        if peer_factory is None:
+            # Imported lazily: repro.core builds on the front-ends that
+            # import this module.
+            from ..core.network import peer_factory_for
+
+            peer_factory = peer_factory_for(self.config)
+        self.peer_factory: PeerFactory = peer_factory
 
         peer_identities, client_identities = enroll_members(
             self.membership, self.config.topology
@@ -156,11 +163,11 @@ class Channel:
     ) -> None:
         """Deploy a chaincode on the channel with an endorsement policy.
 
-        Accepts both authoring styles — new-style
-        :class:`repro.contract.Contract` subclasses and legacy
-        :class:`~repro.fabric.chaincode.Chaincode` subclasses.  The default
-        policy is ``OR`` over all organizations, which is what the paper's
-        Caliper benchmarks effectively use.
+        Accepts anything with a ``name`` and Fabric's
+        ``invoke(stub, function, args)`` entry — in practice a
+        :class:`repro.contract.Contract` subclass.  The default policy is
+        ``OR`` over all organizations, which is what the paper's Caliper
+        benchmarks effectively use.
         """
 
         self.chaincodes.deploy(chaincode)

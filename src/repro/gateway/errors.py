@@ -1,16 +1,12 @@
 """Typed errors raised by the Gateway API.
 
-The legacy front doors signalled failure three different ways: ``invoke``
-returned ``str | EndorsementRoundFailure``, ``query`` raised
-:class:`~repro.common.errors.EndorsementError`, and commit outcomes had to
-be fished out of a statuses dict and compared against
-:class:`~repro.common.types.ValidationCode`.  The Gateway collapses all of
-that into one exception hierarchy, mirroring the Fabric Gateway SDK's
-``EndorseError`` / ``SubmitError`` / ``CommitStatusError`` split:
+Every way a submission can fail surfaces as one exception hierarchy,
+mirroring the Fabric Gateway SDK's ``EndorseError`` / ``SubmitError`` /
+``CommitStatusError`` split:
 
 * :class:`EndorseError` — the endorsement round failed; no transaction was
-  ordered.  Also an :class:`~repro.common.errors.EndorsementError`, so
-  pre-Gateway ``except EndorsementError`` call sites keep working.
+  ordered.  Also an :class:`~repro.common.errors.EndorsementError`, so one
+  ``except EndorsementError`` catches every endorsement failure.
 * :class:`CommitError` — the transaction was ordered and validated but did
   not commit successfully; :func:`commit_error_for` picks the subclass that
   matches the validation code (MVCC conflict, phantom read, ...).
@@ -42,7 +38,7 @@ class TransactionError(GatewayError):
 class EndorseError(TransactionError, EndorsementError):
     """The endorsement round failed; the transaction never reached ordering.
 
-    Carries the legacy :class:`EndorsementRoundFailure` (with per-peer
+    Carries the client's :class:`EndorsementRoundFailure` (with per-peer
     reasons) as :attr:`failure`.
     """
 

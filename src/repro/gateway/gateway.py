@@ -267,30 +267,20 @@ class Contract:
     def describe(self) -> dict:
         """Per-transaction metadata of the deployed chaincode.
 
-        For new-style :class:`repro.contract.Contract` deployments this is
-        the full decorator registry — function names, submit/query kind,
-        typed parameter lists, usage strings, docstrings.  For legacy
-        ``Chaincode`` deployments it lists the discovered ``fn_`` handlers.
+        For a :class:`repro.contract.Contract` deployment this is the full
+        decorator registry — function names, submit/query kind, typed
+        parameter lists, usage strings, docstrings.  Raw-shim chaincode (a
+        bare ``invoke(stub, function, args)``) has no registry to list.
         """
 
         chaincode = self.channel.chaincodes.get(self.chaincode_name)
         specs = getattr(chaincode, "transactions", None)
-        if callable(specs):
-            return {
-                "chaincode": self.chaincode_name,
-                "style": "contract",
-                "transactions": {
-                    name: spec.describe() for name, spec in sorted(specs().items())
-                },
-            }
-        names = getattr(chaincode, "transaction_names", None)
+        if not callable(specs):
+            return {"chaincode": self.chaincode_name, "style": "chaincode", "transactions": {}}
         return {
             "chaincode": self.chaincode_name,
-            "style": "chaincode",
-            "transactions": {
-                name: {"name": name, "kind": "submit"}
-                for name in (names() if callable(names) else ())
-            },
+            "style": "contract",
+            "transactions": {name: spec.describe() for name, spec in sorted(specs().items())},
         }
 
     def __repr__(self) -> str:

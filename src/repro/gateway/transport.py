@@ -435,20 +435,6 @@ class SyncTransport(Transport):
         self.channel = channel
         self.orderer = ordering_cls(channel.config.orderer)
 
-    def submit_async(
-        self,
-        chaincode: str,
-        function: str,
-        args: Sequence[str],
-        client_index: int = 0,
-        on_endorsement_failure: Optional[EndorsementFailureHook] = None,
-        now: float = 0.0,
-    ) -> SubmittedTransaction:
-        self.now = now  # no clock of its own: the instant the caller names
-        return super().submit_async(
-            chaincode, function, args, client_index, on_endorsement_failure
-        )
-
     def _start(self, submission: Submission) -> None:
         proposal, now = submission.proposal, self.now
         replies = [peer.endorse(proposal, now) for peer in self.endorsers(proposal)]

@@ -188,7 +188,7 @@ async def _handle_deliver(
     """
 
     queue: asyncio.Queue = asyncio.Queue()
-    unsubscribe = state.peer.events.subscribe_internal(
+    unsubscribe = state.peer.events.subscribe(
         lambda committed, _name: queue.put_nowait(committed)
     )
     cursor = start_block

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..common.config import NetworkConfig, TopologyConfig, fabric_config, fabriccrdt_config
-from ..core.network import peer_factory_for
 from ..fabric.localnet import LocalNetwork
 from ..workload.generator import generate_plan, keys_to_populate
 from ..workload.iot import IOT_CHAINCODE_NAME, IoTChaincode
@@ -153,7 +152,7 @@ def build_calls(spec: WorkloadSpec) -> list[Call]:
 def run_local(config: NetworkConfig, calls: list[Call]) -> RunResult:
     """The reference run: the whole workload on an in-process network."""
 
-    with LocalNetwork(config, peer_factory_for(config)) as network:
+    with LocalNetwork(config) as network:
         network.deploy(IoTChaincode())
         submitted = [
             network.transport.submit_async(

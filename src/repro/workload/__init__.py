@@ -1,6 +1,5 @@
 """Workload generation and the Caliper-style declarative benchmark runner."""
 
-from .caliper import run_pair, run_workload
 from .clients import ClientStrategy, ClosedLoopClient, OpenLoopClient, RoundContext
 from .generator import (
     PlannedTx,
@@ -15,6 +14,8 @@ from .reporter import (
     JsonReporter,
     Reporter,
     deterministic_fingerprint,
+    format_figure,
+    format_result_details,
     golden_drift,
 )
 from .runner import (
@@ -34,7 +35,6 @@ from .iot import (
     reading_payload,
 )
 from .metrics import BenchmarkResult, MetricsCollector, Trim
-from .report import format_figure, format_result_details
 from .smallbank import SmallBankChaincode, total_money
 from .trace import (
     export_csv,
@@ -92,8 +92,6 @@ __all__ = [
     "BenchmarkResult",
     "MetricsCollector",
     "Trim",
-    "run_workload",
-    "run_pair",
     "build_network",
     "populate_ledger",
     "format_figure",

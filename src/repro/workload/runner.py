@@ -23,9 +23,9 @@ the ledger, wires a :class:`~repro.workload.metrics.MetricsCollector` to
 ``gateway.block_events()``, starts the round's client strategy, and runs
 the simulation until every planned transaction resolves.
 
-The default round — open-loop :class:`~repro.workload.rate.FixedRate`
-clients — reproduces the historical ``run_workload`` byte-for-byte: same
-plan, same per-client processes, same metrics.  Closed-loop rounds
+The default round runs open-loop :class:`~repro.workload.rate.FixedRate`
+clients: one simulation process per client submits the plan at its planned
+instants.  Closed-loop rounds
 (:class:`~repro.workload.rate.MaxRate`) instead drive an event-reacting
 :class:`~repro.workload.clients.ClosedLoopClient` that refills its window
 through coalesced ``Contract.submit_batch`` bursts.
@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..common.config import NetworkConfig
-from ..core.network import peer_factory_for
 from ..fabric.costmodel import CostModel
 from ..fabric.network import SimulatedNetwork
 from ..fabric.orderer import OrderingService
@@ -61,12 +60,10 @@ def build_network(
     cost: Optional[CostModel] = None,
     ordering_cls: Optional[type[OrderingService]] = None,
 ) -> SimulatedNetwork:
-    """A simulated network with the right peer type for ``config``."""
+    """A simulated network; its peer type follows ``config``."""
 
     kwargs = {} if ordering_cls is None else {"ordering_cls": ordering_cls}
-    return SimulatedNetwork(
-        env, config, cost=cost, peer_factory=peer_factory_for(config), **kwargs
-    )
+    return SimulatedNetwork(env, config, cost=cost, **kwargs)
 
 
 def populate_ledger(network: SimulatedNetwork, keys: list[str]) -> None:

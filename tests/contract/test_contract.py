@@ -7,7 +7,7 @@ import pytest
 from repro.common.errors import ChaincodeError
 from repro.contract import Contract, query, transaction
 from repro.fabric.chaincode import ChaincodeRegistry, ShimStub
-from repro.fabric.statedb import StateDB
+from repro.fabric.store import MemoryStore
 from repro.gateway import Gateway
 
 
@@ -41,7 +41,7 @@ class Typed(Contract):
 
 @pytest.fixture
 def stub():
-    return ShimStub(StateDB(), "tx1")
+    return ShimStub(MemoryStore(), "tx1")
 
 
 class TestRegistry:
@@ -122,7 +122,7 @@ class TestDispatch:
         from repro.common.serialization import to_bytes
         from repro.common.types import Version
 
-        db = StateDB()
+        db = MemoryStore()
         db.apply_write("k", to_bytes({"v": 1}), Version(0, 0))
         assert Typed().invoke(ShimStub(db, "tx1"), "lookup", ("k",)) == {"v": 1}
 
@@ -191,19 +191,21 @@ class TestDeployment:
         ]
 
     def test_describe_legacy_chaincode(self, local_network):
-        from repro.fabric.chaincode import Chaincode
+        """Raw-shim chaincode (``name`` + ``invoke``) has no registry to list."""
 
-        class Legacy(Chaincode):
+        class Legacy:
             name = "legacy"
 
-            def fn_touch(self, stub, key):
-                stub.put_state(key, {})
+            def invoke(self, stub, function, args):
+                stub.put_state(args[0], {})
                 return {}
 
         local_network.deploy(Legacy())
-        described = Gateway.connect(local_network).get_contract("legacy").describe()
-        assert described["style"] == "chaincode"
-        assert "touch" in described["transactions"]
+        contract = Gateway.connect(local_network).get_contract("legacy")
+        assert contract.describe() == {
+            "chaincode": "legacy", "style": "chaincode", "transactions": {},
+        }
+        assert contract.submit("touch", "k") == {}
 
 
 class TestEvents:

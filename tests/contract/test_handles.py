@@ -10,7 +10,7 @@ from repro.core.network import vanilla_network
 from repro.crdt.gcounter import GCounter
 from repro.crdt.registry import crdt_from_dict_envelope, crdt_to_dict_envelope
 from repro.fabric.chaincode import ShimStub
-from repro.fabric.statedb import StateDB
+from repro.fabric.store import MemoryStore
 from repro.gateway import Gateway
 
 from ..conftest import small_config
@@ -89,7 +89,7 @@ class TestStubLevel:
     """Handle plumbing against a bare stub (no network)."""
 
     def test_mutations_compose_within_one_invocation(self):
-        stub = ShimStub(StateDB(), "tx1")
+        stub = ShimStub(MemoryStore(), "tx1")
         cc = HandleContract()
         ctx = cc.new_context(stub)
         handle = ctx.crdt.counter("hits")
@@ -103,12 +103,12 @@ class TestStubLevel:
         assert merged.value() == 5
 
     def test_factory_caches_handles_per_key(self):
-        stub = ShimStub(StateDB(), "tx1")
+        stub = ShimStub(MemoryStore(), "tx1")
         ctx = HandleContract().new_context(stub)
         assert ctx.crdt.counter("k") is ctx.crdt.counter("k")
 
     def test_kind_conflict_on_one_key_rejected(self):
-        stub = ShimStub(StateDB(), "tx1")
+        stub = ShimStub(MemoryStore(), "tx1")
         ctx = HandleContract().new_context(stub)
         ctx.crdt.counter("k")
         with pytest.raises(ChaincodeError, match="already opened"):
@@ -118,7 +118,7 @@ class TestStubLevel:
         from repro.common.serialization import to_bytes
         from repro.common.types import Version
 
-        db = StateDB()
+        db = MemoryStore()
         db.apply_write(
             "k", to_bytes(crdt_to_dict_envelope(GCounter().increment("a"))), Version(0, 0)
         )
@@ -130,19 +130,19 @@ class TestStubLevel:
         from repro.common.serialization import to_bytes
         from repro.common.types import Version
 
-        db = StateDB()
+        db = MemoryStore()
         db.apply_write("k", to_bytes({"plain": 1}), Version(0, 0))
         ctx = HandleContract().new_context(ShimStub(db, "tx1"))
         with pytest.raises(ChaincodeError, match="does not hold a CRDT envelope"):
             ctx.crdt.counter("k").incr()
 
     def test_negative_gcounter_increment_rejected(self):
-        ctx = HandleContract().new_context(ShimStub(StateDB(), "tx1"))
+        ctx = HandleContract().new_context(ShimStub(MemoryStore(), "tx1"))
         with pytest.raises(ChaincodeError, match="pn_counter"):
             ctx.crdt.counter("k").incr(-1)
 
     def test_doc_patches_deep_merge_locally(self):
-        stub = ShimStub(StateDB(), "tx1")
+        stub = ShimStub(MemoryStore(), "tx1")
         ctx = HandleContract().new_context(stub)
         doc = ctx.crdt.doc("d")
         doc.merge_patch({"a": {"x": 1}, "items": [1]})
@@ -237,8 +237,8 @@ class TestDeltaWrites:
     into the committed value, its whole view where the peer stores as-is."""
 
     @staticmethod
-    def _seeded(counter: GCounter) -> StateDB:
-        db = StateDB()
+    def _seeded(counter: GCounter) -> MemoryStore:
+        db = MemoryStore()
         db.apply_write("k", to_bytes(crdt_to_dict_envelope(counter)), Version(0, 0))
         return db
 
@@ -263,7 +263,7 @@ class TestDeltaWrites:
         assert self._written(stub) == GCounter({"a": 6, "b": 2, "c": 1})
 
     def test_an_adjust_after_initialize_still_carries_the_genesis_state(self):
-        stub = ShimStub(StateDB(), "tx1", crdt_deltas=True)
+        stub = ShimStub(MemoryStore(), "tx1", crdt_deltas=True)
         handle = HandleContract().new_context(stub).crdt.pn_counter("k")
         handle.initialize(10)
         assert handle.adjust(-3, actor="a") == 7

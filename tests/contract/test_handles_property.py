@@ -35,7 +35,7 @@ from repro.crdt.text import TextDocument
 from repro.crdt.twophase import TwoPhaseSet
 from repro.common.clock import LamportTimestamp
 from repro.fabric.chaincode import ShimStub
-from repro.fabric.statedb import StateDB
+from repro.fabric.store import MemoryStore
 
 
 class AnyHandles(Contract):
@@ -45,7 +45,7 @@ class AnyHandles(Contract):
 def seeded_ctx(committed: Optional[StateCRDT], crdt_deltas: bool, tx_id: str = "tx1"):
     """A context whose key ``k`` holds ``committed`` (absent for ``None``)."""
 
-    db = StateDB()
+    db = MemoryStore()
     if committed is not None:
         db.apply_write("k", committed.to_bytes(), Version(0, 0))
     return AnyHandles().new_context(ShimStub(db, tx_id, crdt_deltas=crdt_deltas))

@@ -9,7 +9,7 @@ from repro.core.blockmerge import validate_merge_block
 from repro.crdt.json import MAX_NESTING_DEPTH
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block
 from repro.fabric.events import statuses_from_block
-from repro.fabric.statedb import StateDB
+from repro.fabric.store import MemoryStore
 
 from ..fabric.helpers import build_peer, endorsed_tx, write_rwset
 
@@ -129,7 +129,7 @@ class TestDeterminism:
         txs = [crdt_tx(peer, i, "k", {"l": [str(i)]}) for i in range(4)]
         block = build_block(peer, txs)
         committed = peer.validate_and_commit(block)
-        fresh_state = StateDB()
+        fresh_state = MemoryStore()
         replan = validate_merge_block(block, [None] * 4, fresh_state, CRDTConfig())
         regenerated = []
         for tx_index, tx in enumerate(block.transactions):

@@ -13,6 +13,7 @@ from repro.common.serialization import from_bytes
 from repro.common.types import ValidationCode
 from repro.core.peer import CRDTPeer
 from repro.fabric.block import Block
+from repro.gateway import Gateway
 from repro.workload.iot import IoTChaincode, encode_call, reading_payload
 
 from ..conftest import small_config
@@ -134,13 +135,14 @@ class TestCompatibility:
 
 class TestCrossPeerDeterminism:
     def test_peers_commit_byte_identical_states(self, crdt_net):
-        crdt_net.invoke("iot", "populate", [json.dumps({"keys": ["hot"]})])
+        iot = Gateway.connect(crdt_net).get_contract("iot")
+        iot.submit_async("populate", json.dumps({"keys": ["hot"]}))
         crdt_net.flush()
         for i in range(7):
             arg = encode_call(
                 ["hot"], ["hot"], reading_payload("hot", 20 + i, i), crdt=True
             )
-            crdt_net.invoke("iot", "record", [arg], client_index=i % 4)
+            iot.submit_async("record", arg, client_index=i % 4)
         crdt_net.flush()
         crdt_net.assert_states_converged()
         for peer in crdt_net.peers:
@@ -148,11 +150,12 @@ class TestCrossPeerDeterminism:
             assert rebuilt.snapshot_versions() == peer.ledger.state.snapshot_versions()
 
     def test_merged_value_reflects_block_order(self, crdt_net):
-        crdt_net.invoke("iot", "populate", [json.dumps({"keys": ["hot"]})])
+        iot = Gateway.connect(crdt_net).get_contract("iot")
+        iot.submit_async("populate", json.dumps({"keys": ["hot"]}))
         crdt_net.flush()
         for i in range(3):
             arg = encode_call(["hot"], ["hot"], reading_payload("hot", 30 + i, i), crdt=True)
-            crdt_net.invoke("iot", "record", [arg])
+            iot.submit_async("record", arg)
         crdt_net.flush()
         state = crdt_net.state_of("hot")
         assert [r["temperature"] for r in state["tempReadings"]] == ["30", "31", "32"]

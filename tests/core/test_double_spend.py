@@ -8,13 +8,14 @@ double-spend on FabricCRDT and show vanilla Fabric rejects it.
 import json
 
 from repro.common.types import Json, ValidationCode
-from repro.fabric.chaincode import Chaincode, ShimStub
+from repro.contract import Context, Contract, transaction
+from repro.gateway import Gateway
 
 from ..conftest import small_config
 from repro.core.network import crdt_network, vanilla_network
 
 
-class AssetChaincode(Chaincode):
+class AssetChaincode(Contract):
     """A deliberately naive asset-transfer chaincode.
 
     ``transfer`` reads the asset, checks ownership, and writes the new
@@ -24,32 +25,35 @@ class AssetChaincode(Chaincode):
 
     name = "assets"
 
-    def fn_create(self, stub: ShimStub, asset_id: str, owner: str) -> Json:
-        stub.put_state(asset_id, {"owner": owner})
+    @transaction
+    def create(self, ctx: Context, asset_id: str, owner: str) -> Json:
+        ctx.state.put(asset_id, {"owner": owner})
         return {"created": asset_id}
 
-    def fn_transfer(self, stub: ShimStub, asset_id: str, seller: str, buyer: str, crdt: str) -> Json:
-        asset = stub.get_state(asset_id)
+    @transaction
+    def transfer(self, ctx: Context, asset_id: str, seller: str, buyer: str, crdt: str) -> Json:
+        asset = ctx.state.get(asset_id)
         if asset is None or asset.get("owner") != seller:
             raise ValueError(f"{seller} does not own {asset_id}")
         new_state = {"owner": buyer}
         if crdt == "yes":
-            stub.put_crdt(asset_id, new_state)
+            ctx.stub.put_crdt(asset_id, new_state)
         else:
-            stub.put_state(asset_id, new_state)
+            ctx.state.put(asset_id, new_state)
         return {"transferred_to": buyer}
 
 
 def _run_double_spend(network, crdt_flag):
     network.deploy(AssetChaincode())
-    network.invoke("assets", "create", ["coin1", "mallory"])
+    assets = Gateway.connect(network).get_contract("assets")
+    assets.submit_async("create", "coin1", "mallory")
     network.flush()
     # Mallory transfers the same coin to two victims concurrently (both
     # endorsed against the same committed state, same block).
-    tx_alice = network.invoke("assets", "transfer", ["coin1", "mallory", "alice", crdt_flag])
-    tx_bob = network.invoke("assets", "transfer", ["coin1", "mallory", "bob", crdt_flag])
+    tx_alice = assets.submit_async("transfer", "coin1", "mallory", "alice", crdt_flag)
+    tx_bob = assets.submit_async("transfer", "coin1", "mallory", "bob", crdt_flag)
     network.flush()
-    return network.status_of(tx_alice), network.status_of(tx_bob)
+    return network.status_of(tx_alice.tx_id), network.status_of(tx_bob.tx_id)
 
 
 class TestVanillaFabricPreventsDoubleSpend:

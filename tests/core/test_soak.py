@@ -20,6 +20,7 @@ import random
 from repro.common.config import CRDTConfig
 from repro.common.types import ValidationCode
 from repro.core.network import crdt_network
+from repro.gateway import Gateway
 from repro.workload.iot import IoTChaincode, encode_call, reading_payload
 
 from ..conftest import small_config
@@ -35,14 +36,15 @@ def build_soak_network():
     )
     network = crdt_network(config)
     network.deploy(IoTChaincode())
-    network.invoke("iot", "populate", [json.dumps({"keys": HOT_KEYS})])
+    iot = Gateway.connect(network).get_contract("iot")
+    iot.submit_async("populate", json.dumps({"keys": HOT_KEYS}))
     network.flush()
-    return network
+    return network, iot
 
 
 def test_randomized_soak():
     rng = random.Random(2026)
-    network = build_soak_network()
+    network, iot = build_soak_network()
 
     crdt_sequences: dict[str, set[str]] = {key: set() for key in HOT_KEYS}
     crdt_tx_ids: list[str] = []
@@ -58,10 +60,8 @@ def test_randomized_soak():
                 [key], [key], reading_payload(key, rng.randint(10, 35), sequence),
                 crdt=True,
             )
-            tx_id = network.invoke(
-                "iot", "record", [call], client_index=rng.randrange(4)
-            )
-            crdt_tx_ids.append(tx_id)
+            tx = iot.submit_async("record", call, client_index=rng.randrange(4))
+            crdt_tx_ids.append(tx.tx_id)
             crdt_sequences[key].add(str(sequence))
         else:
             # Plain write on a private key (never contended).
@@ -71,7 +71,7 @@ def test_randomized_soak():
                 crdt=False,
             )
             plain_tx_ids.append(
-                network.invoke("iot", "record", [call], client_index=rng.randrange(4))
+                iot.submit_async("record", call, client_index=rng.randrange(4)).tx_id
             )
         if rng.random() < 0.15:
             network.flush()  # random block boundary
@@ -106,14 +106,14 @@ def test_soak_is_deterministic():
 
     def run():
         rng = random.Random(7)
-        network = build_soak_network()
+        network, iot = build_soak_network()
         for sequence in range(40):
             key = rng.choice(HOT_KEYS)
             call = encode_call(
                 [key], [key], reading_payload(key, rng.randint(10, 35), sequence),
                 crdt=True,
             )
-            network.invoke("iot", "record", [call], client_index=rng.randrange(4))
+            iot.submit_async("record", call, client_index=rng.randrange(4))
             if rng.random() < 0.2:
                 network.flush()
         network.flush()

@@ -5,13 +5,14 @@ import pytest
 from repro.common.errors import ChaincodeError
 from repro.common.serialization import to_bytes
 from repro.common.types import Version
-from repro.fabric.chaincode import Chaincode, ChaincodeRegistry, ShimStub
-from repro.fabric.statedb import StateDB
+from repro.contract import Contract, transaction
+from repro.fabric.chaincode import ChaincodeRegistry, ShimStub
+from repro.fabric.store import MemoryStore
 
 
 @pytest.fixture
 def state():
-    db = StateDB()
+    db = MemoryStore()
     db.apply_write("existing", to_bytes({"v": 1}), Version(0, 0))
     db.apply_write("other", to_bytes({"v": 2}), Version(0, 1))
     return db
@@ -103,11 +104,12 @@ class TestRangeAndRichQueries:
 
 
 class TestChaincodeDispatch:
-    class Adder(Chaincode):
+    class Adder(Contract):
         name = "adder"
 
-        def fn_add(self, stub, a, b):
-            return {"sum": int(a) + int(b)}
+        @transaction
+        def add(self, ctx, a: int, b: int):
+            return {"sum": a + b}
 
     def test_invoke_dispatches_to_fn(self, state):
         stub = ShimStub(state, "tx1")

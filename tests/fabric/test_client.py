@@ -3,7 +3,8 @@
 import pytest
 
 from repro.common.errors import EndorsementError
-from repro.fabric.chaincode import Chaincode, ChaincodeRegistry, ShimStub
+from repro.contract import Context, Contract, query, transaction
+from repro.fabric.chaincode import ChaincodeRegistry
 from repro.fabric.client import (
     AssembledTransaction,
     Client,
@@ -17,17 +18,20 @@ from repro.fabric.policy import EndorsementPolicy, and_policy, or_policy
 from .helpers import seed_state
 
 
-class Writer(Chaincode):
+class Writer(Contract):
     name = "writer"
 
-    def fn_put(self, stub: ShimStub, key: str, value: str) -> dict:
-        stub.put_state(key, {"value": value})
+    @transaction
+    def put(self, ctx: Context, key: str, value: str) -> dict:
+        ctx.state.put(key, {"value": value})
         return {"ok": True}
 
-    def fn_read(self, stub: ShimStub, key: str) -> dict:
-        return {"value": stub.get_state(key)}
+    @query
+    def read(self, ctx: Context, key: str) -> dict:
+        return {"value": ctx.state.get(key)}
 
-    def fn_boom(self, stub: ShimStub) -> dict:
+    @transaction
+    def boom(self, ctx: Context) -> dict:
         raise RuntimeError("chaincode crash")
 
 

@@ -10,7 +10,7 @@ from repro.fabric.chaincode import (
     create_composite_key,
     split_composite_key,
 )
-from repro.fabric.statedb import StateDB
+from repro.fabric.store import MemoryStore
 
 from .helpers import build_peer, endorsed_tx, seed_block, write_rwset
 
@@ -39,7 +39,7 @@ class TestCompositeKeys:
             split_composite_key("ordinary-key")
 
     def test_partial_prefix_scan(self):
-        db = StateDB()
+        db = MemoryStore()
         for owner, asset in [("alice", "a1"), ("alice", "a2"), ("bob", "b1")]:
             key = create_composite_key("owner~asset", [owner, asset])
             db.apply_write(key, to_bytes({"asset": asset}), Version(0, 0))
@@ -50,7 +50,7 @@ class TestCompositeKeys:
         assert len(everything) == 3
 
     def test_prefix_scan_is_phantom_protected(self):
-        db = StateDB()
+        db = MemoryStore()
         key = create_composite_key("t", ["x"])
         db.apply_write(key, to_bytes({}), Version(0, 0))
         stub = ShimStub(db, "tx")
@@ -92,7 +92,7 @@ class TestHistoryAPI:
         assert history[0]["version"] == "0:0"
 
     def test_history_unavailable_without_provider(self):
-        stub = ShimStub(StateDB(), "tx")
+        stub = ShimStub(MemoryStore(), "tx")
         with pytest.raises(ChaincodeError):
             stub.get_history_for_key("K")
 

@@ -1,20 +1,10 @@
-"""EventHub semantics: unsubscribe edge cases and the deprecation shim."""
+"""EventHub semantics: unsubscribe edge cases, and no deprecated surface."""
 
 import warnings
 
-import pytest
-
-from repro.common.deprecation import reset_deprecation_warnings
 from repro.fabric.block import Block, BlockMetadata, CommittedBlock
 
 from .helpers import build_peer, endorsed_tx, write_rwset
-
-
-@pytest.fixture(autouse=True)
-def rearm_latches():
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
 
 
 def committed_block(peer, number=0, nonce=1):
@@ -40,8 +30,8 @@ class TestUnsubscribeDuringPublish:
         def second(committed, peer_name):
             seen.append(("second", committed.block.number))
 
-        hub.subscribe_internal(first)
-        unsubscribe_second = hub.subscribe_internal(second)
+        hub.subscribe(first)
+        unsubscribe_second = hub.subscribe(second)
 
         hub.publish(committed_block(peer, number=0))
         hub.publish(committed_block(peer, number=1, nonce=2))
@@ -57,7 +47,7 @@ class TestUnsubscribeDuringPublish:
             seen.append(committed.block.number)
             unsubscribe()
 
-        unsubscribe = hub.subscribe_internal(once)
+        unsubscribe = hub.subscribe(once)
         hub.publish(committed_block(peer, number=0))
         hub.publish(committed_block(peer, number=1, nonce=2))
         assert seen == [0]
@@ -67,7 +57,7 @@ class TestDoubleUnsubscribe:
     def test_double_unsubscribe_is_a_noop(self):
         peer = build_peer()
         hub = peer.events
-        unsubscribe = hub.subscribe_internal(lambda committed, peer_name: None)
+        unsubscribe = hub.subscribe(lambda committed, peer_name: None)
         unsubscribe()
         unsubscribe()  # second call: silent no-op
 
@@ -82,8 +72,8 @@ class TestDoubleUnsubscribe:
         def listener(committed, peer_name):
             seen.append(committed.block.number)
 
-        first_token = hub.subscribe_internal(listener)
-        hub.subscribe_internal(listener)  # registered twice
+        first_token = hub.subscribe(listener)
+        hub.subscribe(listener)  # registered twice
         first_token()
         first_token()  # must not remove the second registration
         hub.publish(committed_block(peer, number=0))
@@ -91,39 +81,9 @@ class TestDoubleUnsubscribe:
 
 
 class TestDeprecationShim:
-    def test_external_subscribe_warns_once_and_points_at_gateway(self):
-        peer = build_peer()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            peer.events.subscribe(lambda committed, peer_name: None)
-            peer.events.subscribe(lambda committed, peer_name: None)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "gateway.block_events()" in str(deprecations[0].message)
-
-    def test_deprecated_subscribe_still_delivers(self):
-        peer = build_peer()
-        seen = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            unsubscribe = peer.events.subscribe(
-                lambda committed, peer_name: seen.append(committed.block.number)
-            )
-        peer.events.publish(committed_block(peer, number=0))
-        unsubscribe()
-        peer.events.publish(committed_block(peer, number=1, nonce=2))
-        assert seen == [0]
-
-    def test_internal_subscribe_is_silent(self):
-        peer = build_peer()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            peer.events.subscribe_internal(lambda committed, peer_name: None)
-        assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
-
     def test_event_service_consumers_trigger_no_warning(self):
-        """The migrated stack — Channel tracking, Gateway streams — must not
-        cross the deprecated surface."""
+        """Channel tracking and Gateway streams warn about nothing: the repo
+        carries one API generation."""
 
         from repro.fabric.localnet import LocalNetwork
         from repro.gateway import Gateway

@@ -5,7 +5,9 @@ import random
 
 from repro.common.config import NetworkConfig, OrdererConfig, TopologyConfig
 from repro.fabric.costmodel import zero_latency_model
-from repro.fabric.network import SimulatedNetwork, send_after
+from repro.fabric.network import SimulatedNetwork
+from repro.fabric.nodes import send_after
+from repro.gateway import Gateway
 from repro.sim import Environment, Uniform
 from repro.workload.iot import IoTChaincode, encode_call, reading_payload
 
@@ -22,9 +24,7 @@ def build(env, cost=None, max_count=2):
 
 def submit(env, network, key, sequence):
     arg = encode_call([], [key], reading_payload(key, 20, sequence), crdt=False)
-    env.process(
-        network.submit_flow(network.clients[0], "iot", "record", (arg,))
-    )
+    Gateway.connect(network).get_contract("iot").submit_async("record", arg)
 
 
 class TestOutOfOrderDelivery:

@@ -5,20 +5,25 @@ import json
 import pytest
 
 from repro.common.types import ValidationCode
+from repro.gateway import Gateway
 from repro.workload.iot import encode_call, reading_payload
 
 from ..conftest import small_config
 from repro.core.network import vanilla_network
 
 
+def iot(network):
+    return Gateway.connect(network).get_contract("iot")
+
+
 def populate(network, keys):
-    network.invoke("iot", "populate", [json.dumps({"keys": keys})])
+    iot(network).submit_async("populate", json.dumps({"keys": keys}))
     network.flush()
 
 
 def record(network, key, temperature, sequence, crdt=False, client=0):
     arg = encode_call([key], [key], reading_payload(key, temperature, sequence), crdt=crdt)
-    return network.invoke("iot", "record", [arg], client_index=client)
+    return iot(network).submit_async("record", arg, client_index=client).tx_id
 
 
 class TestLifecycle:
@@ -49,7 +54,7 @@ class TestLifecycle:
     def test_read_only_query_not_ordered(self, fabric_net):
         populate(fabric_net, ["d1"])
         blocks_before = fabric_net.ledger_of().height
-        result = fabric_net.query("iot", "read_device", [json.dumps({"key": "d1"})])
+        result = iot(fabric_net).evaluate("read_device", json.dumps({"key": "d1"}))
         assert result == {"deviceID": "d1", "tempReadings": []}
         fabric_net.flush()
         assert fabric_net.ledger_of().height == blocks_before
@@ -58,7 +63,7 @@ class TestLifecycle:
         from repro.common.errors import FabricError
 
         with pytest.raises(FabricError):
-            fabric_net.invoke("ghostcc", "fn", [])
+            Gateway.connect(fabric_net).get_contract("ghostcc").submit_async("fn")
 
 
 class TestConvergence:

@@ -6,32 +6,27 @@ from repro.common.config import NetworkConfig, OrdererConfig, TopologyConfig
 from repro.common.types import ValidationCode
 from repro.fabric.costmodel import CostModel, zero_latency_model
 from repro.fabric.network import SimulatedNetwork
+from repro.gateway import Gateway
 from repro.sim import Environment, Fixed
 from repro.workload.iot import IoTChaincode, encode_call, reading_payload
 
 
 def build(env, max_count=5, cost=None, crdt=False, timeout_s=2.0):
-    from repro.core.network import crdt_peer_factory
-
     config = NetworkConfig(
         topology=TopologyConfig(num_orgs=1, peers_per_org=1),
         orderer=OrdererConfig(max_message_count=max_count, batch_timeout_s=timeout_s),
         crdt_enabled=crdt,
     )
     network = SimulatedNetwork(
-        env,
-        config,
-        cost=cost if cost is not None else zero_latency_model(),
-        peer_factory=crdt_peer_factory(config.crdt) if crdt else None,
+        env, config, cost=cost if cost is not None else zero_latency_model()
     )
     network.deploy(IoTChaincode())
     return network
 
 
 def submit(env, network, key, temperature, sequence, crdt=False):
-    client = network.clients[0]
     arg = encode_call([key], [key], reading_payload(key, temperature, sequence), crdt=crdt)
-    return env.process(network.submit_flow(client, "iot", "record", (arg,)))
+    return Gateway.connect(network).get_contract("iot").submit_async("record", arg)
 
 
 class TestFlows:

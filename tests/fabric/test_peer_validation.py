@@ -222,7 +222,7 @@ class TestCommitBookkeeping:
     def test_events_published_on_apply(self):
         peer = build_peer()
         seen = []
-        peer.events.subscribe_internal(
+        peer.events.subscribe(
             lambda committed, name: seen.append((name, committed.block.number))
         )
         tx = endorsed_tx(peer, write_rwset(("K", {})), 1)

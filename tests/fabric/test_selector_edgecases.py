@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.common.serialization import to_bytes
 from repro.common.types import Version
-from repro.fabric.statedb import compile_selector
+from repro.fabric.store import compile_selector
 from repro.fabric.store import create_store
 
 BACKENDS = ("memory", "sqlite")

@@ -5,7 +5,7 @@ import pytest
 from repro.common.errors import StateError
 from repro.common.serialization import to_bytes
 from repro.common.types import Version
-from repro.fabric.statedb import StateDB, compile_selector
+from repro.fabric.store import MemoryStore, compile_selector
 from repro.fabric.store import WriteBatch
 
 
@@ -15,7 +15,7 @@ def put(db, key, value, block=0, tx=0):
 
 class TestVersionedStore:
     def test_get_and_version(self):
-        db = StateDB()
+        db = MemoryStore()
         put(db, "k", {"a": 1}, block=2, tx=5)
         entry = db.get("k")
         assert entry.version == Version(2, 5)
@@ -23,13 +23,13 @@ class TestVersionedStore:
         assert db.get_value("missing") is None
 
     def test_overwrite_bumps_version(self):
-        db = StateDB()
+        db = MemoryStore()
         put(db, "k", {"a": 1}, block=0, tx=0)
         put(db, "k", {"a": 2}, block=1, tx=3)
         assert db.get_version("k") == Version(1, 3)
 
     def test_delete_removes_key(self):
-        db = StateDB()
+        db = MemoryStore()
         put(db, "k", {"a": 1})
         db.apply_write("k", b"", Version(1, 0), is_delete=True)
         assert "k" not in db
@@ -37,18 +37,18 @@ class TestVersionedStore:
         assert "k" not in db.keys()
 
     def test_delete_missing_is_noop(self):
-        db = StateDB()
+        db = MemoryStore()
         db.apply_write("ghost", b"", Version(0, 0), is_delete=True)
         assert len(db) == 0
 
     def test_keys_sorted(self):
-        db = StateDB()
+        db = MemoryStore()
         for key in ("b", "a", "c"):
             put(db, key, {})
         assert db.keys() == ("a", "b", "c")
 
     def test_apply_batch(self):
-        db = StateDB()
+        db = MemoryStore()
         batch = WriteBatch(block_number=0)
         batch.put("a", b"1", Version(0, 0))
         batch.put("b", b"2", Version(0, 0))
@@ -58,14 +58,14 @@ class TestVersionedStore:
 
 class TestRangeScan:
     def test_half_open_range(self):
-        db = StateDB()
+        db = MemoryStore()
         for key in ("a1", "a2", "a3", "b1"):
             put(db, key, {})
         keys = [key for key, _ in db.range_scan("a1", "a3")]
         assert keys == ["a1", "a2"]
 
     def test_open_end(self):
-        db = StateDB()
+        db = MemoryStore()
         for key in ("a", "b", "c"):
             put(db, key, {})
         keys = [key for key, _ in db.range_scan("b", "")]
@@ -74,7 +74,7 @@ class TestRangeScan:
 
 class TestMangoQueries:
     def _populated(self):
-        db = StateDB()
+        db = MemoryStore()
         put(db, "d1", {"type": "sensor", "temp": 20, "loc": {"room": "A"}})
         put(db, "d2", {"type": "sensor", "temp": 30, "loc": {"room": "B"}})
         put(db, "d3", {"type": "gateway", "temp": 25})

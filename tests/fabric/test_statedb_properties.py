@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.common.serialization import to_bytes
 from repro.common.types import Version
-from repro.fabric.statedb import StateDB
+from repro.fabric.store import MemoryStore
 
 keys = st.text(alphabet="abcdxyz/0123", min_size=1, max_size=6)
 
@@ -33,7 +33,7 @@ def write_sequences(draw):
 
 
 def apply_all(operations):
-    db = StateDB()
+    db = MemoryStore()
     oracle: dict[str, int] = {}
     for index, (key, value, is_delete) in enumerate(operations):
         if is_delete:

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.common.config import NetworkConfig, TopologyConfig, fabriccrdt_config
-from repro.common.errors import ConfigError, LedgerError
+from repro.common.errors import ConfigError
 from repro.common.serialization import to_bytes
 from repro.common.types import Version
 from repro.fabric.ledger import Ledger
@@ -268,13 +268,6 @@ def _append_one_block(ledger):
 class TestLedgerIntegration:
     def test_ledger_defaults_to_memory(self):
         assert isinstance(Ledger().state, MemoryStore)
-
-    def test_reset_store_only_before_genesis(self):
-        ledger = Ledger()
-        ledger.reset_store(MemoryStore())  # fine: nothing committed yet
-        _append_one_block(ledger)
-        with pytest.raises(LedgerError):
-            ledger.reset_store(MemoryStore())
 
     def test_rebuild_state_into_sqlite_matches(self):
         ledger = Ledger()

@@ -9,12 +9,15 @@ import json
 
 import pytest
 
-from repro.common.config import NetworkConfig, OrdererConfig, TopologyConfig
+from repro.common.config import CRDTConfig, NetworkConfig, OrdererConfig, TopologyConfig
 from repro.common.errors import EndorsementError
 from repro.common.types import ValidationCode
-from repro.core.network import crdt_network, crdt_peer_factory, vanilla_network
+from repro.core.network import crdt_network, vanilla_network
+from repro.core.peer import CRDTPeer
 from repro.fabric.costmodel import zero_latency_model
+from repro.fabric.localnet import LocalNetwork
 from repro.fabric.network import SimulatedNetwork
+from repro.fabric.peer import Peer
 from repro.gateway import (
     Contract,
     EndorseError,
@@ -50,14 +53,34 @@ def des_contract(crdt: bool = False, max_message_count: int = 10) -> Contract:
         orderer=OrdererConfig(max_message_count=max_message_count, batch_timeout_s=1.0),
         crdt_enabled=crdt,
     )
-    network = SimulatedNetwork(
-        env,
-        config,
-        cost=zero_latency_model(),
-        peer_factory=crdt_peer_factory(config.crdt) if crdt else None,
-    )
+    network = SimulatedNetwork(env, config, cost=zero_latency_model())
     network.deploy(IoTChaincode())
     return Gateway.connect(network).get_contract("iot")
+
+
+class TestPeerTypeFollowsConfig:
+    """Without a ``peer_factory`` both front ends build the peers the config
+    asks for; ``vanilla_network`` stays vanilla whatever the config says."""
+
+    FRONT_ENDS = {
+        "sync": LocalNetwork,
+        "des": lambda config: SimulatedNetwork(Environment(), config),
+    }
+
+    @pytest.mark.parametrize("crdt_enabled", (True, False))
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    def test_front_end_builds_the_peers_its_config_asks_for(self, front_end, crdt_enabled):
+        crdt = CRDTConfig(seed_from_state=True)
+        config = small_config(crdt_enabled=crdt_enabled, crdt=crdt, num_orgs=2, peers_per_org=1)
+        with self.FRONT_ENDS[front_end](config) as network:
+            peers = network.channel.peers
+            assert len(peers) == 2
+            assert {type(peer) for peer in peers} == {CRDTPeer if crdt_enabled else Peer}
+            assert all(getattr(peer, "crdt_config", crdt) is crdt for peer in peers)
+
+    def test_vanilla_network_ignores_the_crdt_flag(self):
+        with vanilla_network(small_config(crdt_enabled=True)) as network:
+            assert {type(peer) for peer in network.peers} == {Peer}
 
 
 #: How to stop what the running test spawned (a cluster, then its client).

@@ -15,7 +15,6 @@ import pytest
 from repro import Gateway
 from repro.common.config import NetworkConfig, OrdererConfig, TopologyConfig
 from repro.core.counters import VotingChaincode
-from repro.core.network import peer_factory_for
 from repro.fabric.costmodel import zero_latency_model
 from repro.fabric.localnet import LocalNetwork
 from repro.fabric.network import SimulatedNetwork
@@ -36,15 +35,14 @@ def config(block_size: int = 4) -> NetworkConfig:
 
 
 def sync_gateway(block_size: int = 4):
-    network = LocalNetwork(config(block_size), peer_factory_for(config(block_size)))
+    network = LocalNetwork(config(block_size))
     network.deploy(VotingChaincode())
     return Gateway.connect(network), network.close
 
 
 def des_gateway(block_size: int = 4):
     network = SimulatedNetwork(
-        Environment(), config(block_size), cost=zero_latency_model(),
-        peer_factory=peer_factory_for(config(block_size)),
+        Environment(), config(block_size), cost=zero_latency_model()
     )
     network.deploy(VotingChaincode())
     return Gateway.connect(network), network.close

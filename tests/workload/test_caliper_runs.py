@@ -2,9 +2,8 @@
 
 These are the integration tests for the full measured pipeline: DES network,
 workload generation, pre-population, open-loop clients, metric collection —
-declared as ``Benchmark``/``Round`` experiments.  The legacy ``run_workload``
-shim is covered by an explicit byte-identical compatibility test.  Scales
-are tiny; the full-scale runs live in benchmarks/.
+declared as ``Benchmark``/``Round`` experiments.  Scales are tiny; the
+full-scale runs live in benchmarks/.
 """
 
 import pytest
@@ -15,7 +14,6 @@ from repro.common.config import (
     OrdererConfig,
     TopologyConfig,
 )
-from repro.common.deprecation import reset_deprecation_warnings
 from repro.workload.runner import Benchmark, Round
 from repro.workload.spec import WorkloadSpec
 
@@ -74,35 +72,6 @@ class TestDeterminism:
         assert first.avg_latency_s == pytest.approx(second.avg_latency_s)
         assert first.successful == second.successful
         assert first.blocks_committed == second.blocks_committed
-
-
-class TestRunWorkloadCompat:
-    """The legacy monolithic driver is a byte-identical shim over Round."""
-
-    @pytest.mark.parametrize("seed", (0, 3))
-    @pytest.mark.parametrize("crdt_enabled,block_size", ((True, 25), (False, 50)))
-    def test_byte_identical_to_declared_round(self, seed, crdt_enabled, block_size):
-        from repro.workload.caliper import run_workload
-
-        spec = SPEC.with_crdt(crdt_enabled)
-        config = light_config(block_size, crdt_enabled, seed=seed)
-        with pytest.warns(DeprecationWarning, match="run_workload"):
-            reset_deprecation_warnings()
-            legacy = run_workload(spec, config)
-        declared = one_round(spec, config)
-        assert legacy.to_dict() == declared.to_dict()
-
-    def test_warns_once_per_process(self):
-        import warnings
-
-        from repro.workload.caliper import run_workload
-
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            run_workload(SPEC, light_config(25, True))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_workload(SPEC, light_config(25, True))
 
 
 class TestTopologies:

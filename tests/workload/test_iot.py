@@ -8,7 +8,7 @@ from repro.common.errors import ChaincodeError
 from repro.common.serialization import to_bytes
 from repro.common.types import Version
 from repro.fabric.chaincode import ShimStub
-from repro.fabric.statedb import StateDB
+from repro.fabric.store import MemoryStore
 from repro.workload.iot import (
     IoTChaincode,
     encode_call,
@@ -20,7 +20,7 @@ from repro.workload.iot import (
 
 @pytest.fixture
 def state():
-    db = StateDB()
+    db = MemoryStore()
     db.apply_write("dev", to_bytes(initial_device_state("dev")), Version(0, 0))
     return db
 

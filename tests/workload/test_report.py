@@ -1,7 +1,7 @@
 """Tests for the figure-shaped text reports."""
 
 from repro.workload.metrics import BenchmarkResult
-from repro.workload.report import format_figure, format_result_details
+from repro.workload.reporter import format_figure, format_result_details
 
 
 def result(label, tps, latency, successful):

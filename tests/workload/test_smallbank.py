@@ -12,7 +12,7 @@ Three storage modes, three different guarantees under concurrency:
 import pytest
 
 from repro.common.types import ValidationCode
-from repro.gateway import Gateway
+from repro.gateway import EndorseError, Gateway
 from repro.workload.smallbank import SmallBankChaincode, total_money
 
 from ..conftest import small_config
@@ -32,8 +32,8 @@ def bank_network(crdt_enabled=True):
 
 def create_accounts(network, mode, accounts=("alice", "bob", "carol"), amount=100):
     for account in accounts:
-        network.invoke(
-            "smallbank", "create_account", [account, str(amount), str(amount), mode]
+        smallbank_contract(network).submit_async(
+            "create_account", account, str(amount), str(amount), mode
         )
     network.flush()
     return list(accounts)
@@ -44,48 +44,40 @@ class TestSequentialCorrectness:
     def test_payment_moves_money(self, mode):
         network = bank_network()
         accounts = create_accounts(network, mode)
-        network.invoke("smallbank", "send_payment", ["alice", "bob", "30", mode])
+        smallbank_contract(network).submit_async("send_payment", "alice", "bob", "30", mode)
         network.flush()
-        assert network.query("smallbank", "balance", ["alice"])["checking"] == 70
-        assert network.query("smallbank", "balance", ["bob"])["checking"] == 130
+        assert smallbank_contract(network).evaluate("balance", "alice")["checking"] == 70
+        assert smallbank_contract(network).evaluate("balance", "bob")["checking"] == 130
         assert total_money(smallbank_contract(network), accounts) == 600
 
     @pytest.mark.parametrize("mode", ["plain", "pn-counter"])
     def test_amalgamate(self, mode):
         network = bank_network()
         create_accounts(network, mode, accounts=("alice", "bob"))
-        network.invoke("smallbank", "amalgamate", ["alice", "bob", mode])
+        smallbank_contract(network).submit_async("amalgamate", "alice", "bob", mode)
         network.flush()
-        alice = network.query("smallbank", "balance", ["alice"])
-        bob = network.query("smallbank", "balance", ["bob"])
+        alice = smallbank_contract(network).evaluate("balance", "alice")
+        bob = smallbank_contract(network).evaluate("balance", "bob")
         assert alice["total"] == 0
         assert bob["checking"] == 300 and bob["total"] == 400
 
     def test_plain_mode_rejects_overdraft_at_execution(self):
         network = bank_network()
         create_accounts(network, "plain", accounts=("alice", "bob"))
-        outcome = network.invoke(
-            "smallbank", "send_payment", ["alice", "bob", "1000", "plain"]
-        )
-        from repro.fabric.client import EndorsementRoundFailure
-
-        assert isinstance(outcome, EndorsementRoundFailure)
+        with pytest.raises(EndorseError):
+            smallbank_contract(network).submit("send_payment", "alice", "bob", "1000", "plain")
 
     def test_unknown_mode_rejected(self):
         network = bank_network()
-        from repro.fabric.client import EndorsementRoundFailure
-
-        outcome = network.invoke(
-            "smallbank", "create_account", ["zed", "1", "1", "bitcoin"]
-        )
-        assert isinstance(outcome, EndorsementRoundFailure)
+        with pytest.raises(EndorseError):
+            smallbank_contract(network).submit("create_account", "zed", "1", "1", "bitcoin")
 
 
 def concurrent_payments(network, mode, payments):
     """Submit payments that all endorse against one snapshot (one block)."""
 
     tx_ids = [
-        network.invoke("smallbank", "send_payment", [src, dst, str(amt), mode])
+        smallbank_contract(network).submit_async("send_payment", src, dst, str(amt), mode).tx_id
         for src, dst, amt in payments
     ]
     network.flush()
@@ -128,8 +120,8 @@ class TestNaiveCrdtModeUnderConcurrency:
             [("mallory", "a", 50), ("mallory", "b", 50)],
         )
         assert all(code is ValidationCode.VALID for code in codes)
-        a = network.query("smallbank", "balance", ["a"])["checking"]
-        b = network.query("smallbank", "balance", ["b"])["checking"]
+        a = smallbank_contract(network).evaluate("balance", "a")["checking"]
+        b = smallbank_contract(network).evaluate("balance", "b")["checking"]
         assert a == 100 and b == 100  # both victims credited from 50 total
 
 
@@ -144,8 +136,8 @@ class TestPnCounterModeUnderConcurrency:
         )
         assert all(code is ValidationCode.VALID for code in codes)
         assert total_money(smallbank_contract(network), accounts) == 600
-        assert network.query("smallbank", "balance", ["alice"])["checking"] == 70
-        assert network.query("smallbank", "balance", ["carol"])["checking"] == 125
+        assert smallbank_contract(network).evaluate("balance", "alice")["checking"] == 70
+        assert smallbank_contract(network).evaluate("balance", "carol")["checking"] == 125
 
     def test_overdraft_possible(self):
         """The price of commutativity: non-negativity cannot be enforced."""
@@ -158,7 +150,7 @@ class TestPnCounterModeUnderConcurrency:
             [("alice", "b", 50), ("alice", "c", 50)],
         )
         assert all(code is ValidationCode.VALID for code in codes)
-        alice = network.query("smallbank", "balance", ["alice"])["checking"]
+        alice = smallbank_contract(network).evaluate("balance", "alice")["checking"]
         assert alice == -40  # overdrawn, but globally consistent
         assert total_money(smallbank_contract(network), ["alice", "b", "c"]) == 360
 

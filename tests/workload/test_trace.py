@@ -104,7 +104,8 @@ class TestExportAndSummary:
     def test_summary_from_real_run(self):
         from repro.common.config import NetworkConfig, OrdererConfig, TopologyConfig
         from repro.sim import Environment
-        from repro.workload.caliper import build_network, populate_ledger, _client_process
+        from repro.workload.clients import OpenLoopClient, RoundContext
+        from repro.workload.runner import build_network, populate_ledger
         from repro.workload.generator import generate_plan, keys_to_populate
         from repro.gateway import Gateway
         from repro.workload.iot import IOT_CHAINCODE_NAME, IoTChaincode
@@ -125,12 +126,11 @@ class TestExportAndSummary:
         gateway = Gateway.connect(network)
         collector = MetricsCollector(env, expected=len(plan))
         collector.observe(gateway.block_events())
-        per_client = {}
-        for tx in plan:
-            per_client.setdefault(tx.client, []).append(tx)
         contract = gateway.get_contract(IOT_CHAINCODE_NAME)
-        for client_index, txs in sorted(per_client.items()):
-            env.process(_client_process(env, contract, client_index, txs, collector))
+        OpenLoopClient().start(RoundContext(
+            env=env, gateway=gateway, contract=contract, plan=plan,
+            collector=collector, rate=None,
+        ))
         env.run(until=collector.done)
 
         summary = summarize_run(collector.statuses)
