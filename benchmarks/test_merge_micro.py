@@ -3,7 +3,7 @@
 Unlike the figure benchmarks (single deterministic runs of a simulated
 experiment), these measure real CPU work with proper repetition: merging a
 block of values into one document, converting it back to plain JSON, and
-applying the returned operations to a fresh replica.
+applying a merge's operations to a fresh replica.
 """
 
 import pytest
@@ -12,6 +12,7 @@ from repro.common.config import CRDTConfig
 from repro.core.jsonmerge import init_empty_crdt, merge_crdt
 from repro.crdt.json import JsonDocument, merge_json, replicate
 from repro.workload.iot import nested_payload, reading_payload
+from tests.crdt_json.reference import reference_merge
 
 
 def merge_block(block_size: int, json_keys: int = 2, depth: int = 1) -> dict:
@@ -62,13 +63,13 @@ def test_convert_to_plain(benchmark):
 
 
 def test_replicate_op_log(benchmark):
-    """A replica built from the operations ``merge_json`` returned (the
-    document keeps no log of its own)."""
+    """A replica built from a merge's operations, as Algorithm 2 names them
+    (``merge_json`` builds none, and the document keeps no log)."""
 
     source = JsonDocument("source")
     operations = []
     for sequence in range(100):
-        operations += merge_json(source, reading_payload("dev", 20, sequence))
+        operations += reference_merge(source, reading_payload("dev", 20, sequence))
 
     replica = benchmark(replicate, operations, "replica")
     assert replica.to_plain() == source.to_plain()

@@ -57,8 +57,7 @@ def measure_merge_work(
     merged = init_empty_crdt("device-hot-0", first_payload, actor="calib")
     ops = 0
     for sequence in range(block_size):
-        operations = merge_crdt(merged, _payload(json_keys, nesting_depth, sequence), config)
-        ops += len(operations)
+        ops += merge_crdt(merged, _payload(json_keys, nesting_depth, sequence), config)
     assert merged.document is not None
     return MergeWorkSample(
         block_size=block_size,

@@ -59,12 +59,13 @@ def from_bytes(data: bytes) -> Any:
     """Inverse of :func:`to_bytes`.
 
     Raises :class:`SerializationError` on malformed input so callers never
-    have to catch ``json.JSONDecodeError`` directly.
+    have to catch ``json.JSONDecodeError`` directly — nor the bare
+    ``ValueError`` of an integer literal past Python's digit limit.
     """
 
     try:
         return json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError included
         raise SerializationError(f"malformed value bytes: {exc}") from exc
 
 

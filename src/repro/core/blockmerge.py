@@ -54,7 +54,7 @@ class _BlockDecodeCache:
     one fixed byte string per key per block.  Caching the decode means each
     distinct byte string is deserialized once per block instead of once per
     transaction.  Safe because every consumer of the decoded JSON treats it
-    as read-only (merge generates operations; ``from_dict`` copies).
+    as read-only (the merge writes into its own document; ``from_dict`` copies).
     """
 
     def __init__(self) -> None:
@@ -116,7 +116,7 @@ def validate_merge_block(
                 merge_ops += 1
             else:
                 before = _scan_steps(merged)
-                merge_ops += len(merge_checked(merged.document, value, options))  # line 11
+                merge_ops += merge_checked(merged.document, value, options)  # line 11
                 merge_scan_steps += _scan_steps(merged) - before
             merged.values_merged += 1
         crdt_tx_indices.add(tx_index)

@@ -1,13 +1,16 @@
 """Algorithm 2 — ``MergeCRDT``: merge a JSON object into a JSON CRDT.
 
-This module is FabricCRDT's view of the JSON CRDT engine.  The actual
-cursor/operation machinery lives in :mod:`repro.crdt.json`; here we bind it
-to the paper's names and to :class:`~repro.common.config.CRDTConfig`, and add
-the ``InitEmptyCRDT`` factory from Algorithm 1 (line 9): the type of CRDT
-object instantiated depends on the type of the value — plain JSON objects
-get a JSON CRDT; values carrying a CRDT envelope (``{"crdt": ..., "state":
-...}``, e.g. a G-Counter written by the counters extension) get the
-corresponding state-based CRDT from the registry.
+This module is FabricCRDT's view of the JSON CRDT engine.  The merge itself
+lives in :mod:`repro.crdt.json`: it walks the value and the document tree
+together and writes each field in place, so it returns how many operations
+it applied, not the operations — every peer merges the same block, so none
+is ever shipped.  Here we bind it to the paper's names and to
+:class:`~repro.common.config.CRDTConfig`, and add the ``InitEmptyCRDT``
+factory from Algorithm 1 (line 9): the type of CRDT object instantiated
+depends on the type of the value — plain JSON objects get a JSON CRDT;
+values carrying a CRDT envelope (``{"crdt": ..., "state": ...}``, e.g. a
+G-Counter written by the counters extension) get the corresponding
+state-based CRDT from the registry.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from ..common.config import CRDTConfig
 from ..common.errors import MergeTypeError, UnsupportedValueError
 from ..common.serialization import from_bytes, to_bytes
 from ..crdt.base import StateCRDT
-from ..crdt.json import JsonDocument, MergeOptions, Operation, merge_json
+from ..crdt.json import JsonDocument, MergeOptions, merge_json
 from ..crdt.registry import crdt_from_dict_envelope, crdt_to_dict_envelope, is_dict_envelope
 
 
@@ -93,13 +96,11 @@ def init_empty_crdt(key: str, value: object, actor: str) -> MergedKey:
     )
 
 
-def merge_crdt(
-    merged: MergedKey, value: object, config: CRDTConfig
-) -> list[Operation]:
+def merge_crdt(merged: MergedKey, value: object, config: CRDTConfig) -> int:
     """``MergeCRDT(CRDT, value)`` — Algorithm 1 line 11 / Algorithm 2.
 
-    Returns the JSON-CRDT operations applied (empty for envelope merges).
-    Raises :class:`MergeTypeError` when the value kind does not match the
+    Returns the number of JSON-CRDT operations applied (0 for envelope
+    merges).  Raises :class:`MergeTypeError` when the value kind does not match the
     CRDT accumulated so far for this key, and
     :class:`UnsupportedValueError` for payloads outside the supported model.
     """
@@ -112,7 +113,7 @@ def merge_crdt(
         incoming = crdt_from_dict_envelope(value)
         merged.state_crdt = merged.state_crdt.merge(incoming)  # type: ignore[arg-type]
         merged.values_merged += 1
-        return []
+        return 0
     if not isinstance(value, dict):
         raise UnsupportedValueError(
             f"key {merged.key!r}: unsupported CRDT payload {type(value).__name__}"
@@ -121,12 +122,12 @@ def merge_crdt(
         raise MergeTypeError(
             f"key {merged.key!r}: JSON value after envelope values in one block"
         )
-    operations = merge_json(merged.document, value, merge_options(config))
+    applied = merge_json(merged.document, value, merge_options(config))
     merged.values_merged += 1
-    return operations
+    return applied
 
 
-def merge_value_bytes(merged: MergedKey, raw: bytes, config: CRDTConfig) -> list[Operation]:
+def merge_value_bytes(merged: MergedKey, raw: bytes, config: CRDTConfig) -> int:
     """Decode a write-set value (Algorithm 1's binary conversion) and merge."""
 
     return merge_crdt(merged, from_bytes(raw), config)

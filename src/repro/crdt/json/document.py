@@ -10,9 +10,11 @@
   presence IDs, assignments carry the value IDs they overwrite, so arrival
   order of concurrent operations does not affect the converged state.
 
-Local editing (``assign`` / ``insert_at`` / ``delete_at`` / ...) generates
+Local editing (``assign`` / ``append`` / ``delete_key`` / ...) generates
 operations against the current state and applies them immediately; callers
-replicate the returned operations to other documents.
+replicate the returned operations to other documents.  ``merge_json``
+writes through the same primitives in place (``assign_in_place`` /
+``insert_in_place``) and builds no operation at all.
 
 The document keeps state, not history: once an operation's effect is in the
 tree only its ID is remembered (idempotence and causal delivery need no
@@ -21,7 +23,7 @@ more), so the returned operations are the caller's to keep or drop.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Union
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from ...common.clock import LamportClock
 from ...common.errors import CausalityError, CursorError
@@ -52,19 +54,13 @@ class Located(NamedTuple):
     #: Element IDs of the list cells on the path: structural dependencies.
     path_ids: frozenset[OpId]
 
-    def below(self, slot: Slot, branch: str, element_id: Optional[OpId] = None) -> "Located":
-        """One step further down, through ``slot``'s existing child.
 
-        ``element_id`` names the list cell owning ``slot``, if it is one.
-        """
+#: The slots on the path to a container, each with the branch taken through
+#: it: a :attr:`Located.trail`, or the list ``merge_json`` pushes and pops.
+Trail = Sequence[tuple[Slot, str]]
 
-        child = slot.map_child if branch == "map" else slot.list_child
-        path_ids = self.path_ids if element_id is None else self.path_ids | {element_id}
-        return Located(child, self.trail + ((slot, branch),), path_ids)
-
-
-#: A mutation handler: ``(target, mutation, op_id)`` — see ``_apply_located``.
-Handler = Callable[[Any, Mutation, OpId], None]
+#: An effect handler: ``(target, op_id, *effect)`` — see ``_apply_located``.
+Handler = Callable[..., None]
 
 
 class JsonDocument:
@@ -199,61 +195,68 @@ class JsonDocument:
         mutation = operation.mutation
         if isinstance(mutation, AssignKey):
             at = self.locate(operation.cursor, "map")
-            apply, target = self._assign_at, at.node.ensure_slot(mutation.key, self.stats)
+            slot = at.node.ensure_slot(mutation.key, self.stats)
+            effect = (self._assign_at, slot, mutation.payload, mutation.overwrites)
         elif isinstance(mutation, InsertAfter):
             at = self.locate(operation.cursor, "list")
-            apply, target = self._insert_at, at.node
+            effect = (self._insert_at, at.node, mutation.payload, mutation.anchor)
         elif isinstance(mutation, DeleteKey):
             at = self.locate(operation.cursor, "map")
-            apply, target = self._delete_at, at.node.slot(mutation.key)
+            effect = (self._delete_at, at.node.slot(mutation.key), mutation.observed)
         elif isinstance(mutation, DeleteElem):
             at = self.locate(operation.cursor, "list")
             cell = at.node.get(mutation.element_id)
-            apply, target = self._delete_at, cell.slot if cell is not None else None
+            effect = (self._delete_at, cell.slot if cell is not None else None, mutation.observed)
         else:  # pragma: no cover - exhaustive over Mutation union
             raise TypeError(f"unknown mutation: {mutation!r}")
-        self._apply_located(operation, at, apply, target)
+        self._apply_located(operation.id, at.trail, *effect)
         self.clock.merge(operation.id)
 
     def _apply_located(
-        self, operation: Operation, at: Located, apply: Handler, target: Any
+        self, op_id: OpId, trail: Trail, apply: Handler, target: Any, *effect: Any
     ) -> None:
-        """Apply ``operation`` in place: the trail, then ``apply(target, ...)``.
+        """Apply one effect in place: the trail, then ``apply(target, op_id, *effect)``.
 
-        ``target`` is what the mutation changes inside ``at.node`` — the
-        slot of an assign or delete (``None`` for a delete of nothing), the
-        list of an insert — and ``apply`` the handler for its mutation.
+        ``trail`` is every slot on the path to the effect's container with the
+        branch taken through it (:attr:`Located.trail`).  ``target`` is what
+        the effect changes inside that container — the slot of an assign or
+        delete (``None`` for a delete of nothing), the list of an insert —
+        and ``apply`` its handler.  Remote operations, local edits and
+        ``merge_json`` all change the document here and nowhere else.
         """
 
-        op_id = operation.id
-        for slot, via in at.trail:
+        for slot, via in trail:
             slot.presence.add(op_id)
             branch_ops = slot.branch_ops  # keep the highest ID per branch
             if via not in branch_ops or branch_ops[via] < op_id:
                 branch_ops[via] = op_id
-        apply(target, operation.mutation, op_id)
+        apply(target, op_id, *effect)
         self._applied.add(op_id)
         self.stats.ops_applied += 1
 
-    # -- mutation handlers: (target, mutation, op_id) --------------------------------
+    # -- effect handlers: (target, op_id, *effect) ----------------------------------
 
-    def _assign_at(self, slot: Slot, mutation: AssignKey, op_id: OpId) -> None:
+    def _assign_at(
+        self, slot: Slot, op_id: OpId, payload: Payload, overwrites: Iterable[OpId]
+    ) -> None:
         slot.presence.add(op_id)
-        for overwritten in mutation.overwrites:
+        for overwritten in overwrites:
             slot.leaf_values.pop(overwritten, None)
-        self._write_payload(slot, mutation.payload, op_id)
+        self._write_payload(slot, op_id, payload)
 
-    def _insert_at(self, node: ListNode, mutation: InsertAfter, op_id: OpId) -> None:
+    def _insert_at(
+        self, node: ListNode, op_id: OpId, payload: Payload, anchor: Optional[OpId]
+    ) -> None:
         if op_id in node.cells:
             return  # content-addressed duplicate: idempotent by construction
-        if mutation.anchor is not None and mutation.anchor not in node.cells:
-            raise CursorError(f"insert anchor {mutation.anchor} missing")
-        cell = Cell(element_id=op_id, anchor=mutation.anchor)
+        if anchor is not None and anchor not in node.cells:
+            raise CursorError(f"insert anchor {anchor} missing")
+        cell = Cell(element_id=op_id, anchor=anchor)
         cell.slot.presence.add(op_id)
-        self._write_payload(cell.slot, mutation.payload, op_id)
+        self._write_payload(cell.slot, op_id, payload)
         node.insert(cell, self.stats)
 
-    def _write_payload(self, slot: Slot, payload: Payload, op_id: OpId) -> None:
+    def _write_payload(self, slot: Slot, op_id: OpId, payload: Payload) -> None:
         kind = payload.kind
         if kind is PayloadKind.LEAF:
             slot.leaf_values[op_id] = payload.leaf
@@ -266,79 +269,113 @@ class JsonDocument:
             branch_ops[branch] = op_id
 
     @staticmethod
-    def _delete_at(
-        slot: Optional[Slot], mutation: Union[DeleteKey, DeleteElem], op_id: OpId
-    ) -> None:
+    def _delete_at(slot: Optional[Slot], op_id: OpId, observed: frozenset[OpId]) -> None:
         if slot is None:
             return  # deleting a never-seen key or element is a no-op
-        slot.presence -= mutation.observed
-        for observed in mutation.observed:
-            slot.leaf_values.pop(observed, None)
+        slot.presence -= observed
+        for removed in observed:
+            slot.leaf_values.pop(removed, None)
 
-    # -- local editing API ------------------------------------------------------------
+    # -- writing in place ----------------------------------------------------------------
     #
-    # Every edit takes ``at``: the result of ``locate(cursor, ...)`` when the
-    # caller already holds it (``merge_json`` carries it down its recursion),
-    # otherwise the cursor is walked here, once.
+    # A write whose container the caller already holds, with the trail to
+    # it: ``merge_json`` walks the incoming value and this tree together and
+    # writes each field here, building no operation — every peer merges the
+    # same block, so a merge ships none.  The local assigns and inserts
+    # below write through the same two calls, then describe the write as an
+    # operation for replication.
 
-    def assign(
-        self, cursor: Cursor, key: str, value: str,
-        deps: Optional[Iterable[OpId]] = None,
-        at: Optional[Located] = None,
-    ) -> Operation:
-        """Assign string ``value`` at ``key`` of the map at ``cursor``."""
+    def assign_in_place(self, trail: Trail, slot: Slot, payload: Payload) -> OpId:
+        """Assign ``payload`` to ``slot`` (a map's, reached through ``trail``)
+        under a fresh tick; returns the ID.  A leaf overwrites the leaves the
+        slot holds, a container keeps them (the branch winner decides)."""
 
-        if at is None:
-            at = self.locate(cursor, "map")
-        slot = at.node.ensure_slot(key, self.stats)
-        overwrites = frozenset(slot.leaf_values)
-        mutation = AssignKey(key, Payload.string(value), overwrites)
-        return self._emit(cursor, mutation, at, self._assign_at, slot, overwrites, deps=deps)
+        overwrites = tuple(slot.leaf_values) if payload.kind is PayloadKind.LEAF else ()
+        op_id = self.clock.tick()  # past every applied ID: never a duplicate
+        self._apply_located(op_id, trail, self._assign_at, slot, payload, overwrites)
+        if self._buffer:
+            self._drain_buffer()
+        return op_id
 
-    def assign_container(
-        self, cursor: Cursor, key: str, kind: str,
-        deps: Optional[Iterable[OpId]] = None,
-        at: Optional[Located] = None,
-    ) -> Operation:
-        """Create an empty map (``kind='map'``) or list (``'list'``) at key."""
-
-        if at is None:
-            at = self.locate(cursor, "map")
-        payload = CONTAINER_PAYLOADS[kind]
-        slot = at.node.ensure_slot(key, self.stats)
-        return self._emit(cursor, AssignKey(key, payload), at, self._assign_at, slot, deps=deps)
-
-    def insert_after(
-        self, cursor: Cursor, anchor: Optional[OpId], payload: Payload,
+    def insert_in_place(
+        self, trail: Trail, node: ListNode, anchor: Optional[OpId], payload: Payload,
         op_id: Optional[OpId] = None,
-        deps: Optional[Iterable[OpId]] = None,
-        at: Optional[Located] = None,
-    ) -> Operation:
-        """Insert into the list at ``cursor`` after ``anchor`` (None = head).
+    ) -> OpId:
+        """Insert ``payload`` after ``anchor`` (``None`` = head) into the list
+        ``node``, reached through ``trail``; returns the new element's ID.
 
         ``op_id`` overrides the clock-generated ID (used by content-addressed
         merging); the clock is still ticked so later IDs dominate.
         """
 
-        if at is None:
-            at = self.locate(cursor, "list")
-        refs = () if anchor is None else (anchor,)
-        return self._emit(
-            cursor, InsertAfter(anchor, payload), at, self._insert_at, at.node, refs, op_id, deps
-        )
+        ticked = self.clock.tick()
+        if op_id is None:
+            op_id = ticked
+        elif op_id in self._applied:
+            return op_id  # already present (content-addressed duplicate)
+        self._apply_located(op_id, trail, self._insert_at, node, payload, anchor)
+        if op_id is not ticked:
+            self.clock.merge(op_id)  # a named ID may lead the clock
+        if self._buffer:
+            self._drain_buffer()
+        return op_id
+
+    # -- local editing API ------------------------------------------------------------
+
+    def assign(
+        self, cursor: Cursor, key: str, value: str, deps: Optional[Iterable[OpId]] = None,
+    ) -> Operation:
+        """Assign string ``value`` at ``key`` of the map at ``cursor``."""
+
+        at = self.locate(cursor, "map")
+        slot = at.node.ensure_slot(key, self.stats)
+        overwrites = frozenset(slot.leaf_values)
+        payload = Payload.string(value)
+        op_id = self.assign_in_place(at.trail, slot, payload)
+        mutation = AssignKey(key, payload, overwrites)
+        return self._operation(op_id, cursor, mutation, at, overwrites, deps)
+
+    def assign_container(
+        self, cursor: Cursor, key: str, kind: str, deps: Optional[Iterable[OpId]] = None,
+    ) -> Operation:
+        """Create an empty map (``kind='map'``) or list (``'list'``) at key."""
+
+        at = self.locate(cursor, "map")
+        slot = at.node.ensure_slot(key, self.stats)
+        payload = CONTAINER_PAYLOADS[kind]
+        op_id = self.assign_in_place(at.trail, slot, payload)
+        return self._operation(op_id, cursor, AssignKey(key, payload), at, (), deps)
+
+    def insert_after(
+        self, cursor: Cursor, anchor: Optional[OpId], payload: Payload,
+        op_id: Optional[OpId] = None,
+        deps: Optional[Iterable[OpId]] = None,
+    ) -> Operation:
+        """Insert into the list at ``cursor`` after ``anchor`` (None = head).
+
+        ``op_id`` names the element, as in :meth:`insert_in_place`.
+        """
+
+        return self._insert(cursor, self.locate(cursor, "list"), anchor, payload, op_id, deps)
 
     def append(
         self, cursor: Cursor, payload: Payload,
         op_id: Optional[OpId] = None,
         deps: Optional[Iterable[OpId]] = None,
-        at: Optional[Located] = None,
     ) -> Operation:
         """Insert at the end of the visible list at ``cursor``."""
 
-        if at is None:
-            at = self.locate(cursor, "list")
+        at = self.locate(cursor, "list")
         anchor = at.node.last_visible_id(self.stats)
-        return self.insert_after(cursor, anchor, payload, op_id, deps, at)
+        return self._insert(cursor, at, anchor, payload, op_id, deps)
+
+    def _insert(
+        self, cursor: Cursor, at: Located, anchor: Optional[OpId], payload: Payload,
+        op_id: Optional[OpId], deps: Optional[Iterable[OpId]],
+    ) -> Operation:
+        element_id = self.insert_in_place(at.trail, at.node, anchor, payload, op_id)
+        refs = () if anchor is None else (anchor,)
+        return self._operation(element_id, cursor, InsertAfter(anchor, payload), at, refs, deps)
 
     def delete_key(
         self, cursor: Cursor, key: str, deps: Optional[Iterable[OpId]] = None,
@@ -346,9 +383,11 @@ class JsonDocument:
         at = self.locate(cursor, "map")
         slot = at.node.slot(key)
         observed = frozenset(slot.presence) if slot is not None else frozenset()
-        return self._emit(
-            cursor, DeleteKey(key, observed), at, self._delete_at, slot, observed, deps=deps
-        )
+        op_id = self.clock.tick()
+        self._apply_located(op_id, at.trail, self._delete_at, slot, observed)
+        if self._buffer:
+            self._drain_buffer()
+        return self._operation(op_id, cursor, DeleteKey(key, observed), at, observed, deps)
 
     def delete_elem(
         self, cursor: Cursor, element_id: OpId, deps: Optional[Iterable[OpId]] = None,
@@ -357,26 +396,23 @@ class JsonDocument:
         cell = at.node.get(element_id)
         slot = cell.slot if cell is not None else None
         observed = frozenset(slot.presence) if slot is not None else frozenset()
+        op_id = self.clock.tick()
+        self._apply_located(op_id, at.trail, self._delete_at, slot, observed)
+        if self._buffer:
+            self._drain_buffer()
         refs = observed | {element_id}
-        return self._emit(
-            cursor, DeleteElem(element_id, observed), at, self._delete_at, slot, refs, deps=deps
-        )
+        return self._operation(op_id, cursor, DeleteElem(element_id, observed), at, refs, deps)
 
-    def _emit(
-        self,
+    @staticmethod
+    def _operation(
+        op_id: OpId,
         cursor: Cursor,
         mutation: Mutation,
         at: Located,
-        apply: Handler,
-        target: Any,
-        refs: Iterable[OpId] = (),
-        op_id: Optional[OpId] = None,
-        deps: Optional[Iterable[OpId]] = None,
+        refs: Iterable[OpId],
+        deps: Optional[Iterable[OpId]],
     ) -> Operation:
-        """Name, build and apply a local operation at ``at``.
-
-        The edit that built ``mutation`` already found its ``target`` and
-        names its handler ``apply`` (see :meth:`_apply_located`).
+        """The operation describing a local edit, for replication.
 
         ``refs`` are the operation IDs the mutation names.  An operation
         cannot execute before the cells its cursor traverses exist
@@ -385,20 +421,10 @@ class JsonDocument:
         declaring these as dependencies makes out-of-order delivery safe.
         """
 
-        ticked = self.clock.tick()  # the clock stays ahead even of externally named ops
-        new_id = ticked if op_id is None else op_id
         full_deps = at.path_ids.union(refs, deps or ())
-        if new_id in full_deps:
-            full_deps = full_deps - {new_id}
-        operation = Operation(new_id, full_deps, cursor, mutation)
-        if new_id in self._applied:
-            return operation  # already present (content-addressed duplicate)
-        self._apply_located(operation, at, apply, target)
-        if op_id is not None:
-            self.clock.merge(op_id)  # a ticked ID is the clock already; a named one may lead
-        if self._buffer:
-            self._drain_buffer()
-        return operation
+        if op_id in full_deps:
+            full_deps = full_deps - {op_id}
+        return Operation(op_id, full_deps, cursor, mutation)
 
     # -- reading ------------------------------------------------------------------
 
@@ -423,8 +449,8 @@ class JsonDocument:
 def replicate(operations: Iterable[Operation], actor: str) -> JsonDocument:
     """A fresh replica: a new document with ``operations`` applied.
 
-    The operations are what the source's edits and ``merge_json`` returned;
-    the source keeps no history of them.
+    The operations are what the source's local edits returned; the source
+    keeps no history of them.
     """
 
     replica = JsonDocument(actor)

@@ -1,14 +1,20 @@
 """Merging a plain JSON object into a document — the paper's Algorithm 2.
 
-``merge_json(document, value)`` walks the incoming JSON object exactly as
-Algorithm 2 does: for each key, extend the cursor; strings become assign
-operations, lists and maps recurse.  Every generated operation chains its
-dependency list to the previous one (the algorithm's ``dependencies.Add``
-after each operation), is applied immediately, and is also returned so tests
-can replicate the op stream to other documents.  The walk descends the value
-and the document tree together: each level hands the next its
-:class:`~repro.crdt.json.document.Located`, so no operation re-resolves its
-cursor from the root.
+``merge_json(document, value)`` walks the incoming JSON object as Algorithm 2
+does: for each key, strings are assigned, lists and maps recurse.  The walk
+descends the value and the document tree together, keeping the path as a
+trail of ``(slot, branch)`` pairs that is pushed entering a container and
+popped leaving it (the algorithm's ``AddCursorElement`` /
+``RemoveCursorElement``), and writes each field straight into the slot or
+list it holds, through the document's in-place writes.  Each field gets the
+ID the algorithm's operation would get — a Lamport tick, or a content ID in
+a list — but no operation is built: every peer runs Algorithm 1 over the
+same ordered block, so a merge's operations are never shipped, and the
+``dependencies`` list that chains them serves only their causal delivery.
+The merge returns how many operations it applied.  The operation-emitting
+transcription, ``dependencies`` chain included, is the tests' reference
+(``tests/crdt_json/reference.py``), and the in-place merge must leave its
+state exactly.
 
 Two behaviours are configurable (README "Merge engine"):
 
@@ -31,11 +37,10 @@ from typing import Any, Mapping, Sequence
 
 from ...common.errors import SerializationError, UnsupportedValueError
 from ...common.serialization import canonical_json
-from .cursor import Cursor, ListStep, MapStep
-from .document import JsonDocument, Located
+from .document import JsonDocument
 from .ids import content_id_of_canonical
 from .mutation import CONTAINER_PAYLOADS, Payload
-from .operation import Operation
+from .nodes import ListNode, MapNode, Slot
 
 
 @dataclass(frozen=True)
@@ -58,8 +63,9 @@ def merge_json(
     document: JsonDocument,
     value: Mapping[str, Any],
     options: MergeOptions = MergeOptions(),
-) -> list[Operation]:
-    """Merge a JSON object into ``document``; returns the operations applied.
+) -> int:
+    """Merge a JSON object into ``document``; returns the number of
+    operations applied.
 
     The paper's ``MergeCRDT(JsonCRDT, Json)``.  The top-level value must be a
     JSON object, as in Fabric chaincode values stored through CouchDB.  The
@@ -84,13 +90,10 @@ def check_mergeable(value: Any, options: MergeOptions = MergeOptions()) -> None:
 
 def merge_checked(
     document: JsonDocument, value: Mapping[str, Any], options: MergeOptions
-) -> list[Operation]:
+) -> int:
     """The apply half of ``merge_json``: ``value`` passed ``check_mergeable``."""
 
-    ops: list[Operation] = []
-    root = Cursor()
-    _merge_map(document, root, "$", document.locate(root, "map"), value, ops, options)
-    return ops
+    return _merge_map(document, [], "$", document.root, value, options)
 
 
 #: The kinds of the builtin types JSON decodes to.  The check and the merge
@@ -155,43 +158,50 @@ def _coerce_leaf(value: Any, options: MergeOptions) -> str:
 
 def _merge_map(
     document: JsonDocument,
-    cursor: Cursor,
+    trail: list[tuple[Slot, str]],
     path: str,
-    at: Located,
+    node: MapNode,
     mapping: Mapping[str, Any],
-    ops: list[Operation],
     options: MergeOptions,
-) -> None:
-    """Merge ``mapping`` into the map at ``cursor``.
+) -> int:
+    """Merge ``mapping`` into ``node``, reached through ``trail``; returns
+    the number of operations applied.
 
-    ``path`` is ``cursor.path_repr()``, carried down the recursion a step at
-    a time rather than rendered again for every list (content IDs hash it).
+    ``path`` is the node's cursor text (``Cursor.path_repr()``), carried down
+    a step at a time for the content IDs of the lists below.  ``trail`` is
+    pushed entering a container and popped leaving it — the algorithm's
+    ``AddCursorElement`` / ``RemoveCursorElement``.
     """
 
+    applied = 0
+    stats = document.stats
     for key, value in mapping.items():
-        # Algorithm 2's ``dependencies``: each operation depends on the last.
-        deps = (ops[-1].id,) if ops else ()
         cls = type(value)
         kind = _EXACT_KINDS[cls] if cls in _EXACT_KINDS else _kind(value)
+        slot = node.ensure_slot(key, stats)
         if kind == "leaf":
-            ops.append(document.assign(cursor, key, _coerce_leaf(value, options), deps, at))
+            leaf = value if cls is str else _coerce_leaf(value, options)
+            document.assign_in_place(trail, slot, Payload.string(leaf))
+            applied += 1
             continue
-        ops.append(document.assign_container(cursor, key, kind, deps, at))
-        below = at.below(at.node.slots[key], kind)
-        merge = _merge_map if kind == "map" else _merge_list
-        cursor_below = cursor.extended(MapStep(key))
-        merge(document, cursor_below, f"{path}.{key}", below, value, ops, options)
+        document.assign_in_place(trail, slot, CONTAINER_PAYLOADS[kind])
+        applied += 1 + _merge_below(document, trail, slot, kind, f"{path}.{key}", value, options)
+    return applied
 
 
 def _merge_list(
     document: JsonDocument,
-    cursor: Cursor,
+    trail: list[tuple[Slot, str]],
     path: str,
-    at: Located,
+    node: ListNode,
     items: Sequence[Any],
-    ops: list[Operation],
     options: MergeOptions,
-) -> None:
+) -> int:
+    """Append ``items`` to ``node``, reached through ``trail`` (see
+    :func:`_merge_map`); an item already merged here is skipped whole."""
+
+    applied = 0
+    stats = document.stats
     occurrences: dict[str, int] = {}
     for item in items:
         cls = type(item)
@@ -213,12 +223,32 @@ def _merge_list(
                 # including its entire subtree (identical by construction).
                 continue
 
-        deps = (ops[-1].id,) if ops else ()
-        operation = document.append(cursor, payload, elem_id, deps, at)
-        ops.append(operation)
+        anchor = node.last_visible_id(stats)
+        elem_id = document.insert_in_place(trail, node, anchor, payload, elem_id)
+        applied += 1
         if kind != "leaf":
-            below = at.below(at.node.cells[operation.id].slot, kind, operation.id)
-            merge = _merge_map if kind == "map" else _merge_list
-            cursor_below = cursor.extended(ListStep(operation.id))
-            path_below = f"{path}[{operation.id}]"  # the ListStep's text
-            merge(document, cursor_below, path_below, below, item, ops, options)
+            slot = node.cells[elem_id].slot
+            path_below = f"{path}[{elem_id}]"  # the ListStep's text
+            applied += _merge_below(document, trail, slot, kind, path_below, item, options)
+    return applied
+
+
+def _merge_below(
+    document: JsonDocument,
+    trail: list[tuple[Slot, str]],
+    slot: Slot,
+    kind: str,
+    path: str,
+    value: Any,
+    options: MergeOptions,
+) -> int:
+    """Merge ``value`` into ``slot``'s child map or list (``kind``), one
+    step further down ``trail``."""
+
+    trail.append((slot, kind))
+    if kind == "map":
+        applied = _merge_map(document, trail, path, slot.map_child, value, options)
+    else:
+        applied = _merge_list(document, trail, path, slot.list_child, value, options)
+    trail.pop()
+    return applied

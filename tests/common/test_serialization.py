@@ -59,6 +59,12 @@ class TestFromBytes:
         with pytest.raises(SerializationError):
             from_bytes(b"\xff\xfe")
 
+    def test_integer_past_the_digit_limit_raises(self):
+        # json.loads raises a bare ValueError for a literal over Python's
+        # int-to-str digit limit (4 300 by default), not a JSONDecodeError.
+        with pytest.raises(SerializationError):
+            from_bytes(b'{"a":' + b"1" * 5000 + b"}")
+
 
 class TestHelpers:
     def test_byte_size(self):

@@ -149,6 +149,17 @@ class TestBadPayloads:
         assert plan.skip_mvcc == frozenset({1})
         assert from_bytes(plan.replacement_writes[1][0].value) == {"l": ["ok"]}
 
+    def test_integer_past_the_digit_limit_forces_bad_payload(self):
+        peer = build_peer()
+        huge = b'{"a":' + b"1" * 5000 + b"}"
+        rwset = ReadWriteSet.build(writes=[WriteItem("k", huge, is_crdt=True)])
+        bad = endorsed_tx(peer, rwset, 1)
+        good = crdt_tx(peer, 2, "k", {"l": ["ok"]})
+        _, plan = run_algorithm1(peer, [bad, good])
+        assert plan.forced_codes == {0: ValidationCode.BAD_PAYLOAD}
+        assert plan.skip_mvcc == frozenset({1})
+        assert from_bytes(plan.replacement_writes[1][0].value) == {"l": ["ok"]}
+
     def test_non_object_value_forces_bad_payload(self):
         peer = build_peer()
         rwset = ReadWriteSet.build(

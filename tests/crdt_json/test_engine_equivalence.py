@@ -1,11 +1,13 @@
-"""The merge engine against three references that do not share its code.
+"""The merge engine against references that do not share its code.
 
-The engine locates an operation's container once and applies it in place,
-keeps a list's order across tail appends, and *charges* list scans instead
-of performing them.  None of that may be visible from outside:
+``merge_json`` walks the value and the document tree together and writes
+each field in place; the engine keeps a list's order across tail appends and
+*charges* list scans instead of performing them.  None of that may be
+visible from outside:
 
-* the operations ``merge_json`` returns, replayed through the remote
-  ``apply()`` path into an empty document, rebuild the same document;
+* ``merge_json`` leaves exactly the state that Algorithm 2's operation
+  stream (``reference.reference_merge``) leaves, and that stream, replayed
+  through the remote ``apply()`` path in any order, rebuilds it;
 * ``ListNode.ordered_ids()`` equals an RGA order built from scratch here;
 * the work counters — the cost model's input — equal literals recorded
   from the engine this one replaced (commit e652425).
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crdt.json import (
+    AssignKey,
     Cell,
     Cursor,
     DocumentStats,
@@ -28,12 +31,15 @@ from repro.crdt.json import (
     MapStep,
     MergeOptions,
     OpId,
+    Operation,
     Payload,
     merge_json,
 )
 from repro.workload.iot import nested_payload, reading_payload
 
-# -- (a) returned operations, replayed remotely, rebuild the document --------------
+from .reference import document_state, reference_merge
+
+# -- (a) the in-place merge leaves the reference's state -----------------------------
 
 keys = st.sampled_from(["a", "b", "c"])
 leaves = st.one_of(
@@ -53,29 +59,61 @@ values = st.recursive(
 )
 objects = st.dictionaries(keys, values, max_size=3)
 
+#: What a document may hold before the merges: local edits that put a leaf
+#: or a container where a value may put the other kind, a deleted key, and
+#: a remote operation buffered until the merging document's first tick
+#: (so a merge drains it midway).
+SEEDS = {
+    "leaf": lambda doc: doc.assign(Cursor(), "a", "seed"),
+    "map": lambda doc: doc.assign_container(Cursor(), "b", "map"),
+    "list item": lambda doc: doc.append(Cursor((MapStep("c"),)), Payload.string("x")),
+    "deleted": lambda doc: doc.delete_key(Cursor(), "a"),
+    "buffered": lambda doc: _deliver(
+        doc,
+        Operation(
+            OpId(9, "remote"), frozenset({OpId(1, "b7")}), Cursor(),
+            AssignKey("b", Payload.string("remote")),
+        ),
+    ),
+}
 
-@settings(max_examples=120, deadline=None)
+
+def _deliver(document: JsonDocument, operation: Operation) -> Operation:
+    document.apply(operation)
+    return operation
+
+
+@settings(max_examples=150, deadline=None)
 @given(
-    st.lists(objects, min_size=1, max_size=5),
+    st.lists(st.sampled_from(sorted(SEEDS)), max_size=4, unique=True),
+    st.lists(st.tuples(objects, st.booleans()), min_size=1, max_size=5),
     st.booleans(),
     st.randoms(use_true_random=False),
 )
-def test_returned_operations_rebuild_the_document(merged_values, dedup, rng):
+def test_in_place_merge_equals_the_reference(seeds, merges, dedup, rng):
     options = MergeOptions(dedup_identical=dedup)
-    source = JsonDocument("b7")
-    operations = []
-    for value in merged_values:
-        operations.extend(merge_json(source, value, options))
-    assert len({op.id for op in operations}) == len(operations) == source.stats.ops_applied
+    in_place, reference = JsonDocument("b7"), JsonDocument("b7")
+    operations = [SEEDS[name](reference) for name in seeds]
+    for name in seeds:
+        SEEDS[name](in_place)
+    for value, redelivered in merges:
+        for _ in range(1 + redelivered):
+            merged = reference_merge(reference, value, options)
+            assert merge_json(in_place, value, options) == len(merged)
+            operations += merged
+    assert document_state(in_place) == document_state(reference)
 
+    # The reference's operations, delivered in order and shuffled, rebuild
+    # it (a buffered operation still waiting for its tick is not part of it).
+    operations = [op for op in operations if in_place.has_applied(op.id)]
+    assert len({op.id for op in operations}) == len(operations) == in_place.stats.ops_applied
     shuffled = operations[:]
     rng.shuffle(shuffled)
     for delivery in (operations, shuffled):
         replica = JsonDocument("replica")
         assert replica.apply_all(delivery) == len(operations)
         replica.require_quiescent()
-        assert replica.to_plain() == source.to_plain()
-        assert replica.applied_ids == source.applied_ids
+        assert document_state(replica, replica=True) == document_state(in_place, replica=True)
 
 
 # -- (b) the kept order equals an order built from scratch ---------------------------

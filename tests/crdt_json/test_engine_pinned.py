@@ -2,13 +2,16 @@
 
 Seeded documents are built through ``merge_json`` (dedup on and off),
 through direct edits, and through the committer's ``merge_crdt`` on the
-benchmark's nested block; each case records
+benchmark's nested block.  Each case is built twice: merging in place, and
+merging through Algorithm 2's operation stream (``reference``); the two
+documents must agree field by field.  Each case records
 
-* a digest of every returned operation — id, deps, cursor and mutation, in
-  their canonical serde form and in order;
+* the number of operations the in-place build applied;
+* a digest of every operation of the reference build — id, deps, cursor
+  and mutation, in their canonical serde form and in order;
 * a digest of ``to_plain()`` and of ``MergedKey.to_committed_bytes()``;
-* ``stats.snapshot()`` of the source and of a replica rebuilt from the
-  returned operations delivered in a seeded shuffle (the remote path).
+* ``stats.snapshot()`` of the document and of a replica rebuilt from the
+  reference's operations delivered in a seeded shuffle (the remote path).
 
 Any change to how the engine names, orders or applies operations moves a
 digest.  ``python tests/crdt_json/test_engine_pinned.py`` reprints the
@@ -24,7 +27,7 @@ from typing import Any
 import pytest
 
 from repro.common.config import CRDTConfig
-from repro.core.jsonmerge import MergedKey, init_empty_crdt, merge_crdt
+from repro.core.jsonmerge import MergedKey, init_empty_crdt, merge_crdt, merge_options
 from repro.crdt.json import (
     Cursor,
     JsonDocument,
@@ -37,6 +40,11 @@ from repro.crdt.json import (
     operations_to_bytes,
 )
 from repro.workload.iot import nested_payload
+
+try:
+    from .reference import document_state, reference_merge
+except ImportError:  # run as a script
+    from reference import document_state, reference_merge
 
 KEYS = ("a", "b", "c", "d")
 LEAVES = ("x", "y", "", "zz", 0, 7, -1, True, None, 0.5)
@@ -70,72 +78,105 @@ def replica_stats(operations: list[Operation], seed: int) -> dict:
     return replica.stats.snapshot()
 
 
-def fingerprint(document: JsonDocument, operations: list[Operation], seed: int) -> tuple:
+class Merges:
+    """How a case merges: in place, counting, or through the reference,
+    keeping the operations.  Local edits keep their operations either way."""
+
+    def __init__(self, reference: bool) -> None:
+        self.reference = reference
+        self.operations: list[Operation] = []
+        self.count = 0  # operations applied, edits and merges
+
+    def edit(self, operation: Operation) -> Operation:
+        self.operations.append(operation)
+        self.count += 1
+        return operation
+
+    def merge(self, document: JsonDocument, value: dict, options: MergeOptions) -> None:
+        if self.reference:
+            merged = reference_merge(document, value, options)
+            self.operations += merged
+            self.count += len(merged)
+        else:
+            self.count += merge_json(document, value, options)
+
+    def merge_crdt(self, merged: MergedKey, value: dict, config: CRDTConfig) -> None:
+        """The committer's call; the reference merges into the same document."""
+
+        if self.reference:
+            self.merge(merged.document, value, merge_options(config))
+        else:
+            self.count += merge_crdt(merged, value, config)
+
+
+def seeded_merges(merges: Merges, seed: int, dedup: bool) -> JsonDocument:
+    rng = random.Random(seed)
+    document = JsonDocument(f"b{seed}")
+    options = MergeOptions(dedup_identical=dedup)
+    for index in range(12):
+        value = random_object(rng)
+        merges.merge(document, value, options)
+        if rng.random() < 0.3:
+            merges.merge(document, value, options)  # a redelivery
+        if index % 5 == 4:
+            document.to_plain()  # a conversion pays the rebuild an insert made due
+    return document
+
+
+def direct_edits(merges: Merges, seed: int, dedup: bool) -> JsonDocument:
+    document = JsonDocument("edits")
+    edit = merges.edit
+    root = Cursor()
+    edit(document.assign(root, "k", "v1"))
+    edit(document.assign(root, "k", "v2"))
+    edit(document.assign_container(root, "items", "list"))
+    edit(document.assign_container(root, "nested", "map"))
+    items = Cursor((MapStep("items"),))
+    tail = [edit(document.append(items, Payload.string(str(i)))) for i in range(4)]
+    edit(document.insert_after(items, None, Payload.string("head")))
+    inner = edit(document.insert_after(items, tail[1].id, Payload.empty_map()))
+    edit(document.assign(items.extended(ListStep(inner.id)), "deep", "1"))
+    edit(document.append(items, Payload.empty_list()))
+    edit(document.delete_elem(items, tail[3].id))
+    edit(document.assign(Cursor((MapStep("nested"), MapStep("path"))), "x", "y"))
+    edit(document.assign_container(root, "k", "map"))  # a leaf becomes a map
+    edit(document.delete_key(root, "ghost"))
+    edit(document.delete_key(Cursor((MapStep("nested"),)), "path"))
+    document.to_plain()
+    options = MergeOptions(dedup_identical=dedup)
+    merges.merge(document, {"items": ["0", "new", {"deep": "2"}], "k": {"in": "m"}}, options)
+    return document
+
+
+def benchmark_block(merges: Merges, seed: int, dedup: bool) -> JsonDocument:
+    """The JSON half of one ``local_crdt_mixed`` block, as the committer merges it."""
+
+    config = CRDTConfig(dedup_identical=dedup)
+    values = [nested_payload(3, 3, 10 + (seed + s) % 25, s) for s in range(15)]
+    merged = init_empty_crdt("doc-hot", values[0], actor="b31")
+    for value in values:
+        merges.merge_crdt(merged, value, config)
+    return merged.document
+
+
+def fingerprint(name: str, seed: int, dedup: bool) -> tuple:
+    in_place, reference = Merges(reference=False), Merges(reference=True)
+    document = BUILDERS[name](in_place, seed, dedup)
+    reference_document = BUILDERS[name](reference, seed, dedup)
+    assert document_state(document) == document_state(reference_document)
+    operations = reference.operations
+    assert in_place.count == len(operations)
+
     plain = document.to_plain()
     committed = MergedKey("k", document=document).to_committed_bytes()
     return (
-        len(operations),
+        in_place.count,
         digest(operations_to_bytes(operations)),
         digest(repr(plain).encode()),  # key order included
         digest(committed),
         document.stats.snapshot(),
         replica_stats(operations, seed),
     )
-
-
-def seeded_merges(seed: int, dedup: bool) -> tuple:
-    rng = random.Random(seed)
-    document = JsonDocument(f"b{seed}")
-    options = MergeOptions(dedup_identical=dedup)
-    operations: list[Operation] = []
-    for index in range(12):
-        value = random_object(rng)
-        operations.extend(merge_json(document, value, options))
-        if rng.random() < 0.3:
-            operations.extend(merge_json(document, value, options))  # a redelivery
-        if index % 5 == 4:
-            document.to_plain()  # a conversion pays the rebuild an insert made due
-    return fingerprint(document, operations, seed)
-
-
-def direct_edits(seed: int, dedup: bool) -> tuple:
-    document = JsonDocument("edits")
-    root = Cursor()
-    operations = [
-        document.assign(root, "k", "v1"),
-        document.assign(root, "k", "v2"),
-        document.assign_container(root, "items", "list"),
-        document.assign_container(root, "nested", "map"),
-    ]
-    items = Cursor((MapStep("items"),))
-    tail = [document.append(items, Payload.string(str(i))) for i in range(4)]
-    operations += tail
-    operations.append(document.insert_after(items, None, Payload.string("head")))
-    operations.append(document.insert_after(items, tail[1].id, Payload.empty_map()))
-    inner = items.extended(ListStep(operations[-1].id))
-    operations.append(document.assign(inner, "deep", "1"))
-    operations.append(document.append(items, Payload.empty_list()))
-    operations.append(document.delete_elem(items, tail[3].id))
-    operations.append(document.assign(Cursor((MapStep("nested"), MapStep("path"))), "x", "y"))
-    operations.append(document.assign_container(root, "k", "map"))  # a leaf becomes a map
-    operations.append(document.delete_key(root, "ghost"))
-    operations.append(document.delete_key(Cursor((MapStep("nested"),)), "path"))
-    document.to_plain()
-    options = MergeOptions(dedup_identical=dedup)
-    operations += merge_json(document, {"items": ["0", "new", {"deep": "2"}], "k": {"in": "m"}}, options)
-    return fingerprint(document, operations, seed)
-
-
-def benchmark_block(seed: int, dedup: bool) -> tuple:
-    """The JSON half of one ``local_crdt_mixed`` block, as the committer merges it."""
-
-    config = CRDTConfig(dedup_identical=dedup)
-    values = [nested_payload(3, 3, 10 + (seed + s) % 25, s) for s in range(15)]
-    merged = init_empty_crdt("doc-hot", values[0], actor="b31")
-    operations: list[Operation] = []
-    for value in values:
-        operations += merge_crdt(merged, value, config)
-    return fingerprint(merged.document, operations, seed)
 
 
 BUILDERS = {
@@ -174,9 +215,9 @@ EXPECTED: dict[tuple[str, int, bool], tuple] = {
 
 @pytest.mark.parametrize("name, seed, dedup", CASES)
 def test_engine_output_is_pinned(name, seed, dedup):
-    assert BUILDERS[name](seed, dedup) == EXPECTED[(name, seed, dedup)]
+    assert fingerprint(name, seed, dedup) == EXPECTED[(name, seed, dedup)]
 
 
 if __name__ == "__main__":  # prints the EXPECTED literal
     for case in CASES:
-        print(f"    {case!r}: {BUILDERS[case[0]](case[1], case[2])!r},")
+        print(f"    {case!r}: {fingerprint(*case)!r},")

@@ -5,6 +5,8 @@ import pytest
 from repro.common.errors import UnsupportedValueError
 from repro.crdt.json import JsonDocument, MergeOptions, merge_json
 
+from .reference import reference_merge
+
 
 def merged_plain(*values, options=MergeOptions()):
     doc = JsonDocument("peer")
@@ -116,22 +118,28 @@ class TestStructures:
 
 
 class TestOperations:
-    def test_ops_returned_and_applied(self):
+    def test_count_returned_and_applied(self):
         doc = JsonDocument("peer")
-        ops = merge_json(doc, {"a": "1", "l": ["x"]})
         # assign a + assign-container l + insert x = 3 operations
+        assert merge_json(doc, {"a": "1", "l": ["x"]}) == 3
+        assert doc.stats.ops_applied == 3
+        reference = JsonDocument("peer")
+        ops = reference_merge(reference, {"a": "1", "l": ["x"]})
         assert len(ops) == 3
-        assert all(doc.has_applied(op.id) for op in ops)
+        assert doc.applied_ids == reference.applied_ids == {op.id for op in ops}
 
     def test_dedup_skips_known_items_without_ops(self):
         doc = JsonDocument("peer")
         merge_json(doc, {"l": ["x"]})
-        ops = merge_json(doc, {"l": ["x"]})
-        # assign-container for "l" re-emitted, but no insert for "x"
-        assert all(op.mutation.__class__.__name__ != "InsertAfter" for op in ops)
+        # assign-container for "l" applied again, but no insert for "x"
+        assert merge_json(doc, {"l": ["x"]}) == 1
+        reference = JsonDocument("peer")
+        reference_merge(reference, {"l": ["x"]})
+        ops = reference_merge(reference, {"l": ["x"]})
+        assert [op.mutation.__class__.__name__ for op in ops] == ["AssignKey"]
 
     def test_deps_chain(self):
         doc = JsonDocument("peer")
-        ops = merge_json(doc, {"a": "1", "b": "2", "c": "3"})
+        ops = reference_merge(doc, {"a": "1", "b": "2", "c": "3"})
         for previous, current in zip(ops, ops[1:]):
             assert previous.id in current.deps

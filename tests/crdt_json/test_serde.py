@@ -5,13 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SerializationError
-from repro.crdt.json import Cursor, JsonDocument, MapStep, merge_json
+from repro.crdt.json import Cursor, JsonDocument, MapStep
 from repro.crdt.json.serde import (
     operation_from_dict,
     operation_to_dict,
     operations_from_bytes,
     operations_to_bytes,
 )
+
+from .reference import reference_merge
 
 json_objects = st.recursive(
     st.dictionaries(st.sampled_from(["a", "b", "c"]), st.text(max_size=4), max_size=3),
@@ -29,7 +31,7 @@ def sample_ops():
     """One op of every mutation type."""
 
     doc = JsonDocument("serde")
-    ops = merge_json(doc, {"name": "x", "items": [{"k": "v"}, "leaf"]})
+    ops = reference_merge(doc, {"name": "x", "items": [{"k": "v"}, "leaf"]})
     ops.append(doc.delete_key(Cursor(), "name"))
     items_cursor = Cursor((MapStep("items"),))
     insert_op = next(
@@ -53,7 +55,7 @@ class TestRoundtrip:
     @given(st.lists(json_objects, min_size=1, max_size=3))
     def test_property_merge_ops_roundtrip(self, values):
         doc = JsonDocument("src")
-        ops = [op for value in values for op in merge_json(doc, value)]
+        ops = [op for value in values for op in reference_merge(doc, value)]
         restored = operations_from_bytes(operations_to_bytes(ops))
         assert restored == ops
 
@@ -61,7 +63,8 @@ class TestRoundtrip:
     @given(st.lists(json_objects, min_size=1, max_size=3))
     def test_replica_built_from_serialized_ops_converges(self, values):
         source = JsonDocument("src")
-        wire = operations_to_bytes([op for value in values for op in merge_json(source, value)])
+        operations = [op for value in values for op in reference_merge(source, value)]
+        wire = operations_to_bytes(operations)
         replica = JsonDocument("replica")
         replica.apply_all(operations_from_bytes(wire))
         replica.require_quiescent()
