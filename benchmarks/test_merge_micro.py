@@ -3,16 +3,15 @@
 Unlike the figure benchmarks (single deterministic runs of a simulated
 experiment), these measure real CPU work with proper repetition: merging a
 block of values into one document, converting it back to plain JSON, and
-applying a merge's operations to a fresh replica.
+re-merging a value the document already holds.
 """
 
 import pytest
 
 from repro.common.config import CRDTConfig
 from repro.core.jsonmerge import init_empty_crdt, merge_crdt
-from repro.crdt.json import JsonDocument, merge_json, replicate
+from repro.crdt.json import JsonDocument, merge_json
 from repro.workload.iot import nested_payload, reading_payload
-from tests.crdt_json.reference import reference_merge
 
 
 def merge_block(block_size: int, json_keys: int = 2, depth: int = 1) -> dict:
@@ -62,19 +61,6 @@ def test_convert_to_plain(benchmark):
     assert len(plain["tempReadings"]) == 200
 
 
-def test_replicate_op_log(benchmark):
-    """A replica built from a merge's operations, as Algorithm 2 names them
-    (``merge_json`` builds none, and the document keeps no log)."""
-
-    source = JsonDocument("source")
-    operations = []
-    for sequence in range(100):
-        operations += reference_merge(source, reading_payload("dev", 20, sequence))
-
-    replica = benchmark(replicate, operations, "replica")
-    assert replica.to_plain() == source.to_plain()
-
-
 def test_dedup_skip_fast_path(benchmark):
     """Re-merging an identical value must be much cheaper than first merge:
     content-addressed inserts short-circuit."""
@@ -82,10 +68,9 @@ def test_dedup_skip_fast_path(benchmark):
     doc = JsonDocument("bench")
     value = {"tempReadings": [{"temperature": str(t), "ts": str(t)} for t in range(50)]}
     merge_json(doc, value)
-    ops_before = doc.stats.ops_applied
 
     benchmark(merge_json, doc, value)
-    # No list-item op is ever re-applied.
-    inserts_after = doc.stats.ops_applied - ops_before
-    assert inserts_after <= doc.stats.ops_applied
+    # No list item is ever re-applied: only the ``tempReadings`` container
+    # assign is.
+    assert merge_json(doc, value) == 1
     assert doc.to_plain() == value

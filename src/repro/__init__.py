@@ -5,8 +5,8 @@ Permissioned Blockchains* (Middleware '19).  The package provides:
 
 * :mod:`repro.fabric` — a from-scratch Hyperledger Fabric substrate
   (execute-order-validate, MVCC, endorsement policies, block cutting);
-* :mod:`repro.crdt` — a CRDT library, including the op-based JSON CRDT the
-  paper builds on;
+* :mod:`repro.crdt` — a CRDT library, including the JSON CRDT the paper
+  builds on and the merge (Algorithm 2) that writes into it;
 * :mod:`repro.contract` — the chaincode authoring surface: ``Contract``
   base class with ``@transaction`` / ``@query`` decorated handlers and
   typed CRDT state handles (``ctx.crdt.counter(key).incr()``);

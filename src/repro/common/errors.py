@@ -71,10 +71,6 @@ class UnsupportedValueError(CRDTError):
     """A JSON value type is outside the supported subset (string/map/list)."""
 
 
-class CausalityError(CRDTError):
-    """An operation's dependencies can never be satisfied."""
-
-
 class CursorError(CRDTError):
     """A cursor path does not resolve against a JSON document."""
 

@@ -1,6 +1,6 @@
-"""CRDT library: state-based types, an op-based JSON CRDT, and a registry."""
+"""CRDT library: state-based types, the JSON CRDT merge engine, and a registry."""
 
-from .base import OpCRDT, StateCRDT
+from .base import StateCRDT
 from .gcounter import GCounter
 from .gset import GSet
 from .lwwregister import LWWRegister
@@ -23,7 +23,6 @@ from .twophase import TwoPhaseSet
 
 __all__ = [
     "StateCRDT",
-    "OpCRDT",
     "GCounter",
     "PNCounter",
     "GSet",

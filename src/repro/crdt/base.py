@@ -1,15 +1,12 @@
-"""CRDT interfaces and merge laws.
+"""The state-based CRDT interface and its merge laws.
 
-Two families, as in the paper's background section (§2.2):
-
-* **State-based** (:class:`StateCRDT`): replicas exchange full states and
-  ``merge`` them; merge must be commutative, associative, and idempotent —
-  i.e. a join-semilattice.  The property-based tests in
-  ``tests/crdt/test_merge_laws.py`` check these laws for every concrete type.
-* **Operation-based** (:class:`OpCRDT`): replicas exchange operations;
-  applying the same causally-ordered set of operations in any
-  causality-respecting order converges.  The JSON CRDT
-  (:mod:`repro.crdt.json`) is operation-based.
+A state-based CRDT (:class:`StateCRDT`, the paper's background, §2.2)
+replicates by exchanging whole states and ``merge``-ing them; merge must be
+commutative, associative, and idempotent — i.e. a join-semilattice.  The
+property-based tests in ``tests/crdt/test_merge_laws.py`` check these laws
+for every concrete type.  The JSON CRDT (:mod:`repro.crdt.json`) is the other
+kind the paper uses: every peer merges the same ordered block into it, so it
+exchanges nothing and needs no interface here.
 
 Every CRDT serializes to/from canonical JSON so values can live in the
 Fabric world state as bytes.
@@ -111,19 +108,3 @@ def tombstones_from_dict(raw: dict) -> dict[str, set[str]]:
             raise ValueError(f"tombstone tags must be strings: {sorted(map(repr, tags))}")
     return tombstones
 
-
-class OpCRDT:
-    """Abstract operation-based CRDT.
-
-    Implementations expose ``apply(operation)`` with at-most-once,
-    causal-order delivery assumed (our Fabric substrate provides exactly-once
-    total order per block, which is strictly stronger).
-    """
-
-    type_name: str = "op-crdt"
-
-    def apply(self, operation: Any) -> None:
-        raise NotImplementedError
-
-    def value(self) -> Any:
-        raise NotImplementedError

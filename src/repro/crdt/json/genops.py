@@ -13,7 +13,8 @@ same ordered block, so a merge's operations are never shipped, and the
 ``dependencies`` list that chains them serves only their causal delivery.
 The merge returns how many operations it applied.  The operation-emitting
 transcription, ``dependencies`` chain included, is the tests' reference
-(``tests/crdt_json/reference.py``), and the in-place merge must leave its
+(``tests/crdt_json/reference.py``, over the operation-based replica in
+``tests/crdt_json/replica.py``), and the in-place merge must leave its
 state exactly.
 
 Two behaviours are configurable (README "Merge engine"):
@@ -167,10 +168,12 @@ def _merge_map(
     """Merge ``mapping`` into ``node``, reached through ``trail``; returns
     the number of operations applied.
 
-    ``path`` is the node's cursor text (``Cursor.path_repr()``), carried down
-    a step at a time for the content IDs of the lists below.  ``trail`` is
-    pushed entering a container and popped leaving it — the algorithm's
-    ``AddCursorElement`` / ``RemoveCursorElement``.
+    ``path`` is the node's path text, carried down a step at a time for the
+    content IDs of the lists below: ``$`` at the root, then ``.key`` through
+    a map key and ``[element-id]`` through a list element (the ID's
+    ``counter@actor`` text).  ``trail`` is pushed entering a container and
+    popped leaving it — the algorithm's ``AddCursorElement`` /
+    ``RemoveCursorElement``.
     """
 
     applied = 0
@@ -228,7 +231,7 @@ def _merge_list(
         applied += 1
         if kind != "leaf":
             slot = node.cells[elem_id].slot
-            path_below = f"{path}[{elem_id}]"  # the ListStep's text
+            path_below = f"{path}[{elem_id}]"
             applied += _merge_below(document, trail, slot, kind, path_below, item, options)
     return applied
 

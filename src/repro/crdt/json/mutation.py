@@ -1,22 +1,15 @@
-"""Mutations: the modification an operation applies at its cursor target.
+"""Payloads: what an assign or an insert writes into a slot.
 
 The supported JSON subset follows the paper (§5.2): map values are strings,
 maps, or lists; list items are strings, maps, or lists.  Numbers/booleans
 must be stringified by callers (the merge layer can do this automatically —
 see ``CRDTConfig.stringify_scalars``).
-
-Deletions carry the set of presence IDs they *observed* at generation time,
-which makes application commutative with concurrent inserts/assigns
-(add-wins, observed-remove — the standard Kleppmann semantics).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Union
-
-from .ids import OpId
+from dataclasses import dataclass
 
 
 class PayloadKind(enum.Enum):
@@ -29,7 +22,7 @@ class PayloadKind(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class Payload:
-    """The content carried by an assign/insert mutation."""
+    """The content an assign or insert writes."""
 
     kind: PayloadKind
     leaf: str = ""
@@ -62,48 +55,3 @@ _EMPTY_LIST = Payload(PayloadKind.EMPTY_LIST)
 
 #: The payload creating an empty container, by kind (``"map"`` / ``"list"``).
 CONTAINER_PAYLOADS: dict[str, Payload] = {"map": _EMPTY_MAP, "list": _EMPTY_LIST}
-
-
-@dataclass(frozen=True, slots=True)
-class AssignKey:
-    """Assign ``payload`` to ``key`` of the map node at the cursor.
-
-    ``overwrites`` lists the value-op IDs this assign supersedes (its causal
-    past); concurrent assigns survive side by side in the multi-value
-    register and are resolved at conversion time.
-    """
-
-    key: str
-    payload: Payload
-    overwrites: frozenset[OpId] = field(default_factory=frozenset)
-
-
-@dataclass(frozen=True, slots=True)
-class InsertAfter:
-    """Insert a new element into the list node at the cursor.
-
-    ``anchor`` is the element ID of the left neighbour (or ``None`` for a
-    front insertion).  The new element's ID is the operation's own ID.
-    """
-
-    anchor: Union[OpId, None]
-    payload: Payload
-
-
-@dataclass(frozen=True, slots=True)
-class DeleteKey:
-    """Delete ``key`` from the map node at the cursor (observed-remove)."""
-
-    key: str
-    observed: frozenset[OpId]
-
-
-@dataclass(frozen=True, slots=True)
-class DeleteElem:
-    """Delete the list element at the cursor's final list step."""
-
-    element_id: OpId
-    observed: frozenset[OpId]
-
-
-Mutation = Union[AssignKey, InsertAfter, DeleteKey, DeleteElem]

@@ -26,7 +26,9 @@ class DocumentStats:
     """Work counters used by the benchmark cost model.
 
     * ``ops_applied`` — operations executed against the document.
-    * ``ops_buffered`` — operations that had to wait for dependencies.
+    * ``ops_buffered`` — operations that had to wait for dependencies: always
+      0 here, since ``merge_json`` applies each write at once; the tests'
+      operation-based replica counts what its causal buffer held.
     * ``nodes_created`` — slots/cells materialized.
     * ``list_scan_steps`` — the modelled cost of resolving list orders and
       append anchors; this is the term that grows with document size and

@@ -169,6 +169,16 @@ class TestBadPayloads:
         _, plan = run_algorithm1(peer, [tx])
         assert plan.forced_codes == {0: ValidationCode.BAD_PAYLOAD}
 
+    def test_envelope_of_an_unregistered_type_forces_bad_payload(self):
+        peer = build_peer()
+        unknown = {"$fabriccrdt": 1, "crdt": "no-such-type", "state": {}}
+        bad = crdt_tx(peer, 1, "k", unknown)
+        good = crdt_tx(peer, 2, "k", {"l": ["ok"]})
+        _, plan = run_algorithm1(peer, [bad, good])
+        assert plan.forced_codes == {0: ValidationCode.BAD_PAYLOAD}
+        assert plan.skip_mvcc == frozenset({1})
+        assert from_bytes(plan.replacement_writes[1][0].value) == {"l": ["ok"]}
+
     def test_kind_mix_on_one_key_rejected(self):
         from repro.crdt import GCounter
         from repro.crdt.registry import crdt_to_dict_envelope

@@ -3,11 +3,12 @@
 ``merge_json`` writes each field of the incoming value straight into the
 document and builds no operation.  This module is the literal transcription
 it replaced: it walks the value with a cursor and generates one operation per
-field through the document's public local-edit API (``assign``,
-``assign_container``, ``append`` with content IDs), chaining every operation
-to the previous one (the algorithm's ``dependencies.Add``).  Applying those
-operations must leave exactly the state ``merge_json`` leaves, and replaying
-them on another document is how the tests replicate a merge.
+field through the local-edit API of the operation-based replica
+(``replica.Replica``: ``assign``, ``assign_container``, ``append`` with
+content IDs), chaining every operation to the previous one (the algorithm's
+``dependencies.Add``).  Applying those operations must leave exactly the
+state ``merge_json`` leaves, and replaying them on another replica is how the
+tests replicate a merge.
 
 :func:`document_state` captures everything a document holds, so two
 documents can be compared field by field rather than by their plain JSON.
@@ -19,23 +20,21 @@ from typing import Any, Mapping
 
 from repro.common.serialization import canonical_json, to_bytes
 from repro.crdt.json import (
-    Cursor,
     JsonDocument,
     ListNode,
-    ListStep,
     MapNode,
-    MapStep,
     MergeOptions,
-    Operation,
     Payload,
     Slot,
     check_mergeable,
     content_id,
 )
 
+from .replica import Cursor, ListStep, MapStep, Operation, Replica
+
 
 def reference_merge(
-    document: JsonDocument, value: Mapping[str, Any], options: MergeOptions = MergeOptions()
+    document: Replica, value: Mapping[str, Any], options: MergeOptions = MergeOptions()
 ) -> list[Operation]:
     """Merge ``value`` into ``document`` as Algorithm 2 does; returns the
     operations applied, in order."""
@@ -66,7 +65,7 @@ def _last_id(operations: list[Operation]) -> tuple:
 
 
 def _merge_map(
-    document: JsonDocument,
+    document: Replica,
     cursor: Cursor,
     mapping: Mapping[str, Any],
     operations: list[Operation],
@@ -83,7 +82,7 @@ def _merge_map(
 
 
 def _merge_list(
-    document: JsonDocument,
+    document: Replica,
     cursor: Cursor,
     items: list,
     operations: list[Operation],
@@ -143,8 +142,8 @@ def _list_state(node: ListNode, replica: bool) -> tuple:
 def document_state(document: JsonDocument, replica: bool = False) -> tuple:
     """Everything ``document`` holds: presence sets, leaf values, branch
     winners, cell anchors and order, applied IDs and the plain bytes; unless
-    ``replica``, also the buffer, the clock, the work counters and each
-    list's kept order.
+    ``replica``, also the causal buffer (empty for a bare ``JsonDocument``),
+    the clock, the work counters and each list's kept order.
 
     A replica built by ``apply()`` reaches the same tree by another route,
     so ``replica=True`` leaves out what depends on the route.  The plain
@@ -154,5 +153,6 @@ def document_state(document: JsonDocument, replica: bool = False) -> tuple:
 
     state: tuple = (_map_state(document.root, replica), sorted(document.applied_ids))
     if not replica:
-        state += (document.pending_count, document.clock.time, document.stats.snapshot())
+        pending = document.pending_count if isinstance(document, Replica) else 0
+        state += (pending, document.clock.time, document.stats.snapshot())
     return state + (to_bytes(document.to_plain()),)  # last: converting charges the counters

@@ -2,7 +2,8 @@
 
 The central CRDT guarantee: applying the same causally-closed set of
 operations, in any causality-respecting order, yields the same document.
-The operations are a merge's, as Algorithm 2 names them (``reference``).
+The operations are a merge's, as Algorithm 2 names them (``reference``),
+applied by the operation-based replica (``replica``).
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crdt.json import JsonDocument, merge_json, replicate
+from repro.crdt.json import JsonDocument, merge_json
 
 from .reference import reference_merge
+from .replica import Replica, replicate
 
 json_leaves = st.one_of(st.text(max_size=5), st.integers(0, 99))
 json_objects = st.recursive(
@@ -33,10 +35,10 @@ json_objects = st.recursive(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(json_objects, min_size=1, max_size=4), st.randoms(use_true_random=False))
 def test_shuffled_delivery_converges(values, rng):
-    source = JsonDocument("source")
+    source = Replica("source")
     operations = [op for value in values for op in reference_merge(source, value)]
     rng.shuffle(operations)
-    replica = JsonDocument("replica")
+    replica = Replica("replica")
     replica.apply_all(operations)
     replica.require_quiescent()
     assert replica.to_plain() == source.to_plain()
@@ -45,7 +47,7 @@ def test_shuffled_delivery_converges(values, rng):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(json_objects, min_size=2, max_size=4))
 def test_replication_is_deterministic(values):
-    source = JsonDocument("source")
+    source = Replica("source")
     operations = [op for value in values for op in reference_merge(source, value)]
     replica_one = replicate(operations, "r1")
     replica_two = replicate(operations, "r2")
@@ -126,7 +128,7 @@ def test_merging_same_value_twice_is_idempotent(values):
 def test_deterministic_interleave_regression():
     """Fixed-seed regression: 20 values merged in two shuffled op orders."""
 
-    source = JsonDocument("s")
+    source = Replica("s")
     rng = random.Random(99)
     operations = []
     for i in range(20):
@@ -137,7 +139,7 @@ def test_deterministic_interleave_regression():
     for seed in range(5):
         shuffled = operations[:]
         random.Random(seed).shuffle(shuffled)
-        replica = JsonDocument(f"r{seed}")
+        replica = Replica(f"r{seed}")
         replica.apply_all(shuffled)
         replica.require_quiescent()
         assert replica.to_plain() == source.to_plain()

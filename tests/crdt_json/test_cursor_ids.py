@@ -1,10 +1,11 @@
-"""Tests for cursors and operation IDs."""
+"""Tests for the replica's cursors and for operation IDs."""
 
 import pytest
 
 from repro.common.clock import LamportTimestamp
-from repro.crdt.json.cursor import Cursor, CursorBuilder, ListStep, MapStep
 from repro.crdt.json.ids import CONTENT_COUNTER, content_id, is_content_id
+
+from .replica import Cursor, ListStep, MapStep
 
 
 class TestCursor:
@@ -23,21 +24,6 @@ class TestCursor:
         )
         assert str(cursor) == "$.items[3@a].t"
         assert cursor.path_repr() == str(cursor)
-
-
-class TestCursorBuilder:
-    def test_mirrors_algorithm2_usage(self):
-        builder = CursorBuilder()
-        builder.add_key("tempReadings")
-        snapshot_outer = builder.snapshot()
-        builder.add_element(LamportTimestamp(1, "x"))
-        assert len(builder) == 2
-        builder.remove_last()
-        assert builder.snapshot() == snapshot_outer
-
-    def test_remove_from_empty_rejected(self):
-        with pytest.raises(ValueError):
-            CursorBuilder().remove_last()
 
 
 class TestContentIds:

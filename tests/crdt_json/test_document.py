@@ -1,46 +1,40 @@
-"""Tests for the JSON CRDT document: local edits, visibility, deletion."""
+"""Tests for the operation-based replica: local edits, visibility, deletion,
+causal delivery."""
 
 import pytest
 
-from repro.common.errors import CausalityError, CursorError
-from repro.crdt.json import (
-    Cursor,
-    JsonDocument,
-    ListStep,
-    MapStep,
-    OpId,
-    Operation,
-    Payload,
-)
+from repro.crdt.json import OpId, Payload
+
+from .replica import AssignKey, CausalityError, Cursor, ListStep, MapStep, Operation, Replica
 
 
 class TestAssign:
     def test_assign_string_at_root(self):
-        doc = JsonDocument("a")
+        doc = Replica("a")
         doc.assign(Cursor(), "name", "value")
         assert doc.to_plain() == {"name": "value"}
 
     def test_reassign_overwrites(self):
-        doc = JsonDocument("a")
+        doc = Replica("a")
         doc.assign(Cursor(), "k", "v1")
         doc.assign(Cursor(), "k", "v2")
         assert doc.to_plain() == {"k": "v2"}
 
     def test_assign_nested_map(self):
-        doc = JsonDocument("a")
+        doc = Replica("a")
         doc.assign_container(Cursor(), "outer", "map")
         doc.assign(Cursor((MapStep("outer"),)), "inner", "deep")
         assert doc.to_plain() == {"outer": {"inner": "deep"}}
 
     def test_non_string_leaf_rejected(self):
-        doc = JsonDocument("a")
+        doc = Replica("a")
         with pytest.raises(TypeError):
             doc.assign(Cursor(), "k", 42)
 
 
 class TestLists:
     def test_append_order(self):
-        doc = JsonDocument("a")
+        doc = Replica("a")
         doc.assign_container(Cursor(), "items", "list")
         cursor = Cursor((MapStep("items"),))
         for value in ("x", "y", "z"):
@@ -48,7 +42,7 @@ class TestLists:
         assert doc.to_plain() == {"items": ["x", "y", "z"]}
 
     def test_insert_after_none_prepends(self):
-        doc = JsonDocument("a")
+        doc = Replica("a")
         doc.assign_container(Cursor(), "items", "list")
         cursor = Cursor((MapStep("items"),))
         doc.append(cursor, Payload.string("second"))
@@ -56,7 +50,7 @@ class TestLists:
         assert doc.to_plain() == {"items": ["first", "second"]}
 
     def test_nested_map_in_list(self):
-        doc = JsonDocument("a")
+        doc = Replica("a")
         doc.assign_container(Cursor(), "items", "list")
         list_cursor = Cursor((MapStep("items"),))
         insert = doc.append(list_cursor, Payload.empty_map())
@@ -67,18 +61,18 @@ class TestLists:
 
 class TestDelete:
     def test_delete_key(self):
-        doc = JsonDocument("a")
+        doc = Replica("a")
         doc.assign(Cursor(), "k", "v")
         doc.delete_key(Cursor(), "k")
         assert doc.to_plain() == {}
 
     def test_delete_missing_key_noop(self):
-        doc = JsonDocument("a")
+        doc = Replica("a")
         doc.delete_key(Cursor(), "ghost")
         assert doc.to_plain() == {}
 
     def test_delete_list_element(self):
-        doc = JsonDocument("a")
+        doc = Replica("a")
         doc.assign_container(Cursor(), "items", "list")
         cursor = Cursor((MapStep("items"),))
         first = doc.append(cursor, Payload.string("a"))
@@ -89,17 +83,17 @@ class TestDelete:
     def test_concurrent_add_survives_delete(self):
         # Replica A deletes key "k" having observed only op1; replica B's
         # concurrent re-assign (not observed by the delete) must survive.
-        source = JsonDocument("src")
+        source = Replica("src")
         op1 = source.assign(Cursor(), "k", "v1")
         delete = source.delete_key(Cursor(), "k")  # observed == {op1 path ids}
-        replica = JsonDocument("replica")
+        replica = Replica("replica")
         replica.apply(op1)
         concurrent = replica.assign(Cursor(), "k", "v2")
         replica.apply(delete)
         assert replica.to_plain() == {"k": "v2"}
 
     def test_resurrection_via_later_assign(self):
-        doc = JsonDocument("a")
+        doc = Replica("a")
         doc.assign(Cursor(), "k", "v")
         doc.delete_key(Cursor(), "k")
         doc.assign(Cursor(), "k", "back")
@@ -108,18 +102,18 @@ class TestDelete:
 
 class TestApply:
     def test_duplicate_application_is_noop(self):
-        source = JsonDocument("src")
+        source = Replica("src")
         op = source.assign(Cursor(), "k", "v")
-        replica = JsonDocument("rep")
+        replica = Replica("rep")
         assert replica.apply(op) is True
         assert replica.apply(op) is False
         assert replica.to_plain() == {"k": "v"}
 
     def test_missing_deps_buffered(self):
-        source = JsonDocument("src")
+        source = Replica("src")
         op1 = source.assign(Cursor(), "a", "1")
         op2 = source.assign(Cursor(), "b", "2", deps=frozenset({op1.id}))
-        replica = JsonDocument("rep")
+        replica = Replica("rep")
         assert replica.apply(op2) is False  # buffered
         assert replica.pending_count == 1
         assert replica.to_plain() == {}
@@ -128,22 +122,22 @@ class TestApply:
         assert replica.to_plain() == {"a": "1", "b": "2"}
 
     def test_require_quiescent_raises_on_stuck_ops(self):
-        source = JsonDocument("src")
+        source = Replica("src")
         op1 = source.assign(Cursor(), "a", "1")
         op2 = source.assign(Cursor(), "b", "2", deps=frozenset({op1.id}))
-        replica = JsonDocument("rep")
+        replica = Replica("rep")
         replica.apply(op2)
         with pytest.raises(CausalityError):
             replica.require_quiescent()
 
     def test_cursor_through_unknown_list_element_buffers(self):
-        source = JsonDocument("src")
+        source = Replica("src")
         container = source.assign_container(Cursor(), "items", "list")
         insert = source.append(Cursor((MapStep("items"),)), Payload.empty_map())
         nested = source.assign(
             Cursor((MapStep("items"), ListStep(insert.id))), "k", "v"
         )
-        replica = JsonDocument("rep")
+        replica = Replica("rep")
         # nested references insert.id in its cursor: buffered until it arrives
         assert replica.apply(nested) is False
         replica.apply_all([container, insert, nested])
@@ -151,14 +145,12 @@ class TestApply:
         assert replica.to_plain() == source.to_plain()
 
     def test_type_mismatch_cursor_raises(self):
-        doc = JsonDocument("a")
+        doc = Replica("a")
         doc.assign(Cursor(), "k", "just-a-string")
         bad = Operation(
             id=doc.clock.tick(),
             cursor=Cursor((MapStep("k"), MapStep("nested"))),
-            mutation=__import__(
-                "repro.crdt.json.mutation", fromlist=["AssignKey"]
-            ).AssignKey("x", Payload.string("y")),
+            mutation=AssignKey("x", Payload.string("y")),
         )
         # Descending through "k" creates a map branch beside the string leaf;
         # conversion then resolves the slot by highest op id.
@@ -168,15 +160,15 @@ class TestApply:
 
 class TestClock:
     def test_clock_advances_past_applied_ops(self):
-        source = JsonDocument("src")
+        source = Replica("src")
         operations = [source.assign(Cursor(), f"k{i}", "v") for i in range(5)]
-        replica = JsonDocument("rep")
+        replica = Replica("rep")
         replica.apply_all(operations)
         fresh = replica.assign(Cursor(), "mine", "v")
         assert all(fresh.id > op.id for op in operations)
 
     def test_clock_advances_past_a_named_element_id(self):
-        doc = JsonDocument("a")
+        doc = Replica("a")
         doc.assign_container(Cursor(), "l", "list")
         named = OpId(50, "other")
         inserted = doc.insert_after(Cursor((MapStep("l"),)), None, Payload.string("x"), named)

@@ -7,7 +7,8 @@ visible from outside:
 
 * ``merge_json`` leaves exactly the state that Algorithm 2's operation
   stream (``reference.reference_merge``) leaves, and that stream, replayed
-  through the remote ``apply()`` path in any order, rebuilds it;
+  through the operation-based replica's ``apply()`` (``replica.Replica``) in
+  any order, rebuilds it;
 * ``ListNode.ordered_ids()`` equals an RGA order built from scratch here;
 * the work counters — the cost model's input — equal literals recorded
   from the engine this one replaced (commit e652425).
@@ -22,22 +23,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crdt.json import (
-    AssignKey,
     Cell,
-    Cursor,
     DocumentStats,
     JsonDocument,
     ListNode,
-    MapStep,
     MergeOptions,
     OpId,
-    Operation,
     Payload,
     merge_json,
 )
 from repro.workload.iot import nested_payload, reading_payload
 
 from .reference import document_state, reference_merge
+from .replica import AssignKey, Cursor, MapStep, Operation, Replica
 
 # -- (a) the in-place merge leaves the reference's state -----------------------------
 
@@ -78,7 +76,7 @@ SEEDS = {
 }
 
 
-def _deliver(document: JsonDocument, operation: Operation) -> Operation:
+def _deliver(document: Replica, operation: Operation) -> Operation:
     document.apply(operation)
     return operation
 
@@ -92,7 +90,7 @@ def _deliver(document: JsonDocument, operation: Operation) -> Operation:
 )
 def test_in_place_merge_equals_the_reference(seeds, merges, dedup, rng):
     options = MergeOptions(dedup_identical=dedup)
-    in_place, reference = JsonDocument("b7"), JsonDocument("b7")
+    in_place, reference = Replica("b7"), Replica("b7")
     operations = [SEEDS[name](reference) for name in seeds]
     for name in seeds:
         SEEDS[name](in_place)
@@ -101,6 +99,8 @@ def test_in_place_merge_equals_the_reference(seeds, merges, dedup, rng):
             merged = reference_merge(reference, value, options)
             assert merge_json(in_place, value, options) == len(merged)
             operations += merged
+            # Causal delivery: nothing stays buffered once its deps are in.
+            assert not any(op.deps <= in_place.applied_ids for op in in_place._buffer.values())
     assert document_state(in_place) == document_state(reference)
 
     # The reference's operations, delivered in order and shuffled, rebuild
@@ -110,7 +110,7 @@ def test_in_place_merge_equals_the_reference(seeds, merges, dedup, rng):
     shuffled = operations[:]
     rng.shuffle(shuffled)
     for delivery in (operations, shuffled):
-        replica = JsonDocument("replica")
+        replica = Replica("replica")
         assert replica.apply_all(delivery) == len(operations)
         replica.require_quiescent()
         assert document_state(replica, replica=True) == document_state(in_place, replica=True)
@@ -160,7 +160,7 @@ def test_list_order_equals_from_scratch_rga(plan, reads_after):
 
 
 def test_append_anchor_skips_invisible_tail():
-    doc = JsonDocument("a")
+    doc = Replica("a")
     doc.assign_container(Cursor(), "items", "list")
     cursor = Cursor((MapStep("items"),))
     first = doc.append(cursor, Payload.string("first"))
@@ -209,7 +209,7 @@ def seeded_then_redelivered() -> JsonDocument:
 
 
 def direct_edits() -> JsonDocument:
-    doc = JsonDocument("b5")
+    doc = Replica("b5")
     doc.assign_container(Cursor(), "items", "list")
     cursor = Cursor((MapStep("items"),))
     tail = [doc.append(cursor, Payload.string(str(i))) for i in range(4)]

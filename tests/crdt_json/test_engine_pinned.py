@@ -3,12 +3,15 @@
 Seeded documents are built through ``merge_json`` (dedup on and off),
 through direct edits, and through the committer's ``merge_crdt`` on the
 benchmark's nested block.  Each case is built twice: merging in place, and
-merging through Algorithm 2's operation stream (``reference``); the two
-documents must agree field by field.  Each case records
+merging through Algorithm 2's operation stream (``reference``) into the
+operation-based replica (``replica``); the two documents must agree field by
+field.  The in-place build of the merge cases is the engine's own
+``JsonDocument``; direct edits need the replica's local-edit API on both
+sides.  Each case records
 
 * the number of operations the in-place build applied;
 * a digest of every operation of the reference build — id, deps, cursor
-  and mutation, in their canonical serde form and in order;
+  and mutation, in their canonical wire form and in order;
 * a digest of ``to_plain()`` and of ``MergedKey.to_committed_bytes()``;
 * ``stats.snapshot()`` of the document and of a replica rebuilt from the
   reference's operations delivered in a seeded shuffle (the remote path).
@@ -22,29 +25,22 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
+from pathlib import Path
 from typing import Any
 
 import pytest
 
 from repro.common.config import CRDTConfig
 from repro.core.jsonmerge import MergedKey, init_empty_crdt, merge_crdt, merge_options
-from repro.crdt.json import (
-    Cursor,
-    JsonDocument,
-    ListStep,
-    MapStep,
-    MergeOptions,
-    Operation,
-    Payload,
-    merge_json,
-    operations_to_bytes,
-)
+from repro.crdt.json import JsonDocument, MergeOptions, Payload, merge_json
 from repro.workload.iot import nested_payload
 
-try:
-    from .reference import document_state, reference_merge
-except ImportError:  # run as a script
-    from reference import document_state, reference_merge
+if __name__ == "__main__":  # run as a script: the helpers import as a package
+    sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
+
+from tests.crdt_json.reference import document_state, reference_merge
+from tests.crdt_json.replica import Cursor, ListStep, MapStep, Operation, Replica, operations_to_bytes
 
 KEYS = ("a", "b", "c", "d")
 LEAVES = ("x", "y", "", "zz", 0, 7, -1, True, None, 0.5)
@@ -71,7 +67,7 @@ def digest(data: bytes) -> str:
 def replica_stats(operations: list[Operation], seed: int) -> dict:
     shuffled = operations[:]
     random.Random(seed).shuffle(shuffled)
-    replica = JsonDocument("replica")
+    replica = Replica("replica")
     replica.apply_all(shuffled)
     replica.require_quiescent()
     replica.to_plain()
@@ -87,6 +83,11 @@ class Merges:
         self.operations: list[Operation] = []
         self.count = 0  # operations applied, edits and merges
 
+    def document(self, actor: str) -> JsonDocument:
+        """The engine's document, or the replica the reference merges into."""
+
+        return Replica(actor) if self.reference else JsonDocument(actor)
+
     def edit(self, operation: Operation) -> Operation:
         self.operations.append(operation)
         self.count += 1
@@ -101,7 +102,7 @@ class Merges:
             self.count += merge_json(document, value, options)
 
     def merge_crdt(self, merged: MergedKey, value: dict, config: CRDTConfig) -> None:
-        """The committer's call; the reference merges into the same document."""
+        """The committer's call; the reference merges into the key's replica."""
 
         if self.reference:
             self.merge(merged.document, value, merge_options(config))
@@ -111,7 +112,7 @@ class Merges:
 
 def seeded_merges(merges: Merges, seed: int, dedup: bool) -> JsonDocument:
     rng = random.Random(seed)
-    document = JsonDocument(f"b{seed}")
+    document = merges.document(f"b{seed}")
     options = MergeOptions(dedup_identical=dedup)
     for index in range(12):
         value = random_object(rng)
@@ -124,7 +125,7 @@ def seeded_merges(merges: Merges, seed: int, dedup: bool) -> JsonDocument:
 
 
 def direct_edits(merges: Merges, seed: int, dedup: bool) -> JsonDocument:
-    document = JsonDocument("edits")
+    document = Replica("edits")
     edit = merges.edit
     root = Cursor()
     edit(document.assign(root, "k", "v1"))
@@ -153,7 +154,10 @@ def benchmark_block(merges: Merges, seed: int, dedup: bool) -> JsonDocument:
 
     config = CRDTConfig(dedup_identical=dedup)
     values = [nested_payload(3, 3, 10 + (seed + s) % 25, s) for s in range(15)]
-    merged = init_empty_crdt("doc-hot", values[0], actor="b31")
+    if merges.reference:
+        merged = MergedKey("doc-hot", document=Replica("b31"))
+    else:
+        merged = init_empty_crdt("doc-hot", values[0], actor="b31")
     for value in values:
         merges.merge_crdt(merged, value, config)
     return merged.document

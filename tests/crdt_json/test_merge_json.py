@@ -6,6 +6,7 @@ from repro.common.errors import UnsupportedValueError
 from repro.crdt.json import JsonDocument, MergeOptions, merge_json
 
 from .reference import reference_merge
+from .replica import Replica
 
 
 def merged_plain(*values, options=MergeOptions()):
@@ -123,7 +124,7 @@ class TestOperations:
         # assign a + assign-container l + insert x = 3 operations
         assert merge_json(doc, {"a": "1", "l": ["x"]}) == 3
         assert doc.stats.ops_applied == 3
-        reference = JsonDocument("peer")
+        reference = Replica("peer")
         ops = reference_merge(reference, {"a": "1", "l": ["x"]})
         assert len(ops) == 3
         assert doc.applied_ids == reference.applied_ids == {op.id for op in ops}
@@ -133,13 +134,13 @@ class TestOperations:
         merge_json(doc, {"l": ["x"]})
         # assign-container for "l" applied again, but no insert for "x"
         assert merge_json(doc, {"l": ["x"]}) == 1
-        reference = JsonDocument("peer")
+        reference = Replica("peer")
         reference_merge(reference, {"l": ["x"]})
         ops = reference_merge(reference, {"l": ["x"]})
         assert [op.mutation.__class__.__name__ for op in ops] == ["AssignKey"]
 
     def test_deps_chain(self):
-        doc = JsonDocument("peer")
+        doc = Replica("peer")
         ops = reference_merge(doc, {"a": "1", "b": "2", "c": "3"})
         for previous, current in zip(ops, ops[1:]):
             assert previous.id in current.deps
