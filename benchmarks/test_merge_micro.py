@@ -2,14 +2,14 @@
 
 Unlike the figure benchmarks (single deterministic runs of a simulated
 experiment), these measure real CPU work with proper repetition: merging a
-block of values into one document, converting it back to plain JSON, and
+block of values into one document, encoding the value it commits, and
 re-merging a value the document already holds.
 """
 
 import pytest
 
 from repro.common.config import CRDTConfig
-from repro.core.jsonmerge import init_empty_crdt, merge_crdt
+from repro.core.jsonmerge import MergedKey, init_empty_crdt, merge_crdt
 from repro.crdt.json import JsonDocument, merge_json
 from repro.workload.iot import nested_payload, reading_payload
 
@@ -52,20 +52,23 @@ def test_merge_wallclock_benchmark_block(benchmark):
     assert [len(readings) for readings in plain.values()] == [15, 15, 15]
 
 
-def test_convert_to_plain(benchmark):
-    doc = JsonDocument("bench")
+def test_committed_bytes(benchmark):
+    """The committer's ``ConvertCRDTToDataType``: the merged document's
+    canonical bytes (``to_plain`` is a copy for callers, not this path)."""
+
+    doc = JsonDocument()
     for sequence in range(200):
         merge_json(doc, reading_payload("dev", 20, sequence))
 
-    plain = benchmark(doc.to_plain)
-    assert len(plain["tempReadings"]) == 200
+    committed = benchmark(MergedKey("dev", document=doc).to_committed_bytes)
+    assert committed.count(b'"temperature"') == 200
 
 
 def test_dedup_skip_fast_path(benchmark):
     """Re-merging an identical value must be much cheaper than first merge:
     content-addressed inserts short-circuit."""
 
-    doc = JsonDocument("bench")
+    doc = JsonDocument()
     value = {"tempReadings": [{"temperature": str(t), "ts": str(t)} for t in range(50)]}
     merge_json(doc, value)
 

@@ -26,7 +26,6 @@ from functools import lru_cache
 
 from ..common.config import CRDTConfig
 from ..common.errors import CalibrationError
-from ..common.serialization import to_bytes
 from ..core.jsonmerge import init_empty_crdt, merge_crdt
 from ..fabric.costmodel import CostModel
 from ..workload.iot import nested_payload, reading_payload
@@ -63,7 +62,7 @@ def measure_merge_work(
         block_size=block_size,
         ops=ops,
         scan_steps=merged.document.stats.list_scan_steps,
-        merged_value_bytes=len(to_bytes(merged.document.to_plain())),
+        merged_value_bytes=len(merged.to_committed_bytes()),
     )
 
 

@@ -87,7 +87,6 @@ def validate_merge_block(
     merging) and a :class:`ValidationCode` when it already failed.
     """
 
-    actor = f"b{block.number}"
     crdts: dict[str, MergedKey] = {}
     crdt_tx_indices: set[int] = set()
     forced_codes: dict[int, ValidationCode] = {}
@@ -105,7 +104,7 @@ def validate_merge_block(
             continue  # handled as a non-CRDT transaction (line 14)
         try:
             decoded = [(w, cache.decode(w.value)) for w in crdt_writes]
-            ready = _check_writes(decoded, crdts, actor, state, options, config, cache)
+            ready = _check_writes(decoded, crdts, state, options, config, cache)
         except (SerializationError, RecursionError, CRDTError):  # unparsable, or refused
             forced_codes[tx_index] = ValidationCode.BAD_PAYLOAD
             continue
@@ -155,7 +154,6 @@ def validate_merge_block(
 def _check_writes(
     decoded: list[tuple[WriteItem, Any]],
     crdts: dict[str, MergedKey],
-    actor: str,
     state: StateStore,
     options: MergeOptions,
     config: CRDTConfig,
@@ -176,7 +174,7 @@ def _check_writes(
     for write, value in decoded:
         merged = crdts.get(write.key) or created.get(write.key)
         if merged is None:
-            merged = created[write.key] = init_empty_crdt(write.key, value, actor)
+            merged = created[write.key] = init_empty_crdt(write.key, value)
             _seed_from_state(merged, state, config, cache)
         if is_crdt_envelope(value) != (merged.document is None):
             raise MergeTypeError(f"key {write.key!r}: not a {merged.kind} CRDT value")

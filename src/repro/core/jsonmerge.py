@@ -1,10 +1,10 @@
 """Algorithm 2 — ``MergeCRDT``: merge a JSON object into a JSON CRDT.
 
 This module is FabricCRDT's view of the JSON CRDT engine.  The merge itself
-lives in :mod:`repro.crdt.json`: it walks the value and the document tree
-together and writes each field in place, so it returns how many operations
-it applied, not the operations — every peer merges the same block, so none
-is ever shipped.  Here we bind it to the paper's names and to
+lives in :mod:`repro.crdt.json`: it writes each field of the value straight
+into the document's plain JSON, so it returns how many operations it
+applied, not the operations — every peer merges the same block, so none is
+ever shipped.  Here we bind it to the paper's names and to
 :class:`~repro.common.config.CRDTConfig`, and add the ``InitEmptyCRDT``
 factory from Algorithm 1 (line 9): the type of CRDT object instantiated
 depends on the type of the value — plain JSON objects get a JSON CRDT;
@@ -67,29 +67,30 @@ class MergedKey:
 
     def to_committed_bytes(self) -> bytes:
         """Final value bytes to substitute into write-sets (Algorithm 1,
-        lines 20–21): JSON CRDTs are converted to plain JSON with metadata
-        stripped; state CRDTs keep their envelope (their metadata *is* the
-        value — a counter without its per-actor entries cannot merge again)."""
+        lines 20–21): a JSON CRDT commits its plain JSON, which the document
+        already holds; state CRDTs keep their envelope (their metadata *is*
+        the value — a counter without its per-actor entries cannot merge
+        again)."""
 
         if self.document is not None:
-            return to_bytes(self.document.to_plain())
+            return self.document.to_bytes()
         assert self.state_crdt is not None
         return to_bytes(crdt_to_dict_envelope(self.state_crdt))
 
 
-def init_empty_crdt(key: str, value: object, actor: str) -> MergedKey:
+def init_empty_crdt(key: str, value: object, actor: str = "") -> MergedKey:
     """``InitEmptyCRDT(key, value)`` — Algorithm 1, line 9.
 
-    ``actor`` must be identical on every peer for the same block (we use the
-    block number) so the merged documents — and hence the committed bytes —
-    are byte-identical network-wide.
+    ``actor`` is accepted and ignored: the committed value is a function of
+    the merged values alone, the same on every peer, so no clock actor is
+    needed to make it byte-identical network-wide.
     """
 
     if is_crdt_envelope(value):
         empty = type(crdt_from_dict_envelope(value))()  # same type, empty state
         return MergedKey(key=key, state_crdt=empty)
     if isinstance(value, dict):
-        return MergedKey(key=key, document=JsonDocument(actor=actor))
+        return MergedKey(key=key, document=JsonDocument())
     raise UnsupportedValueError(
         f"CRDT value for key {key!r} must be a JSON object or CRDT envelope, "
         f"got {type(value).__name__}"

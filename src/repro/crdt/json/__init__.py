@@ -1,18 +1,16 @@
 """JSON CRDT (Kleppmann & Beresford, TPDS'17) — the paper's merge engine.
 
 ``merge_json`` (Algorithm 2) writes a JSON object into a :class:`JsonDocument`
-in place, and ``JsonDocument.to_plain`` converts the result back.
+in place, and ``JsonDocument.to_plain`` / ``to_bytes`` read the result back.
 """
 
-from .convert import document_to_plain, list_to_plain, map_to_plain, slot_to_plain
-from .document import JsonDocument
-from .genops import MAX_NESTING_DEPTH, MergeOptions, check_mergeable, merge_checked, merge_json
-from .ids import CONTENT_COUNTER, OpId, content_id, is_content_id
-from .mutation import Payload, PayloadKind
-from .nodes import Cell, DocumentStats, ListNode, MapNode, Slot
+from .document import DocumentStats, JsonDocument
+from .ids import CONTENT_COUNTER, OpId, content_id, is_content_id, key_step
+from .merge import MAX_NESTING_DEPTH, MergeOptions, check_mergeable, merge_checked, merge_json
 
 __all__ = [
     "JsonDocument",
+    "DocumentStats",
     "merge_json",
     "check_mergeable",
     "merge_checked",
@@ -21,16 +19,6 @@ __all__ = [
     "OpId",
     "content_id",
     "is_content_id",
+    "key_step",
     "CONTENT_COUNTER",
-    "Payload",
-    "PayloadKind",
-    "MapNode",
-    "ListNode",
-    "Slot",
-    "Cell",
-    "DocumentStats",
-    "document_to_plain",
-    "map_to_plain",
-    "list_to_plain",
-    "slot_to_plain",
 ]

@@ -1,175 +1,172 @@
-"""The JSON CRDT document: the tree, its clock, and the writes a merge makes.
+"""The JSON document a committer merges into: plain JSON and little else.
 
-:class:`JsonDocument` holds the Kleppmann–Beresford tree (maps of slots,
-RGA lists of cells) and the IDs of the operations whose effect is in it.
-``merge_json`` changes it through two in-place writes, ``assign_in_place``
-and ``insert_in_place``: each names the write with a Lamport tick (or a
-content ID) and applies its effect at a container the caller already holds.
+FabricCRDT's committer merges a block's values for one key into a fresh
+document (or one seeded with the key's committed value), on one peer and in
+block order, then commits plain JSON.  The Kleppmann–Beresford tree — slots
+with presence sets and per-branch winners, Lamport ticks, RGA anchors — is
+built for concurrent, out-of-order delivery between replicas, which this
+document never sees.  Under ``merge_json``'s sequential writes four facts
+hold, and they make the tree's metadata redundant:
 
-No operation is built or shipped.  FabricCRDT's committer builds each
-document fresh (or from the key's committed value) inside one block merge,
-and every peer merges the same ordered block, so the causal delivery an
-operation-based CRDT needs (buffering, replay in any order) has no caller
-here.  The tests keep that operation-based replica — apply, causal buffer,
-cursors, local edits — as the specification the engine is checked against
-(``tests/crdt_json/replica.py``).
+1. a slot's winning branch is the branch of its latest direct write (each
+   write is an assign under a fresh tick above everything below it, a merge
+   descends only through the branch it just wrote, and a list cell is
+   written once);
+2. a leaf assign leaves exactly one leaf;
+3. every insert anchors at the tail, so RGA order is insertion order;
+4. every slot and cell is visible.
+
+So :class:`JsonDocument` holds the plain value the tree renders to and only
+what a sequential merge still needs: the containers a leaf↔container clash
+shadowed (the tree keeps a slot's map and list children whichever branch
+wins, and a later write of that kind continues them), the applied content
+IDs (what ``dedup_identical`` means), and :class:`DocumentStats`.  The tree
+itself is the tests' specification (``tests/crdt_json/tree.py``), and the
+two engines must agree on every count, counter and committed byte.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+import json
+from dataclasses import dataclass
+from typing import Any, Iterator, Union
 
-from ...common.clock import LamportClock
-from ...common.errors import CursorError
-from .ids import OpId
-from .mutation import Payload, PayloadKind
-from .nodes import Cell, DocumentStats, ListNode, MapNode, Slot
+from ...common.serialization import canonical_json, to_bytes
+from .ids import CONTENT_COUNTER, OpId
 
-#: The slots on the path to a container, each with the branch taken through
-#: it: the list ``merge_json`` pushes entering a container and pops leaving it.
-Trail = Sequence[tuple[Slot, str]]
+#: A container of the plain value: what a map or a list renders to.
+Container = Union[dict, list]
 
-#: An effect handler: ``(target, op_id, *effect)`` — see ``_apply_located``.
-Handler = Callable[..., None]
+
+@dataclass(slots=True)
+class DocumentStats:
+    """Work counters used by the benchmark cost model.
+
+    * ``ops_applied`` — operations executed against the document: one per
+      assign and per insert a merge writes.
+    * ``ops_buffered`` — operations that had to wait for dependencies: always
+      0 here, since ``merge_json`` applies each write at once; the tests'
+      operation-based replica counts what its causal buffer held.
+    * ``nodes_created`` — slots, cells and containers materialized.
+    * ``list_scan_steps`` — the modelled cost of resolving list orders and
+      append anchors; this is the term that grows with document size and
+      makes per-block merge cost superlinear (the effect behind Figure 3).
+      It is a charge, not a count of cells this implementation visits: an
+      insert pays a scan of the list for its anchor and makes a rebuild of
+      the order due, which the next insert or rendering pays once more (see
+      README "Merge engine").
+    """
+
+    ops_applied: int = 0
+    ops_buffered: int = 0
+    nodes_created: int = 0
+    list_scan_steps: int = 0
+
+    def snapshot(self) -> dict:
+        return {
+            "ops_applied": self.ops_applied,
+            "ops_buffered": self.ops_buffered,
+            "nodes_created": self.nodes_created,
+            "list_scan_steps": self.list_scan_steps,
+        }
 
 
 class JsonDocument:
-    """A JSON CRDT document, written in place by ``merge_json``."""
+    """A JSON CRDT document as the committer merges it: a plain JSON object
+    that ``merge_json`` writes in place."""
 
-    def __init__(self, actor: str = "doc") -> None:
-        self.root = MapNode()
-        self.clock = LamportClock(actor)
+    __slots__ = ("value", "stats", "_applied", "_shadows", "_due", "_hidden")
+
+    def __init__(self) -> None:
+        #: The plain JSON object the document renders to, written in place.
+        #: The document's own: read it, do not keep or change it.
+        self.value: dict = {}
         self.stats = DocumentStats()
-        self._applied: set[OpId] = set()
+        #: The actors (``h:…``) of the applied content IDs.
+        self._applied: set[str] = set()
+        #: The containers a clash took out of the value, by the map holding
+        #: the slot, the key and the container's type.
+        self._shadows: dict[tuple[int, str, type], Container] = {}
+        #: The lists whose order rebuild is due, by ``id``: those in the value
+        #: (the next rendering pays their length), and those in a shadow.
+        self._due: dict[int, list] = {}
+        self._hidden: dict[int, list] = {}
 
     # -- introspection -------------------------------------------------------
 
     @property
     def applied_ids(self) -> frozenset[OpId]:
-        return frozenset(self._applied)
+        """The content IDs of the list items merged (dedup mode only)."""
 
-    def has_applied(self, op_id: OpId) -> bool:
-        return op_id in self._applied
+        return frozenset(OpId(CONTENT_COUNTER, actor) for actor in self._applied)
 
-    # -- applying an effect ------------------------------------------------------
+    # -- clashes -------------------------------------------------------------
 
-    def _child(self, slot: Slot, branch: str) -> Union[MapNode, ListNode]:
-        """The slot's child map or list, added if missing."""
+    def _replace(self, target: dict, key: str, current: Any, kind: type) -> Container:
+        """Make a ``kind`` container the winner of ``target[key]``, which holds
+        ``current`` of another type: ``current`` goes to the shadows if it is
+        a container, and a shadowed ``kind`` container comes back (new if the
+        slot never held one)."""
 
-        if branch == "map":
-            if slot.map_child is None:
-                slot.map_child = MapNode()
-                self.stats.nodes_created += 1
-            return slot.map_child
-        if slot.list_child is None:
-            slot.list_child = ListNode()
+        if type(current) is dict or type(current) is list:
+            self._shadow(target, key, current)
+        child = self._shadows.pop((id(target), key, kind), None)
+        if child is None:
+            child = kind()
             self.stats.nodes_created += 1
-        return slot.list_child
-
-    def _apply_located(
-        self, op_id: OpId, trail: Trail, apply: Handler, target: Any, *effect: Any
-    ) -> None:
-        """Apply one effect in place: the trail, then ``apply(target, op_id, *effect)``.
-
-        ``trail`` is every slot on the path to the effect's container with the
-        branch taken through it.  ``target`` is what the effect changes
-        inside that container — the slot of an assign, the list of an
-        insert — and ``apply`` its handler.  Every write to the document
-        happens here and nowhere else.
-        """
-
-        for slot, via in trail:
-            slot.presence.add(op_id)
-            branch_ops = slot.branch_ops  # keep the highest ID per branch
-            if via not in branch_ops or branch_ops[via] < op_id:
-                branch_ops[via] = op_id
-        apply(target, op_id, *effect)
-        self._applied.add(op_id)
-        self.stats.ops_applied += 1
-
-    # -- effect handlers: (target, op_id, *effect) ----------------------------------
-
-    def _assign_at(
-        self, slot: Slot, op_id: OpId, payload: Payload, overwrites: Iterable[OpId]
-    ) -> None:
-        slot.presence.add(op_id)
-        for overwritten in overwrites:
-            slot.leaf_values.pop(overwritten, None)
-        self._write_payload(slot, op_id, payload)
-
-    def _insert_at(
-        self, node: ListNode, op_id: OpId, payload: Payload, anchor: Optional[OpId]
-    ) -> None:
-        if op_id in node.cells:
-            return  # content-addressed duplicate: idempotent by construction
-        if anchor is not None and anchor not in node.cells:
-            raise CursorError(f"insert anchor {anchor} missing")
-        cell = Cell(element_id=op_id, anchor=anchor)
-        cell.slot.presence.add(op_id)
-        self._write_payload(cell.slot, op_id, payload)
-        node.insert(cell, self.stats)
-
-    def _write_payload(self, slot: Slot, op_id: OpId, payload: Payload) -> None:
-        kind = payload.kind
-        if kind is PayloadKind.LEAF:
-            slot.leaf_values[op_id] = payload.leaf
-            branch = "leaf"
         else:
-            branch = "map" if kind is PayloadKind.EMPTY_MAP else "list"
-            self._child(slot, branch)
-        branch_ops = slot.branch_ops  # keep the highest ID per branch
-        if branch not in branch_ops or branch_ops[branch] < op_id:
-            branch_ops[branch] = op_id
+            self._move_due(child, self._hidden, self._due)
+        target[key] = child
+        return child
 
-    # -- writing in place ----------------------------------------------------------------
-    #
-    # A write whose container the caller already holds, with the trail to
-    # it: ``merge_json`` walks the incoming value and this tree together and
-    # writes each field here.
+    def _shadow(self, target: dict, key: str, container: Container) -> None:
+        self._shadows[(id(target), key, type(container))] = container
+        self._move_due(container, self._due, self._hidden)
 
-    def assign_in_place(self, trail: Trail, slot: Slot, payload: Payload) -> OpId:
-        """Assign ``payload`` to ``slot`` (a map's, reached through ``trail``)
-        under a fresh tick; returns the ID.  A leaf overwrites the leaves the
-        slot holds, a container keeps them (the branch winner decides)."""
-
-        overwrites = tuple(slot.leaf_values) if payload.kind is PayloadKind.LEAF else ()
-        op_id = self.clock.tick()  # past every applied ID: never a duplicate
-        self._apply_located(op_id, trail, self._assign_at, slot, payload, overwrites)
-        return op_id
-
-    def insert_in_place(
-        self, trail: Trail, node: ListNode, anchor: Optional[OpId], payload: Payload,
-        op_id: Optional[OpId] = None,
-    ) -> OpId:
-        """Insert ``payload`` after ``anchor`` (``None`` = head) into the list
-        ``node``, reached through ``trail``; returns the new element's ID.
-
-        ``op_id`` overrides the clock-generated ID (used by content-addressed
-        merging); the clock is still ticked so later IDs dominate.
-        """
-
-        ticked = self.clock.tick()
-        if op_id is None:
-            op_id = ticked
-        elif op_id in self._applied:
-            return op_id  # already present (content-addressed duplicate)
-        self._apply_located(op_id, trail, self._insert_at, node, payload, anchor)
-        if op_id is not ticked:
-            self.clock.merge(op_id)  # a named ID may lead the clock
-        return op_id
+    @staticmethod
+    def _move_due(container: Container, source: dict, dest: dict) -> None:
+        for node in _lists_below(container):
+            moved = source.pop(id(node), None)
+            if moved is not None:
+                dest[id(node)] = moved
 
     # -- reading ------------------------------------------------------------------
 
+    def _render(self) -> None:
+        """Charge what converting the tree to plain JSON pays: the due
+        rebuild of every list in the value."""
+
+        due = self._due
+        if due:
+            self.stats.list_scan_steps += sum(map(len, due.values()))
+            due.clear()
+
     def to_plain(self) -> dict:
-        """Convert to a plain JSON object, all CRDT metadata stripped.
+        """The paper's ``ConvertCRDTToDataType`` (Algorithm 1, line 20): the
+        document as a plain JSON object, keys sorted — a copy, the caller's
+        to keep or change."""
 
-        This is the paper's ``ConvertCRDTToDataType`` (Algorithm 1, line 20);
-        the full conversion rules live in :mod:`repro.crdt.json.convert`.
-        """
+        self._render()
+        return json.loads(canonical_json(self.value))
 
-        from .convert import document_to_plain
+    def to_bytes(self) -> bytes:
+        """Canonical bytes of :meth:`to_plain`, without the copy: what the
+        committer writes."""
 
-        return document_to_plain(self)
+        self._render()
+        return to_bytes(self.value)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(actor={self.clock.actor!r}, ops={len(self._applied)})"
+        return f"{type(self).__name__}(keys={len(self.value)}, items={len(self._applied)})"
+
+
+def _lists_below(container: Container) -> Iterator[list]:
+    """Every list in ``container``'s plain subtree, ``container`` included."""
+
+    pending = [container]
+    while pending:
+        node = pending.pop()
+        children = node.values() if type(node) is dict else node
+        if type(node) is list:
+            yield node
+        pending.extend(child for child in children if type(child) in (dict, list))

@@ -2,10 +2,12 @@
 
 Two ID schemes coexist (see README "Merge engine"):
 
-* **Clock IDs** — ``(counter, actor)`` Lamport timestamps ticked from the
-  document's clock, exactly as the paper describes (§5.2: "we ensure that the
+* **Clock IDs** — ``(counter, actor)`` Lamport timestamps ticked from a
+  document's clock, as the paper describes (§5.2: "we ensure that the
   operation identifiers are globally unique by using an instance of a Lamport
-  clock for each JSON CRDT instantiation").
+  clock for each JSON CRDT instantiation").  They decide nothing a committer
+  writes, so the committer's fold names no write with one; the tests' tree
+  and replica do.
 * **Content IDs** — for list-item inserts in dedup mode: the actor part is a
   hash of (path, canonical content, occurrence index), so the *same* item
   submitted by two concurrent read-modify-write transactions produces the
@@ -16,6 +18,7 @@ Two ID schemes coexist (see README "Merge engine"):
 
 from __future__ import annotations
 
+import re
 from typing import Any
 
 from ...common.clock import LamportTimestamp
@@ -29,6 +32,23 @@ OpId = LamportTimestamp
 #: content IDs mutually ordered by their hash only (deterministic, arbitrary),
 #: while clock IDs from live editing always dominate or interleave by counter.
 CONTENT_COUNTER = 1
+
+
+#: A map key that needs quoting in path text: one holding a step separator
+#: (``.``, ``[``), JSON's own quote or escape (``"``, ``\\``), or a control
+#: character — ``\x00`` separates the hashed fields of a content ID.
+_NEEDS_QUOTING = re.compile(r'[.\["\\\x00-\x1f]')
+
+
+def key_step(key: str) -> str:
+    """The path text of a step through map key ``key``.
+
+    ``.key``, or ``."key"`` (JSON-quoted) when the key holds a character
+    that would let two paths share a text: unquoted, the key ``"a.b"`` and
+    the path ``a`` → ``b`` would both read ``$.a.b``.
+    """
+
+    return f".{canonical_json(key)}" if _NEEDS_QUOTING.search(key) else f".{key}"
 
 
 def content_id(path_repr: str, content: Any, occurrence: int) -> OpId:
@@ -48,8 +68,14 @@ def content_id_of_canonical(path_repr: str, canonical: str, occurrence: int) -> 
 
     if occurrence < 0:
         raise ValueError("occurrence must be non-negative")
+    return OpId(CONTENT_COUNTER, content_actor(path_repr, canonical, occurrence))
+
+
+def content_actor(path_repr: str, canonical: str, occurrence: int) -> str:
+    """The actor part of a content ID: ``h:`` and 24 hex digits of the hash."""
+
     material = f"{path_repr}\x00{canonical}\x00{occurrence}"
-    return OpId(CONTENT_COUNTER, "h:" + sha256_hex(material.encode("utf-8"))[:24])
+    return "h:" + sha256_hex(material.encode("utf-8"))[:24]
 
 
 def is_content_id(op_id: OpId) -> bool:

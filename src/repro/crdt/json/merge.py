@@ -1,29 +1,25 @@
 """Merging a plain JSON object into a document — the paper's Algorithm 2.
 
 ``merge_json(document, value)`` walks the incoming JSON object as Algorithm 2
-does: for each key, strings are assigned, lists and maps recurse.  The walk
-descends the value and the document tree together, keeping the path as a
-trail of ``(slot, branch)`` pairs that is pushed entering a container and
-popped leaving it (the algorithm's ``AddCursorElement`` /
-``RemoveCursorElement``), and writes each field straight into the slot or
-list it holds, through the document's in-place writes.  Each field gets the
-ID the algorithm's operation would get — a Lamport tick, or a content ID in
-a list — but no operation is built: every peer runs Algorithm 1 over the
-same ordered block, so a merge's operations are never shipped, and the
-``dependencies`` list that chains them serves only their causal delivery.
-The merge returns how many operations it applied.  The operation-emitting
-transcription, ``dependencies`` chain included, is the tests' reference
-(``tests/crdt_json/reference.py``, over the operation-based replica in
-``tests/crdt_json/replica.py``), and the in-place merge must leave its
-state exactly.
+does: for each key, strings are assigned, lists and maps recurse.  Each field
+is written straight into the document's plain value (see
+:mod:`repro.crdt.json.document` for why that is the tree's rendering): an
+assign sets the key, an insert appends to the list.  Each write is one of
+the algorithm's operations, and the merge returns how many it applied.  The
+tree engine it replaced, and the operation-emitting transcription of the
+algorithm, are the tests' specification (``tests/crdt_json/tree.py``,
+``reference.py``, over the operation-based replica in ``replica.py``).
 
 Two behaviours are configurable (README "Merge engine"):
 
-* ``dedup_identical`` — list-item operation IDs are content-addressed, so an
-  item that is byte-identical *at the same path with the same occurrence
-  index* merges idempotently.  This reproduces Listing 1 → Listing 2 and
-  prevents duplicate amplification when concurrent read-modify-write
-  transactions both carry items from a common read snapshot.
+* ``dedup_identical`` — list items are content-addressed: an item's ID hashes
+  the path text of its list, its canonical JSON and its occurrence index
+  among identical items of the same incoming value, so an item merged before
+  at the same path is skipped whole.  This reproduces Listing 1 → Listing 2
+  and prevents duplicate amplification when concurrent read-modify-write
+  transactions both carry items from a common read snapshot.  The path text
+  is ``$`` at the root, then :func:`~repro.crdt.json.ids.key_step` through a
+  map key and ``[element-id]`` (``counter@actor``) through a list element.
 * ``stringify_scalars`` — numbers/booleans/None in the incoming JSON are
   converted to canonical strings (the paper: "when users require to use
   other datatypes, such as numbers or Boolean, they should convert the
@@ -34,14 +30,12 @@ Two behaviours are configurable (README "Merge engine"):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from ...common.errors import SerializationError, UnsupportedValueError
 from ...common.serialization import canonical_json
 from .document import JsonDocument
-from .ids import content_id_of_canonical
-from .mutation import CONTAINER_PAYLOADS, Payload
-from .nodes import ListNode, MapNode, Slot
+from .ids import CONTENT_COUNTER, content_actor, key_step
 
 
 @dataclass(frozen=True)
@@ -94,7 +88,10 @@ def merge_checked(
 ) -> int:
     """The apply half of ``merge_json``: ``value`` passed ``check_mergeable``."""
 
-    return _merge_map(document, [], "$", document.root, value, options)
+    path = "$" if options.dedup_identical else None
+    applied = _merge_map(document, path, document.value, value, options)
+    document.stats.ops_applied += applied
+    return applied
 
 
 #: The kinds of the builtin types JSON decodes to.  The check and the merge
@@ -157,101 +154,94 @@ def _coerce_leaf(value: Any, options: MergeOptions) -> str:
     raise UnsupportedValueError(f"unsupported JSON leaf: {type(value).__name__}")
 
 
+#: ``dict.get``'s answer for a key the map does not hold.
+_MISSING = object()
+
+
 def _merge_map(
     document: JsonDocument,
-    trail: list[tuple[Slot, str]],
-    path: str,
-    node: MapNode,
+    path: Optional[str],
+    target: dict,
     mapping: Mapping[str, Any],
     options: MergeOptions,
 ) -> int:
-    """Merge ``mapping`` into ``node``, reached through ``trail``; returns
-    the number of operations applied.
+    """Assign every field of ``mapping`` to ``target``; returns the number of
+    operations applied.  ``path`` is ``target``'s path text, for the content
+    IDs of the lists below (``None`` without ``dedup_identical``).
 
-    ``path`` is the node's path text, carried down a step at a time for the
-    content IDs of the lists below: ``$`` at the root, then ``.key`` through
-    a map key and ``[element-id]`` through a list element (the ID's
-    ``counter@actor`` text).  ``trail`` is pushed entering a container and
-    popped leaving it — the algorithm's ``AddCursorElement`` /
-    ``RemoveCursorElement``.
-    """
+    A leaf replaces what the key holds.  A map or list merges into the
+    container the key holds if it is of that kind; otherwise the document
+    swaps the kinds (``JsonDocument._replace``)."""
 
-    applied = 0
+    applied = len(mapping)  # one assign per key
     stats = document.stats
     for key, value in mapping.items():
         cls = type(value)
         kind = _EXACT_KINDS[cls] if cls in _EXACT_KINDS else _kind(value)
-        slot = node.ensure_slot(key, stats)
+        current = target.get(key, _MISSING)
         if kind == "leaf":
-            leaf = value if cls is str else _coerce_leaf(value, options)
-            document.assign_in_place(trail, slot, Payload.string(leaf))
-            applied += 1
+            if current is _MISSING:
+                stats.nodes_created += 1  # the slot
+            elif type(current) is dict or type(current) is list:
+                document._shadow(target, key, current)
+            target[key] = value if cls is str else _coerce_leaf(value, options)
             continue
-        document.assign_in_place(trail, slot, CONTAINER_PAYLOADS[kind])
-        applied += 1 + _merge_below(document, trail, slot, kind, f"{path}.{key}", value, options)
+        container = dict if kind == "map" else list
+        if type(current) is not container:
+            if current is _MISSING:
+                stats.nodes_created += 2  # the slot and its container
+                current = target[key] = container()
+            else:
+                current = document._replace(target, key, current, container)
+        below = None if path is None else path + key_step(key)
+        merge = _merge_map if kind == "map" else _merge_list
+        applied += merge(document, below, current, value, options)
     return applied
 
 
 def _merge_list(
     document: JsonDocument,
-    trail: list[tuple[Slot, str]],
-    path: str,
-    node: ListNode,
+    path: Optional[str],
+    target: list,
     items: Sequence[Any],
     options: MergeOptions,
 ) -> int:
-    """Append ``items`` to ``node``, reached through ``trail`` (see
-    :func:`_merge_map`); an item already merged here is skipped whole."""
+    """Append ``items`` to ``target`` (see :func:`_merge_map`); an item
+    merged here before is skipped whole.
+
+    Each append pays the modelled RGA work: a scan of the list for the
+    append anchor, plus the order rebuild the previous insert made due."""
 
     applied = 0
     stats = document.stats
+    due = document._due
+    seen = document._applied
     occurrences: dict[str, int] = {}
     for item in items:
         cls = type(item)
         kind = _EXACT_KINDS[cls] if cls in _EXACT_KINDS else _kind(item)
-        if kind == "leaf":
+        if kind == "leaf" and cls is not str:
             item = _coerce_leaf(item, options)
-            payload = Payload.string(item)
-        else:
-            payload = CONTAINER_PAYLOADS[kind]
-
-        elem_id = None
-        if options.dedup_identical:
-            content_key = canonical_json(item)
-            occurrence = occurrences.get(content_key, 0)
-            occurrences[content_key] = occurrence + 1
-            elem_id = content_id_of_canonical(path, content_key, occurrence)
-            if document.has_applied(elem_id):
-                # Identical item already merged at this path: idempotent skip,
-                # including its entire subtree (identical by construction).
-                continue
-
-        anchor = node.last_visible_id(stats)
-        elem_id = document.insert_in_place(trail, node, anchor, payload, elem_id)
+        if path is not None:
+            content = canonical_json(item)
+            occurrence = occurrences.get(content, 0)
+            occurrences[content] = occurrence + 1
+            actor = content_actor(path, content, occurrence)
+            if actor in seen:
+                continue  # identical item already merged at this path
+            seen.add(actor)
+        length = len(target)
+        stats.list_scan_steps += length + length if id(target) in due else length
+        due[id(target)] = target
         applied += 1
-        if kind != "leaf":
-            slot = node.cells[elem_id].slot
-            path_below = f"{path}[{elem_id}]"
-            applied += _merge_below(document, trail, slot, kind, path_below, item, options)
-    return applied
-
-
-def _merge_below(
-    document: JsonDocument,
-    trail: list[tuple[Slot, str]],
-    slot: Slot,
-    kind: str,
-    path: str,
-    value: Any,
-    options: MergeOptions,
-) -> int:
-    """Merge ``value`` into ``slot``'s child map or list (``kind``), one
-    step further down ``trail``."""
-
-    trail.append((slot, kind))
-    if kind == "map":
-        applied = _merge_map(document, trail, path, slot.map_child, value, options)
-    else:
-        applied = _merge_list(document, trail, path, slot.list_child, value, options)
-    trail.pop()
+        if kind == "leaf":
+            stats.nodes_created += 1  # the cell
+            target.append(item)
+            continue
+        stats.nodes_created += 2  # the cell and its container
+        child: Any = {} if kind == "map" else []
+        target.append(child)
+        below = None if path is None else f"{path}[{CONTENT_COUNTER}@{actor}]"
+        merge = _merge_map if kind == "map" else _merge_list
+        applied += merge(document, below, child, item, options)
     return applied

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.common.config import (
     CRDTConfig,
@@ -12,6 +13,12 @@ from repro.common.config import (
 )
 from repro.core.network import crdt_network, vanilla_network
 from repro.workload.iot import IoTChaincode
+
+#: A deeper budget for the properties that set no ``max_examples`` of their
+#: own, such as the fold-vs-tree equivalence; tier-1 keeps hypothesis's
+#: default.  ``python -m pytest tests/crdt_json/test_fold_equivalence.py
+#: --hypothesis-profile=deep`` (a CI step) runs it.
+settings.register_profile("deep", max_examples=2000)
 
 
 def small_config(

@@ -87,6 +87,38 @@ class TestSecondPass:
         assert from_bytes(plan.replacement_writes[0][0].value) == {"l": ["a"]}
         assert from_bytes(plan.replacement_writes[1][0].value) == {"l": ["b"]}
 
+    def test_a_key_holding_a_dot_keeps_its_list_items(self):
+        # Unquoted in the content-ID path text, the key "a.b" read like the
+        # path a -> b: the second "X" was deduplicated against an item it
+        # never met, and the block committed {"a": {"b": ["X"]}, "a.b": []}.
+        peer = build_peer()
+        txs = [
+            crdt_tx(peer, 1, "k", {"a": {"b": ["X"]}}),
+            crdt_tx(peer, 2, "k", {"a.b": ["X"]}),
+        ]
+        _, plan = run_algorithm1(peer, txs)
+        expected = to_bytes({"a": {"b": ["X"]}, "a.b": ["X"]})
+        assert [plan.replacement_writes[i][0].value for i in (0, 1)] == [expected, expected]
+
+    def test_a_value_decoded_once_for_two_keys_commits_as_if_alone(self):
+        # Byte-identical values share one decoded object (the block's decode
+        # cache); merging more into the first key must not reach the second.
+        peer = build_peer()
+        shared = {"l": [{"t": "1"}, ["x"]], "m": {"k": "v"}}
+        more = {"l": [{"t": "2"}], "m": {"k2": "w"}}
+        txs = [
+            crdt_tx(peer, 1, "k1", shared),
+            crdt_tx(peer, 2, "k1", more),
+            crdt_tx(peer, 3, "k2", shared),
+        ]
+        _, plan = run_algorithm1(peer, txs)
+        assert plan.work["decode_cache_hits"] >= 1
+        _, alone_k1 = run_algorithm1(peer, txs[:2])
+        _, alone_k2 = run_algorithm1(peer, txs[2:])
+        assert plan.replacement_writes[1] == alone_k1.replacement_writes[1]
+        assert plan.replacement_writes[2] == alone_k2.replacement_writes[0]
+        assert from_bytes(plan.replacement_writes[2][0].value) == shared
+
     def test_mixed_writes_only_crdt_replaced(self):
         peer = build_peer()
         rwset = ReadWriteSet.build(

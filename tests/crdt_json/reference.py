@@ -1,14 +1,14 @@
-"""Algorithm 2 as an operation stream: the reference for ``merge_json``.
+"""Algorithm 2 as an operation stream: the reference for the tree's merge.
 
-``merge_json`` writes each field of the incoming value straight into the
-document and builds no operation.  This module is the literal transcription
-it replaced: it walks the value with a cursor and generates one operation per
-field through the local-edit API of the operation-based replica
+``tree.merge_json`` writes each field of the incoming value straight into
+the tree and builds no operation.  This module is the literal transcription
+it replaced: it walks the value with a cursor and generates one operation
+per field through the local-edit API of the operation-based replica
 (``replica.Replica``: ``assign``, ``assign_container``, ``append`` with
 content IDs), chaining every operation to the previous one (the algorithm's
 ``dependencies.Add``).  Applying those operations must leave exactly the
-state ``merge_json`` leaves, and replaying them on another replica is how the
-tests replicate a merge.
+state ``tree.merge_json`` leaves, and replaying them on another replica is
+how the tests replicate a merge.
 
 :func:`document_state` captures everything a document holds, so two
 documents can be compared field by field rather than by their plain JSON.
@@ -19,18 +19,10 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.common.serialization import canonical_json, to_bytes
-from repro.crdt.json import (
-    JsonDocument,
-    ListNode,
-    MapNode,
-    MergeOptions,
-    Payload,
-    Slot,
-    check_mergeable,
-    content_id,
-)
+from repro.crdt.json import MergeOptions, check_mergeable, content_id
 
 from .replica import Cursor, ListStep, MapStep, Operation, Replica
+from .tree import ListNode, MapNode, Payload, Slot, TreeDocument
 
 
 def reference_merge(
@@ -139,10 +131,10 @@ def _list_state(node: ListNode, replica: bool) -> tuple:
     return cells, node._rebuilt_order(), kept
 
 
-def document_state(document: JsonDocument, replica: bool = False) -> tuple:
+def document_state(document: TreeDocument, replica: bool = False) -> tuple:
     """Everything ``document`` holds: presence sets, leaf values, branch
     winners, cell anchors and order, applied IDs and the plain bytes; unless
-    ``replica``, also the causal buffer (empty for a bare ``JsonDocument``),
+    ``replica``, also the causal buffer (empty for a bare ``TreeDocument``),
     the clock, the work counters and each list's kept order.
 
     A replica built by ``apply()`` reaches the same tree by another route,

@@ -1,11 +1,11 @@
 """The JSON CRDT as an operation-based replica: the engine's specification.
 
-``repro.crdt.json`` ships only what FabricCRDT's committer runs, a document
-that ``merge_json`` writes in place: every peer merges the same ordered
-block, so no operation ever crosses the network.  This module keeps the
-operation-based CRDT of Kleppmann & Beresford on that same document, as the
-specification the engine is checked against.  :class:`Replica` writes
-through the engine's own primitives (``_apply_located`` and its effect
+``repro.crdt.json`` ships only what FabricCRDT's committer runs, a plain
+JSON document that ``merge_json`` writes in place: every peer merges the
+same ordered block, so no operation ever crosses the network.  This module
+keeps the operation-based CRDT of Kleppmann & Beresford on the tree the
+committer's fold is specified by (``tree.TreeDocument``).  :class:`Replica`
+writes through the tree's own primitives (``_apply_located`` and its effect
 handlers, ``assign_in_place``, ``insert_in_place``) and adds what only
 replication needs: cursors, operations, local edits that return the
 operation describing their write, and an ``apply()`` that is
@@ -29,9 +29,18 @@ from typing import Any, Iterable, NamedTuple, Optional, Union
 
 from repro.common.errors import CRDTError, CursorError
 from repro.common.serialization import to_bytes
-from repro.crdt.json import JsonDocument, ListNode, MapNode, OpId, Payload, PayloadKind, Slot
-from repro.crdt.json.document import Trail
-from repro.crdt.json.mutation import CONTAINER_PAYLOADS
+from repro.crdt.json import OpId, key_step
+
+from .tree import (
+    CONTAINER_PAYLOADS,
+    ListNode,
+    MapNode,
+    Payload,
+    PayloadKind,
+    Slot,
+    Trail,
+    TreeDocument,
+)
 
 
 class CausalityError(CRDTError):
@@ -48,7 +57,7 @@ class MapStep:
     key: str
 
     def __str__(self) -> str:
-        return f".{self.key}"
+        return key_step(self.key)
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,7 +94,7 @@ class Cursor:
         return "$" + "".join(str(step) for step in self.steps)
 
     def path_repr(self) -> str:
-        """The path text of content IDs, as ``merge_json`` carries it down."""
+        """The path text of content IDs, as the merge carries it down."""
 
         return str(self)
 
@@ -159,7 +168,7 @@ class Located(NamedTuple):
 # -- the replica ------------------------------------------------------------------------
 
 
-class Replica(JsonDocument):
+class Replica(TreeDocument):
     """A JSON document replicated by exchanging operations."""
 
     def __init__(self, actor: str = "doc") -> None:

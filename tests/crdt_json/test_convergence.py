@@ -101,10 +101,10 @@ def test_merge_order_preserves_structure_and_list_items(a, b):
         collect(plain, "$", keys, items)
         return keys, sorted(items)
 
-    doc_ab = JsonDocument("x")
+    doc_ab = JsonDocument()
     merge_json(doc_ab, a)
     merge_json(doc_ab, b)
-    doc_ba = JsonDocument("x")
+    doc_ba = JsonDocument()
     merge_json(doc_ba, b)
     merge_json(doc_ba, a)
     keys_ab, items_ab = structure(doc_ab.to_plain())
@@ -116,8 +116,8 @@ def test_merge_order_preserves_structure_and_list_items(a, b):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(json_objects, min_size=1, max_size=3))
 def test_merging_same_value_twice_is_idempotent(values):
-    doc_once = JsonDocument("x")
-    doc_twice = JsonDocument("x")
+    doc_once = JsonDocument()
+    doc_twice = JsonDocument()
     for value in values:
         merge_json(doc_once, value)
         merge_json(doc_twice, value)

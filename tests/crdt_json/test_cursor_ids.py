@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.clock import LamportTimestamp
-from repro.crdt.json.ids import CONTENT_COUNTER, content_id, is_content_id
+from repro.crdt.json.ids import CONTENT_COUNTER, content_id, is_content_id, key_step
 
 from .replica import Cursor, ListStep, MapStep
 
@@ -24,6 +24,21 @@ class TestCursor:
         )
         assert str(cursor) == "$.items[3@a].t"
         assert cursor.path_repr() == str(cursor)
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("items", ".items"),
+            ("a b]", ".a b]"),
+            ("a.b", '."a.b"'),
+            ("a[0]", '."a[0]"'),
+            ('q"', '."q\\""'),
+            ("\\", '."\\\\"'),
+            ("n\x00", '."n\\u0000"'),
+        ],
+    )
+    def test_a_key_is_quoted_when_it_holds_path_characters(self, key, text):
+        assert key_step(key) == str(MapStep(key)) == text
 
 
 class TestContentIds:

@@ -3,9 +3,10 @@ causal delivery."""
 
 import pytest
 
-from repro.crdt.json import OpId, Payload
+from repro.crdt.json import OpId
 
 from .replica import AssignKey, CausalityError, Cursor, ListStep, MapStep, Operation, Replica
+from .tree import Payload
 
 
 class TestAssign:

@@ -1,17 +1,18 @@
-"""The merge engine against references that do not share its code.
+"""The tree engine against references that do not share its code.
 
-``merge_json`` walks the value and the document tree together and writes
-each field in place; the engine keeps a list's order across tail appends and
-*charges* list scans instead of performing them.  None of that may be
-visible from outside:
+The tree's merge (``tree.merge_json``, the specification of the committer's
+fold) walks the value and the tree together and writes each field in place;
+it keeps a list's order across tail appends and *charges* list scans
+instead of performing them.  None of that may be visible from outside:
 
-* ``merge_json`` leaves exactly the state that Algorithm 2's operation
+* ``tree.merge_json`` leaves exactly the state that Algorithm 2's operation
   stream (``reference.reference_merge``) leaves, and that stream, replayed
   through the operation-based replica's ``apply()`` (``replica.Replica``) in
   any order, rebuilds it;
 * ``ListNode.ordered_ids()`` equals an RGA order built from scratch here;
 * the work counters — the cost model's input — equal literals recorded
-  from the engine this one replaced (commit e652425).
+  from the engine this one replaced (commit e652425), for the committer's
+  fold (``repro.crdt.json``) and for the replica's local edits.
 """
 
 from __future__ import annotations
@@ -22,24 +23,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crdt.json import (
-    Cell,
-    DocumentStats,
-    JsonDocument,
-    ListNode,
-    MergeOptions,
-    OpId,
-    Payload,
-    merge_json,
-)
+from repro.crdt.json import DocumentStats, JsonDocument, MergeOptions, OpId, merge_json
 from repro.workload.iot import nested_payload, reading_payload
 
+from . import tree
 from .reference import document_state, reference_merge
 from .replica import AssignKey, Cursor, MapStep, Operation, Replica
+from .tree import Cell, ListNode, Payload
 
 # -- (a) the in-place merge leaves the reference's state -----------------------------
 
-keys = st.sampled_from(["a", "b", "c"])
+#: Besides plain keys, keys holding what the path text quotes: a step
+#: separator (``"a.b"`` reads like the path ``a`` → ``b`` unquoted), a
+#: bracket, a quote, a backslash and a control character.
+SPECIAL_KEYS = ["a.b", "c[0]", 'q"', "\\", "n\x00"]
+keys = st.sampled_from(["a", "b", "c", *SPECIAL_KEYS])
 leaves = st.one_of(
     st.sampled_from(["x", "y", ""]),  # few distinct strings: identical list items repeat
     st.integers(-2, 2),
@@ -97,7 +95,7 @@ def test_in_place_merge_equals_the_reference(seeds, merges, dedup, rng):
     for value, redelivered in merges:
         for _ in range(1 + redelivered):
             merged = reference_merge(reference, value, options)
-            assert merge_json(in_place, value, options) == len(merged)
+            assert tree.merge_json(in_place, value, options) == len(merged)
             operations += merged
             # Causal delivery: nothing stays buffered once its deps are in.
             assert not any(op.deps <= in_place.applied_ids for op in in_place._buffer.values())
@@ -175,14 +173,14 @@ def test_append_anchor_skips_invisible_tail():
 
 
 def readings_block() -> JsonDocument:
-    doc = JsonDocument("b1")
+    doc = JsonDocument()
     for sequence in range(25):
         merge_json(doc, reading_payload("dev", 20 + sequence % 3, sequence))
     return doc
 
 
 def nested_block_converted_midway() -> JsonDocument:
-    doc = JsonDocument("b2")
+    doc = JsonDocument()
     for sequence in range(15):
         merge_json(doc, nested_payload(3, 3, 21, sequence))
         if sequence % 4 == 0:
@@ -191,7 +189,7 @@ def nested_block_converted_midway() -> JsonDocument:
 
 
 def repeated_items_without_dedup() -> JsonDocument:
-    doc = JsonDocument("b3")
+    doc = JsonDocument()
     value = {"l": ["x", "x", ["y", "y"], {"k": ["z", 1, None]}], "n": 2}
     for _ in range(3):
         merge_json(doc, value, MergeOptions(dedup_identical=False))
@@ -199,7 +197,7 @@ def repeated_items_without_dedup() -> JsonDocument:
 
 
 def seeded_then_redelivered() -> JsonDocument:
-    doc = JsonDocument("b4")
+    doc = JsonDocument()
     committed = {"deviceID": "dev", "tempReadings": [{"t": str(t)} for t in range(10)]}
     merge_json(doc, committed)
     for t in (3, 10, 11, 3):  # carried-over items skip, new ones append
@@ -208,7 +206,7 @@ def seeded_then_redelivered() -> JsonDocument:
     return doc
 
 
-def direct_edits() -> JsonDocument:
+def direct_edits() -> Replica:
     doc = Replica("b5")
     doc.assign_container(Cursor(), "items", "list")
     cursor = Cursor((MapStep("items"),))

@@ -2,17 +2,19 @@
 
 Seeded documents are built through ``merge_json`` (dedup on and off),
 through direct edits, and through the committer's ``merge_crdt`` on the
-benchmark's nested block.  Each case is built twice: merging in place, and
-merging through Algorithm 2's operation stream (``reference``) into the
-operation-based replica (``replica``); the two documents must agree field by
-field.  The in-place build of the merge cases is the engine's own
-``JsonDocument``; direct edits need the replica's local-edit API on both
-sides.  Each case records
+benchmark's nested block.  A merge case is built three times: by the
+committer's fold (``repro.crdt.json``), by the tree it replaced merging in
+place (``tree``), and through Algorithm 2's operation stream
+(``reference``) into the operation-based replica (``replica``); the two
+trees must agree field by field.  Direct edits need the replica's
+local-edit API, so that case is the tree in place against the reference.
+Each case records
 
-* the number of operations the in-place build applied;
+* the number of operations the fold (direct edits: the tree) applied;
 * a digest of every operation of the reference build — id, deps, cursor
   and mutation, in their canonical wire form and in order;
-* a digest of ``to_plain()`` and of ``MergedKey.to_committed_bytes()``;
+* a digest of ``to_plain()`` and of the committed bytes
+  (``MergedKey.to_committed_bytes()``);
 * ``stats.snapshot()`` of the document and of a replica rebuilt from the
   reference's operations delivered in a seeded shuffle (the remote path).
 
@@ -32,15 +34,18 @@ from typing import Any
 import pytest
 
 from repro.common.config import CRDTConfig
+from repro.common.serialization import to_bytes
 from repro.core.jsonmerge import MergedKey, init_empty_crdt, merge_crdt, merge_options
-from repro.crdt.json import JsonDocument, MergeOptions, Payload, merge_json
+from repro.crdt.json import JsonDocument, MergeOptions, merge_json
 from repro.workload.iot import nested_payload
 
 if __name__ == "__main__":  # run as a script: the helpers import as a package
     sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
 
+from tests.crdt_json import tree
 from tests.crdt_json.reference import document_state, reference_merge
 from tests.crdt_json.replica import Cursor, ListStep, MapStep, Operation, Replica, operations_to_bytes
+from tests.crdt_json.tree import Payload, TreeDocument
 
 KEYS = ("a", "b", "c", "d")
 LEAVES = ("x", "y", "", "zz", 0, 7, -1, True, None, 0.5)
@@ -75,42 +80,48 @@ def replica_stats(operations: list[Operation], seed: int) -> dict:
 
 
 class Merges:
-    """How a case merges: in place, counting, or through the reference,
-    keeping the operations.  Local edits keep their operations either way."""
+    """How a case merges: ``"fold"`` (the committer's engine), ``"tree"``
+    (the tree in place) or ``"reference"`` (the operation stream into a
+    replica, keeping the operations).  Local edits keep their operations
+    whatever the mode."""
 
-    def __init__(self, reference: bool) -> None:
-        self.reference = reference
+    def __init__(self, mode: str) -> None:
+        self.mode = mode
         self.operations: list[Operation] = []
         self.count = 0  # operations applied, edits and merges
 
-    def document(self, actor: str) -> JsonDocument:
-        """The engine's document, or the replica the reference merges into."""
+    def document(self, actor: str) -> Any:
+        """The document this mode merges into."""
 
-        return Replica(actor) if self.reference else JsonDocument(actor)
+        if self.mode == "fold":
+            return JsonDocument()
+        return TreeDocument(actor) if self.mode == "tree" else Replica(actor)
 
     def edit(self, operation: Operation) -> Operation:
         self.operations.append(operation)
         self.count += 1
         return operation
 
-    def merge(self, document: JsonDocument, value: dict, options: MergeOptions) -> None:
-        if self.reference:
+    def merge(self, document: Any, value: dict, options: MergeOptions) -> None:
+        if self.mode == "reference":
             merged = reference_merge(document, value, options)
             self.operations += merged
             self.count += len(merged)
+        elif self.mode == "tree":
+            self.count += tree.merge_json(document, value, options)
         else:
             self.count += merge_json(document, value, options)
 
     def merge_crdt(self, merged: MergedKey, value: dict, config: CRDTConfig) -> None:
-        """The committer's call; the reference merges into the key's replica."""
+        """The committer's call; the trees merge into the key's document."""
 
-        if self.reference:
-            self.merge(merged.document, value, merge_options(config))
-        else:
+        if self.mode == "fold":
             self.count += merge_crdt(merged, value, config)
+        else:
+            self.merge(merged.document, value, merge_options(config))
 
 
-def seeded_merges(merges: Merges, seed: int, dedup: bool) -> JsonDocument:
+def seeded_merges(merges: Merges, seed: int, dedup: bool) -> Any:
     rng = random.Random(seed)
     document = merges.document(f"b{seed}")
     options = MergeOptions(dedup_identical=dedup)
@@ -124,7 +135,7 @@ def seeded_merges(merges: Merges, seed: int, dedup: bool) -> JsonDocument:
     return document
 
 
-def direct_edits(merges: Merges, seed: int, dedup: bool) -> JsonDocument:
+def direct_edits(merges: Merges, seed: int, dedup: bool) -> Replica:
     document = Replica("edits")
     edit = merges.edit
     root = Cursor()
@@ -149,32 +160,38 @@ def direct_edits(merges: Merges, seed: int, dedup: bool) -> JsonDocument:
     return document
 
 
-def benchmark_block(merges: Merges, seed: int, dedup: bool) -> JsonDocument:
+def benchmark_block(merges: Merges, seed: int, dedup: bool) -> Any:
     """The JSON half of one ``local_crdt_mixed`` block, as the committer merges it."""
 
     config = CRDTConfig(dedup_identical=dedup)
     values = [nested_payload(3, 3, 10 + (seed + s) % 25, s) for s in range(15)]
-    if merges.reference:
-        merged = MergedKey("doc-hot", document=Replica("b31"))
-    else:
+    if merges.mode == "fold":
         merged = init_empty_crdt("doc-hot", values[0], actor="b31")
+    else:
+        merged = MergedKey("doc-hot", document=merges.document("b31"))
     for value in values:
         merges.merge_crdt(merged, value, config)
     return merged.document
 
 
 def fingerprint(name: str, seed: int, dedup: bool) -> tuple:
-    in_place, reference = Merges(reference=False), Merges(reference=True)
-    document = BUILDERS[name](in_place, seed, dedup)
+    in_place, reference = Merges("tree"), Merges("reference")
+    tree_document = BUILDERS[name](in_place, seed, dedup)
     reference_document = BUILDERS[name](reference, seed, dedup)
-    assert document_state(document) == document_state(reference_document)
+    assert document_state(tree_document) == document_state(reference_document)
     operations = reference.operations
     assert in_place.count == len(operations)
 
+    if name == "direct":  # local edits: the tree is the document
+        counted, document = in_place, tree_document
+        committed = to_bytes(document.to_plain())
+    else:
+        counted = Merges("fold")
+        document = BUILDERS[name](counted, seed, dedup)
+        committed = MergedKey("k", document=document).to_committed_bytes()
     plain = document.to_plain()
-    committed = MergedKey("k", document=document).to_committed_bytes()
     return (
-        in_place.count,
+        counted.count,
         digest(operations_to_bytes(operations)),
         digest(repr(plain).encode()),  # key order included
         digest(committed),

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.common.errors import UnsupportedValueError
-from repro.crdt.json import JsonDocument, MergeOptions, merge_json
+from repro.crdt.json import JsonDocument, MergeOptions, is_content_id, merge_json
 
 from .reference import reference_merge
 from .replica import Replica
 
 
 def merged_plain(*values, options=MergeOptions()):
-    doc = JsonDocument("peer")
+    doc = JsonDocument()
     for value in values:
         merge_json(doc, value, options)
     return doc.to_plain()
@@ -72,6 +72,38 @@ class TestDedup:
         result = merged_plain({"a": ["x"], "b": ["x"]})
         assert result == {"a": ["x"], "b": ["x"]}
 
+    def test_a_key_holding_a_dot_is_not_a_path(self):
+        # Unquoted, the key "a.b" and the path a -> b share the path text
+        # $.a.b, and the second "X" was skipped as already merged there.
+        result = merged_plain({"a": {"b": ["X"]}}, {"a.b": ["X"]})
+        assert result == {"a": {"b": ["X"]}, "a.b": ["X"]}
+
+
+class TestNoSharing:
+    """The block's decode cache hands one decoded value to every transaction
+    carrying the same bytes: the document must keep no container of it, and
+    hand out none of its own."""
+
+    def test_changing_a_merged_value_leaves_the_document(self):
+        doc = JsonDocument()
+        value = {"l": [{"t": "1"}, ["x"]], "m": {"k": "v"}}
+        merge_json(doc, value)
+        value["l"][0]["t"] = "changed"
+        value["l"][1].append("y")
+        value["m"]["k2"] = "new"
+        assert doc.to_plain() == {"l": [{"t": "1"}, ["x"]], "m": {"k": "v"}}
+
+    def test_changing_to_plain_leaves_the_document(self):
+        doc = JsonDocument()
+        merge_json(doc, {"l": [{"t": "1"}], "m": {"k": "v"}})
+        plain = doc.to_plain()
+        plain["l"][0]["t"] = "changed"
+        plain["l"].append("y")
+        plain["m"].clear()
+        assert doc.to_plain() == {"l": [{"t": "1"}], "m": {"k": "v"}}
+        merge_json(doc, {"l": ["z"]})
+        assert doc.to_plain() == {"l": [{"t": "1"}, "z"], "m": {"k": "v"}}
+
 
 class TestScalars:
     def test_stringify_numbers_and_bools(self):
@@ -102,12 +134,12 @@ class TestStructures:
         assert result == {"deviceID": "dev1"}
 
     def test_top_level_non_object_rejected(self):
-        doc = JsonDocument("peer")
+        doc = JsonDocument()
         with pytest.raises(UnsupportedValueError):
             merge_json(doc, ["not", "an", "object"])
 
     def test_non_string_keys_rejected(self):
-        doc = JsonDocument("peer")
+        doc = JsonDocument()
         with pytest.raises(UnsupportedValueError):
             merge_json(doc, {1: "x"})
 
@@ -120,17 +152,19 @@ class TestStructures:
 
 class TestOperations:
     def test_count_returned_and_applied(self):
-        doc = JsonDocument("peer")
+        doc = JsonDocument()
         # assign a + assign-container l + insert x = 3 operations
         assert merge_json(doc, {"a": "1", "l": ["x"]}) == 3
         assert doc.stats.ops_applied == 3
         reference = Replica("peer")
         ops = reference_merge(reference, {"a": "1", "l": ["x"]})
         assert len(ops) == 3
-        assert doc.applied_ids == reference.applied_ids == {op.id for op in ops}
+        assert reference.applied_ids == {op.id for op in ops}
+        # The document keeps only the content IDs: the ticks name nothing.
+        assert doc.applied_ids == {op.id for op in ops if is_content_id(op.id)}
 
     def test_dedup_skips_known_items_without_ops(self):
-        doc = JsonDocument("peer")
+        doc = JsonDocument()
         merge_json(doc, {"l": ["x"]})
         # assign-container for "l" applied again, but no insert for "x"
         assert merge_json(doc, {"l": ["x"]}) == 1
