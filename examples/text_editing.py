@@ -16,8 +16,9 @@ Run:  python examples/text_editing.py
 """
 
 from repro import Gateway, crdt_network, fabriccrdt_config
+from repro.common.serialization import from_bytes, to_bytes
 from repro.contract import Context, Contract, query, transaction
-from repro.crdt import TextDocument
+from repro.crdt import TextDocument, crdt_from_dict_envelope, crdt_to_dict_envelope
 
 
 def standalone_demo() -> None:
@@ -42,7 +43,7 @@ def standalone_demo() -> None:
 
     # Serialization: documents travel as CRDT envelopes (the same bytes the
     # wiki chaincode below commits to the ledger).
-    restored = TextDocument.from_bytes(merged_ab.to_bytes())
+    restored = crdt_from_dict_envelope(from_bytes(to_bytes(crdt_to_dict_envelope(merged_ab))))
     assert restored.text() == merged_ab.text()
     print("state roundtrips through canonical bytes ✔")
 

@@ -71,10 +71,6 @@ class UnsupportedValueError(CRDTError):
     """A JSON value type is outside the supported subset (string/map/list)."""
 
 
-class CursorError(CRDTError):
-    """A cursor path does not resolve against a JSON document."""
-
-
 # ---------------------------------------------------------------------------
 # Fabric errors
 # ---------------------------------------------------------------------------

@@ -75,20 +75,6 @@ def byte_size(value: Any) -> int:
     return len(to_bytes(value))
 
 
-def deep_freeze(value: Any) -> Any:
-    """Convert a JSON value into an immutable, hashable equivalent.
-
-    Maps become sorted key/value tuples, lists become tuples.  Used to build
-    content addresses and to key dictionaries by JSON content.
-    """
-
-    if isinstance(value, dict):
-        return tuple(sorted((k, deep_freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(deep_freeze(item) for item in value)
-    return value
-
-
 def deep_copy_json(value: Any) -> Any:
     """Structural copy of a JSON value (cheaper than ``copy.deepcopy``)."""
 

@@ -5,7 +5,6 @@ from .counters import VotingChaincode
 from .jsonmerge import (
     MergedKey,
     init_empty_crdt,
-    is_crdt_envelope,
     merge_crdt,
     merge_options,
     merge_value_bytes,
@@ -20,7 +19,6 @@ __all__ = [
     "merge_value_bytes",
     "merge_options",
     "init_empty_crdt",
-    "is_crdt_envelope",
     "MergedKey",
     "crdt_network",
     "vanilla_network",

@@ -37,11 +37,11 @@ from ..common.serialization import from_bytes
 from ..common.types import ValidationCode, WriteItem
 from ..crdt.base import StateCRDT
 from ..crdt.json import MergeOptions, check_mergeable, merge_checked
-from ..crdt.registry import crdt_from_dict_envelope
+from ..crdt.registry import crdt_from_dict_envelope, is_dict_envelope
 from ..fabric.block import Block
 from ..fabric.peer import MergePlan
 from ..fabric.store import StateStore
-from .jsonmerge import MergedKey, init_empty_crdt, is_crdt_envelope, merge_crdt, merge_options
+from .jsonmerge import MergedKey, init_empty_crdt, merge_crdt, merge_options
 
 
 class _BlockDecodeCache:
@@ -176,7 +176,7 @@ def _check_writes(
         if merged is None:
             merged = created[write.key] = init_empty_crdt(write.key, value)
             _seed_from_state(merged, state, config, cache)
-        if is_crdt_envelope(value) != (merged.document is None):
+        if is_dict_envelope(value) != (merged.document is None):
             raise MergeTypeError(f"key {write.key!r}: not a {merged.kind} CRDT value")
         if merged.document is None:
             current = staged.get(write.key, merged.state_crdt)
@@ -209,7 +209,7 @@ def _seed_from_state(
     except SerializationError:
         return  # non-JSON committed value: nothing to seed from
     if merged.kind == "state":
-        if is_crdt_envelope(committed_value):
+        if is_dict_envelope(committed_value):
             merge_crdt(merged, committed_value, config)
             merged.values_merged -= 1  # seeding is not a client update
     elif isinstance(committed_value, dict):

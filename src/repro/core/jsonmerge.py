@@ -8,9 +8,9 @@ ever shipped.  Here we bind it to the paper's names and to
 :class:`~repro.common.config.CRDTConfig`, and add the ``InitEmptyCRDT``
 factory from Algorithm 1 (line 9): the type of CRDT object instantiated
 depends on the type of the value — plain JSON objects get a JSON CRDT;
-values carrying a CRDT envelope (``{"crdt": ..., "state": ...}``, e.g. a
-G-Counter written by the counters extension) get the corresponding
-state-based CRDT from the registry.
+values carrying a state-CRDT envelope (``{"$fabriccrdt": 1, "crdt": ...,
+"state": ...}``, e.g. a G-Counter written by ``ctx.crdt.counter``) get the
+corresponding state-based CRDT from :mod:`repro.crdt.registry`.
 """
 
 from __future__ import annotations
@@ -33,19 +33,6 @@ def merge_options(config: CRDTConfig) -> MergeOptions:
         dedup_identical=config.dedup_identical,
         stringify_scalars=config.stringify_scalars,
     )
-
-
-def is_crdt_envelope(value: object) -> bool:
-    """True if ``value`` is a serialized state-CRDT envelope.
-
-    Recognition is by the explicit ``$fabriccrdt`` marker (new format) or,
-    for envelopes committed before the marker existed, by the exact
-    ``{"crdt", "state"}`` key set with a *registered* type name — so user
-    JSON that merely looks envelope-shaped merges as a plain JSON CRDT
-    instead of being misread as CRDT machinery.
-    """
-
-    return is_dict_envelope(value)
 
 
 @dataclass
@@ -86,7 +73,7 @@ def init_empty_crdt(key: str, value: object, actor: str = "") -> MergedKey:
     needed to make it byte-identical network-wide.
     """
 
-    if is_crdt_envelope(value):
+    if is_dict_envelope(value):
         empty = type(crdt_from_dict_envelope(value))()  # same type, empty state
         return MergedKey(key=key, state_crdt=empty)
     if isinstance(value, dict):
@@ -106,7 +93,7 @@ def merge_crdt(merged: MergedKey, value: object, config: CRDTConfig) -> int:
     :class:`UnsupportedValueError` for payloads outside the supported model.
     """
 
-    if is_crdt_envelope(value):
+    if is_dict_envelope(value):
         if merged.state_crdt is None:
             raise MergeTypeError(
                 f"key {merged.key!r}: envelope value after JSON values in one block"

@@ -1,45 +1,27 @@
-"""CRDT library: state-based types, the JSON CRDT merge engine, and a registry."""
+"""CRDT library: the state-based types a ``ctx.crdt`` handle writes (G-Counter,
+PN-Counter, OR-Set, LWW-Register, and the RGA-backed text document), their
+envelope codec, and the JSON CRDT merge engine."""
 
 from .base import StateCRDT
 from .gcounter import GCounter
-from .gset import GSet
 from .lwwregister import LWWRegister
-from .mvregister import MVRegister
-from .ormap import ORMap
 from .orset import ORSet
 from .pncounter import PNCounter
-from .registry import (
-    crdt_from_bytes,
-    crdt_from_dict_envelope,
-    crdt_to_bytes,
-    crdt_to_dict_envelope,
-    merge_envelopes,
-    register_crdt,
-    registered_types,
-)
+from .registry import CRDT_TYPES, crdt_from_dict_envelope, crdt_to_dict_envelope
 from .rga import HEAD, RGA, RGAEntry
 from .text import TextDocument
-from .twophase import TwoPhaseSet
 
 __all__ = [
     "StateCRDT",
     "GCounter",
     "PNCounter",
-    "GSet",
-    "TwoPhaseSet",
     "ORSet",
     "LWWRegister",
-    "MVRegister",
     "RGA",
     "RGAEntry",
     "HEAD",
     "TextDocument",
-    "ORMap",
-    "register_crdt",
-    "registered_types",
-    "crdt_to_bytes",
-    "crdt_from_bytes",
+    "CRDT_TYPES",
     "crdt_to_dict_envelope",
     "crdt_from_dict_envelope",
-    "merge_envelopes",
 ]

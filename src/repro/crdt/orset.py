@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from ..common.serialization import canonical_json
-from .base import StateCRDT, tombstones_from_dict
+from .base import StateCRDT
 
 
 class ORSet(StateCRDT):
@@ -120,3 +120,18 @@ class ORSet(StateCRDT):
         if not all(type(tagged) is dict for tagged in adds.values()):
             raise ValueError("or-set adds must map each element key to {tag: element}")
         return cls(adds, tombstones_from_dict(payload["tombstones"]))
+
+
+def tombstones_from_dict(raw: dict) -> dict[str, set[str]]:
+    """Observed-remove tombstones ``{key: [tag, ...]}`` as sets.
+
+    Raises ``ValueError`` unless every tag is a string: tags are sorted when
+    the state is written back, and a stray number among them would fail
+    there, in the committer, instead of here.
+    """
+
+    tombstones = {key: set(tags) for key, tags in raw.items()}
+    for tags in tombstones.values():
+        if not all(type(tag) is str for tag in tags):
+            raise ValueError(f"tombstone tags must be strings: {sorted(map(repr, tags))}")
+    return tombstones

@@ -6,9 +6,10 @@ inserts after the same neighbour are ordered by descending element ID, the
 classic RGA rule, so all replicas converge to the same sequence.  Deletion
 tombstones the element.
 
-This is the machinery behind the JSON CRDT's list nodes; it is exposed as a
-standalone type because the paper's future work (§9) calls for list CRDTs
-and the collaborative-editing example uses it directly.
+It is the character sequence inside :class:`~repro.crdt.text.TextDocument`.
+No handle writes a bare RGA, so it has no entry in
+:data:`~repro.crdt.registry.CRDT_TYPES` and a committer refuses an ``rga``
+envelope like any unknown type.
 """
 
 from __future__ import annotations

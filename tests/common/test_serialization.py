@@ -9,7 +9,6 @@ from repro.common.serialization import (
     byte_size,
     canonical_json,
     deep_copy_json,
-    deep_freeze,
     from_bytes,
     json_equal,
     to_bytes,
@@ -69,14 +68,6 @@ class TestFromBytes:
 class TestHelpers:
     def test_byte_size(self):
         assert byte_size({"a": 1}) == len(b'{"a":1}')
-
-    def test_deep_freeze_hashable(self):
-        frozen = deep_freeze({"a": [1, {"b": 2}]})
-        hash(frozen)  # must not raise
-        assert deep_freeze({"a": [1, {"b": 2}]}) == frozen
-
-    def test_deep_freeze_distinguishes(self):
-        assert deep_freeze({"a": 1}) != deep_freeze({"a": 2})
 
     @given(json_values)
     def test_deep_copy_equal_but_distinct(self, value):

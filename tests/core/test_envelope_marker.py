@@ -1,54 +1,63 @@
-"""Regression tests for the explicit envelope marker (ISSUE 2, satellite 1).
+"""The explicit envelope marker is the only way a value is a state-CRDT envelope.
 
-Before the marker, ``is_crdt_envelope`` recognised envelopes purely by the
-exact key set ``{"crdt", "state"}`` — so ordinary user JSON shaped that way
-was misrouted into the state-CRDT merge path and invalidated the
-transaction with ``BAD_PAYLOAD``.  Now envelopes carry ``$fabriccrdt`` and
-legacy envelopes are only accepted when the type tag is actually
-registered.
+Before the marker, envelopes were recognised purely by the exact key set
+``{"crdt", "state"}`` — so ordinary user JSON shaped that way was misrouted
+into the state-CRDT merge path and invalidated the transaction with
+``BAD_PAYLOAD``.  Envelopes now carry ``$fabriccrdt``, and a value without it
+is plain JSON whatever its keys: a markerless ``{"crdt": ..., "state": ...}``
+merges as a JSON document, even when it names a type a committer accepts.
 """
+
+import json
 
 import pytest
 
 from repro.common.config import CRDTConfig
 from repro.common.errors import MergeTypeError
-from repro.core.jsonmerge import init_empty_crdt, is_crdt_envelope, merge_crdt
-from repro.crdt.base import ENVELOPE_MARKER
+from repro.core.jsonmerge import init_empty_crdt, merge_crdt
 from repro.crdt.gcounter import GCounter
-from repro.crdt.registry import crdt_from_dict_envelope, crdt_to_dict_envelope
+from repro.crdt.registry import (
+    ENVELOPE_MARKER,
+    crdt_from_dict_envelope,
+    crdt_to_dict_envelope,
+    is_dict_envelope,
+)
 from repro.gateway import Gateway
+from repro.workload.iot import encode_call
 
 
 class TestRecognition:
     def test_new_envelopes_carry_the_marker(self):
         envelope = crdt_to_dict_envelope(GCounter().increment("a"))
         assert envelope[ENVELOPE_MARKER] == 1
-        assert is_crdt_envelope(envelope)
+        assert is_dict_envelope(envelope)
 
     def test_user_json_with_unregistered_type_tag_is_plain_data(self):
         # Exactly the ambiguous shape: two keys named crdt/state, but the
         # "type" is just a user string.  Must merge as a JSON document.
         value = {"crdt": "certainly", "state": "california"}
-        assert not is_crdt_envelope(value)
+        assert not is_dict_envelope(value)
         merged = init_empty_crdt("k", value, actor="b1")
         assert merged.document is not None  # JSON CRDT, not a state CRDT
         merge_crdt(merged, value, CRDTConfig())
         assert merged.values_merged == 1
 
     def test_user_json_with_non_string_crdt_key_is_plain_data(self):
-        assert not is_crdt_envelope({"crdt": {"nested": 1}, "state": 2})
+        assert not is_dict_envelope({"crdt": {"nested": 1}, "state": 2})
 
-    def test_legacy_envelope_with_registered_type_still_reads(self):
-        legacy = {"crdt": "g-counter", "state": GCounter().increment("a", 3).to_dict()}
-        assert is_crdt_envelope(legacy)
-        assert crdt_from_dict_envelope(legacy).value() == 3
+    def test_markerless_envelope_is_plain_data(self):
+        markerless = {"crdt": "g-counter", "state": GCounter().increment("a", 3).to_dict()}
+        assert not is_dict_envelope(markerless)
+        with pytest.raises(MergeTypeError):
+            crdt_from_dict_envelope(markerless)
+        assert init_empty_crdt("k", markerless).document is not None
 
     def test_extra_keys_without_marker_stay_plain(self):
-        assert not is_crdt_envelope({"crdt": "g-counter", "state": {}, "extra": 1})
+        assert not is_dict_envelope({"crdt": "g-counter", "state": {}, "extra": 1})
 
     def test_marked_envelope_with_unknown_version_rejected(self):
         bad = {ENVELOPE_MARKER: 99, "crdt": "g-counter", "state": {"entries": {}}}
-        assert is_crdt_envelope(bad)
+        assert is_dict_envelope(bad)
         with pytest.raises(MergeTypeError, match="version"):
             crdt_from_dict_envelope(bad)
 
@@ -56,10 +65,6 @@ class TestRecognition:
 class TestEndToEnd:
     def test_envelope_shaped_user_json_commits_as_crdt_write(self, crdt_net):
         """The historical failure: this payload was BAD_PAYLOAD before."""
-
-        import json
-
-        from repro.workload.iot import encode_call
 
         contract = Gateway.connect(crdt_net).get_contract("iot")
         contract.submit("populate", json.dumps({"keys": ["dev"]}))
@@ -76,29 +81,17 @@ class TestEndToEnd:
         assert committed["crdt"] == "userfield"
         assert committed["state"] == "userdata"
 
-    def test_legacy_committed_envelope_seeds_new_merges(self, local_seeded_network):
-        """Counters committed in the pre-marker format keep accumulating."""
+    def test_markerless_counter_write_commits_as_plain_json(self, crdt_net):
+        """A pre-marker counter envelope is not a counter any more: it merges
+        and commits as the JSON document it is."""
 
-        network, contract = local_seeded_network
-        assert contract.submit("vote", "poll", "yes", "alice")["observed_total"] == 4
-
-
-@pytest.fixture
-def local_seeded_network():
-    """A network whose state already holds a *legacy-format* counter."""
-
-    from repro.common.serialization import to_bytes
-    from repro.common.types import Version
-    from repro.core.counters import VotingChaincode
-    from repro.core.network import crdt_network
-
-    from ..conftest import small_config
-
-    network = crdt_network(
-        small_config(max_message_count=5, crdt_enabled=True, num_orgs=1, peers_per_org=1)
-    )
-    network.deploy(VotingChaincode())
-    legacy = {"crdt": "g-counter", "state": GCounter().increment("seed", 3).to_dict()}
-    for peer in network.peers:
-        peer.ledger.state.apply_write("vote/poll/yes", to_bytes(legacy), Version(0, 0))
-    return network, Gateway.connect(network).get_contract("voting")
+        contract = Gateway.connect(crdt_net).get_contract("iot")
+        contract.submit("populate", json.dumps({"keys": ["dev"]}))
+        markerless = {"crdt": "g-counter", "state": GCounter().increment("a", 3).to_dict()}
+        call = encode_call(read_keys=["dev"], write_keys=["dev"], payload=markerless, crdt=True)
+        status = contract.submit_async("record", call).commit_status()
+        assert status.succeeded, status.code
+        committed = crdt_net.state_of("dev")
+        assert ENVELOPE_MARKER not in committed
+        assert committed["crdt"] == "g-counter"
+        assert committed["state"] == {"entries": {"a": "3"}}  # a JSON leaf, stringified

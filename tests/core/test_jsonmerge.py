@@ -5,27 +5,21 @@ import pytest
 from repro.common.config import CRDTConfig
 from repro.common.errors import MergeTypeError, UnsupportedValueError
 from repro.common.serialization import from_bytes
-from repro.core.jsonmerge import (
-    init_empty_crdt,
-    is_crdt_envelope,
-    merge_crdt,
-    merge_options,
-    merge_value_bytes,
-)
+from repro.core.jsonmerge import init_empty_crdt, merge_crdt, merge_options, merge_value_bytes
 from repro.crdt import GCounter, ORSet
-from repro.crdt.registry import crdt_to_dict_envelope
+from repro.crdt.registry import crdt_to_dict_envelope, is_dict_envelope
 
 
 class TestKindDetection:
     def test_json_object_is_not_envelope(self):
-        assert not is_crdt_envelope({"deviceID": "x"})
+        assert not is_dict_envelope({"deviceID": "x"})
 
     def test_envelope_detected(self):
-        assert is_crdt_envelope(crdt_to_dict_envelope(GCounter()))
+        assert is_dict_envelope(crdt_to_dict_envelope(GCounter()))
 
     def test_envelope_requires_exact_keys(self):
-        assert not is_crdt_envelope({"crdt": "g-counter"})
-        assert not is_crdt_envelope({"crdt": "g-counter", "state": {}, "extra": 1})
+        assert not is_dict_envelope({"crdt": "g-counter"})
+        assert not is_dict_envelope({"crdt": "g-counter", "state": {}, "extra": 1})
 
     def test_init_json_kind(self):
         merged = init_empty_crdt("k", {"a": "1"}, actor="b0")

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.common.errors import MergeTypeError
-from repro.crdt import GCounter, GSet, PNCounter
+from repro.crdt import GCounter, ORSet, PNCounter
+
+from . import envelope_roundtrip
 
 
 class TestGCounter:
@@ -44,16 +46,16 @@ class TestGCounter:
 
     def test_merge_type_mismatch(self):
         with pytest.raises(MergeTypeError):
-            GCounter().merge(GSet())
+            GCounter().merge(ORSet())
 
     def test_serialization_roundtrip(self):
         counter = GCounter().increment("a", 2).increment("b", 7)
-        assert GCounter.from_bytes(counter.to_bytes()) == counter
+        assert envelope_roundtrip(counter) == counter
 
     def test_envelope_type_check(self):
         counter = GCounter().increment("a")
         with pytest.raises(MergeTypeError):
-            PNCounter.from_bytes(counter.to_bytes())
+            PNCounter().merge(envelope_roundtrip(counter))
 
 
 class TestPNCounter:
@@ -75,4 +77,4 @@ class TestPNCounter:
 
     def test_roundtrip(self):
         counter = PNCounter().increment("x", 3).decrement("y", 1)
-        assert PNCounter.from_bytes(counter.to_bytes()) == counter
+        assert envelope_roundtrip(counter) == counter

@@ -11,17 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.clock import LamportTimestamp
-from repro.crdt import (
-    GCounter,
-    GSet,
-    LWWRegister,
-    MVRegister,
-    ORMap,
-    ORSet,
-    PNCounter,
-    RGA,
-    TwoPhaseSet,
-)
+from repro.crdt import GCounter, LWWRegister, ORSet, PNCounter, RGA
 
 actors = st.sampled_from(["a", "b", "c"])
 elements = st.one_of(
@@ -40,21 +30,6 @@ def gcounters(draw):
 @st.composite
 def pncounters(draw):
     return PNCounter(draw(gcounters()), draw(gcounters()))
-
-
-@st.composite
-def gsets(draw):
-    return GSet(draw(st.lists(elements, max_size=5)))
-
-
-@st.composite
-def twophase_sets(draw):
-    result = TwoPhaseSet()
-    for element in draw(st.lists(elements, max_size=4)):
-        result = result.add(element)
-    for element in draw(st.lists(elements, max_size=2)):
-        result = result.remove(element)
-    return result
 
 
 @st.composite
@@ -80,14 +55,6 @@ def lww_registers(draw):
     )
 
 
-@st.composite
-def mv_registers(draw):
-    result = MVRegister()
-    for value, actor in draw(st.lists(st.tuples(elements, actors), max_size=4)):
-        result = result.assign(value, actor)
-    return result
-
-
 _rga_namespace = iter(range(10**9))
 
 
@@ -108,31 +75,12 @@ def rgas(draw):
     return result
 
 
-@st.composite
-def ormaps(draw):
-    result = ORMap()
-    for key, amount, tag_num in draw(
-        st.lists(
-            st.tuples(st.sampled_from(["x", "y"]), st.integers(0, 9), st.integers(0, 99)),
-            max_size=4,
-        )
-    ):
-        result = result.update(key, GCounter().increment("a", amount), f"t{tag_num}")
-    if draw(st.booleans()) and result.keys():
-        result = result.remove(result.keys()[0])
-    return result
-
-
 ALL_STRATEGIES = [
     gcounters(),
     pncounters(),
-    gsets(),
-    twophase_sets(),
     orsets(),
     lww_registers(),
-    mv_registers(),
     rgas(),
-    ormaps(),
 ]
 
 instance_pairs = st.one_of(*[st.tuples(s, s) for s in ALL_STRATEGIES])
@@ -175,15 +123,6 @@ def test_counter_merge_never_decreases_per_actor_knowledge(pair):
     a, b = pair
     merged = a.merge(b)
     assert canonical(merged.merge(a)) == canonical(merged)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.tuples(gsets(), gsets()))
-def test_gset_merge_is_superset(pair):
-    a, b = pair
-    merged = a.merge(b)
-    for element in list(a) + list(b):
-        assert element in merged
 
 
 @settings(max_examples=100, deadline=None)

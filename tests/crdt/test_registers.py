@@ -1,7 +1,9 @@
-"""Tests for LWW and multi-value registers."""
+"""Tests for the LWW register."""
 
 from repro.common.clock import LamportTimestamp
-from repro.crdt import LWWRegister, MVRegister
+from repro.crdt import LWWRegister
+
+from . import envelope_roundtrip
 
 
 def ts(counter, actor="a"):
@@ -31,37 +33,6 @@ class TestLWWRegister:
 
     def test_roundtrip(self):
         reg = LWWRegister().assign({"doc": 1}, ts(5, "p"))
-        restored = LWWRegister.from_bytes(reg.to_bytes())
+        restored = envelope_roundtrip(reg)
         assert restored == reg
         assert restored.stamp == ts(5, "p")
-
-
-class TestMVRegister:
-    def test_sequential_assign_overwrites(self):
-        reg = MVRegister().assign("v1", "a").assign("v2", "a")
-        assert reg.value() == ["v2"]
-
-    def test_concurrent_assigns_kept_as_siblings(self):
-        base = MVRegister().assign("base", "a")
-        left = base.assign("left", "b")
-        right = base.assign("right", "c")
-        merged = left.merge(right)
-        assert sorted(merged.value()) == ["left", "right"]
-
-    def test_causal_dominance_resolves_siblings(self):
-        base = MVRegister().assign("base", "a")
-        left = base.assign("left", "b")
-        right = base.assign("right", "c")
-        merged = left.merge(right)
-        resolved = merged.assign("final", "a")
-        assert resolved.value() == ["final"]
-        assert resolved.merge(merged).value() == ["final"]
-
-    def test_merge_idempotent_on_duplicates(self):
-        reg = MVRegister().assign("v", "a")
-        assert reg.merge(reg).value() == ["v"]
-
-    def test_roundtrip(self):
-        base = MVRegister().assign("x", "a")
-        merged = base.assign("l", "b").merge(base.assign("r", "c"))
-        assert MVRegister.from_bytes(merged.to_bytes()) == merged

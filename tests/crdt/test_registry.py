@@ -1,4 +1,4 @@
-"""Tests for the CRDT type registry and envelope serialization."""
+"""Tests for the fixed table of state-CRDT types and the envelope codec."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,24 +6,31 @@ from hypothesis import strategies as st
 
 from repro.common.errors import CRDTError, MergeTypeError
 from repro.crdt import (
+    CRDT_TYPES,
     GCounter,
     ORSet,
     StateCRDT,
-    crdt_from_bytes,
     crdt_from_dict_envelope,
-    crdt_to_bytes,
     crdt_to_dict_envelope,
-    merge_envelopes,
-    register_crdt,
-    registered_types,
 )
+
+from . import envelope_roundtrip
+
+
+def test_the_table_holds_exactly_the_types_a_handle_writes():
+    """The types a committer merges are part of the validation rule: no
+    more than the ``ctx.crdt`` state handles write, no fewer."""
+
+    from repro.contract.handles import HANDLE_KINDS
+
+    assert {handle.crdt_cls for handle in HANDLE_KINDS.values()} == set(CRDT_TYPES.values())
+    assert all(name == cls.type_name for name, cls in CRDT_TYPES.items())
 
 
 class TestEnvelopes:
     def test_roundtrip_all_builtins(self):
-        for type_name, cls in registered_types().items():
-            instance = cls()
-            restored = crdt_from_bytes(crdt_to_bytes(instance))
+        for type_name, cls in CRDT_TYPES.items():
+            restored = envelope_roundtrip(cls())
             assert type(restored) is cls, type_name
 
     def test_envelope_shape(self):
@@ -33,7 +40,7 @@ class TestEnvelopes:
 
     def test_unknown_type_rejected(self):
         with pytest.raises(MergeTypeError):
-            crdt_from_dict_envelope({"crdt": "no-such-type", "state": {}})
+            crdt_from_dict_envelope({"$fabriccrdt": 1, "crdt": "no-such-type", "state": {}})
 
     def test_not_an_envelope_rejected(self):
         with pytest.raises(MergeTypeError):
@@ -42,49 +49,13 @@ class TestEnvelopes:
 
 class TestMergeEnvelopes:
     def test_merges_same_type(self):
-        left = crdt_to_bytes(GCounter().increment("a", 1))
-        right = crdt_to_bytes(GCounter().increment("b", 2))
-        merged = crdt_from_bytes(merge_envelopes(left, right))
-        assert merged.value() == 3
+        left = envelope_roundtrip(GCounter().increment("a", 1))
+        right = envelope_roundtrip(GCounter().increment("b", 2))
+        assert left.merge(right).value() == 3
 
     def test_mismatched_types_rejected(self):
-        left = crdt_to_bytes(GCounter())
-        right = crdt_to_bytes(ORSet())
         with pytest.raises(MergeTypeError):
-            merge_envelopes(left, right)
-
-
-class TestRegistration:
-    def test_register_custom_type(self):
-        class Custom(StateCRDT):
-            type_name = "test-custom-type"
-
-            def __init__(self, n=0):
-                self.n = n
-
-            def merge(self, other):
-                return Custom(max(self.n, other.n))
-
-            def value(self):
-                return self.n
-
-            def to_dict(self):
-                return {"n": self.n}
-
-            @classmethod
-            def from_dict(cls, payload):
-                return cls(payload["n"])
-
-        register_crdt(Custom)
-        assert registered_types()["test-custom-type"] is Custom
-        register_crdt(Custom)  # idempotent
-
-    def test_conflicting_registration_rejected(self):
-        class Impostor(StateCRDT):
-            type_name = "g-counter"
-
-        with pytest.raises(MergeTypeError):
-            register_crdt(Impostor)
+            envelope_roundtrip(GCounter()).merge(envelope_roundtrip(ORSet()))
 
 
 # -- malformed states: refused as CRDTError, never a crash ------------------------
@@ -105,20 +76,20 @@ def states_shaped_like(cls: type[StateCRDT]):
     return st.one_of(json_values, st.fixed_dictionaries({key: json_values for key in keys}))
 
 
-@pytest.mark.parametrize("type_name", sorted(registered_types()))
+@pytest.mark.parametrize("type_name", sorted(CRDT_TYPES))
 def test_an_arbitrary_state_decodes_or_is_refused(type_name):
     """A committer decodes envelopes straight from client write-sets: any
     ``state`` either decodes to something that merges and writes back, or is
     refused with a ``CRDTError`` (``BAD_PAYLOAD``) — never ``KeyError`` or
     ``TypeError`` out of the commit path."""
 
-    cls = registered_types()[type_name]
+    cls = CRDT_TYPES[type_name]
 
     @settings(max_examples=150, deadline=None, suppress_health_check=list(HealthCheck))
     @given(states_shaped_like(cls))
     def decode(state):
         try:
-            crdt = crdt_from_dict_envelope({"crdt": type_name, "state": state})
+            crdt = crdt_from_dict_envelope({"$fabriccrdt": 1, "crdt": type_name, "state": state})
         except CRDTError:
             return
         assert type(crdt) is cls
@@ -132,4 +103,4 @@ def test_an_arbitrary_state_decodes_or_is_refused(type_name):
 )
 def test_malformed_g_counter_states_are_merge_type_errors(state):
     with pytest.raises(MergeTypeError):
-        crdt_from_dict_envelope({"crdt": "g-counter", "state": state})
+        crdt_from_dict_envelope({"$fabriccrdt": 1, "crdt": "g-counter", "state": state})

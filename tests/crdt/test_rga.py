@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.clock import LamportTimestamp
+from repro.common.serialization import from_bytes, to_bytes
 from repro.crdt import HEAD, RGA
 
 
@@ -103,4 +104,4 @@ class TestMerge:
 
     def test_roundtrip(self):
         rga = RGA().append(ts(1), "a").append(ts(2), {"obj": True}).delete(ts(1))
-        assert RGA.from_bytes(rga.to_bytes()) == rga
+        assert RGA.from_dict(from_bytes(to_bytes(rga.to_dict()))) == rga

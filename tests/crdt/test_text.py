@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.crdt import TextDocument
 
+from . import envelope_roundtrip
+
 
 class TestEditing:
     def test_insert_and_read(self):
@@ -82,7 +84,7 @@ class TestConcurrentEditing:
 
     def test_serialization_roundtrip(self):
         doc = TextDocument("a").insert(0, "persist me").delete(0, 2)
-        restored = TextDocument.from_bytes(doc.to_bytes())
+        restored = envelope_roundtrip(doc)
         assert restored.text() == doc.text()
         assert restored == doc
 

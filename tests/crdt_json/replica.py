@@ -27,12 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, NamedTuple, Optional, Union
 
-from repro.common.errors import CRDTError, CursorError
+from repro.common.errors import CRDTError
 from repro.common.serialization import to_bytes
 from repro.crdt.json import OpId, key_step
 
 from .tree import (
     CONTAINER_PAYLOADS,
+    CursorError,
     ListNode,
     MapNode,
     Payload,

@@ -33,11 +33,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.common.clock import LamportClock
-from repro.common.errors import CursorError
+from repro.common.errors import CRDTError
 from repro.common.serialization import canonical_json
 from repro.crdt.json import DocumentStats, MergeOptions, OpId, check_mergeable, key_step
 from repro.crdt.json.ids import content_id_of_canonical
 from repro.crdt.json.merge import _EXACT_KINDS, _coerce_leaf, _kind
+
+
+class CursorError(CRDTError):
+    """A cursor path or insert anchor does not resolve against a tree."""
 
 
 # -- payloads ------------------------------------------------------------------
