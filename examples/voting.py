@@ -3,14 +3,14 @@
 
 Each vote is one line of chaincode — ``ctx.crdt.counter(key).incr(actor=
 voter)`` — and the handle does the rest: it reads the committed G-Counter
-envelope, increments the voter's entry, and buffers the change (the voter's
-new entry alone, a delta) through ``put_crdt``.  The FabricCRDT committer
-recognizes envelopes and merges them into the committed counter with its own
-join (per-actor maximum), so any number of concurrent votes by *distinct*
-voters in one block commit without conflicts and without losing a single
-ballot — the built-in-counters behaviour Fabric's FAB-10711 proposal
-sketched but never shipped.  (One voter's two votes in one block count
-once: both carry that voter's committed count plus one.)
+envelope (one integer total) and buffers the operation ``+1`` through
+``put_crdt``.  The FabricCRDT committer recognizes envelopes and adds each
+VALID transaction's amount to the committed total once, in block order — the
+ordered ledger delivers every transaction exactly once — so any number of
+concurrent votes in one block commit without conflicts and without losing or
+double-counting a single ballot: the built-in-counters behaviour Fabric's
+FAB-10711 proposal sketched but never shipped.  (``actor=`` changes nothing:
+one voter's two votes in one block count twice.)
 
 Run:  python examples/voting.py
 """

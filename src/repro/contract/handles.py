@@ -47,14 +47,15 @@ from ..fabric.chaincode import ShimStub
 class StateCrdtHandle:
     """Base handle over one key holding a state-based CRDT envelope.
 
-    The handle keeps the *view* — the committed state joined with this
+    The handle keeps the *view* — the committed state merged with this
     invocation's mutations, which ``value()`` and the mutators return.  A
-    handle whose kind has δ-mutators (counters, sets) also keeps the join of
-    their deltas, and ships it when the committer merges every CRDT write
-    into the key's committed value (``stub.crdt_deltas``): the committed
-    bytes are those the view would have produced, for a fraction of the
-    envelope.  A vanilla peer stores a CRDT write as it is, so there the
-    view ships.
+    counter handle also keeps the sum of its operations and a set handle the
+    join of its δ-mutators' deltas, and each ships that when the committer
+    merges every CRDT write into the key's committed value
+    (``stub.crdt_deltas``): the committed bytes are those the view would
+    have produced, for a fraction of the envelope.  A vanilla peer stores a
+    CRDT write as it is, so there the view ships — for a counter, the new
+    total.
     """
 
     #: Factory kind name (used in error messages and the factory cache).
@@ -99,7 +100,7 @@ class StateCrdtHandle:
         self._stub.put_crdt(self.key, crdt_to_dict_envelope(crdt))
 
     def _apply(self, delta: StateCRDT) -> None:
-        """Join ``delta`` into the view and into this invocation's delta, and
+        """Merge ``delta`` into the view and into this invocation's delta, and
         buffer the delta (or, on a vanilla channel, the view) as a CRDT write."""
 
         self._view = self._load().merge(delta)
@@ -130,29 +131,23 @@ class CounterHandle(StateCrdtHandle):
     crdt_cls = GCounter
 
     def incr(self, amount: int = 1, actor: Optional[str] = None) -> int:
-        """Increment by ``amount`` under ``actor`` (default: this tx's ID).
+        """Increment by ``amount`` (a non-negative ``int``).
 
-        Returns the locally observed new total.  The committer merges
-        concurrent increments per actor by maximum, so increments under
-        distinct actors all count — which the default actor guarantees.  Two
-        transactions in one block under the *same* explicit actor each carry
-        that actor's committed count plus their own amount, and the maximum
-        keeps one of them: the other increment is lost.  Operation envelopes
-        — a ``+n`` write applied once per ordered transaction, ROADMAP item
-        8(b) — would make a shared actor safe.
+        Returns the locally observed new total.  On a merging channel the
+        write is the operation ``+amount`` alone, which the committer adds
+        to the committed total once, for this transaction, in block order:
+        every increment counts, concurrent ones included, and two
+        transactions under one actor count twice.  ``actor`` is accepted and
+        has no effect on the committed value; a counter keeps no per-actor
+        entries.
         """
 
         if amount < 0:
             raise ChaincodeError(
                 "grow-only counters cannot be decremented; use ctx.crdt.pn_counter"
             )
-        counter = self._load()
-        assert isinstance(counter, GCounter)
-        self._apply(counter.increment_delta(self._actor(actor), amount))
+        self._apply(GCounter(amount))
         return self.value()
-
-    def _actor(self, actor: Optional[str]) -> str:
-        return actor if actor is not None else self._stub.tx_id
 
 
 class PNCounterHandle(StateCrdtHandle):
@@ -168,18 +163,13 @@ class PNCounterHandle(StateCrdtHandle):
         return self.adjust(-amount, actor=actor)
 
     def adjust(self, delta: int, actor: Optional[str] = None) -> int:
-        """Apply a signed delta; returns the locally observed new value.
+        """Add a signed ``int`` delta; returns the locally observed new value.
 
-        Like :meth:`CounterHandle.incr`, adjustments count exactly when their
-        actors differ (the default, this tx's ID, always does); two
-        transactions in one block adjusting under one explicit actor keep
-        only the larger of their P (or N) entries.
+        Like :meth:`CounterHandle.incr`, the write is the operation
+        ``±delta``, added once per transaction whatever ``actor`` says.
         """
 
-        counter = self._load()
-        assert isinstance(counter, PNCounter)
-        chosen = actor if actor is not None else self._stub.tx_id
-        self._apply(counter.increment_delta(chosen, delta))
+        self._apply(PNCounter(delta))
         return self.value()
 
     def initialize(self, value: int, actor: str = "mint") -> int:
@@ -187,10 +177,11 @@ class PNCounterHandle(StateCrdtHandle):
 
         Unlike :meth:`adjust`, the envelope goes through ``put_state``, so
         two transactions racing to create the same key conflict instead of
-        merging — the right semantics for account creation.
+        merging — the right semantics for account creation.  ``actor`` is
+        accepted and ignored, as in :meth:`adjust`.
         """
 
-        counter = PNCounter().increment(actor, value)
+        counter = PNCounter(value)
         # The genesis state is this invocation's delta too: a later adjust
         # turns the write into a merged one, which must still carry it.
         self._view = self._delta = counter

@@ -23,7 +23,12 @@ from ..common.errors import MergeTypeError, UnsupportedValueError
 from ..common.serialization import from_bytes, to_bytes
 from ..crdt.base import StateCRDT
 from ..crdt.json import JsonDocument, MergeOptions, merge_json
-from ..crdt.registry import crdt_from_dict_envelope, crdt_to_dict_envelope, is_dict_envelope
+from ..crdt.registry import (
+    crdt_from_dict_envelope,
+    crdt_to_dict_envelope,
+    crdt_type_of,
+    is_dict_envelope,
+)
 
 
 def merge_options(config: CRDTConfig) -> MergeOptions:
@@ -55,9 +60,9 @@ class MergedKey:
     def to_committed_bytes(self) -> bytes:
         """Final value bytes to substitute into write-sets (Algorithm 1,
         lines 20–21): a JSON CRDT commits its plain JSON, which the document
-        already holds; state CRDTs keep their envelope (their metadata *is*
-        the value — a counter without its per-actor entries cannot merge
-        again)."""
+        already holds; state CRDTs keep their envelope, which the next block
+        seeds from (a counter's holds its total, a set's its tags and
+        tombstones)."""
 
         if self.document is not None:
             return self.document.to_bytes()
@@ -70,12 +75,13 @@ def init_empty_crdt(key: str, value: object, actor: str = "") -> MergedKey:
 
     ``actor`` is accepted and ignored: the committed value is a function of
     the merged values alone, the same on every peer, so no clock actor is
-    needed to make it byte-identical network-wide.
+    needed to make it byte-identical network-wide.  An envelope's type comes
+    from its tag (:func:`crdt_type_of`, which refuses an unknown one); its
+    state is decoded once, by the merge that follows.
     """
 
     if is_dict_envelope(value):
-        empty = type(crdt_from_dict_envelope(value))()  # same type, empty state
-        return MergedKey(key=key, state_crdt=empty)
+        return MergedKey(key=key, state_crdt=crdt_type_of(value)())  # empty state
     if isinstance(value, dict):
         return MergedKey(key=key, document=JsonDocument())
     raise UnsupportedValueError(

@@ -1,6 +1,7 @@
-"""CRDT library: the state-based types a ``ctx.crdt`` handle writes (G-Counter,
-PN-Counter, OR-Set, LWW-Register, and the RGA-backed text document), their
-envelope codec, and the JSON CRDT merge engine."""
+"""CRDT library: the types a ``ctx.crdt`` handle writes (the operation-based
+G-Counter and PN-Counter, and the state-based OR-Set, LWW-Register and
+RGA-backed text document), their envelope codec, and the JSON CRDT merge
+engine."""
 
 from .base import StateCRDT
 from .gcounter import GCounter

@@ -3,10 +3,13 @@
 A state-based CRDT (:class:`StateCRDT`, the paper's background, §2.2)
 replicates by exchanging whole states and ``merge``-ing them; merge must be
 commutative, associative, and idempotent — i.e. a join-semilattice.  The
-property-based tests in ``tests/crdt/test_merge_laws.py`` check these laws
-for every concrete type.  The JSON CRDT (:mod:`repro.crdt.json`) is the other
-kind the paper uses: every peer merges the same ordered block into it, so it
-exchanges nothing and needs no interface here.
+counters are the exception: the ordered ledger merges each write exactly
+once, so their merge adds (commutative and associative with identity 0, not
+idempotent — see :mod:`repro.crdt.gcounter`).  The property-based tests in
+``tests/crdt/test_merge_laws.py`` check these laws for every concrete type.
+The JSON CRDT (:mod:`repro.crdt.json`) is the other kind the paper uses:
+every peer merges the same ordered block into it, so it exchanges nothing
+and needs no interface here.
 
 Every CRDT serializes to and from a JSON payload (``to_dict`` /
 ``from_dict``); :mod:`repro.crdt.registry` wraps the payload in the one
@@ -30,7 +33,8 @@ class StateCRDT:
     type_name: str = "state-crdt"
 
     def merge(self: S, other: S) -> S:
-        """Return the least upper bound of ``self`` and ``other``.
+        """Return the least upper bound of ``self`` and ``other`` (for a
+        counter, their sum).
 
         Must not mutate either operand.
         """

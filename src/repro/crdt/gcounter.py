@@ -1,9 +1,17 @@
-"""Grow-only counter (G-Counter).
+"""Grow-only counter (G-Counter), operation-based on the ordered ledger.
 
-The paper's §2.2 walk-through example: one entry per actor, increments only;
-merge takes the per-actor maximum; the value is the sum.  An increment is
-written once, as a δ-mutator (Almeida et al., delta-state CRDTs): the delta
-is the actor's new entry, and the full mutator merges it in.
+The paper's §2.2 walk-through counter is state-based: one entry per actor,
+merged by per-actor maximum, so that a replica may receive the same state
+twice.  A FabricCRDT peer receives every transaction exactly once and in one
+total order — the hash chain and the duplicate-TxID check see to that — which
+is the delivery an operation-based counter needs (Almeida et al.).  So a
+counter's state is one integer total, a write carries its transaction's
+amount as a counter of its own, and ``merge`` adds.
+
+Idempotence moves from the merge into the ledger: ``merge`` is commutative
+and associative with identity ``0`` (a commutative monoid, not a
+join-semilattice), and each written amount must be merged exactly once — the
+committer merges one per VALID transaction, in block order.
 """
 
 from __future__ import annotations
@@ -11,62 +19,53 @@ from __future__ import annotations
 from .base import StateCRDT
 
 
-class GCounter(StateCRDT):
-    """State-based grow-only counter."""
+class Counter(StateCRDT):
+    """Operation-based counter: one integer total, merged by addition."""
+
+    #: True if an amount may be negative (a PN-Counter's may).
+    signed = False
+
+    __slots__ = ("_total",)
+
+    def __init__(self, total: int = 0) -> None:
+        self._total = self._amount(total)
+
+    @classmethod
+    def _amount(cls, amount: object) -> int:
+        # Exactly int: a float would be truncated and a bool counted, and
+        # either would make replicas disagree on what they added.
+        if type(amount) is not int or (amount < 0 and not cls.signed):
+            sign = "an" if cls.signed else "a non-negative"
+            raise ValueError(f"{cls.type_name} amount must be {sign} int: {amount!r:.80}")
+        return amount
+
+    def increment(self, amount: int = 1) -> "Counter":
+        """Return a new counter holding this total plus ``amount``."""
+
+        return self.merge(type(self)(amount))
+
+    def merge(self, other: "Counter") -> "Counter":
+        """Add ``other``'s total: applies the operation ``other`` carries."""
+
+        self._require_same_type(other)
+        return type(self)(self._total + other._total)
+
+    def value(self) -> int:
+        return self._total
+
+    def to_dict(self) -> dict:
+        return {"total": self._total}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "Counter":
+        if payload.keys() != {"total"}:
+            raise ValueError(f"{cls.type_name} state holds exactly a total: {payload!r:.80}")
+        return cls(payload["total"])
+
+
+class GCounter(Counter):
+    """Grow-only counter: every amount is a non-negative ``int``."""
 
     type_name = "g-counter"
 
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: dict[str, int] | None = None) -> None:
-        self._entries: dict[str, int] = {}
-        for actor, count in (entries or {}).items():
-            # Exactly int: a float would be truncated and a bool counted, and
-            # either would make replicas disagree on what they merged.
-            if type(count) is not int or count < 0:
-                raise ValueError(f"count for {actor!r} must be a non-negative int: {count!r}")
-            if count:
-                self._entries[actor] = count
-
-    def increment(self, actor: str, amount: int = 1) -> "GCounter":
-        """Return a new counter with ``actor`` incremented by ``amount``."""
-
-        return self.merge(self.increment_delta(actor, amount))
-
-    def increment_delta(self, actor: str, amount: int = 1) -> "GCounter":
-        """δ-mutator of :meth:`increment`: a counter holding only ``actor``'s
-        new entry, which :meth:`increment` merges into this counter."""
-
-        if amount < 0:
-            raise ValueError("G-Counter cannot decrement; use PNCounter")
-        return GCounter({actor: self._entries.get(actor, 0) + amount})
-
-    def actor_count(self, actor: str) -> int:
-        return self._entries.get(actor, 0)
-
-    def merge(self, other: "GCounter") -> "GCounter":
-        self._require_same_type(other)
-        merged = dict(self._entries)
-        for actor, count in other._entries.items():
-            if count > merged.get(actor, 0):
-                merged[actor] = count
-        return self._trusted(merged)
-
-    @classmethod
-    def _trusted(cls, entries: dict[str, int]) -> "GCounter":
-        """Wrap entries taken from counters that ``__init__`` already checked
-        (positive ``int`` counts); the dict is adopted, not copied."""
-
-        counter = cls.__new__(cls)
-        counter._entries = entries
-        return counter
-
-    def value(self) -> int:
-        return sum(self._entries.values())
-
-    def to_dict(self) -> dict:
-        return {"entries": dict(sorted(self._entries.items()))}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "GCounter":
-        return cls(dict(payload["entries"]))
+    __slots__ = ()

@@ -50,14 +50,12 @@ def crdt_to_dict_envelope(value: StateCRDT) -> dict:
     return {ENVELOPE_MARKER: ENVELOPE_VERSION, "crdt": value.type_name, "state": value.to_dict()}
 
 
-def crdt_from_dict_envelope(envelope: dict) -> StateCRDT:
-    """The state CRDT an envelope holds.
+def crdt_type_of(envelope: dict) -> type[StateCRDT]:
+    """The class of the state CRDT an envelope holds, from its ``crdt`` tag
+    alone: the ``state`` is not decoded.
 
-    Raises :class:`MergeTypeError` for anything that is not a well-formed
-    envelope of a type in :data:`CRDT_TYPES` — a committer decodes envelopes
-    straight from client write-sets, so a malformed ``state`` must be refused
-    like any other bad payload, never escape as a ``KeyError`` or
-    ``TypeError``.
+    Raises :class:`MergeTypeError` for anything that is not an envelope of
+    this version naming a type in :data:`CRDT_TYPES`.
     """
 
     if not is_dict_envelope(envelope):
@@ -68,9 +66,23 @@ def crdt_from_dict_envelope(envelope: dict) -> StateCRDT:
     cls = CRDT_TYPES.get(type_name) if isinstance(type_name, str) else None
     if cls is None:
         raise MergeTypeError(f"unknown CRDT type: {type_name!r:.120}")
+    return cls
+
+
+def crdt_from_dict_envelope(envelope: dict) -> StateCRDT:
+    """The state CRDT an envelope holds.
+
+    Raises :class:`MergeTypeError` for anything that is not a well-formed
+    envelope of a type in :data:`CRDT_TYPES` — a committer decodes envelopes
+    straight from client write-sets, so a malformed ``state`` must be refused
+    like any other bad payload, never escape as a ``KeyError`` or
+    ``TypeError``.
+    """
+
+    cls = crdt_type_of(envelope)
     try:
         return cls.from_dict(envelope["state"])
     except CRDTError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, AttributeError, SerializationError) as exc:
-        raise MergeTypeError(f"malformed {type_name} state: {exc!r:.120}") from exc
+        raise MergeTypeError(f"malformed {cls.type_name} state: {exc!r:.120}") from exc

@@ -120,7 +120,7 @@ class TestStubLevel:
 
         db = MemoryStore()
         db.apply_write(
-            "k", to_bytes(crdt_to_dict_envelope(GCounter().increment("a"))), Version(0, 0)
+            "k", to_bytes(crdt_to_dict_envelope(GCounter(1))), Version(0, 0)
         )
         ctx = HandleContract().new_context(ShimStub(db, "tx1"))
         with pytest.raises(ChaincodeError, match="holds a 'g-counter'"):
@@ -248,19 +248,18 @@ class TestDeltaWrites:
         return crdt_from_dict_envelope(from_bytes(write.value))
 
     def test_counter_writes_one_entry_when_the_committer_merges(self):
-        committed = GCounter({"a": 4, "b": 2, "c": 1})
-        stub = ShimStub(self._seeded(committed), "tx1", crdt_deltas=True)
+        # The one entry is the invocation's amount: the sum of its increments.
+        stub = ShimStub(self._seeded(GCounter(7)), "tx1", crdt_deltas=True)
         handle = HandleContract().new_context(stub).crdt.counter("k")
         assert handle.incr(2, actor="a") == 9
-        assert handle.incr(1, actor="a") == 10
-        assert self._written(stub).to_dict() == {"entries": {"a": 7}}
+        assert handle.incr(1, actor="b") == 10
+        assert self._written(stub).to_dict() == {"total": 3}
 
     def test_bare_stub_writes_the_whole_view(self):
-        committed = GCounter({"a": 4, "b": 2, "c": 1})
-        stub = ShimStub(self._seeded(committed), "tx1")
+        stub = ShimStub(self._seeded(GCounter(7)), "tx1")
         assert stub.crdt_deltas is False
         HandleContract().new_context(stub).crdt.counter("k").incr(2, actor="a")
-        assert self._written(stub) == GCounter({"a": 6, "b": 2, "c": 1})
+        assert self._written(stub) == GCounter(9)
 
     def test_an_adjust_after_initialize_still_carries_the_genesis_state(self):
         stub = ShimStub(MemoryStore(), "tx1", crdt_deltas=True)
@@ -278,9 +277,9 @@ class TestDeltaWrites:
         assert tx.commit_status().succeeded
         ledger = local_network.ledger_of(0)
         (write,) = ledger.block_at(tx.commit_status().block_num).block.transactions[0].rwset.writes
-        assert from_bytes(write.value)["state"] == {"entries": {"v4": 1}}
+        assert from_bytes(write.value)["state"] == {"total": 1}
         assert crdt_from_dict_envelope(local_network.state_of("votes")).to_dict() == {
-            "entries": {"v1": 1, "v2": 1, "v3": 1, "v4": 1}
+            "total": 4
         }
 
 
@@ -314,12 +313,13 @@ class TestVanillaChannel:
 
 
 class TestSharedActor:
-    """The per-actor maximum keeps one of two same-actor increments in a block."""
+    """An increment is an operation the committer adds once per transaction,
+    so two same-actor increments in one block both count."""
 
-    def test_two_increments_under_one_explicit_actor_in_one_block_count_once(
+    def test_two_increments_under_one_explicit_actor_in_one_block_count_twice(
         self, contract
     ):
         txs = [contract.submit_async("bump", "shared", "1", "shared") for _ in range(2)]
         assert all(tx.commit_status().succeeded for tx in txs)
         assert txs[0].commit_status().block_num == txs[1].commit_status().block_num
-        assert contract.evaluate("counter_value", "shared")["value"] == 1
+        assert contract.evaluate("counter_value", "shared")["value"] == 2

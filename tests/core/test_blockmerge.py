@@ -1,21 +1,29 @@
 """Unit tests for Algorithm 1 (ValidateMergeBlock)."""
 
+from itertools import permutations, product
+
 import pytest
 
 from repro.common.config import CRDTConfig
 from repro.common.serialization import from_bytes, to_bytes
 from repro.common.types import ReadItem, ReadWriteSet, ValidationCode, Version, WriteItem
+from repro.contract import Contract
 from repro.core.blockmerge import validate_merge_block
+from repro.core.peer import CRDTPeer
+from repro.crdt import GCounter, PNCounter
 from repro.crdt.json import MAX_NESTING_DEPTH
+from repro.crdt.registry import crdt_to_dict_envelope
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block
+from repro.fabric.chaincode import ShimStub
 from repro.fabric.events import statuses_from_block
-from repro.fabric.store import MemoryStore
+from repro.fabric.identity import MembershipRegistry
+from repro.fabric.store import MemoryStore, SqliteStore
 
-from ..fabric.helpers import build_peer, endorsed_tx, write_rwset
+from ..fabric.helpers import build_peer, endorsed_tx, seed_block, seed_state, write_rwset
 
 
 #: A well-formed G-Counter envelope, as a handle writes it.
-A_COUNTER = {"$fabriccrdt": 1, "crdt": "g-counter", "state": {"entries": {"a": 1}}}
+A_COUNTER = {"$fabriccrdt": 1, "crdt": "g-counter", "state": {"total": 1}}
 
 
 def crdt_tx(peer, nonce, key, value, reads=()):
@@ -159,8 +167,6 @@ class TestDeterminism:
         re-running Algorithm 1 on the stored block regenerates exactly the
         effective writes the peer applied."""
 
-        from repro.core.peer import CRDTPeer
-
         peer = build_peer(peer_cls=CRDTPeer)
         txs = [crdt_tx(peer, i, "k", {"l": [str(i)]}) for i in range(4)]
         block = build_block(peer, txs)
@@ -238,14 +244,9 @@ class TestBadPayloads:
         self.assert_refused_then_next_merges({"$fabriccrdt": 1, "crdt": type_name, "state": state})
 
     def test_kind_mix_on_one_key_rejected(self):
-        from repro.crdt import GCounter
-        from repro.crdt.registry import crdt_to_dict_envelope
-
         peer = build_peer()
         json_tx = crdt_tx(peer, 1, "k", {"l": ["x"]})
-        envelope_tx = crdt_tx(
-            peer, 2, "k", crdt_to_dict_envelope(GCounter().increment("a"))
-        )
+        envelope_tx = crdt_tx(peer, 2, "k", crdt_to_dict_envelope(GCounter(1)))
         _, plan = run_algorithm1(peer, [json_tx, envelope_tx])
         assert plan.skip_mvcc == frozenset({0})
         assert plan.forced_codes == {1: ValidationCode.BAD_PAYLOAD}
@@ -313,11 +314,8 @@ class TestBadPayloads:
         same transaction would create — and a rejected transaction's kind
         does not stick to the key for the rest of the block."""
 
-        from repro.crdt import GCounter
-        from repro.crdt.registry import crdt_to_dict_envelope
-
         peer = build_peer()
-        counter = crdt_to_dict_envelope(GCounter().increment("a"))
+        counter = crdt_to_dict_envelope(GCounter(1))
         bad = self.two_key_tx(peer, 1, ("k", {"l": ["LEAK"]}), ("k", counter))
         good = crdt_tx(peer, 2, "k", counter)
         _, plan = run_algorithm1(peer, [bad, good])
@@ -326,16 +324,12 @@ class TestBadPayloads:
         assert from_bytes(plan.replacement_writes[1][0].value) == counter
 
     def test_second_key_of_another_counter_type_leaves_the_first_unmerged(self):
-        from repro.crdt import GCounter, PNCounter
-        from repro.crdt.registry import crdt_to_dict_envelope
-
         peer = build_peer()
-        one = crdt_to_dict_envelope(GCounter().increment("a"))
-        other = crdt_to_dict_envelope(PNCounter().increment("z"))
+        one = crdt_to_dict_envelope(GCounter(1))
+        other = crdt_to_dict_envelope(PNCounter(-1))
         good = self.two_key_tx(peer, 1, ("g", one), ("p", other))
-        bad = self.two_key_tx(
-            peer, 2, ("g", crdt_to_dict_envelope(GCounter().increment("LEAK"))), ("p", one)
-        )
+        leak = crdt_to_dict_envelope(GCounter(1000))
+        bad = self.two_key_tx(peer, 2, ("g", leak), ("p", one))
         _, plan = run_algorithm1(peer, [good, bad])
         assert plan.forced_codes == {1: ValidationCode.BAD_PAYLOAD}
         assert from_bytes(plan.replacement_writes[0][0].value) == one
@@ -347,7 +341,6 @@ class TestBadPayloads:
 
         from repro.common.clock import LamportTimestamp
         from repro.crdt import HEAD, RGA, TextDocument
-        from repro.crdt.registry import crdt_to_dict_envelope
 
         assert kind == "text"  # the one accepted type whose merge can refuse
         one = LamportTimestamp(1, "a")  # one element id with two contents
@@ -396,13 +389,10 @@ class TestBadPayloads:
         assert plan.work["merge_docs"] == 1
 
     def test_one_transaction_writing_a_state_key_twice_merges_both(self):
-        from repro.crdt import GCounter
-        from repro.crdt.registry import crdt_to_dict_envelope
-
         peer = build_peer()
-        a, b = (crdt_to_dict_envelope(GCounter().increment(actor, 2)) for actor in "ab")
+        a, b = (crdt_to_dict_envelope(GCounter(amount)) for amount in (2, 3))
         _, plan = run_algorithm1(peer, [self.two_key_tx(peer, 1, ("k", a), ("k", b))])
-        merged = crdt_to_dict_envelope(GCounter().increment("a", 2).increment("b", 2))
+        merged = crdt_to_dict_envelope(GCounter(5))
         assert from_bytes(plan.replacement_writes[0][0].value) == merged
         assert plan.work["merge_ops"] == 2
 
@@ -416,31 +406,59 @@ class TestBadPayloads:
         assert plan.forced_codes == {0: ValidationCode.BAD_PAYLOAD}
         assert from_bytes(plan.replacement_writes[1][0].value) == {"ok": "kept"}
 
-    @pytest.mark.parametrize(
-        "state", [{"entries": {"a": -1}}, {"a": "x"}, [1, 2], {"entries": {"a": 1.5}}]
-    )
+    @pytest.mark.parametrize("state", [{"total": -1}, {"a": "x"}, [1, 2], {"total": 1.5}])
     def test_malformed_counter_between_good_votes_is_refused_not_a_crash(self, state):
         """Every registered decoder used to raise KeyError/TypeError/ValueError
         on a malformed ``state``: one crafted vote stopped every committer."""
 
-        from repro.core.peer import CRDTPeer
-        from repro.crdt import GCounter
-        from repro.crdt.registry import crdt_to_dict_envelope
-
         peer = build_peer(peer_cls=CRDTPeer)
-        votes = [crdt_to_dict_envelope(GCounter().increment(voter)) for voter in ("v1", "v2")]
+        votes = [crdt_to_dict_envelope(GCounter(1))] * 2  # +1 each
         crafted = {"$fabriccrdt": 1, "crdt": "g-counter", "state": state}
         txs = [crdt_tx(peer, 1, "votes", votes[0]), crdt_tx(peer, 2, "votes", crafted),
                crdt_tx(peer, 3, "votes", votes[1])]
         block, plan = run_algorithm1(peer, txs)
         assert plan.forced_codes == {1: ValidationCode.BAD_PAYLOAD}
-        tally = crdt_to_dict_envelope(GCounter().increment("v1").increment("v2"))
+        tally = crdt_to_dict_envelope(GCounter(2))
         assert from_bytes(plan.replacement_writes[0][0].value) == tally
         committed = peer.validate_and_commit(block)
         assert [status.code for status in statuses_from_block(committed)] == [
             ValidationCode.VALID, ValidationCode.BAD_PAYLOAD, ValidationCode.VALID,
         ]
         assert from_bytes(peer.ledger.state.get_value("votes")) == tally
+
+    #: Counter writes a committer must refuse, as the raw bytes a client
+    #: could sign: each names a well-formed envelope of a handle's type.
+    MALFORMED_COUNTER_WRITES = {
+        "negative": b'{"$fabriccrdt":1,"crdt":"g-counter","state":{"total":-1}}',
+        "bool": b'{"$fabriccrdt":1,"crdt":"g-counter","state":{"total":true}}',
+        "float": b'{"$fabriccrdt":1,"crdt":"g-counter","state":{"total":1.0}}',
+        "string": b'{"$fabriccrdt":1,"crdt":"g-counter","state":{"total":"1"}}',
+        "missing-total": b'{"$fabriccrdt":1,"crdt":"g-counter","state":{}}',
+        "past-digit-limit": (
+            b'{"$fabriccrdt":1,"crdt":"g-counter","state":{"total":' + b"9" * 5000 + b"}}"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_COUNTER_WRITES))
+    def test_malformed_counter_write_commits_the_block_as_without_it(self, case):
+        crafted = WriteItem("votes", self.MALFORMED_COUNTER_WRITES[case], is_crdt=True)
+
+        def commit(with_crafted: bool) -> tuple:
+            peer = build_peer(peer_cls=CRDTPeer)
+            seed_state(peer, "votes", crdt_to_dict_envelope(GCounter(40)))
+            txs = [crdt_tx(peer, 1, "votes", crdt_to_dict_envelope(GCounter(1)))]
+            if with_crafted:
+                txs.append(endorsed_tx(peer, ReadWriteSet.build(writes=[crafted]), 2))
+            txs.append(crdt_tx(peer, 3, "votes", crdt_to_dict_envelope(GCounter(2))))
+            committed = peer.validate_and_commit(build_block(peer, txs))
+            codes = [status.code for status in statuses_from_block(committed)]
+            return codes, peer.ledger.state.get_value("votes")
+
+        valid, bad = ValidationCode.VALID, ValidationCode.BAD_PAYLOAD
+        codes, committed = commit(with_crafted=True)
+        assert codes == [valid, bad, valid]
+        assert commit(with_crafted=False) == ([valid, valid], committed)
+        assert from_bytes(committed)["state"] == {"total": 43}
 
     @staticmethod
     def nested_bytes(levels: int) -> bytes:
@@ -491,3 +509,108 @@ class TestSeeding:
         _, plan = run_algorithm1(peer, [tx], config=CRDTConfig(seed_from_state=True))
         merged = from_bytes(plan.replacement_writes[0][0].value)
         assert merged == {"l": ["committed", "new"]}
+
+
+class TestCountersAsOperations:
+    """A counter write is its transaction's amount, which the committer adds
+    once per VALID transaction in block order.  Exactly-once comes from the
+    ledger: a resubmitted transaction ID is ``DUPLICATE_TXID``.  Every order
+    and block cutting of concurrent writes commits the same bytes."""
+
+    #: (G-Counter amount, PN-Counter delta, actor) of four transactions
+    #: endorsed against one committed state: two share an explicit actor,
+    #: and one decrements.
+    OPS = ((1, 5, "shared"), (2, -3, "shared"), (3, 4, None), (4, 1, "x"))
+    #: Committed totals of the G-Counter ``hits`` and the PN-Counter ``balance``.
+    HITS, BALANCE = 10, 7
+
+    def _peer(self, membership, store):
+        """A FabricCRDT peer over ``store``, both counters committed."""
+
+        peer = build_peer(membership=membership, peer_cls=CRDTPeer, store=store)
+        seed_block(peer, {
+            "hits": crdt_to_dict_envelope(GCounter(self.HITS)),
+            "balance": crdt_to_dict_envelope(PNCounter(self.BALANCE)),
+        })
+        return peer
+
+    @staticmethod
+    def _endorse(peer, nonce, ops):
+        """The transaction the counter handles write over ``peer``'s state."""
+
+        stub = ShimStub(peer.ledger.state, f"tx{nonce}", crdt_deltas=True)
+        ctx = _Counters().new_context(stub)
+        for amount, delta, actor in ops:
+            ctx.crdt.counter("hits").incr(amount, actor=actor)
+            ctx.crdt.pn_counter("balance").adjust(delta, actor=actor)
+        return endorsed_tx(peer, stub.build_rwset(), nonce)
+
+    @staticmethod
+    def _commit(peer, txs) -> list:
+        committed = peer.apply_prepared(peer.prepare_block(build_block(peer, txs)))
+        return [status.code for status in statuses_from_block(committed)]
+
+    @staticmethod
+    def _state(peer) -> tuple:
+        return tuple(peer.ledger.state.get_value(key) for key in ("hits", "balance"))
+
+    @staticmethod
+    def _totals(state: tuple) -> tuple:
+        return tuple(from_bytes(raw)["state"]["total"] for raw in state)
+
+    @staticmethod
+    def _cuttings(order):
+        """Every way to cut ``order`` into consecutive non-empty blocks."""
+
+        for cuts in product((False, True), repeat=len(order) - 1):
+            blocks = [[order[0]]]
+            for tx, cut in zip(order[1:], cuts):
+                if cut:
+                    blocks.append([])
+                blocks[-1].append(tx)
+            yield blocks
+
+    def test_every_schedule_commits_one_total_on_both_stores(self):
+        membership = MembershipRegistry()
+        endorser = self._peer(membership, MemoryStore())
+        txs = [self._endorse(endorser, nonce, [op]) for nonce, op in enumerate(self.OPS)]
+        finals, schedules = set(), 0
+        for store_cls in (MemoryStore, SqliteStore):
+            for order in permutations(txs):
+                for blocks in self._cuttings(order):
+                    store = store_cls()
+                    peer = self._peer(membership, store)
+                    for block in blocks:
+                        assert set(self._commit(peer, block)) == {ValidationCode.VALID}
+                    finals.add(self._state(peer))
+                    schedules += 1
+                    store.close()
+        assert schedules == 2 * 24 * 8
+        (final,) = finals  # byte-identical across schedules and stores
+        assert self._totals(final) == (self.HITS + 1 + 2 + 3 + 4, self.BALANCE + 5 - 3 + 4 + 1)
+
+    def test_a_resubmitted_transaction_is_a_duplicate_and_adds_nothing(self):
+        peer = self._peer(MembershipRegistry(), MemoryStore())
+        txs = [self._endorse(peer, nonce, [op]) for nonce, op in enumerate(self.OPS)]
+        assert self._commit(peer, txs[:2]) == [ValidationCode.VALID] * 2
+        assert self._commit(peer, [txs[2], txs[0]]) == [
+            ValidationCode.VALID, ValidationCode.DUPLICATE_TXID,
+        ]
+        committed = self._state(peer)
+        assert self._commit(peer, [txs[1]]) == [ValidationCode.DUPLICATE_TXID]
+        assert self._state(peer) == committed
+        assert self._totals(committed) == (self.HITS + 1 + 2 + 3, self.BALANCE + 5 - 3 + 4)
+
+    def test_committed_bytes_do_not_grow_with_the_number_of_actors(self):
+        committed = []
+        for actors in (["one"] * 40, [f"voter-{i}" for i in range(40)]):
+            peer = self._peer(MembershipRegistry(), MemoryStore())
+            txs = [self._endorse(peer, n, [(1, 1, actor)]) for n, actor in enumerate(actors)]
+            assert set(self._commit(peer, txs)) == {ValidationCode.VALID}
+            committed.append(self._state(peer))
+        assert committed[0] == committed[1]
+        assert self._totals(committed[0]) == (self.HITS + 40, self.BALANCE + 40)
+
+
+class _Counters(Contract):
+    name = "counters"

@@ -1,12 +1,15 @@
-"""A block of handle deltas commits what the same block of whole states would.
+"""A block of handle deltas commits what the transactions' whole views imply.
 
 Each transaction runs a handle invocation twice against one non-empty
 committed value: once on a stub that writes deltas (a FabricCRDT peer's) and
 once on a bare stub, which writes the whole view.  The delta block goes
-through Algorithm 1 (``validate_merge_block``); the expected value is the
-full-state rule computed here — the committed state joined with every
-transaction's whole view — and Algorithm 1 on the whole-state block must
-agree with both.
+through Algorithm 1 (``validate_merge_block``); the expected value is
+computed here from the whole views.  For the OR-Set it is the committed state
+joined with every view, and Algorithm 1 on the whole-state block must agree.
+For a counter it is the committed total plus each view's own amount (its
+view minus the committed total): the committer adds every write once, so a
+whole view would count the committed total again — which is why a counter
+handle ships its amount where the committer merges.
 """
 
 from functools import reduce
@@ -33,7 +36,6 @@ class AnyHandles(Contract):
 
 
 actors = st.one_of(st.none(), st.sampled_from(["shared", "a", "b"]))
-counts = st.dictionaries(st.sampled_from(["a", "b", "c", "old"]), st.integers(1, 30), min_size=1)
 elements = st.sampled_from(["x", "y", "z", 7])
 
 
@@ -59,11 +61,11 @@ def _set_tx(ctx, ops):
 def cases(draw):
     kind = draw(st.sampled_from(["counter", "pn", "set"]))
     if kind == "counter":
-        committed = GCounter(draw(counts))
+        committed = GCounter(draw(st.integers(1, 90)))
         op = st.tuples(actors, st.integers(0, 5))
         run = _counter_tx
     elif kind == "pn":
-        committed = PNCounter(GCounter(draw(counts)), GCounter(draw(counts)))
+        committed = PNCounter(draw(st.integers(-90, 90)))
         op = st.tuples(actors, st.integers(-5, 5))
         run = _pn_tx
     else:
@@ -103,21 +105,27 @@ def test_a_block_of_deltas_commits_the_whole_state_bytes(case):
             rwsets.append(stub.build_rwset())
 
     views = [crdt_from_dict_envelope(from_bytes(r.writes[0].value)) for r in whole_rwsets]
-    expected = to_bytes(crdt_to_dict_envelope(reduce(type(committed).merge, views, committed)))
+    if isinstance(committed, ORSet):
+        expected_state = reduce(ORSet.merge, views, committed)
+    else:
+        amounts = [view.value() - committed.value() for view in views]
+        expected_state = type(committed)(committed.value() + sum(amounts))
+    expected = to_bytes(crdt_to_dict_envelope(expected_state))
     assert _commit(peer, delta_rwsets) == expected
-    assert _commit(peer, whole_rwsets) == expected
-    shipped = sum(len(w.value) for r in delta_rwsets for w in r.writes)
-    assert shipped <= sum(len(w.value) for r in whole_rwsets for w in r.writes)
+    if isinstance(committed, ORSet):
+        assert _commit(peer, whole_rwsets) == expected
+    if not isinstance(committed, PNCounter):  # -5 onto 5 writes a shorter 0
+        shipped = sum(len(w.value) for r in delta_rwsets for w in r.writes)
+        assert shipped <= sum(len(w.value) for r in whole_rwsets for w in r.writes)
 
 
 def test_a_vote_over_a_full_grown_counter_ships_one_entry():
     """The perf workload's shape: 250 voters committed, one more vote."""
 
     peer = build_peer()
-    seed_state(peer, "k", crdt_to_dict_envelope(GCounter({f"voter-{i}": 2 for i in range(250)})))
+    seed_state(peer, "k", crdt_to_dict_envelope(GCounter(500)))  # two votes each
     stub = ShimStub(peer.ledger.state, "tx", crdt_deltas=True)
     AnyHandles().new_context(stub).crdt.counter("k").incr(actor="voter-9")
     (write,) = stub.build_rwset().writes
-    assert from_bytes(write.value)["state"] == {"entries": {"voter-9": 3}}
-    merged = from_bytes(_commit(peer, [stub.build_rwset()]))["state"]["entries"]
-    assert merged["voter-9"] == 3 and sum(merged.values()) == 501
+    assert from_bytes(write.value)["state"] == {"total": 1}
+    assert from_bytes(_commit(peer, [stub.build_rwset()]))["state"] == {"total": 501}

@@ -70,13 +70,18 @@ class TestVotingEndToEnd:
         tally = voting.evaluate("tally", "poll")
         assert tally == {"yes": 12}
 
-    def test_same_voter_repeated_votes_count_via_actor_entries(self):
+    def test_same_voter_repeated_votes_all_count(self):
+        # A vote is a +1 operation whatever the voter: repeats count, in
+        # separate blocks and in one.
         network, voting = self._network()
         for _ in range(3):
             voting.submit_async("vote", "poll", "yes", "alice")
             network.flush()
+        for _ in range(2):
+            voting.submit_async("vote", "poll", "yes", "alice")
+        network.flush()
         tally = voting.evaluate("tally", "poll")
-        assert tally == {"yes": 3}
+        assert tally == {"yes": 5}
 
     def test_all_peers_agree_on_tally(self):
         network, voting = self._network()

@@ -28,7 +28,7 @@ from repro.workload.iot import encode_call
 
 class TestRecognition:
     def test_new_envelopes_carry_the_marker(self):
-        envelope = crdt_to_dict_envelope(GCounter().increment("a"))
+        envelope = crdt_to_dict_envelope(GCounter(1))
         assert envelope[ENVELOPE_MARKER] == 1
         assert is_dict_envelope(envelope)
 
@@ -46,7 +46,7 @@ class TestRecognition:
         assert not is_dict_envelope({"crdt": {"nested": 1}, "state": 2})
 
     def test_markerless_envelope_is_plain_data(self):
-        markerless = {"crdt": "g-counter", "state": GCounter().increment("a", 3).to_dict()}
+        markerless = {"crdt": "g-counter", "state": GCounter(3).to_dict()}
         assert not is_dict_envelope(markerless)
         with pytest.raises(MergeTypeError):
             crdt_from_dict_envelope(markerless)
@@ -56,7 +56,7 @@ class TestRecognition:
         assert not is_dict_envelope({"crdt": "g-counter", "state": {}, "extra": 1})
 
     def test_marked_envelope_with_unknown_version_rejected(self):
-        bad = {ENVELOPE_MARKER: 99, "crdt": "g-counter", "state": {"entries": {}}}
+        bad = {ENVELOPE_MARKER: 99, "crdt": "g-counter", "state": {"total": 0}}
         assert is_dict_envelope(bad)
         with pytest.raises(MergeTypeError, match="version"):
             crdt_from_dict_envelope(bad)
@@ -87,11 +87,11 @@ class TestEndToEnd:
 
         contract = Gateway.connect(crdt_net).get_contract("iot")
         contract.submit("populate", json.dumps({"keys": ["dev"]}))
-        markerless = {"crdt": "g-counter", "state": GCounter().increment("a", 3).to_dict()}
+        markerless = {"crdt": "g-counter", "state": GCounter(3).to_dict()}
         call = encode_call(read_keys=["dev"], write_keys=["dev"], payload=markerless, crdt=True)
         status = contract.submit_async("record", call).commit_status()
         assert status.succeeded, status.code
         committed = crdt_net.state_of("dev")
         assert ENVELOPE_MARKER not in committed
         assert committed["crdt"] == "g-counter"
-        assert committed["state"] == {"entries": {"a": "3"}}  # a JSON leaf, stringified
+        assert committed["state"] == {"total": "3"}  # a JSON leaf, stringified

@@ -27,10 +27,27 @@ class TestKindDetection:
         assert merged.document is not None
 
     def test_init_envelope_kind_starts_empty(self):
-        envelope = crdt_to_dict_envelope(GCounter().increment("a", 5))
+        envelope = crdt_to_dict_envelope(GCounter(5))
         merged = init_empty_crdt("k", envelope, actor="b0")
         assert merged.kind == "state"
         assert merged.state_crdt.value() == 0  # InitEmptyCRDT: empty, not 5
+
+    def test_init_reads_the_type_tag_without_decoding_the_state(self):
+        # The state is decoded once, by the merge that follows.
+        envelope = {"$fabriccrdt": 1, "crdt": "or-set", "state": "not decoded here"}
+        assert type(init_empty_crdt("k", envelope, "probe").state_crdt) is ORSet
+
+    @pytest.mark.parametrize(
+        "envelope",
+        [
+            {"$fabriccrdt": 1, "crdt": "no-such-type", "state": {}},
+            {"$fabriccrdt": 1, "crdt": ["g-counter"], "state": {}},
+            {"$fabriccrdt": 2, "crdt": "g-counter", "state": {"total": 1}},
+        ],
+    )
+    def test_init_refuses_an_envelope_it_cannot_type(self, envelope):
+        with pytest.raises(MergeTypeError):
+            init_empty_crdt("k", envelope, "probe")
 
     def test_init_scalar_rejected(self):
         with pytest.raises(UnsupportedValueError):
@@ -48,13 +65,21 @@ class TestMergeCRDT:
         assert applied_first == applied_second == 2  # assign-container l + one insert
 
     def test_envelope_values_merge_lattice(self):
-        envelope_a = crdt_to_dict_envelope(GCounter().increment("a", 2))
-        envelope_b = crdt_to_dict_envelope(GCounter().increment("b", 3))
+        envelope_a = crdt_to_dict_envelope(ORSet().add("x", "t1"))
+        envelope_b = crdt_to_dict_envelope(ORSet().add("y", "t2"))
         merged = init_empty_crdt("k", envelope_a, actor="b0")
         config = CRDTConfig()
         assert merge_crdt(merged, envelope_a, config) == 0  # no JSON operation
         merge_crdt(merged, envelope_b, config)
-        assert merged.state_crdt.value() == 5
+        merge_crdt(merged, envelope_a, config)  # a join: a repeat changes nothing
+        assert sorted(merged.state_crdt.value()) == ["x", "y"]
+
+    def test_counter_envelopes_add(self):
+        merged = init_empty_crdt("k", crdt_to_dict_envelope(GCounter(2)), actor="b0")
+        for amount in (2, 3, 2):
+            merge_crdt(merged, crdt_to_dict_envelope(GCounter(amount)), CRDTConfig())
+        assert merged.state_crdt.value() == 7
+        assert from_bytes(merged.to_committed_bytes())["state"] == {"total": 7}
 
     def test_kind_mismatch_raises(self):
         merged = init_empty_crdt("k", {"l": []}, actor="b0")
@@ -88,7 +113,7 @@ class TestCommittedBytes:
         assert "crdt" not in committed  # metadata stripped
 
     def test_envelope_commits_envelope(self):
-        envelope = crdt_to_dict_envelope(GCounter().increment("a", 1))
+        envelope = crdt_to_dict_envelope(GCounter(1))
         merged = init_empty_crdt("k", envelope, actor="b0")
         merge_crdt(merged, envelope, CRDTConfig())
         committed = from_bytes(merged.to_committed_bytes())

@@ -1,4 +1,5 @@
-"""δ-mutator laws for the state CRDTs whose handles ship deltas.
+"""δ-mutator laws for the OR-Set, whose handle ships deltas, and the
+operation laws for the counters, whose handles ship their amounts.
 
 A δ-mutator returns only what a mutation changed (Almeida et al., delta-state
 CRDTs).  For a committed state S, a mutation sequence m applied δ-mutator by
@@ -24,10 +25,6 @@ from repro.crdt.gcounter import GCounter
 from repro.crdt.orset import ORSet
 from repro.crdt.pncounter import PNCounter
 
-actors = st.sampled_from(["a", "b", "c", "d"])
-counts = st.dictionaries(actors, st.integers(min_value=0, max_value=40))
-increments = st.lists(st.tuples(actors, st.integers(min_value=0, max_value=9)), max_size=8)
-adjustments = st.lists(st.tuples(actors, st.integers(min_value=-9, max_value=9)), max_size=8)
 elements = st.sampled_from(["x", "y", 3, None, ["l"], {"m": 1}])
 set_ops = st.lists(st.tuples(st.booleans(), elements), max_size=8)
 
@@ -56,68 +53,61 @@ def _check_laws(committed, later, mutations, delta_of, reference):
     assert _bytes(later.merge(delta)) == _bytes(later.merge(full))
 
 
-# -- G-Counter ----------------------------------------------------------------
+# -- counters: operations, not δ-mutators -------------------------------------
+#
+# A counter handle ships the sum of its increments, and the committer adds it
+# once per transaction.  The laws are the monoid's: ``S ⊕ δ == m(S)``, and a
+# later committed total S′ gains exactly the invocation's amount — not
+# ``S′ ⊕ m(S)``, which would count S twice.
 
 
-def _gcounter_rule(state: GCounter, mutations) -> dict:
-    entries = dict(state.to_dict()["entries"])
-    for actor, amount in mutations:
-        entries[actor] = entries.get(actor, 0) + amount
-    return {"entries": {actor: n for actor, n in entries.items() if n}}
+def _counter_rule(state, amounts) -> dict:
+    return {"total": state.to_dict()["total"] + sum(amounts)}
+
+
+def _check_counter_laws(committed, later, amounts):
+    cls = type(committed)
+    mutated, delta = _run(committed, amounts, lambda _state, amount: cls(amount))
+    expected = to_bytes(_counter_rule(committed, amounts))
+    assert _bytes(committed.merge(delta)) == expected
+    assert _bytes(mutated) == expected
+    assert _bytes(later.merge(delta)) == to_bytes(_counter_rule(later, amounts))
+
+
+totals = st.integers(min_value=0, max_value=400)
+increments = st.lists(st.integers(min_value=0, max_value=9), max_size=8)
+adjustments = st.lists(st.integers(min_value=-9, max_value=9), max_size=8)
 
 
 @settings(max_examples=80, deadline=None)
-@given(committed=counts, mutations=increments, extra=increments)
+@given(committed=totals, mutations=increments, extra=increments)
 def test_gcounter_increment_delta_laws(committed, mutations, extra):
     state = GCounter(committed)
-    later = GCounter.from_dict(_gcounter_rule(state, extra))
-    _check_laws(
-        state, later, mutations, lambda s, m: s.increment_delta(*m), _gcounter_rule
-    )
+    later = GCounter.from_dict(_counter_rule(state, extra))
+    _check_counter_laws(state, later, mutations)
 
 
-def test_gcounter_delta_is_the_actors_new_entry():
-    state = GCounter({f"voter-{i}": 1 for i in range(250)})
-    assert state.increment_delta("voter-7", 2).to_dict() == {"entries": {"voter-7": 3}}
-
-
-# -- PN-Counter ---------------------------------------------------------------
-
-
-def _pncounter_rule(state: PNCounter, mutations) -> dict:
-    payload = state.to_dict()
-    halves = {"p": dict(payload["p"]["entries"]), "n": dict(payload["n"]["entries"])}
-    for actor, amount in mutations:
-        half = halves["p"] if amount >= 0 else halves["n"]
-        half[actor] = half.get(actor, 0) + abs(amount)
-    return {
-        side: {"entries": {actor: n for actor, n in entries.items() if n}}
-        for side, entries in halves.items()
-    }
+def test_gcounter_delta_is_the_amount():
+    # Whatever the committed total (250 voters, two votes each), a vote's
+    # operation is +1: it does not grow with the number of voters.
+    state = GCounter(500)
+    assert state.increment(1) == state.merge(GCounter(1))
+    assert GCounter(1).to_dict() == {"total": 1}
 
 
 @settings(max_examples=80, deadline=None)
-@given(p=counts, n=counts, mutations=adjustments, extra=adjustments)
-def test_pncounter_delta_laws(p, n, mutations, extra):
-    state = PNCounter(GCounter(p), GCounter(n))
-    later = PNCounter.from_dict(_pncounter_rule(state, extra))
-
-    def delta_of(s, mutation):
-        actor, amount = mutation
-        return s.increment_delta(actor, amount) if amount >= 0 else (
-            s.decrement_delta(actor, -amount)
-        )
-
-    _check_laws(state, later, mutations, delta_of, _pncounter_rule)
+@given(committed=st.integers(-400, 400), mutations=adjustments, extra=adjustments)
+def test_pncounter_delta_laws(committed, mutations, extra):
+    state = PNCounter(committed)
+    later = PNCounter.from_dict(_counter_rule(state, extra))
+    _check_counter_laws(state, later, mutations)
 
 
 def test_pncounter_delta_is_one_entry():
-    state = PNCounter(GCounter({"a": 5, "b": 1}), GCounter({"a": 2}))
-    assert state.decrement_delta("a", 1).to_dict() == {
-        "p": {"entries": {}},
-        "n": {"entries": {"a": 3}},
-    }
-    assert state.increment_delta("b", -4) == state.decrement_delta("b", 4)
+    state = PNCounter(4)
+    assert state.decrement(1) == state.merge(PNCounter(-1))
+    assert PNCounter(-1).to_dict() == {"total": -1}
+    assert state.increment(-4) == state.decrement(4)
 
 
 # -- OR-Set -------------------------------------------------------------------

@@ -34,9 +34,8 @@ class TestEnvelopes:
             assert type(restored) is cls, type_name
 
     def test_envelope_shape(self):
-        envelope = crdt_to_dict_envelope(GCounter().increment("a", 2))
-        assert envelope["crdt"] == "g-counter"
-        assert "state" in envelope
+        envelope = crdt_to_dict_envelope(GCounter().increment(2))
+        assert envelope == {"$fabriccrdt": 1, "crdt": "g-counter", "state": {"total": 2}}
 
     def test_unknown_type_rejected(self):
         with pytest.raises(MergeTypeError):
@@ -49,8 +48,8 @@ class TestEnvelopes:
 
 class TestMergeEnvelopes:
     def test_merges_same_type(self):
-        left = envelope_roundtrip(GCounter().increment("a", 1))
-        right = envelope_roundtrip(GCounter().increment("b", 2))
+        left = envelope_roundtrip(GCounter().increment(1))
+        right = envelope_roundtrip(GCounter().increment(2))
         assert left.merge(right).value() == 3
 
     def test_mismatched_types_rejected(self):
@@ -99,7 +98,11 @@ def test_an_arbitrary_state_decodes_or_is_refused(type_name):
 
 
 @pytest.mark.parametrize(
-    "state", [{"entries": {"a": -1}}, {"a": "x"}, [1, 2], {"entries": {"a": 1.5}}, None]
+    "state",
+    [
+        {"total": -1}, {"a": "x"}, [1, 2], {"total": 1.5}, None,
+        {"total": True}, {"total": "3"}, {}, {"total": 1, "entries": {"a": 1}},
+    ],
 )
 def test_malformed_g_counter_states_are_merge_type_errors(state):
     with pytest.raises(MergeTypeError):
