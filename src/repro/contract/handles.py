@@ -156,29 +156,28 @@ class PNCounterHandle(StateCrdtHandle):
     kind = "pn_counter"
     crdt_cls = PNCounter
 
-    def incr(self, amount: int = 1, actor: Optional[str] = None) -> int:
-        return self.adjust(amount, actor=actor)
+    def incr(self, amount: int = 1) -> int:
+        return self.adjust(amount)
 
-    def decr(self, amount: int = 1, actor: Optional[str] = None) -> int:
-        return self.adjust(-amount, actor=actor)
+    def decr(self, amount: int = 1) -> int:
+        return self.adjust(-amount)
 
-    def adjust(self, delta: int, actor: Optional[str] = None) -> int:
+    def adjust(self, delta: int) -> int:
         """Add a signed ``int`` delta; returns the locally observed new value.
 
         Like :meth:`CounterHandle.incr`, the write is the operation
-        ``±delta``, added once per transaction whatever ``actor`` says.
+        ``±delta``, added to the committed total once, for this transaction.
         """
 
         self._apply(PNCounter(delta))
         return self.value()
 
-    def initialize(self, value: int, actor: str = "mint") -> int:
+    def initialize(self, value: int) -> int:
         """Genesis write: an MVCC-protected plain write of the initial state.
 
         Unlike :meth:`adjust`, the envelope goes through ``put_state``, so
         two transactions racing to create the same key conflict instead of
-        merging — the right semantics for account creation.  ``actor`` is
-        accepted and ignored, as in :meth:`adjust`.
+        merging — the right semantics for account creation.
         """
 
         counter = PNCounter(value)

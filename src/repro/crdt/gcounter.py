@@ -12,11 +12,21 @@ Idempotence moves from the merge into the ledger: ``merge`` is commutative
 and associative with identity ``0`` (a commutative monoid, not a
 join-semilattice), and each written amount must be merged exactly once — the
 committer merges one per VALID transaction, in block order.
+
+A total and an amount are signed 64-bit integers.  A per-actor maximum never
+grew past its largest write, but a sum does; without a bound, a few valid
+writes could add up to an integer the committer cannot serialize.  A merge
+whose sum leaves the range raises :class:`MergeTypeError`, so the committer
+refuses the write that would overflow as ``BAD_PAYLOAD``.
 """
 
 from __future__ import annotations
 
+from ..common.errors import MergeTypeError
 from .base import StateCRDT
+
+#: Bounds of a total or an amount: a signed 64-bit integer.
+MIN_TOTAL, MAX_TOTAL = -(2**63), 2**63 - 1
 
 
 class Counter(StateCRDT):
@@ -34,9 +44,12 @@ class Counter(StateCRDT):
     def _amount(cls, amount: object) -> int:
         # Exactly int: a float would be truncated and a bool counted, and
         # either would make replicas disagree on what they added.
-        if type(amount) is not int or (amount < 0 and not cls.signed):
-            sign = "an" if cls.signed else "a non-negative"
-            raise ValueError(f"{cls.type_name} amount must be {sign} int: {amount!r:.80}")
+        low = MIN_TOTAL if cls.signed else 0
+        if type(amount) is not int or not low <= amount <= MAX_TOTAL:
+            sign = "a signed" if cls.signed else "a non-negative"
+            raise ValueError(
+                f"{cls.type_name} amount must be {sign} 64-bit int: {amount!r:.80}"
+            )
         return amount
 
     def increment(self, amount: int = 1) -> "Counter":
@@ -45,10 +58,16 @@ class Counter(StateCRDT):
         return self.merge(type(self)(amount))
 
     def merge(self, other: "Counter") -> "Counter":
-        """Add ``other``'s total: applies the operation ``other`` carries."""
+        """Add ``other``'s total: applies the operation ``other`` carries.
+
+        Raises :class:`MergeTypeError` if the sum leaves the 64-bit range.
+        """
 
         self._require_same_type(other)
-        return type(self)(self._total + other._total)
+        total = self._total + other._total
+        if not MIN_TOTAL <= total <= MAX_TOTAL:
+            raise MergeTypeError(f"{self.type_name} total overflows 64 bits: {total!r:.80}")
+        return type(self)(total)
 
     def value(self) -> int:
         return self._total

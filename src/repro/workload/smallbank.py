@@ -73,14 +73,12 @@ class SmallBankChaincode(Contract):
         else:
             raise ChaincodeError(f"absolute writes unsupported in mode {mode!r}")
 
-    def _adjust_balance(
-        self, ctx: Context, key: str, delta: int, mode: str, actor: str
-    ) -> None:
+    def _adjust_balance(self, ctx: Context, key: str, delta: int, mode: str) -> None:
         """Apply a relative change.  In pn-counter mode this is a commuting
         counter adjustment; in the other modes it is read-modify-write."""
 
         if mode == "pn-counter":
-            ctx.crdt.pn_counter(key).adjust(delta, actor=actor)
+            ctx.crdt.pn_counter(key).adjust(delta)
             return
         current = self._read_balance(ctx, key)
         new_balance = current + delta
@@ -118,7 +116,7 @@ class SmallBankChaincode(Contract):
         """Add ``amount`` (may be negative) to the savings balance."""
 
         self._check_mode(mode)
-        self._adjust_balance(ctx, savings_key(account), amount, mode, actor=ctx.tx_id)
+        self._adjust_balance(ctx, savings_key(account), amount, mode)
         return {"ok": True}
 
     @transaction
@@ -128,7 +126,7 @@ class SmallBankChaincode(Contract):
         self._check_mode(mode)
         if amount < 0:
             raise ChaincodeError("deposits must be non-negative")
-        self._adjust_balance(ctx, checking_key(account), amount, mode, actor=ctx.tx_id)
+        self._adjust_balance(ctx, checking_key(account), amount, mode)
         return {"ok": True}
 
     @transaction
@@ -140,15 +138,14 @@ class SmallBankChaincode(Contract):
         self._check_mode(mode)
         if amount < 0:
             raise ChaincodeError("payments must be non-negative")
-        actor = ctx.tx_id
-        self._adjust_balance(ctx, checking_key(source), -amount, mode, actor)
-        self._adjust_balance(ctx, checking_key(destination), amount, mode, actor)
+        self._adjust_balance(ctx, checking_key(source), -amount, mode)
+        self._adjust_balance(ctx, checking_key(destination), amount, mode)
         return {"paid": amount}
 
     @transaction
     def write_check(self, ctx: Context, account: str, amount: int, mode: str) -> Json:
         self._check_mode(mode)
-        self._adjust_balance(ctx, checking_key(account), -amount, mode, actor=ctx.tx_id)
+        self._adjust_balance(ctx, checking_key(account), -amount, mode)
         return {"ok": True}
 
     @transaction
@@ -156,14 +153,11 @@ class SmallBankChaincode(Contract):
         """Move all of ``source``'s funds into ``destination``'s checking."""
 
         self._check_mode(mode)
-        actor = ctx.tx_id
         checking = self._read_balance(ctx, checking_key(source))
         savings = self._read_balance(ctx, savings_key(source))
-        self._adjust_balance(ctx, checking_key(source), -checking, mode, actor)
-        self._adjust_balance(ctx, savings_key(source), -savings, mode, actor)
-        self._adjust_balance(
-            ctx, checking_key(destination), checking + savings, mode, actor
-        )
+        self._adjust_balance(ctx, checking_key(source), -checking, mode)
+        self._adjust_balance(ctx, savings_key(source), -savings, mode)
+        self._adjust_balance(ctx, checking_key(destination), checking + savings, mode)
         return {"moved": checking + savings}
 
     @query

@@ -30,10 +30,6 @@ class HandleContract(Contract):
         return {"value": ctx.crdt.pn_counter(key).adjust(delta)}
 
     @transaction
-    def adjust_as(self, ctx, key: str, delta: int, actor: str):
-        return {"value": ctx.crdt.pn_counter(key).adjust(delta, actor=actor)}
-
-    @transaction
     def add_member(self, ctx, key: str, member: str):
         ctx.crdt.set(key).add(member)
         return {}
@@ -265,7 +261,7 @@ class TestDeltaWrites:
         stub = ShimStub(MemoryStore(), "tx1", crdt_deltas=True)
         handle = HandleContract().new_context(stub).crdt.pn_counter("k")
         handle.initialize(10)
-        assert handle.adjust(-3, actor="a") == 7
+        assert handle.adjust(-3) == 7
         assert self._written(stub).value() == 7
 
     def test_a_crdt_channel_orders_deltas_and_commits_the_merged_state(
@@ -300,8 +296,8 @@ class TestVanillaChannel:
         assert vanilla.evaluate("counter_value", "k")["value"] == 4
 
     def test_sequential_pn_adjustments_all_count(self, vanilla):
-        for actor in ("a", "b", "c", "a"):
-            assert vanilla.submit_async("adjust_as", "k", "1", actor).commit_status().succeeded
+        for _ in range(4):
+            assert vanilla.submit_async("adjust", "k", "1").commit_status().succeeded
         assert vanilla.evaluate("pn_value", "k")["value"] == 4
 
     def test_sequential_set_adds_and_discards_all_apply(self, vanilla):

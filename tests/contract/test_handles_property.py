@@ -110,14 +110,14 @@ def test_counter_handle_roundtrip(committed, crdt_deltas, ops):
 @given(
     committed=committed_pncounters,
     crdt_deltas=st.booleans(),
-    ops=st.lists(st.tuples(actors, deltas), min_size=1, max_size=8),
+    ops=st.lists(deltas, min_size=1, max_size=8),
 )
 def test_pn_counter_handle_roundtrip(committed, crdt_deltas, ops):
     ctx = seeded_ctx(committed, crdt_deltas)
     handle = ctx.crdt.pn_counter("k")
-    for actor, delta in ops:
-        handle.adjust(delta, actor=actor)
-    expected = (committed.value() if committed is not None else 0) + sum(d for _, d in ops)
+    for delta in ops:
+        handle.adjust(delta)
+    expected = (committed.value() if committed is not None else 0) + sum(ops)
     assert _stored(ctx, committed).value() == handle.value() == expected
 
 

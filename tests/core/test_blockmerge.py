@@ -437,6 +437,14 @@ class TestBadPayloads:
         "past-digit-limit": (
             b'{"$fabriccrdt":1,"crdt":"g-counter","state":{"total":' + b"9" * 5000 + b"}}"
         ),
+        "at-digit-limit": (
+            b'{"$fabriccrdt":1,"crdt":"g-counter","state":{"total":' + b"9" * 4300 + b"}}"
+        ),
+        "past-64-bits": b'{"$fabriccrdt":1,"crdt":"g-counter","state":{"total":%d}}' % 2**63,
+        # A valid amount on its own, but 40 + 1 committed before it overflow.
+        "sum-past-64-bits": (
+            b'{"$fabriccrdt":1,"crdt":"g-counter","state":{"total":%d}}' % (2**63 - 1)
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_COUNTER_WRITES))
@@ -459,6 +467,33 @@ class TestBadPayloads:
         assert codes == [valid, bad, valid]
         assert commit(with_crafted=False) == ([valid, valid], committed)
         assert from_bytes(committed)["state"] == {"total": 43}
+
+    @pytest.mark.parametrize(
+        "counter", (GCounter(2**62), PNCounter(-(2**62) - 50)), ids=("g", "pn")
+    )
+    def test_writes_summing_past_64_bits_in_one_block_refuse_the_overflowing_one(
+        self, counter
+    ):
+        """Each write fits in 64 bits and the committed total plus the first
+        does too; the second would push the sum out, so it is refused and the
+        block commits as without it (an unbounded sum could reach an integer
+        the committer cannot serialize, stopping every peer on one block)."""
+
+        def commit(with_second: bool) -> tuple:
+            peer = build_peer(peer_cls=CRDTPeer)
+            seed_state(peer, "k", crdt_to_dict_envelope(type(counter)(40)))
+            big = crdt_to_dict_envelope(counter)
+            txs = [crdt_tx(peer, 1, "k", big), crdt_tx(peer, 2, "k", big)][: 1 + with_second]
+            txs.append(crdt_tx(peer, 3, "k", crdt_to_dict_envelope(type(counter)(2))))
+            committed = peer.validate_and_commit(build_block(peer, txs))
+            codes = [status.code for status in statuses_from_block(committed)]
+            return codes, peer.ledger.state.get_value("k")
+
+        valid, bad = ValidationCode.VALID, ValidationCode.BAD_PAYLOAD
+        codes, committed = commit(with_second=True)
+        assert codes == [valid, bad, valid]
+        assert commit(with_second=False) == ([valid, valid], committed)
+        assert from_bytes(committed)["state"] == {"total": 42 + counter.value()}
 
     @staticmethod
     def nested_bytes(levels: int) -> bytes:
@@ -517,9 +552,9 @@ class TestCountersAsOperations:
     ledger: a resubmitted transaction ID is ``DUPLICATE_TXID``.  Every order
     and block cutting of concurrent writes commits the same bytes."""
 
-    #: (G-Counter amount, PN-Counter delta, actor) of four transactions
-    #: endorsed against one committed state: two share an explicit actor,
-    #: and one decrements.
+    #: (G-Counter amount, PN-Counter delta, G-Counter actor) of four
+    #: transactions endorsed against one committed state: two share an
+    #: explicit actor, and one decrements.
     OPS = ((1, 5, "shared"), (2, -3, "shared"), (3, 4, None), (4, 1, "x"))
     #: Committed totals of the G-Counter ``hits`` and the PN-Counter ``balance``.
     HITS, BALANCE = 10, 7
@@ -542,7 +577,7 @@ class TestCountersAsOperations:
         ctx = _Counters().new_context(stub)
         for amount, delta, actor in ops:
             ctx.crdt.counter("hits").incr(amount, actor=actor)
-            ctx.crdt.pn_counter("balance").adjust(delta, actor=actor)
+            ctx.crdt.pn_counter("balance").adjust(delta)
         return endorsed_tx(peer, stub.build_rwset(), nonce)
 
     @staticmethod

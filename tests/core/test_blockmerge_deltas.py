@@ -45,8 +45,8 @@ def _counter_tx(ctx, ops):
 
 
 def _pn_tx(ctx, ops):
-    for actor, amount in ops:
-        ctx.crdt.pn_counter("k").adjust(amount, actor=actor)
+    for amount in ops:
+        ctx.crdt.pn_counter("k").adjust(amount)
 
 
 def _set_tx(ctx, ops):
@@ -66,7 +66,7 @@ def cases(draw):
         run = _counter_tx
     elif kind == "pn":
         committed = PNCounter(draw(st.integers(-90, 90)))
-        op = st.tuples(actors, st.integers(-5, 5))
+        op = st.integers(-5, 5)
         run = _pn_tx
     else:
         committed = ORSet()

@@ -29,9 +29,9 @@ class TestShimHelpers:
 
     def test_pn_counter_decrement(self):
         stub = ShimStub(MemoryStore(), "tx1")
-        assert PNCounterHandle(stub, "bal").adjust(5, actor="c") == 5
+        assert PNCounterHandle(stub, "bal").adjust(5) == 5
         stub2 = ShimStub(MemoryStore(), "tx2")
-        assert PNCounterHandle(stub2, "bal").adjust(-2, actor="c") == -2
+        assert PNCounterHandle(stub2, "bal").adjust(-2) == -2
 
     def test_non_envelope_value_rejected(self):
         from repro.common.serialization import to_bytes

@@ -80,3 +80,30 @@ class TestPNCounter:
     def test_decrement_takes_exactly_an_int(self):
         with pytest.raises(ValueError):
             PNCounter().decrement(True)
+
+
+class TestSixtyFourBits:
+    """A total is a signed 64-bit integer: a sum of valid amounts can
+    otherwise outgrow what the committer can serialize."""
+
+    def test_bounds_are_accepted(self):
+        assert GCounter(2**63 - 1).value() == 2**63 - 1
+        assert PNCounter(-(2**63)).value() == -(2**63)
+
+    @pytest.mark.parametrize("counter_cls, amount", [
+        (GCounter, 2**63), (PNCounter, 2**63), (PNCounter, -(2**63) - 1),
+    ])
+    def test_amounts_outside_are_refused(self, counter_cls, amount):
+        with pytest.raises(ValueError):
+            counter_cls(amount)
+
+    @pytest.mark.parametrize("total, amount", [
+        (GCounter(2**62), GCounter(2**62)),
+        (PNCounter(2**63 - 1), PNCounter(1)),
+        (PNCounter(-(2**62)), PNCounter(-(2**62) - 1)),
+    ])
+    def test_a_sum_leaving_the_range_is_a_merge_error(self, total, amount):
+        with pytest.raises(MergeTypeError, match="overflows"):
+            total.merge(amount)
+        with pytest.raises(MergeTypeError, match="overflows"):
+            amount.merge(total)
