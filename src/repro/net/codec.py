@@ -19,7 +19,9 @@ Two consumption styles are provided:
 * :class:`FrameDecoder` — an incremental push parser (``feed(bytes) ->
   list[payload]``) for tests and non-asyncio consumers;
 * :func:`read_frame` / :func:`write_frame` — asyncio stream helpers used
-  by the servers and the :class:`~repro.net.transport.SocketTransport`.
+  by the servers and the :class:`~repro.net.transport.SocketTransport`;
+  :func:`send_frame` is the one write path under them, so a frame encoded
+  once and written many times is counted like any other.
 """
 
 from __future__ import annotations
@@ -224,17 +226,33 @@ async def read_message(
     return from_bytes(await read_frame(reader, max_frame_bytes))
 
 
+def send_frame(writer: asyncio.StreamWriter, frame: bytes) -> None:
+    """Put one complete frame into the transport buffer without waiting on it.
+
+    The one write path: every frame a node sends goes through here and is
+    counted here, whether it was encoded for this write or stored once
+    and written to many streams (the orderer's blocks).
+    """
+
+    if _metric_sinks:
+        _count_frame("out", len(frame) - HEADER_BYTES)
+    writer.write(frame)
+
+
 def send_message(writer: asyncio.StreamWriter, message: Any) -> None:
     """Frame one message into the transport buffer without waiting on it."""
 
-    data = encode_message(message)
-    if _metric_sinks:
-        _count_frame("out", len(data) - HEADER_BYTES)
-    writer.write(data)
+    send_frame(writer, encode_message(message))
+
+
+async def write_frame(writer: asyncio.StreamWriter, frame: bytes) -> None:
+    """Send one complete frame, draining the transport buffer."""
+
+    send_frame(writer, frame)
+    await writer.drain()
 
 
 async def write_message(writer: asyncio.StreamWriter, message: Any) -> None:
     """Frame and send one message, draining the transport buffer."""
 
-    send_message(writer, message)
-    await writer.drain()
+    await write_frame(writer, encode_message(message))

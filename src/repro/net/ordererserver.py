@@ -9,7 +9,9 @@ One process serves one channel:
 * ``deliver`` turns the connection into a block stream (Fabric's
   ``Deliver`` RPC): cut blocks are replayed from ``start_block``, then the
   stream stays live.  Peers follow this stream from block 0 and commit
-  each block themselves — the orderer never validates.
+  each block themselves — the orderer never validates.  Each block is
+  encoded once, when it is cut, into the ``raw_block`` frame every stream
+  is sent; the orderer keeps those bytes, not the decoded block.
 * ``flush`` force-cuts the pending batch (the in-process transports'
   ``flush`` made remote), and one timer per open batch enforces
   ``batch_timeout_s`` against the wall clock, exactly the third of
@@ -30,7 +32,14 @@ from typing import Optional
 from ..fabric.block import Block
 from ..fabric.orderer import OrderingService
 from ..telemetry.lifecycle import record_phase
-from .codec import FrameError, install_codec_metrics, read_message, write_message
+from .codec import (
+    FrameError,
+    encode_message,
+    install_codec_metrics,
+    read_message,
+    write_frame,
+    write_message,
+)
 from .errors import ConnectionClosed
 from .profile import config_from_dict
 from .wire import (
@@ -49,8 +58,9 @@ class OrdererState:
     def __init__(self, service: OrderingService) -> None:
         self.service = service
         self.started = time.monotonic()
-        #: Every block ever cut, for deliver replay.
-        self.blocks: list[Block] = []
+        #: Every block ever cut, as the ``raw_block`` frame each deliver
+        #: stream is sent (replay and live fan-out write the same bytes).
+        self.frames: list[bytes] = []
         #: Live deliver subscribers (queues of block numbers to send).
         self.subscribers: list[asyncio.Queue] = []
         #: Telemetry (set when the config enables it) + envelope arrival
@@ -93,7 +103,9 @@ class OrdererState:
             self._timer.cancel()  # the batch that timer belonged to was cut
             self._timer = None
         for block in blocks:
-            self.blocks.append(block)
+            self.frames.append(
+                encode_message({"type": "raw_block", "block": enc_block(block)})
+            )
             if self.telemetry is not None:
                 for tx in block.transactions:
                     arrived = self._arrivals.pop(tx.tx_id, None)
@@ -120,20 +132,15 @@ async def _handle_deliver(
     state.subscribers.append(queue)
     cursor = start_block
     try:
-        while cursor < len(state.blocks):
-            await write_message(
-                writer, {"type": "raw_block", "block": enc_block(state.blocks[cursor])}
-            )
+        while cursor < len(state.frames):
+            await write_frame(writer, state.frames[cursor])
             cursor += 1
         while True:
             number = await queue.get()
             if number < cursor:
                 continue  # replay already delivered it
             while cursor <= number:
-                await write_message(
-                    writer,
-                    {"type": "raw_block", "block": enc_block(state.blocks[cursor])},
-                )
+                await write_frame(writer, state.frames[cursor])
                 cursor += 1
     finally:
         state.subscribers.remove(queue)

@@ -14,10 +14,13 @@ request/response messages the servers speak.  Encoding rules:
 
 Every decoder is *strict*: unknown validation codes, malformed versions,
 missing fields, or the wrong JSON shape (a non-object, a non-list where a
-list is required, a non-number where a number is required) raise
-:class:`WireError` — never a bare ``KeyError`` / ``TypeError`` a server or
-reader loop would have to guess about.  Round-tripping
-is exact (``decode(encode(x)) == x``), which the hypothesis property tests
+list is required, a non-number where a number is required, a non-string
+where a name or key belongs) and values the protocol types refuse (an
+invalid policy, a delete carrying a value) raise :class:`WireError` — never
+a bare ``KeyError`` / ``TypeError`` / ``ValueError`` a server or reader loop
+would have to guess about.  A decoded block shares what its transactions
+repeat (names, keys, versions, the policy; see :class:`_BlockDecoder`).
+Round-tripping is exact (``decode(encode(x)) == x``), which the hypothesis property tests
 in ``tests/net`` pin down per message type; exactness matters beyond
 hygiene because block data hashes are recomputed from decoded envelopes on
 the far side — a lossy codec would break the hash chain, not just a field.
@@ -29,7 +32,7 @@ import base64
 import binascii
 from typing import Any, Optional
 
-from ..common.errors import FabricError
+from ..common.errors import FabricError, PolicyError
 from ..common.types import (
     RangeQueryInfo,
     ReadItem,
@@ -154,16 +157,18 @@ def dec_policy_node(data: Any, context: str = "policy"):
         body = data["out_of"]
         threshold = _require(body, "threshold", context)
         rules = _require(body, "rules", context)
-        if not isinstance(threshold, int) or not isinstance(rules, list):
+        if (
+            isinstance(threshold, bool)
+            or not isinstance(threshold, int)
+            or not isinstance(rules, list)
+        ):
             raise WireError(f"{context}: malformed out_of node")
         try:
             return OutOf(
                 threshold,
                 tuple(dec_policy_node(rule, context) for rule in rules),
             )
-        except FabricError:
-            raise
-        except Exception as exc:
+        except (PolicyError, RecursionError) as exc:
             raise WireError(f"{context}: invalid out_of node: {exc}") from None
     raise WireError(f"{context}: unknown policy tag in {sorted(data)}")
 
@@ -215,33 +220,7 @@ def enc_rwset(rwset: ReadWriteSet) -> dict:
 
 
 def dec_rwset(data: Any, context: str = "rwset") -> ReadWriteSet:
-    reads = tuple(
-        ReadItem(
-            key=_require(item, "key", f"{context}.reads"),
-            version=dec_version(item.get("version"), f"{context}.reads"),
-        )
-        for item in _list(_require(data, "reads", context), f"{context}.reads")
-    )
-    writes = tuple(
-        WriteItem(
-            key=_require(item, "key", f"{context}.writes"),
-            value=dec_bytes(_require(item, "value", f"{context}.writes")),
-            is_delete=bool(item.get("is_delete", False)),
-            is_crdt=bool(item.get("is_crdt", False)),
-        )
-        for item in _list(_require(data, "writes", context), f"{context}.writes")
-    )
-    range_queries = tuple(
-        RangeQueryInfo(
-            start_key=_require(item, "start_key", f"{context}.range_queries"),
-            end_key=_require(item, "end_key", f"{context}.range_queries"),
-            results_hash=dec_bytes(_require(item, "results_hash", f"{context}.range_queries")),
-        )
-        for item in _list(
-            _require(data, "range_queries", context), f"{context}.range_queries"
-        )
-    )
-    return ReadWriteSet(reads, writes, range_queries)
+    return _Decoder().rwset(data, context)
 
 
 # -- identities and events ----------------------------------------------------
@@ -256,11 +235,7 @@ def enc_signed(signed: SignedPayload) -> dict:
 
 
 def dec_signed(data: Any, context: str = "signed payload") -> SignedPayload:
-    return SignedPayload(
-        payload_hash=dec_bytes(_require(data, "payload_hash", context), context),
-        signer=_require(data, "signer", context),
-        signature=dec_bytes(_require(data, "signature", context), context),
-    )
+    return _Decoder().signed(data, context)
 
 
 def enc_event(event: Optional[ChaincodeEvent]) -> Optional[dict]:
@@ -270,11 +245,184 @@ def enc_event(event: Optional[ChaincodeEvent]) -> Optional[dict]:
 
 
 def dec_event(data: Any, context: str = "event") -> Optional[ChaincodeEvent]:
-    if data is None:
-        return None
-    return ChaincodeEvent(
-        name=_require(data, "name", context), payload=data.get("payload")
-    )
+    return _Decoder().event(data, context)
+
+
+# -- the decoders -------------------------------------------------------------
+
+
+def _string(mapping: Any, key: str, context: str) -> str:
+    value = _require(mapping, key, context)
+    if not isinstance(value, str):
+        raise WireError(f"{context}.{key}: expected a string, got {type(value).__name__}")
+    return value
+
+
+class _Decoder:
+    """Decodes one structure on its own: an endorse request, a broadcast.
+
+    Every name goes through :meth:`name`, which refuses a non-string: a list
+    where a name belongs would reach a peer's tx index, signature check or
+    merge as an unhashable key.
+    """
+
+    __slots__ = ()
+
+    def name(self, mapping: Any, key: str, context: str) -> str:
+        return _string(mapping, key, context)
+
+    def version(self, text: Any, context: str) -> Optional[Version]:
+        return dec_version(text, context)
+
+    def policy(self, data: Any, context: str):
+        return dec_policy_node(data, context)
+
+    def write(self, item: Any, context: str) -> WriteItem:
+        key = self.name(item, "key", context)
+        value = dec_bytes(_require(item, "value", context), context)
+        is_delete = bool(item.get("is_delete", False))
+        is_crdt = bool(item.get("is_crdt", False))
+        try:
+            return WriteItem(key, value, is_delete, is_crdt)
+        except ValueError as exc:  # WriteItem's own invariants
+            raise WireError(f"{context}: {exc}") from None
+
+    def rwset(self, data: Any, context: str) -> ReadWriteSet:
+        reads_context = f"{context}.reads"
+        reads = tuple(
+            ReadItem(
+                key=self.name(item, "key", reads_context),
+                version=self.version(item.get("version"), reads_context),
+            )
+            for item in _list(_require(data, "reads", context), reads_context)
+        )
+        writes_context = f"{context}.writes"
+        writes = tuple(
+            self.write(item, writes_context)
+            for item in _list(_require(data, "writes", context), writes_context)
+        )
+        ranges_context = f"{context}.range_queries"
+        range_queries = tuple(
+            RangeQueryInfo(
+                start_key=self.name(item, "start_key", ranges_context),
+                end_key=self.name(item, "end_key", ranges_context),
+                results_hash=dec_bytes(
+                    _require(item, "results_hash", ranges_context), ranges_context
+                ),
+            )
+            for item in _list(_require(data, "range_queries", context), ranges_context)
+        )
+        return ReadWriteSet(reads, writes, range_queries)
+
+    def signed(self, data: Any, context: str) -> SignedPayload:
+        return SignedPayload(
+            payload_hash=dec_bytes(_require(data, "payload_hash", context), context),
+            signer=self.name(data, "signer", context),
+            signature=dec_bytes(_require(data, "signature", context), context),
+        )
+
+    def event(self, data: Any, context: str) -> Optional[ChaincodeEvent]:
+        if data is None:
+            return None
+        return ChaincodeEvent(name=self.name(data, "name", context), payload=data.get("payload"))
+
+    def proposal(self, data: Any, context: str) -> Proposal:
+        args = _require(data, "args", context)
+        if not isinstance(args, list) or not all(isinstance(arg, str) for arg in args):
+            raise WireError(f"{context}: args must be a list of strings")
+        return Proposal(
+            tx_id=_string(data, "tx_id", context),
+            channel=self.name(data, "channel", context),
+            chaincode=self.name(data, "chaincode", context),
+            function=self.name(data, "function", context),
+            args=tuple(args),
+            creator=self.name(data, "creator", context),
+            policy=self.policy(_require(data, "policy", context), f"{context}.policy"),
+            submit_time=dec_number(
+                _require(data, "submit_time", context), f"{context}.submit_time"
+            ),
+        )
+
+    def envelope(self, data: Any, context: str) -> TransactionEnvelope:
+        client_signature = _object(data, context).get("client_signature")
+        return TransactionEnvelope(
+            proposal=self.proposal(_require(data, "proposal", context), f"{context}.proposal"),
+            rwset=self.rwset(_require(data, "rwset", context), f"{context}.rwset"),
+            endorsements=tuple(
+                self.signed(item, f"{context}.endorsements")
+                for item in _list(
+                    _require(data, "endorsements", context), f"{context}.endorsements"
+                )
+            ),
+            chaincode_result=dec_bytes(_require(data, "chaincode_result", context), context),
+            client_signature=(
+                self.signed(client_signature, f"{context}.client_signature")
+                if client_signature is not None
+                else None
+            ),
+            event=self.event(data.get("event"), f"{context}.event"),
+        )
+
+    def block(self, data: Any, context: str) -> Block:
+        transactions_context = f"{context}.transactions"
+        return Block(
+            header=dec_header(_require(data, "header", context), f"{context}.header"),
+            transactions=tuple(
+                self.envelope(item, transactions_context)
+                for item in _list(
+                    _require(data, "transactions", context), transactions_context
+                )
+            ),
+            cut_reason=_string(data, "cut_reason", context),
+            cut_time=dec_number(_require(data, "cut_time", context), f"{context}.cut_time"),
+        )
+
+
+class _BlockDecoder(_Decoder):
+    """Decodes one block's envelopes against one table that lives as long as
+    the decode.
+
+    What a block's transactions repeat — the channel, chaincode, function,
+    creator and signer names, the read/write keys, the read versions and the
+    endorsement policy — is decoded into one object the whole block shares,
+    so a committing peer or a client mirror keeps it once per block, not
+    once per transaction.  Nothing is shared across blocks, and nothing is
+    interned process-wide.
+    """
+
+    __slots__ = ("_names", "_versions", "_policies")
+
+    def __init__(self) -> None:
+        self._names: dict[str, str] = {}
+        self._versions: dict[str, Version] = {}
+        self._policies: dict[str, Any] = {}
+
+    def name(self, mapping: Any, key: str, context: str) -> str:
+        value = _string(mapping, key, context)
+        return self._names.setdefault(value, value)
+
+    def version(self, text: Any, context: str) -> Optional[Version]:
+        if not isinstance(text, str):
+            return dec_version(text, context)  # ``None``, or a WireError
+        version = self._versions.get(text)
+        if version is None:
+            version = self._versions[text] = dec_version(text, context)
+        return version
+
+    def policy(self, data: Any, context: str):
+        # Two JSON values with one ``repr`` are the same value, types
+        # included (``true`` is not ``1``, nor ``1.0``), so a policy that
+        # decoded once is never decoded or checked again in this block.  One
+        # nested too deep to ``repr`` decodes on its own, as it would
+        # outside a block: a peer refuses nothing the orderer accepted.
+        try:
+            key = repr(data)
+        except RecursionError:
+            return dec_policy_node(data, context)
+        node = self._policies.get(key)
+        if node is None:
+            node = self._policies[key] = dec_policy_node(data, context)
+        return node
 
 
 # -- proposals / responses / envelopes ---------------------------------------
@@ -294,19 +442,7 @@ def enc_proposal(proposal: Proposal) -> dict:
 
 
 def dec_proposal(data: Any, context: str = "proposal") -> Proposal:
-    args = _require(data, "args", context)
-    if not isinstance(args, list) or not all(isinstance(arg, str) for arg in args):
-        raise WireError(f"{context}: args must be a list of strings")
-    return Proposal(
-        tx_id=_require(data, "tx_id", context),
-        channel=_require(data, "channel", context),
-        chaincode=_require(data, "chaincode", context),
-        function=_require(data, "function", context),
-        args=tuple(args),
-        creator=_require(data, "creator", context),
-        policy=dec_policy(_require(data, "policy", context), f"{context}.policy"),
-        submit_time=dec_number(_require(data, "submit_time", context), f"{context}.submit_time"),
-    )
+    return _Decoder().proposal(data, context)
 
 
 def enc_proposal_response(response: ProposalResponse) -> dict:
@@ -321,13 +457,14 @@ def enc_proposal_response(response: ProposalResponse) -> dict:
 
 
 def dec_proposal_response(data: Any, context: str = "proposal response") -> ProposalResponse:
+    decoder = _Decoder()
     return ProposalResponse(
         tx_id=_require(data, "tx_id", context),
         endorser=_require(data, "endorser", context),
-        rwset=dec_rwset(_require(data, "rwset", context), f"{context}.rwset"),
+        rwset=decoder.rwset(_require(data, "rwset", context), f"{context}.rwset"),
         chaincode_result=dec_bytes(_require(data, "chaincode_result", context), context),
-        endorsement=dec_signed(_require(data, "endorsement", context), context),
-        event=dec_event(data.get("event"), f"{context}.event"),
+        endorsement=decoder.signed(_require(data, "endorsement", context), context),
+        event=decoder.event(data.get("event"), f"{context}.event"),
     )
 
 
@@ -365,24 +502,7 @@ def enc_envelope(envelope: TransactionEnvelope) -> dict:
 
 
 def dec_envelope(data: Any, context: str = "envelope") -> TransactionEnvelope:
-    client_signature = _object(data, context).get("client_signature")
-    return TransactionEnvelope(
-        proposal=dec_proposal(_require(data, "proposal", context), f"{context}.proposal"),
-        rwset=dec_rwset(_require(data, "rwset", context), f"{context}.rwset"),
-        endorsements=tuple(
-            dec_signed(item, f"{context}.endorsements")
-            for item in _list(
-                _require(data, "endorsements", context), f"{context}.endorsements"
-            )
-        ),
-        chaincode_result=dec_bytes(_require(data, "chaincode_result", context), context),
-        client_signature=(
-            dec_signed(client_signature, f"{context}.client_signature")
-            if client_signature is not None
-            else None
-        ),
-        event=dec_event(data.get("event"), f"{context}.event"),
-    )
+    return _Decoder().envelope(data, context)
 
 
 # -- blocks ------------------------------------------------------------------
@@ -414,17 +534,9 @@ def dec_header(data: Any, context: str = "block header") -> BlockHeader:
 
 
 def dec_block(data: Any, context: str = "block") -> Block:
-    return Block(
-        header=dec_header(_require(data, "header", context), f"{context}.header"),
-        transactions=tuple(
-            dec_envelope(item, f"{context}.transactions")
-            for item in _list(
-                _require(data, "transactions", context), f"{context}.transactions"
-            )
-        ),
-        cut_reason=_require(data, "cut_reason", context),
-        cut_time=dec_number(_require(data, "cut_time", context), f"{context}.cut_time"),
-    )
+    """A block whose transactions share what they repeat (see :class:`_BlockDecoder`)."""
+
+    return _BlockDecoder().block(data, context)
 
 
 def enc_metadata(metadata: BlockMetadata) -> dict:
@@ -466,6 +578,7 @@ def enc_committed_block(committed: CommittedBlock) -> dict:
 
 
 def dec_committed_block(data: Any, context: str = "committed block") -> CommittedBlock:
+    decoder = _BlockDecoder()
     effective_raw = _object(data, context).get("effective_writes")
     effective = None
     if effective_raw is not None:
@@ -475,17 +588,12 @@ def dec_committed_block(data: Any, context: str = "committed block") -> Committe
                     _require(item, "tx_index", f"{context}.effective_writes"),
                     f"{context}.effective_writes.tx_index",
                 ),
-                WriteItem(
-                    key=_require(item, "key", f"{context}.effective_writes"),
-                    value=dec_bytes(_require(item, "value", f"{context}.effective_writes")),
-                    is_delete=bool(item.get("is_delete", False)),
-                    is_crdt=bool(item.get("is_crdt", False)),
-                ),
+                decoder.write(item, f"{context}.effective_writes"),
             )
             for item in _list(effective_raw, f"{context}.effective_writes")
         )
     return CommittedBlock(
-        block=dec_block(_require(data, "block", context), f"{context}.block"),
+        block=decoder.block(_require(data, "block", context), f"{context}.block"),
         metadata=dec_metadata(_require(data, "metadata", context), f"{context}.metadata"),
         commit_time=dec_number(_require(data, "commit_time", context), f"{context}.commit_time"),
         effective_writes=effective,

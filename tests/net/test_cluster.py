@@ -19,12 +19,14 @@ import pytest
 
 from repro.common.config import TopologyConfig, fabriccrdt_config
 from repro.common.serialization import from_bytes
+from repro.common.types import ReadWriteSet, WriteItem
+from repro.fabric.identity import SignedPayload
 from repro.fabric.policy import Principal
-from repro.fabric.transaction import Proposal
+from repro.fabric.transaction import Proposal, TransactionEnvelope
 from repro.gateway.gateway import Gateway
 from repro.net import Cluster, FrameDecoder, SocketTransport
 from repro.net.codec import encode_message
-from repro.net.wire import enc_proposal
+from repro.net.wire import enc_envelope, enc_proposal
 from repro.workload.iot import encode_call, reading_payload
 
 CHAINCODES = [
@@ -64,6 +66,20 @@ def record_call(device: str, sequence: int, temperature: int = 20) -> str:
     )
 
 
+def asker(conn: socket.socket):
+    """``ask(message) -> reply`` over one blocking connection."""
+
+    decoder = FrameDecoder()
+
+    def ask(message: dict) -> dict:
+        conn.sendall(encode_message(message))
+        while not (frames := decoder.feed(chunk := conn.recv(65536))):
+            assert chunk, f"connection closed without a reply to {message['type']}"
+        return from_bytes(frames[0])
+
+    return ask
+
+
 def test_every_node_answers_health_pings(cluster):
     pongs = cluster.health_check()
     assert set(pongs) == {"orderer", "Org1.peer0", "Org2.peer0"}
@@ -77,15 +93,8 @@ def test_peer_answers_a_malformed_request_with_an_error_and_keeps_serving(cluste
     proposal = enc_proposal(
         Proposal("t", "c", "iot", "read_device", (), "Org1.client0", Principal("Org1"))
     )
-    decoder = FrameDecoder()
     with socket.create_connection((anchor.host, anchor.port), timeout=10) as conn:
-
-        def ask(message: dict) -> dict:
-            conn.sendall(encode_message(message))
-            while not (frames := decoder.feed(chunk := conn.recv(65536))):
-                assert chunk, f"connection closed without a reply to {message['type']}"
-            return from_bytes(frames[0])
-
+        ask = asker(conn)
         for bad in (
             {"type": "endorse", "proposal": proposal, "timestamp": "abc"},
             {"type": "endorse", "proposal": proposal, "timestamp": None},
@@ -96,6 +105,45 @@ def test_peer_answers_a_malformed_request_with_an_error_and_keeps_serving(cluste
             assert reply["type"] == "error" and reply["error"], reply
             info = ask({"type": "ledger_info"})
             assert info["type"] == "ledger_info_result" and info["peer"] == anchor.name
+
+
+def test_orderer_refuses_a_non_string_name_and_every_peer_keeps_committing(
+    cluster, transport
+):
+    # A list where a name belongs used to pass the orderer's decoder, ride a
+    # block to every peer and kill each of them in the tx index (tx_id), the
+    # signature check (signer) or MVCC / the merge (a key).
+    signed = SignedPayload(b"\x01" * 32, "Org1.client0", b"\x02" * 32)
+    envelope = enc_envelope(
+        TransactionEnvelope(
+            proposal=Proposal("t", "ch", "iot", "record", (), "Org1.client0", Principal("Org1")),
+            rwset=ReadWriteSet(writes=(WriteItem("dev-x", b"{}", is_crdt=True),)),
+            endorsements=(signed,),
+        )
+    )
+    orderer = cluster.profile.orderer
+    with socket.create_connection((orderer.host, orderer.port), timeout=10) as conn:
+        ask = asker(conn)
+        for field, mutate in (
+            ("tx_id", lambda env: env["proposal"].update(tx_id=["not", "a", "string"])),
+            ("signer", lambda env: env["endorsements"][0].update(signer=["Org1"])),
+            ("key", lambda env: env["rwset"]["writes"][0].update(key=["dev-x"])),
+        ):
+            bad = json.loads(json.dumps(envelope))
+            mutate(bad)
+            reply = ask({"type": "broadcast", "envelope": bad})
+            assert reply["type"] == "error" and field in reply["error"], reply
+        assert ask({"type": "ping"})["type"] == "pong"
+
+    contract = Gateway.connect(transport).get_contract("iot")
+    status = contract.submit_async("populate", json.dumps({"keys": ["dev-x"]})).commit_status()
+    assert status.succeeded
+    height = transport.ledger_info(0)["height"]
+    transport.wait_for_height(height, timeout_s=10)
+    infos = [transport.ledger_info(i) for i in range(2)]
+    assert [info["height"] for info in infos] == [height, height]
+    assert infos[0]["fingerprint"] == infos[1]["fingerprint"]
+    assert cluster.alive()
 
 
 def test_submit_commits_on_every_process_peer(cluster, transport):

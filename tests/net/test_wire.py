@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.serialization import from_bytes, to_bytes
 from repro.common.types import (
     RangeQueryInfo,
     ReadItem,
@@ -394,6 +395,143 @@ def test_proposal_args_must_be_strings():
     proposal["args"] = [1, 2]
     with pytest.raises(WireError):
         dec_proposal(proposal)
+
+
+# A name that is not a string used to pass the decoder and then crash every
+# peer that committed its block (``TypeError: unhashable type: 'list'`` in the
+# tx index, the signature check or the merge).  Each path below names one
+# field of a fully populated envelope.
+_SIGNED = SignedPayload(b"\x01" * 32, "Org1.peer0", b"\x02" * 32)
+_ENVELOPE = enc_envelope(
+    TransactionEnvelope(
+        proposal=Proposal("t", "c", "cc", "f", ("a",), "Org1.client0", or_policy("Org1", "Org2")),
+        rwset=ReadWriteSet(
+            reads=(ReadItem("k", Version(1, 0)),),
+            writes=(WriteItem("k", b"v", is_crdt=True),),
+            range_queries=(RangeQueryInfo("a", "b", b"\x03" * 32),),
+        ),
+        endorsements=(_SIGNED,),
+        client_signature=_SIGNED,
+        event=ChaincodeEvent("evt", {"n": 1}),
+    )
+)
+_NAME_PATHS = [
+    ("proposal", "tx_id"),
+    ("proposal", "channel"),
+    ("proposal", "chaincode"),
+    ("proposal", "function"),
+    ("proposal", "creator"),
+    ("endorsements", 0, "signer"),
+    ("client_signature", "signer"),
+    ("rwset", "reads", 0, "key"),
+    ("rwset", "writes", 0, "key"),
+    ("rwset", "range_queries", 0, "start_key"),
+    ("rwset", "range_queries", 0, "end_key"),
+    ("event", "name"),
+]
+
+
+def _with(data, path, value):
+    """A deep copy of the JSON ``data`` with the field at ``path`` replaced."""
+
+    copy = from_bytes(to_bytes(data))
+    target = copy
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return copy
+
+
+def test_the_unmutated_envelope_decodes():
+    assert enc_envelope(dec_envelope(_ENVELOPE)) == _ENVELOPE
+
+
+@pytest.mark.parametrize("path", _NAME_PATHS, ids=lambda path: ".".join(map(str, path)))
+@pytest.mark.parametrize("value", [["not", "a", "string"], 7, None])
+def test_a_name_that_is_not_a_string_raises_wire_error(path, value):
+    bad = _with(_ENVELOPE, path, value)
+    with pytest.raises(WireError, match=str(path[-1])):
+        dec_envelope(bad)
+    block = enc_block(Block.build(0, b"\x00" * 32, ()))
+    with pytest.raises(WireError):
+        dec_block({**block, "transactions": [_ENVELOPE, bad]})
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        {"key": "k", "value": "dg==", "is_delete": True, "is_crdt": False},  # delete with a value
+        {"key": "k", "value": "", "is_delete": True, "is_crdt": True},  # a CRDT delete
+    ],
+    ids=["delete-with-value", "crdt-delete"],
+)
+def test_a_write_that_breaks_write_item_invariants_raises_wire_error(write):
+    # ``WriteItem.__post_init__`` raises ValueError; the endorse and
+    # broadcast handlers catch only WireError.
+    with pytest.raises(WireError):
+        dec_rwset({"reads": [], "writes": [write], "range_queries": []})
+    with pytest.raises(WireError):
+        dec_committed_block({**_COMMITTED, "effective_writes": [{"tx_index": 0, **write}]})
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        {"out_of": {"threshold": 1, "rules": []}},  # no rules
+        {"out_of": {"threshold": 0, "rules": [{"principal": "Org1"}]}},
+        {"out_of": {"threshold": 2, "rules": [{"principal": "Org1"}]}},
+        {"out_of": {"threshold": True, "rules": [{"principal": "Org1"}]}},
+        {"out_of": {"threshold": 1, "rules": [{"out_of": {"threshold": 1, "rules": []}}]}},
+    ],
+    ids=["no-rules", "threshold-0", "threshold-above-rules", "bool-threshold", "nested-no-rules"],
+)
+def test_an_invalid_policy_raises_wire_error(node):
+    # ``OutOf`` raises PolicyError; it used to pass through ``dec_policy``.
+    with pytest.raises(WireError):
+        dec_policy(node)
+    with pytest.raises(WireError):
+        dec_envelope(_with(_ENVELOPE, ("proposal", "policy"), node))
+
+
+def test_a_block_checks_a_policy_that_compares_equal_to_a_valid_one():
+    # A block decodes each distinct policy once; ``true`` and ``1.0`` compare
+    # equal to ``1`` in Python, and must not ride on an earlier valid policy.
+    valid = {"out_of": {"threshold": 1, "rules": [{"principal": "Org1"}]}}
+    block = enc_block(Block.build(0, b"\x00" * 32, ()))
+    for threshold in (True, 1.0):
+        bad = {"out_of": {"threshold": threshold, "rules": [{"principal": "Org1"}]}}
+        assert bad == valid
+        transactions = [
+            _with(_ENVELOPE, ("proposal", "policy"), policy) for policy in (valid, bad)
+        ]
+        with pytest.raises(WireError):
+            dec_block({**block, "transactions": transactions})
+
+
+@pytest.mark.parametrize("stack", [0, 50, 200])
+def test_a_policy_nested_past_the_recursion_limit_fails_typed_in_a_block(stack):
+    # However deep the caller's stack, a block decode raises nothing but
+    # WireError, as a standalone decode does: a RecursionError would end a
+    # peer's deliver loop.
+    policy = {"principal": "Org1"}
+    for _ in range(400):
+        policy = {"out_of": {"threshold": 1, "rules": [policy]}}
+    block = {
+        **enc_block(Block.build(0, b"\x00" * 32, ())),
+        "transactions": [_with(_ENVELOPE, ("proposal", "policy"), {"principal": "Org1"})],
+    }
+    block["transactions"][0]["proposal"]["policy"] = policy
+
+    def decode_at(depth: int):
+        if depth:
+            return decode_at(depth - 1)
+        try:
+            return dec_block(block).transactions[0].proposal.policy
+        except WireError:
+            return None
+
+    decoded = decode_at(stack)
+    assert decoded is None or isinstance(decoded, OutOf)
 
 
 def test_message_type_rejects_unknown_tags():
