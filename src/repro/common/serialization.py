@@ -60,12 +60,13 @@ def from_bytes(data: bytes) -> Any:
 
     Raises :class:`SerializationError` on malformed input so callers never
     have to catch ``json.JSONDecodeError`` directly — nor the bare
-    ``ValueError`` of an integer literal past Python's digit limit.
+    ``ValueError`` of an integer literal past Python's digit limit, nor the
+    ``RecursionError`` of nesting deeper than the parser's stack.
     """
 
     try:
         return json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError included
+    except (ValueError, RecursionError) as exc:  # Unicode/JSONDecodeError included
         raise SerializationError(f"malformed value bytes: {exc}") from exc
 
 

@@ -7,18 +7,26 @@ also provides :meth:`rebuild_state`, replaying the chain from genesis into a
 fresh state database — the invariant test that the world state really is a
 pure function of the blockchain (§2.1 of the paper: "executing all valid
 transactions included in the blockchain ... results in the current state").
+
+A ledger fed the frames its blocks arrived in (a socket peer's) keeps only
+the newest :data:`DECODED_WINDOW` blocks decoded; an older block is a
+:class:`StoredBlock` — its frame, zlib-compressed, plus what the peer
+attached when committing it — and is decoded again only when read, as
+Fabric's block store keeps serialized blocks rather than live objects.
 """
 
 from __future__ import annotations
 
+import zlib
 from bisect import bisect_left, bisect_right
+from collections import deque
 from itertools import pairwise
 from operator import itemgetter
-from typing import Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from ..common.errors import LedgerError
-from ..common.types import KeyModification, ValidationCode, Version
-from .block import GENESIS_PREVIOUS_HASH, CommittedBlock
+from ..common.types import KeyModification, ValidationCode, Version, WriteItem
+from .block import GENESIS_PREVIOUS_HASH, Block, BlockMetadata, CommittedBlock
 from .store import MemoryStore, StateStore, WriteBatch
 
 
@@ -27,6 +35,24 @@ from .store import MemoryStore, StateStore, WriteBatch
 _TX_MASK = (1 << 32) - 1
 
 _tx_index_of = itemgetter(0)
+
+#: Frame-fed blocks kept decoded: the newest ones, which the commit path,
+#: live deliver streams and the chain link read.  Older ones are stored.
+DECODED_WINDOW = 4
+
+#: zlib level of a stored frame.  Level 1 already shrinks a 25-transaction
+#: block's frame about 5x (its transactions repeat names, keys and policy).
+FRAME_ZLIB_LEVEL = 1
+
+
+class StoredBlock(NamedTuple):
+    """A committed block out of the decoded window: the frame payload it
+    arrived in (zlib-compressed) plus what the peer attached to it."""
+
+    frame: bytes
+    metadata: BlockMetadata
+    commit_time: float
+    effective_writes: Optional[tuple[tuple[int, WriteItem], ...]]
 
 
 class Ledger:
@@ -42,11 +68,18 @@ class Ledger:
     :meth:`history_for_key` builds the :class:`KeyModification` entries on
     demand from the block's applied writes, as Fabric's history database
     keeps ``(block, tx)`` and reads values from the block store.
+
+    ``decode_frame`` (payload bytes -> :class:`Block`) is set by whoever
+    appends blocks with the frame they were decoded from; an in-process
+    ledger is given no frames and keeps every block decoded.
     """
 
     def __init__(self, store: Optional[StateStore] = None) -> None:
         self.state: StateStore = store if store is not None else MemoryStore()
-        self._blocks: list[CommittedBlock] = []
+        self.decode_frame: Optional[Callable[[bytes], Block]] = None
+        self._blocks: list[CommittedBlock | StoredBlock] = []
+        #: ``(number, frame)`` of each frame-fed block still decoded, oldest first.
+        self._window: deque[tuple[int, bytes]] = deque()
         self._tx_index: dict[str, int] = {}  # tx_id -> position, first occurrence
         self._history: dict[str, list[int]] = {}  # key -> positions of its writers
 
@@ -62,7 +95,21 @@ class Ledger:
     def last_hash(self) -> bytes:
         if not self._blocks:
             return GENESIS_PREVIOUS_HASH
-        return self._blocks[-1].block.header.hash()
+        return self._committed(self.height - 1).block.header.hash()
+
+    def _committed(self, number: int) -> CommittedBlock:
+        entry = self._blocks[number]
+        if type(entry) is not StoredBlock:
+            return entry
+        return CommittedBlock(
+            self.decode_frame(zlib.decompress(entry.frame)),
+            entry.metadata,
+            entry.commit_time,
+            entry.effective_writes,
+        )
+
+    def _chain(self) -> Iterator[CommittedBlock]:
+        return map(self._committed, range(self.height))
 
     def block_at(self, number: int) -> CommittedBlock:
         if number < 0:
@@ -70,13 +117,12 @@ class Ledger:
             # serve blocks from the end of the chain — block "numbers" are
             # absolute heights, never relative offsets.
             raise LedgerError(f"block number must be non-negative, got {number}")
-        try:
-            return self._blocks[number]
-        except IndexError:
-            raise LedgerError(f"no block number {number} (height={self.height})") from None
+        if number >= self.height:
+            raise LedgerError(f"no block number {number} (height={self.height})")
+        return self._committed(number)
 
     def blocks(self) -> tuple[CommittedBlock, ...]:
-        return tuple(self._blocks)
+        return tuple(self._chain())
 
     def has_transaction(self, tx_id: str) -> bool:
         return tx_id in self._tx_index
@@ -96,9 +142,11 @@ class Ledger:
         """
 
         modifications: list[KeyModification] = []
-        for position in self._history.get(key, ()):
+        committed = None
+        for position in self._history.get(key, ()):  # ascending: one decode per block
             block_num, tx_index = position >> 32, position & _TX_MASK
-            committed = self._blocks[block_num]
+            if committed is None or committed.block.number != block_num:
+                committed = self._committed(block_num)
             tx = committed.block.transactions[tx_index]
             effective = committed.effective_writes
             if effective is None:
@@ -122,10 +170,15 @@ class Ledger:
 
     # -- commit -------------------------------------------------------------------
 
-    def append_block(self, committed: CommittedBlock) -> None:
+    def append_block(self, committed: CommittedBlock, frame: Optional[bytes] = None) -> None:
         """Append a validated block.  The caller (the peer) has already
         applied the writes to ``self.state``; this records chain structure,
-        the tx index, and key history."""
+        the tx index, and key history.
+
+        ``frame`` is the payload ``committed.block`` was decoded from (with
+        :attr:`decode_frame`): the block is then kept decoded only while it
+        is among the newest :data:`DECODED_WINDOW`, and stored after that.
+        """
 
         block = committed.block
         if block.number != self.height:
@@ -142,7 +195,13 @@ class Ledger:
             raise LedgerError(
                 f"block {block.number}: effective writes out of transaction order"
             )
+        if frame is not None and self.decode_frame is None:
+            raise LedgerError(f"block {block.number}: a frame, but no decode_frame")
         self._blocks.append(committed)
+        if frame is not None:
+            self._window.append((block.number, frame))
+            if len(self._window) > DECODED_WINDOW:
+                self._store(*self._window.popleft())
         # One int per transaction, shared by the tx index and the history.
         base = block.number << 32
         positions = [base | tx_index for tx_index in range(len(block.transactions))]
@@ -157,6 +216,15 @@ class Ledger:
             elif key_positions[-1] != position:  # a key written twice by one tx: once
                 key_positions.append(position)
 
+    def _store(self, number: int, frame: bytes) -> None:
+        committed = self._blocks[number]
+        self._blocks[number] = StoredBlock(
+            zlib.compress(frame, FRAME_ZLIB_LEVEL),
+            committed.metadata,
+            committed.commit_time,
+            committed.effective_writes,
+        )
+
     # -- replay ---------------------------------------------------------------------
 
     def rebuild_state(self, into: Optional[StateStore] = None) -> StateStore:
@@ -169,7 +237,7 @@ class Ledger:
         """
 
         rebuilt: StateStore = into if into is not None else MemoryStore()
-        for committed in self._blocks:
+        for committed in self._chain():
             block = committed.block
             batch = WriteBatch(block_number=block.number)
             for tx_index, write in committed.writes_applied():
@@ -183,7 +251,7 @@ class Ledger:
         """Validate every hash link from genesis to the tip."""
 
         previous = GENESIS_PREVIOUS_HASH
-        for committed in self._blocks:
+        for committed in self._chain():
             if not committed.block.verify_integrity(expected_previous_hash=previous):
                 return False
             previous = committed.block.header.hash()
@@ -195,7 +263,7 @@ class Ledger:
         """Validation-code histogram across all committed transactions."""
 
         counts: dict[str, int] = {}
-        for committed in self._blocks:
-            for code in committed.metadata.flags:
+        for entry in self._blocks:  # the flags are kept beside a stored frame
+            for code in entry.metadata.flags:
                 counts[code.name] = counts.get(code.name, 0) + 1
         return counts

@@ -364,17 +364,26 @@ class Peer:
             batch=batch,
         )
 
-    def apply_prepared(self, prepared: PreparedCommit, commit_time: float = 0.0) -> CommittedBlock:
-        """Apply a prepared commit: write state, append the block, publish."""
+    def apply_prepared(
+        self, prepared: PreparedCommit, commit_time: float = 0.0, frame: Optional[bytes] = None
+    ) -> CommittedBlock:
+        """Apply a prepared commit: write state, append the block, publish.
+
+        ``frame`` is the payload the block was decoded from, if it came
+        over the wire; the ledger keeps old blocks as that (see
+        :meth:`Ledger.append_block`).
+        """
 
         if self._tel is None:
-            return self._apply_prepared(prepared, commit_time)
+            return self._apply_prepared(prepared, commit_time, frame)
         started = perf_counter()
-        committed = self._apply_prepared(prepared, commit_time)
+        committed = self._apply_prepared(prepared, commit_time, frame)
         self._tel["apply_seconds"].observe(perf_counter() - started, peer=self.name)
         return committed
 
-    def _apply_prepared(self, prepared: PreparedCommit, commit_time: float) -> CommittedBlock:
+    def _apply_prepared(
+        self, prepared: PreparedCommit, commit_time: float, frame: Optional[bytes]
+    ) -> CommittedBlock:
         block = prepared.block
         self.ledger.state.apply_batch(prepared.batch)
         committed = CommittedBlock(
@@ -383,7 +392,7 @@ class Peer:
             commit_time=commit_time,
             effective_writes=prepared.effective_writes,
         )
-        self.ledger.append_block(committed)
+        self.ledger.append_block(committed, frame)
         self.stats.bump("blocks_committed")
         self.stats.bump("txs_valid", prepared.metadata.valid_count)
         self.stats.bump("txs_invalid", prepared.metadata.invalid_count)

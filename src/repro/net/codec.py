@@ -19,17 +19,23 @@ Two consumption styles are provided:
 * :class:`FrameDecoder` — an incremental push parser (``feed(bytes) ->
   list[payload]``) for tests and non-asyncio consumers;
 * :func:`read_frame` / :func:`write_frame` — asyncio stream helpers used
-  by the servers and the :class:`~repro.net.transport.SocketTransport`;
-  :func:`send_frame` is the one write path under them, so a frame encoded
-  once and written many times is counted like any other.
+  by the servers and the :class:`~repro.net.transport.SocketTransport`.
+
+Frames leave through a per-writer *outbox*: :func:`send_frame` queues a
+frame, and the writer's queued frames go out as one socket write at the end
+of the loop turn that queued them, or at once when
+:data:`OUTBOX_FLUSH_BYTES` wait.  A node answering a burst of pipelined
+requests thus makes one ``send()``, not one per reply.
+:func:`write_frame`, :func:`drain` and :func:`close_writer` flush first, so
+frames leave in the order they were queued and none is lost to a close.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any
+from typing import Any, Optional
 
-from ..common.errors import FabricError
+from ..common.errors import FabricError, SerializationError
 from ..common.serialization import from_bytes, to_bytes
 from .errors import ConnectionClosed
 
@@ -43,14 +49,18 @@ HEADER_BYTES = len(MAGIC) + 4
 #: transactions, far below anything a runaway length field could claim.
 DEFAULT_MAX_FRAME_BYTES = 32 * 1024 * 1024
 
+#: A writer's queued frames are written at once when this many bytes wait.
+OUTBOX_FLUSH_BYTES = 64 * 1024
+
 
 # ---------------------------------------------------------------------------
 # Optional codec metrics (telemetry, opt-in)
 # ---------------------------------------------------------------------------
 
-#: Installed ``(frames_counter, bytes_counter, labels)`` sinks.  Empty —
-#: the default — means counting is a single falsy check per frame.
-_metric_sinks: list[tuple[Any, Any, dict]] = []
+#: Installed ``(frames_counter, bytes_counter, writes_counter, labels)``
+#: sinks.  Empty — the default — means counting is a single falsy check per
+#: frame.
+_metric_sinks: list[tuple[Any, Any, Any, dict]] = []
 
 
 def install_codec_metrics(registry, node: str = "") -> tuple:
@@ -68,7 +78,10 @@ def install_codec_metrics(registry, node: str = "") -> tuple:
     total_bytes = registry.counter(
         "repro_net_bytes_total", "Wire bytes moved (headers included), by direction"
     )
-    sink = (frames, total_bytes, {"node": node} if node else {})
+    writes = registry.counter(
+        "repro_net_writes_total", "Socket writes made (each carries one or more frames)"
+    )
+    sink = (frames, total_bytes, writes, {"node": node} if node else {})
     _metric_sinks.append(sink)
     return sink
 
@@ -83,9 +96,14 @@ def uninstall_codec_metrics(handle: tuple) -> None:
 
 
 def _count_frame(direction: str, payload_bytes: int) -> None:
-    for frames, total_bytes, labels in _metric_sinks:
+    for frames, total_bytes, _writes, labels in _metric_sinks:
         frames.inc(direction=direction, **labels)
         total_bytes.inc(HEADER_BYTES + payload_bytes, direction=direction, **labels)
+
+
+def _count_write() -> None:
+    for _frames, _total_bytes, writes, labels in _metric_sinks:
+        writes.inc(**labels)
 
 
 class FrameError(FabricError):
@@ -221,38 +239,121 @@ async def read_frame(
 async def read_message(
     reader: asyncio.StreamReader, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
 ) -> Any:
-    """Read one frame and decode its canonical-JSON payload."""
+    """Read one frame and decode its canonical-JSON payload.
 
-    return from_bytes(await read_frame(reader, max_frame_bytes))
+    A payload that is not canonical JSON (malformed, or nested past the
+    parser's stack) is :class:`FrameCorrupt`, like a bad header.
+    """
+
+    payload = await read_frame(reader, max_frame_bytes)
+    try:
+        return from_bytes(payload)
+    except SerializationError as exc:
+        raise FrameCorrupt(f"undecodable frame payload: {exc}") from None
 
 
-def send_frame(writer: asyncio.StreamWriter, frame: bytes) -> None:
-    """Put one complete frame into the transport buffer without waiting on it.
+class _Outbox:
+    __slots__ = ("frames", "size")
 
-    The one write path: every frame a node sends goes through here and is
-    counted here, whether it was encoded for this write or stored once
-    and written to many streams (the orderer's blocks).
+    def __init__(self) -> None:
+        self.frames: list[bytes] = []
+        self.size = 0
+
+
+#: Frames queued per writer; a writer has an entry only while frames wait.
+_outboxes: dict[asyncio.StreamWriter, _Outbox] = {}
+
+
+def send_frame(
+    writer: asyncio.StreamWriter,
+    frame: bytes,
+    loop: Optional[asyncio.AbstractEventLoop] = None,
+) -> None:
+    """Queue one complete frame on ``writer``'s outbox without waiting on it.
+
+    Every frame a node sends is counted here, whether it was encoded for
+    this write or stored once and written to many streams (the orderer's
+    blocks).  The outbox is flushed by ``loop`` (default: the running one)
+    once the current loop turn ends, or now if it holds
+    :data:`OUTBOX_FLUSH_BYTES`.
     """
 
     if _metric_sinks:
         _count_frame("out", len(frame) - HEADER_BYTES)
-    writer.write(frame)
+    outbox = _outboxes.get(writer)
+    if outbox is None:
+        outbox = _outboxes[writer] = _Outbox()
+        (loop or asyncio.get_running_loop()).call_soon(flush, writer)
+    outbox.frames.append(frame)
+    outbox.size += len(frame)
+    if outbox.size >= OUTBOX_FLUSH_BYTES:
+        flush(writer)
 
 
-def send_message(writer: asyncio.StreamWriter, message: Any) -> None:
-    """Frame one message into the transport buffer without waiting on it."""
+def send_message(
+    writer: asyncio.StreamWriter,
+    message: Any,
+    loop: Optional[asyncio.AbstractEventLoop] = None,
+) -> None:
+    """Frame one message onto ``writer``'s outbox (see :func:`send_frame`)."""
 
-    send_frame(writer, encode_message(message))
+    send_frame(writer, encode_message(message), loop)
 
 
-async def write_frame(writer: asyncio.StreamWriter, frame: bytes) -> None:
-    """Send one complete frame, draining the transport buffer."""
+def queued_bytes(writer: asyncio.StreamWriter) -> int:
+    """Bytes waiting on ``writer``'s outbox."""
 
-    send_frame(writer, frame)
+    outbox = _outboxes.get(writer)
+    return 0 if outbox is None else outbox.size
+
+
+def flush(writer: asyncio.StreamWriter) -> None:
+    """Write ``writer``'s queued frames now, as one write.
+
+    Frames queued on a connection that is already closing are dropped:
+    there is nobody left to read them.
+    """
+
+    outbox = _outboxes.pop(writer, None)
+    if outbox is not None and not writer.transport.is_closing():
+        writer.write(b"".join(outbox.frames))
+        if _metric_sinks:
+            _count_write()
+
+
+async def drain(writer: asyncio.StreamWriter) -> None:
+    """Flush the outbox, then wait while the transport buffer is full."""
+
+    flush(writer)
     await writer.drain()
 
 
+def close_writer(writer: asyncio.StreamWriter) -> None:
+    """Flush the outbox, then close: a frame queued just before still leaves."""
+
+    flush(writer)
+    writer.close()
+
+
+async def write_frame(writer: asyncio.StreamWriter, frame: bytes) -> None:
+    """Send one complete frame now, after whatever ``writer`` had queued,
+    and wait while the transport buffer is full."""
+
+    send_frame(writer, frame)
+    await drain(writer)
+
+
 async def write_message(writer: asyncio.StreamWriter, message: Any) -> None:
-    """Frame and send one message, draining the transport buffer."""
+    """Frame and send one message now (see :func:`write_frame`)."""
 
     await write_frame(writer, encode_message(message))
+
+
+async def queue_message(writer: asyncio.StreamWriter, message: Any) -> None:
+    """Queue one message to leave with the loop turn's other frames; wait
+    only while the transport buffer is full (the outbox itself never holds
+    more than about :data:`OUTBOX_FLUSH_BYTES`).  How a server answers a
+    request."""
+
+    send_message(writer, message)
+    await writer.drain()

@@ -11,7 +11,9 @@ One process serves one channel:
   stream stays live.  Peers follow this stream from block 0 and commit
   each block themselves — the orderer never validates.  Each block is
   encoded once, when it is cut, into the ``raw_block`` frame every stream
-  is sent; the orderer keeps those bytes, not the decoded block.
+  is sent; the orderer keeps those bytes, zlib-compressed, not the decoded
+  block.  The newest frame is also kept whole, for live fan-out; a replay
+  decompresses.
 * ``flush`` force-cuts the pending batch (the in-process transports'
   ``flush`` made remote), and one timer per open batch enforces
   ``batch_timeout_s`` against the wall clock, exactly the third of
@@ -27,15 +29,19 @@ from __future__ import annotations
 import asyncio
 import signal
 import time
+import zlib
 from typing import Optional
 
 from ..fabric.block import Block
+from ..fabric.ledger import FRAME_ZLIB_LEVEL
 from ..fabric.orderer import OrderingService
 from ..telemetry.lifecycle import record_phase
 from .codec import (
     FrameError,
+    close_writer,
     encode_message,
     install_codec_metrics,
+    queue_message,
     read_message,
     write_frame,
     write_message,
@@ -59,8 +65,10 @@ class OrdererState:
         self.service = service
         self.started = time.monotonic()
         #: Every block ever cut, as the ``raw_block`` frame each deliver
-        #: stream is sent (replay and live fan-out write the same bytes).
+        #: stream is sent, zlib-compressed (see :meth:`frame`).
         self.frames: list[bytes] = []
+        #: The newest block's frame, uncompressed: what live fan-out writes.
+        self._newest = b""
         #: Live deliver subscribers (queues of block numbers to send).
         self.subscribers: list[asyncio.Queue] = []
         #: Telemetry (set when the config enables it) + envelope arrival
@@ -72,6 +80,14 @@ class OrdererState:
 
     def now(self) -> float:
         return time.monotonic() - self.started
+
+    def frame(self, number: int) -> bytes:
+        """Block ``number``'s ``raw_block`` frame (replay and live fan-out
+        write the same bytes)."""
+
+        if number == len(self.frames) - 1:
+            return self._newest
+        return zlib.decompress(self.frames[number])
 
     def arm_timeout(self) -> None:
         """Arm the wall-clock timer of a batch that just opened (any cut cancels it)."""
@@ -103,9 +119,8 @@ class OrdererState:
             self._timer.cancel()  # the batch that timer belonged to was cut
             self._timer = None
         for block in blocks:
-            self.frames.append(
-                encode_message({"type": "raw_block", "block": enc_block(block)})
-            )
+            self._newest = encode_message({"type": "raw_block", "block": enc_block(block)})
+            self.frames.append(zlib.compress(self._newest, FRAME_ZLIB_LEVEL))
             if self.telemetry is not None:
                 for tx in block.transactions:
                     arrived = self._arrivals.pop(tx.tx_id, None)
@@ -133,14 +148,14 @@ async def _handle_deliver(
     cursor = start_block
     try:
         while cursor < len(state.frames):
-            await write_frame(writer, state.frames[cursor])
+            await write_frame(writer, state.frame(cursor))
             cursor += 1
         while True:
             number = await queue.get()
             if number < cursor:
                 continue  # replay already delivered it
             while cursor <= number:
-                await write_frame(writer, state.frames[cursor])
+                await write_frame(writer, state.frame(cursor))
                 cursor += 1
     finally:
         state.subscribers.remove(queue)
@@ -165,7 +180,7 @@ async def _handle_connection(
                 return
 
             if kind == "ping":
-                await write_message(
+                await queue_message(
                     writer,
                     {
                         "type": "pong",
@@ -177,13 +192,13 @@ async def _handle_connection(
                 try:
                     envelope = dec_envelope(message.get("envelope"))
                 except WireError as exc:
-                    await write_message(writer, error_message(str(exc)))
+                    await queue_message(writer, error_message(str(exc)))
                     continue
                 state.note_arrival(envelope.tx_id)
                 cut = state.service.submit(envelope, now=state.now())
                 state.publish(cut)
                 state.arm_timeout()
-                await write_message(
+                await queue_message(
                     writer,
                     {
                         "type": "broadcast_ack",
@@ -196,7 +211,7 @@ async def _handle_connection(
                 block = state.service.flush(now=state.now())
                 if block is not None:
                     state.publish([block])
-                await write_message(
+                await queue_message(
                     writer,
                     {
                         "type": "flush_ack",
@@ -205,7 +220,7 @@ async def _handle_connection(
                     },
                 )
             elif kind == "metrics":
-                await write_message(
+                await queue_message(
                     writer, metrics_result_message(state.telemetry, "orderer", message)
                 )
             elif kind == "deliver":
@@ -218,13 +233,13 @@ async def _handle_connection(
                 await _handle_deliver(state, writer, start)
                 return
             else:
-                await write_message(
+                await queue_message(
                     writer, error_message(f"orderer cannot handle {kind!r}")
                 )
     except (ConnectionError, OSError, asyncio.CancelledError):
         return
     finally:
-        writer.close()
+        close_writer(writer)
 
 
 async def _serve(state: OrdererState, port_conn) -> None:

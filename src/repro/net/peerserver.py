@@ -11,7 +11,9 @@ module contributes only the deployment shell:
   blocks);
 * a follower task that subscribes to the orderer's deliver stream from
   block 0 and runs ``validate_and_commit`` on each block — the peer's
-  committer, fed over a socket instead of a method call.
+  committer, fed over a socket instead of a method call.  The ledger is
+  handed each block's frame too, and keeps a block older than its decoded
+  window as those bytes (see :class:`~repro.fabric.ledger.Ledger`).
 
 Everything runs on one event loop, so commits and endorsements interleave
 atomically exactly as they do on the in-process networks: an endorsement
@@ -38,15 +40,23 @@ from ..fabric.peer import Peer
 from ..fabric.transaction import ProposalResponse
 from ..gateway.channel import enroll_members, open_peer_store
 from ..telemetry.lifecycle import record_commit_phases, record_phase
-from .codec import FrameError, install_codec_metrics, read_message, write_message
+from .codec import (
+    FrameError,
+    close_writer,
+    install_codec_metrics,
+    queue_message,
+    read_frame,
+    read_message,
+    write_message,
+)
 from .errors import ConnectionClosed, PeerUnreachableError
 from .profile import ClusterProfile
 from .wire import (
     WireError,
-    dec_block,
     dec_integer,
     dec_number,
     dec_proposal,
+    dec_raw_block,
     enc_block_status,
     enc_committed_block,
     enc_endorsement_failure,
@@ -77,9 +87,11 @@ def build_peer(profile: ClusterProfile, qualified_name: str) -> Peer:
     for ref in profile.chaincodes:
         chaincodes.deploy(ref.instantiate())
     identity = membership.identity(qualified_name)
-    return peer_factory_for(config)(
+    peer = peer_factory_for(config)(
         identity, membership, chaincodes, store=open_peer_store(config, identity)
     )
+    peer.ledger.decode_frame = dec_raw_block  # the follower hands it each frame
+    return peer
 
 
 class PeerState:
@@ -135,26 +147,22 @@ async def _follow_orderer(state: PeerState, host: str, port: int) -> None:
                 {"type": "deliver", "start_block": state.peer.ledger.height},
             )
             while True:
-                message = await read_message(reader)
-                if message_type(message) != "raw_block":
-                    raise WireError(
-                        f"orderer deliver stream sent {message.get('type')!r}"
-                    )
-                block = dec_block(message.get("block"))
+                frame = await read_frame(reader)
+                block = dec_raw_block(frame)
                 # deliver = socket receipt -> committer pickup (immediate here —
                 # one event loop), validate = prepare_block, apply = the
                 # WriteBatch commit; the clock is read once per stage.
                 received = state.now()
                 prepared = state.peer.prepare_block(block)
                 validated = state.now()
-                state.peer.apply_prepared(prepared, commit_time=validated)
+                state.peer.apply_prepared(prepared, commit_time=validated, frame=frame)
                 if state.telemetry is not None:
                     record_commit_phases(
                         state.telemetry, state.peer.name, prepared,
                         received, received, validated, state.now(),
                     )
         except (ConnectionClosed, ConnectionError, OSError):
-            writer.close()
+            close_writer(writer)
             continue  # reconnect from the new height
 
 
@@ -225,7 +233,7 @@ async def _handle_connection(
                 return
 
             if kind == "ping":
-                await write_message(
+                await queue_message(
                     writer,
                     {"type": "pong", "node": peer.name, "height": peer.ledger.height},
                 )
@@ -234,7 +242,7 @@ async def _handle_connection(
                     proposal = dec_proposal(message.get("proposal"))
                     timestamp = dec_number(message.get("timestamp", 0.0), "endorse timestamp")
                 except WireError as exc:
-                    await write_message(writer, error_message(str(exc)))
+                    await queue_message(writer, error_message(str(exc)))
                     continue
                 arrived = state.now()
                 outcome = peer.endorse(proposal, timestamp)
@@ -244,7 +252,7 @@ async def _handle_connection(
                     ok=isinstance(outcome, ProposalResponse),
                 )
                 if isinstance(outcome, ProposalResponse):
-                    await write_message(
+                    await queue_message(
                         writer,
                         {
                             "type": "endorse_result",
@@ -253,7 +261,7 @@ async def _handle_connection(
                         },
                     )
                 else:
-                    await write_message(
+                    await queue_message(
                         writer,
                         {
                             "type": "endorse_result",
@@ -262,7 +270,7 @@ async def _handle_connection(
                         },
                     )
             elif kind == "ledger_info":
-                await write_message(
+                await queue_message(
                     writer,
                     {
                         "type": "ledger_info_result",
@@ -272,7 +280,7 @@ async def _handle_connection(
                     },
                 )
             elif kind == "metrics":
-                await write_message(
+                await queue_message(
                     writer, metrics_result_message(state.telemetry, peer.name, message)
                 )
             elif kind in DELIVER_FRAMES:
@@ -281,18 +289,18 @@ async def _handle_connection(
                     if start < 0:
                         raise WireError(f"{kind} start_block: {start} is negative")
                 except WireError as exc:
-                    await write_message(writer, error_message(str(exc)))
+                    await queue_message(writer, error_message(str(exc)))
                     continue
                 await _handle_deliver(state, writer, start, DELIVER_FRAMES[kind])
                 return
             else:
-                await write_message(
+                await queue_message(
                     writer, error_message(f"peer cannot handle {kind!r}")
                 )
     except (ConnectionError, OSError, asyncio.CancelledError):
         return
     finally:
-        writer.close()
+        close_writer(writer)
 
 
 async def _serve(

@@ -40,8 +40,9 @@ The design mirrors how a real Fabric Gateway client is structured:
   the same loop, so they make progress during *any* blocking transport
   call (and during :meth:`pump`, for pure event consumers).
   No background threads, no locks.
-* **Pipelined requests.**  ``submit_async`` only *writes* the endorse
-  frames and returns a handle whose ``flow`` task collects the replies,
+* **Pipelined requests.**  ``submit_async`` only *queues* the endorse
+  frames (they leave, one write per connection, when the loop next runs)
+  and returns a handle whose ``flow`` task collects the replies,
   assembles the envelope and hands it to the orderer **in submission
   order**; ``commit_status()`` awaits that flow, then sleeps until the
   anchor's status stream (or opened mirror) reports the block.  ``flush``
@@ -75,7 +76,10 @@ from ..gateway.errors import SubmitError
 from ..gateway.transport import EndorserReply, Submission, SubmittedTransaction, Transport
 from .codec import (
     FrameError,
+    close_writer,
+    drain,
     install_codec_metrics,
+    queued_bytes,
     read_message,
     send_message,
     uninstall_codec_metrics,
@@ -207,14 +211,15 @@ class _NodeConnection:
         self._reader_task = self._loop.create_task(self._read_replies())
 
     def send(self, message: dict) -> asyncio.Future:
-        """Write one request now (no loop entry); the future is its reply."""
+        """Queue one request (it leaves at the next loop entry, or at once
+        past the outbox's limit); the future is its reply."""
 
         label = message["type"]
         future = self._loop.create_future()
         if self._broken is not None:
             future.set_exception(self._unreachable(label))
             return future
-        send_message(self.writer, message)
+        send_message(self.writer, message, self._loop)
         deadline = self._loop.time() + self.timeout_s
         self._waiting.append((future, deadline, label))
         if self._expiry is None:
@@ -223,13 +228,15 @@ class _NodeConnection:
 
     @property
     def congested(self) -> bool:
-        """Whether the write buffer is past asyncio's own high-water mark."""
+        """Whether the queued and buffered bytes are past asyncio's own
+        high-water mark."""
 
-        return self.writer.transport.get_write_buffer_size() > self._high_water
+        buffered = self.writer.transport.get_write_buffer_size()
+        return buffered + queued_bytes(self.writer) > self._high_water
 
     async def drain(self) -> None:
         try:
-            await self.writer.drain()
+            await drain(self.writer)
         except (ConnectionError, OSError):
             pass  # the reader task reports the break to every queued request
 
@@ -278,7 +285,7 @@ class _NodeConnection:
 
         self._reader_task.cancel()
         self._fail(ConnectionClosed("transport closed"))
-        self.writer.close()
+        close_writer(self.writer)
         return self._reader_task
 
 
@@ -432,7 +439,7 @@ class SocketTransport(Transport):
                         raise WireError(f"unexpected {kind!r} message")
                     self._progress.set()
             finally:
-                writer.close()
+                close_writer(writer)
         except (ConnectionClosed, ConnectionError, OSError) as exc:
             self._stream_died(endpoint.name, reason, exc)
         except Exception as exc:
@@ -539,7 +546,7 @@ class SocketTransport(Transport):
     # -- the Transport ABC --------------------------------------------------------
 
     def _start(self, submission: Submission) -> None:
-        """Write the endorse frames and return; the handle's flow does the rest.
+        """Queue the endorse frames and return; the handle's flow does the rest.
 
         Nothing is awaited, so every outcome surfaces at ``commit_status()``
         / ``result()``, exactly as on the DES transport.

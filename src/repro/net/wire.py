@@ -32,7 +32,8 @@ import base64
 import binascii
 from typing import Any, Optional
 
-from ..common.errors import FabricError, PolicyError
+from ..common.errors import FabricError, PolicyError, SerializationError
+from ..common.serialization import from_bytes
 from ..common.types import (
     RangeQueryInfo,
     ReadItem,
@@ -537,6 +538,19 @@ def dec_block(data: Any, context: str = "block") -> Block:
     """A block whose transactions share what they repeat (see :class:`_BlockDecoder`)."""
 
     return _BlockDecoder().block(data, context)
+
+
+def dec_raw_block(payload: bytes) -> Block:
+    """The block of a ``raw_block`` frame's payload (the orderer's deliver
+    stream; also how a peer's ledger reads a block it stored as that frame)."""
+
+    try:
+        message = from_bytes(payload)
+    except SerializationError as exc:
+        raise WireError(f"raw_block frame: {exc}") from None
+    if message_type(message) != "raw_block":
+        raise WireError(f"orderer deliver stream sent {message['type']!r}")
+    return dec_block(message.get("block"))
 
 
 def enc_metadata(metadata: BlockMetadata) -> dict:

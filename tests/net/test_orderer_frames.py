@@ -2,8 +2,8 @@
 
 The ordering service cuts a block once and sends that same block to every
 peer.  The orderer process keeps each cut block as the ``raw_block`` frame
-it was encoded into when it was cut, and writes those stored bytes on
-every live deliver stream and on every replay.  The server runs here in
+it was encoded into when it was cut (zlib-compressed), and writes those
+stored bytes on every live deliver stream and on every replay.  The server runs here in
 this process, on an event loop of the test's own, so ``enc_block`` can be
 counted and the codec's counters read.
 """
@@ -11,6 +11,7 @@ counted and the codec's counters read.
 from __future__ import annotations
 
 import asyncio
+import zlib
 
 from repro.common.config import OrdererConfig
 from repro.common.serialization import from_bytes
@@ -114,7 +115,9 @@ def test_every_deliver_stream_gets_the_one_stored_frame(monkeypatch):
     expected = [
         encode_message({"type": "raw_block", "block": enc_block(block)}) for block in encoded
     ]
-    assert state.frames == expected
+    # Stored compressed; the newest also kept whole, for live fan-out.
+    assert [zlib.decompress(frame) for frame in state.frames] == expected
+    assert [state.frame(number) for number in range(BLOCKS)] == expected
     assert received["live-0"] == received["live-1"] == received["replay"] == expected
     for frame, block in zip(expected, encoded):
         assert dec_block(from_bytes(frame[HEADER_BYTES:])["block"]) == block

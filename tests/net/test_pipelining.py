@@ -1,8 +1,9 @@
 """What the pipelined socket client promises, pinned.
 
-``submit_async`` only writes the endorse frames; a per-transaction flow
-collects the replies and hands the envelope to the orderer.  These tests
-pin the guarantees that make that safe: submission order is block order,
+``submit_async`` only queues the endorse frames (they leave, one write per
+connection, at the next loop entry); a per-transaction flow collects the
+replies and hands the envelope to the orderer.  These tests pin the
+guarantees that make that safe: submission order is block order,
 FIFO reply matching survives an expired request, ``flush``/``evaluate``
 observe earlier un-awaited submissions, a fresh transport (and a mirror
 opened later) starts caught up, and a dead deliver stream is a typed error
@@ -24,6 +25,7 @@ from repro.core.network import crdt_network
 from repro.gateway.errors import EndorseError
 from repro.gateway.gateway import Gateway
 from repro.net import Cluster, DeliverStreamError, SocketTransport
+from repro.net.codec import queued_bytes
 from repro.telemetry import Telemetry
 from repro.workload.iot import IoTChaincode, encode_call, reading_payload
 
@@ -163,6 +165,30 @@ def test_flush_and_evaluate_observe_unawaited_submissions(shared_cluster):
         transport.wait_for_height(height + 2)
         state = contract.evaluate("read_device", json.dumps({"key": "dev-drain"}))
         assert {r["ts"] for r in state["tempReadings"]} >= {str(10 + i) for i in range(10)}
+
+
+def test_endorse_frames_queued_by_submit_async_leave_at_the_next_loop_entry(shared_cluster):
+    telemetry = Telemetry()
+    with SocketTransport.connect(shared_cluster.profile, telemetry=telemetry) as transport:
+        contract = Gateway.connect(transport).get_contract("iot")
+        contract.submit("populate", json.dumps({"keys": ["dev-outbox"]}))
+        frames = telemetry.metrics.get("repro_net_frames_total")
+        writes = telemetry.metrics.get("repro_net_writes_total")
+        sent, written = frames.value(direction="out", node="client"), writes.value(node="client")
+
+        submitted = [
+            contract.submit_async("record", record_call("dev-outbox", i)) for i in range(5)
+        ]
+        queued = {name: queued_bytes(conn.writer) for name, conn in transport._conns.items()}
+        endorsers = [name for name, size in queued.items() if size]
+        assert endorsers and "orderer" not in endorsers
+        assert frames.value(direction="out", node="client") - sent == 5 * len(endorsers)
+        assert writes.value(node="client") == written  # nothing has left yet
+
+        transport.pump(0)  # one loop entry
+        assert not any(queued_bytes(conn.writer) for conn in transport._conns.values())
+        assert writes.value(node="client") > written
+        assert all(tx.commit_status().succeeded for tx in submitted)
 
 
 def test_close_lets_unawaited_submissions_reach_the_orderer(shared_cluster):
