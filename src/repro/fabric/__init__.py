@@ -16,8 +16,8 @@ from .localnet import LocalNetwork
 from .orderer import OrderingService
 from .peer import CommitWork, MergePlan, Peer, PreparedCommit
 from .policy import (
-    EndorsementPolicy,
     OutOf,
+    PolicyNode,
     Principal,
     and_policy,
     majority_policy,
@@ -68,7 +68,7 @@ __all__ = [
     "CommitWork",
     "MergePlan",
     "PreparedCommit",
-    "EndorsementPolicy",
+    "PolicyNode",
     "Principal",
     "OutOf",
     "and_policy",

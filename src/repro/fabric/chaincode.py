@@ -37,6 +37,7 @@ from ..common.types import (
     ReadWriteSet,
     WriteItem,
 )
+from .policy import PolicyNode
 from .store import StateStore
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -280,12 +281,17 @@ class DeployableChaincode(Protocol):
 
 
 class ChaincodeRegistry:
-    """Chaincodes deployed on a channel, by name."""
+    """Chaincodes deployed on a channel, by name, each with the endorsement
+    policy it was deployed under: together, the chaincode's definition.
+
+    Validation (VSCC) reads the policy from here, never from a transaction.
+    """
 
     def __init__(self) -> None:
         self._chaincodes: dict[str, DeployableChaincode] = {}
+        self._policy_of: dict[str, PolicyNode] = {}
 
-    def deploy(self, chaincode: DeployableChaincode) -> None:
+    def deploy(self, chaincode: DeployableChaincode, policy: PolicyNode) -> None:
         if not getattr(chaincode, "name", None):
             raise ChaincodeError("chaincode must have a name")
         if not callable(getattr(chaincode, "invoke", None)):
@@ -293,6 +299,12 @@ class ChaincodeRegistry:
                 f"cannot deploy {type(chaincode).__name__}: no invoke(stub, function, args)"
             )
         self._chaincodes[chaincode.name] = chaincode
+        self._policy_of[chaincode.name] = policy
+
+    def policy_for(self, name: str) -> Optional[PolicyNode]:
+        """The policy ``name`` was deployed under; ``None`` if it is not deployed."""
+
+        return self._policy_of.get(name)
 
     def get(self, name: str) -> DeployableChaincode:
         try:

@@ -17,7 +17,7 @@ from ..common.hashing import sha256
 from ..common.types import Counterstats
 from .identity import Identity, MembershipRegistry
 from .peer import Peer
-from .policy import EndorsementPolicy
+from .policy import PolicyNode
 from .transaction import (
     EndorsementFailure,
     Proposal,
@@ -45,7 +45,7 @@ class EndorsementRoundFailure:
 
 
 def select_endorsing_orgs(
-    policy: EndorsementPolicy, available_orgs: Sequence[str]
+    policy: PolicyNode, available_orgs: Sequence[str]
 ) -> list[str]:
     """Choose a minimal set of orgs that can satisfy ``policy``.
 
@@ -91,7 +91,6 @@ class Client:
         chaincode: str,
         function: str,
         args: Sequence[str],
-        policy: EndorsementPolicy,
         submit_time: float = 0.0,
     ) -> Proposal:
         self.stats.bump("proposals_created")
@@ -101,7 +100,6 @@ class Client:
             function=function,
             args=tuple(args),
             creator=self.name,
-            policy=policy,
             nonce=self.next_nonce(),
             submit_time=submit_time,
         )
@@ -109,7 +107,11 @@ class Client:
     # -- synchronous endorsement round ----------------------------------------
 
     def endorse_at(
-        self, proposal: Proposal, peers: Sequence[Peer], timestamp: float = 0.0
+        self,
+        proposal: Proposal,
+        policy: PolicyNode,
+        peers: Sequence[Peer],
+        timestamp: float = 0.0,
     ) -> Union[AssembledTransaction, EndorsementRoundFailure]:
         """Collect endorsements from ``peers`` and assemble the envelope."""
 
@@ -121,13 +123,14 @@ class Client:
                 responses.append(outcome)
             else:
                 failures.append(outcome)
-        return self.assemble(proposal, responses, failures)
+        return self.assemble(proposal, policy, responses, failures)
 
     # -- assembly ----------------------------------------------------------------
 
     def assemble(
         self,
         proposal: Proposal,
+        policy: PolicyNode,
         responses: Sequence[ProposalResponse],
         failures: Sequence[EndorsementFailure] = (),
     ) -> Union[AssembledTransaction, EndorsementRoundFailure]:
@@ -135,7 +138,8 @@ class Client:
 
         Mirrors how the Fabric SDK and VSCC actually interact: a transaction
         carries exactly one read-write set, and only endorsement signatures
-        over *that* set count towards the policy.  Peers can transiently
+        over *that* set count towards ``policy`` (the deployed chaincode's,
+        which VSCC evaluates again on every peer).  Peers can transiently
         diverge (one committed a block the other has not yet), so the client
         groups responses by identical (rwset, result) and picks the largest
         group that can satisfy the policy, preferring the earliest-received
@@ -165,14 +169,14 @@ class Client:
             endorsing_orgs = {
                 self.membership.org_of(response.endorser).name for response in group
             }
-            if proposal.policy.satisfied_by(endorsing_orgs):
+            if policy.satisfied_by(endorsing_orgs):
                 chosen = group
                 break
         if chosen is None:
             self.stats.bump("endorsement_round_failures")
             return EndorsementRoundFailure(
                 proposal.tx_id,
-                f"no consistent endorsement group satisfies {proposal.policy}",
+                f"no consistent endorsement group satisfies {policy}",
                 tuple(failures),
             )
 

@@ -41,7 +41,7 @@ _tx_index_of = itemgetter(0)
 DECODED_WINDOW = 4
 
 #: zlib level of a stored frame.  Level 1 already shrinks a 25-transaction
-#: block's frame about 5x (its transactions repeat names, keys and policy).
+#: block's frame about 5x (its transactions repeat names and keys).
 FRAME_ZLIB_LEVEL = 1
 
 

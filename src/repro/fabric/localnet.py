@@ -29,7 +29,7 @@ from .client import Client
 from .identity import MembershipRegistry
 from .ledger import Ledger
 from .peer import Peer
-from .policy import EndorsementPolicy
+from .policy import PolicyNode
 from .store import StateStore
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -99,12 +99,9 @@ class LocalNetwork:
         return self.channel.peers_of(org_name)
 
     def deploy(
-        self, chaincode: DeployableChaincode, policy: Optional[EndorsementPolicy] = None
+        self, chaincode: DeployableChaincode, policy: Optional[PolicyNode] = None
     ) -> None:
         self.channel.deploy(chaincode, policy)
-
-    def policy_for(self, chaincode_name: str) -> EndorsementPolicy:
-        return self.channel.policy_for(chaincode_name)
 
     # -- ordering --------------------------------------------------------------------
 

@@ -24,7 +24,7 @@ from .client import Client
 from .costmodel import CostModel
 from .orderer import OrderingService
 from .peer import Peer
-from .policy import EndorsementPolicy
+from .policy import PolicyNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..gateway.channel import Channel
@@ -111,12 +111,9 @@ class SimulatedNetwork:
     # -- deployment ------------------------------------------------------------------
 
     def deploy(
-        self, chaincode: DeployableChaincode, policy: Optional[EndorsementPolicy] = None
+        self, chaincode: DeployableChaincode, policy: Optional[PolicyNode] = None
     ) -> None:
         self.channel.deploy(chaincode, policy)
-
-    def policy_for(self, chaincode_name: str) -> EndorsementPolicy:
-        return self.channel.policy_for(chaincode_name)
 
     # -- telemetry (opt-in) ----------------------------------------------------------
 

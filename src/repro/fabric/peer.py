@@ -8,7 +8,9 @@ LocalNetwork` call them directly.
 The commit pipeline follows Fabric's committer exactly:
 
 1. **VSCC** (per transaction, parallelizable): verify the endorsements and
-   evaluate the chaincode's endorsement policy.
+   evaluate the endorsement policy the chaincode was deployed under (read
+   from the peer's registry, never from the transaction); an envelope for a
+   chaincode this peer has not deployed is ``INVALID_ENDORSER_TRANSACTION``.
 2. **Duplicate check**: a transaction ID already committed — or appearing
    earlier in the same block — invalidates the later occurrence.
 3. **MVCC** (sequential): compare each read's version against the committed
@@ -44,6 +46,7 @@ from .chaincode import ChaincodeRegistry, ShimStub
 from .events import EventHub
 from .identity import Identity, MembershipRegistry
 from .ledger import Ledger
+from .policy import PolicyNode
 from .store import StateStore, WriteBatch
 from .transaction import (
     EndorsementFailure,
@@ -418,14 +421,17 @@ class Peer:
                 precodes.append(ValidationCode.DUPLICATE_TXID)
                 continue
             seen_in_block.add(tx.tx_id)
-            if not self._vscc(tx):
+            policy = self.chaincodes.policy_for(tx.proposal.chaincode)
+            if policy is None:
+                precodes.append(ValidationCode.INVALID_ENDORSER_TRANSACTION)
+            elif not self._vscc(tx, policy):
                 precodes.append(ValidationCode.ENDORSEMENT_POLICY_FAILURE)
-                continue
-            precodes.append(None)
+            else:
+                precodes.append(None)
         return precodes
 
-    def _vscc(self, tx: TransactionEnvelope) -> bool:
-        """Verify endorsement signatures and evaluate the policy."""
+    def _vscc(self, tx: TransactionEnvelope, policy: PolicyNode) -> bool:
+        """Verify endorsement signatures and evaluate the deployed ``policy``."""
 
         if not tx.endorsements:
             return False
@@ -438,7 +444,7 @@ class Peer:
             if not self.membership.verify(endorsement, response_hash):
                 continue
             endorsing_orgs.add(self.membership.org_of(endorsement.signer).name)
-        return tx.proposal.policy.satisfied_by(endorsing_orgs)
+        return policy.satisfied_by(endorsing_orgs)
 
     def _mvcc_validate(
         self,

@@ -8,7 +8,7 @@ Fabric expresses policies like ``AND('Org1.member', OR('Org2.member',
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from ..common.errors import PolicyError
 
@@ -24,9 +24,6 @@ class Principal:
 
     def orgs_mentioned(self) -> frozenset[str]:
         return frozenset({self.org_name})
-
-    def min_endorsers(self) -> int:
-        return 1
 
     def __str__(self) -> str:
         return f"'{self.org_name}.member'"
@@ -56,10 +53,6 @@ class OutOf:
         for rule in self.rules:
             mentioned |= rule.orgs_mentioned()
         return mentioned
-
-    def min_endorsers(self) -> int:
-        costs = sorted(rule.min_endorsers() for rule in self.rules)
-        return sum(costs[: self.threshold])
 
     def __str__(self) -> str:
         inner = ", ".join(str(rule) for rule in self.rules)
@@ -94,22 +87,12 @@ def majority_policy(org_names: Iterable[str]) -> OutOf:
     return OutOf(len(rules) // 2 + 1, rules)
 
 
-@dataclass(frozen=True)
-class EndorsementPolicy:
-    """A named policy attached to a chaincode."""
+def deployment_policy(policy: Optional[PolicyNode], org_names: Sequence[str]) -> PolicyNode:
+    """The policy a chaincode is deployed under on a channel of ``org_names``.
 
-    expression: PolicyNode
+    ``None`` means the channel default, ``OR`` over every org, which is what
+    the paper's Caliper benchmarks effectively use.  Every runtime resolves
+    the default here, so clients and peers cannot disagree on it.
+    """
 
-    def satisfied_by(self, endorsing_orgs: Iterable[str]) -> bool:
-        return self.expression.satisfied_by(frozenset(endorsing_orgs))
-
-    def orgs_mentioned(self) -> frozenset[str]:
-        return self.expression.orgs_mentioned()
-
-    def min_endorsers(self) -> int:
-        """Fewest org endorsements that can satisfy the policy (client hint)."""
-
-        return self.expression.min_endorsers()
-
-    def __str__(self) -> str:
-        return str(self.expression)
+    return policy if policy is not None else or_policy(*org_names)

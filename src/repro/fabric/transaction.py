@@ -2,8 +2,8 @@
 
 The lifecycle mirrors Figure 1 of the paper:
 
-1. a client builds a :class:`Proposal` naming chaincode, function, args, and
-   the endorsement policy;
+1. a client builds a :class:`Proposal` naming chaincode, function, and args
+   (the endorsement policy is the deployed chaincode's, never the client's);
 2. endorsing peers simulate it and return :class:`ProposalResponse` objects
    containing the read-write set and a signature over its hash;
 3. the client assembles a :class:`TransactionEnvelope` from the proposal
@@ -19,7 +19,6 @@ from ..common.hashing import sha256, short_hash
 from ..common.serialization import to_bytes
 from ..common.types import Json, ReadWriteSet, TxType
 from .identity import SignedPayload
-from .policy import EndorsementPolicy
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,6 @@ class Proposal:
     function: str
     args: tuple[str, ...]
     creator: str  # client's qualified identity name
-    policy: EndorsementPolicy
     submit_time: float = 0.0
 
     @classmethod
@@ -62,7 +60,6 @@ class Proposal:
         function: str,
         args: tuple[str, ...],
         creator: str,
-        policy: EndorsementPolicy,
         nonce: int,
         submit_time: float = 0.0,
     ) -> "Proposal":
@@ -89,7 +86,6 @@ class Proposal:
             function=function,
             args=args,
             creator=creator,
-            policy=policy,
             submit_time=submit_time,
         )
 

@@ -4,7 +4,8 @@
 :class:`~repro.fabric.network.SimulatedNetwork` share one wiring:
 membership enrolment, the peer set (built by a ``peer_factory``, by default
 the peer type the config asks for), the client pool, the chaincode registry
-plus endorsement policies, and commit-event → status tracking.
+(each chaincode with its endorsement policy, shared with the peers that
+validate against it), and commit-event → status tracking.
 :class:`Channel` is that wiring; the front-ends differ only in *transport*
 (how proposals, envelopes, and blocks move — see
 :mod:`repro.gateway.transport`).
@@ -28,7 +29,7 @@ from ..fabric.events import statuses_from_block
 from ..fabric.identity import Identity, MembershipRegistry
 from ..fabric.ledger import Ledger
 from ..fabric.peer import Peer
-from ..fabric.policy import EndorsementPolicy, or_policy
+from ..fabric.policy import PolicyNode, deployment_policy
 from ..fabric.store import StateStore, create_store
 
 #: ``factory(identity, membership, chaincodes, store=...)`` building one peer.
@@ -99,7 +100,6 @@ class Channel:
         self.config = config if config is not None else NetworkConfig()
         self.membership = MembershipRegistry()
         self.chaincodes = ChaincodeRegistry()
-        self._policies: dict[str, EndorsementPolicy] = {}
         if peer_factory is None:
             # Imported lazily: repro.core builds on the front-ends that
             # import this module.
@@ -159,27 +159,26 @@ class Channel:
     # -- deployment ----------------------------------------------------------------
 
     def deploy(
-        self, chaincode: DeployableChaincode, policy: Optional[EndorsementPolicy] = None
+        self, chaincode: DeployableChaincode, policy: Optional[PolicyNode] = None
     ) -> None:
         """Deploy a chaincode on the channel with an endorsement policy.
 
         Accepts anything with a ``name`` and Fabric's
         ``invoke(stub, function, args)`` entry — in practice a
-        :class:`repro.contract.Contract` subclass.  The default policy is
-        ``OR`` over all organizations, which is what the paper's Caliper
-        benchmarks effectively use.
+        :class:`repro.contract.Contract` subclass.  ``None`` is the channel
+        default (:func:`~repro.fabric.policy.deployment_policy`).
         """
 
-        self.chaincodes.deploy(chaincode)
-        self._policies[chaincode.name] = (
-            policy if policy is not None else or_policy(*self.org_names)
-        )
+        self.chaincodes.deploy(chaincode, deployment_policy(policy, self.org_names))
 
-    def policy_for(self, chaincode_name: str) -> EndorsementPolicy:
-        try:
-            return self._policies[chaincode_name]
-        except KeyError:
-            raise FabricError(f"chaincode {chaincode_name!r} not deployed") from None
+    def policy_for(self, chaincode_name: str) -> PolicyNode:
+        """The deployed policy: the client reads it only to choose endorsers
+        and a consistent response group, as Fabric's discovery service does."""
+
+        policy = self.chaincodes.policy_for(chaincode_name)
+        if policy is None:
+            raise FabricError(f"chaincode {chaincode_name!r} not deployed")
+        return policy
 
     # -- status tracking -------------------------------------------------------------
 

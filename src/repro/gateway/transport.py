@@ -4,8 +4,8 @@ A :class:`Transport` binds a :class:`~repro.gateway.channel.Channel` to one
 delivery mechanism.  The base class owns the whole client side of a
 submission — the lifecycle is written once:
 
-* **propose** — the client's signed proposal under the chaincode's policy,
-  and the :class:`SubmittedTransaction` handle its outcome will land on;
+* **propose** — the client's signed proposal (it names no policy), and the
+  :class:`SubmittedTransaction` handle its outcome will land on;
 * **settle** — assemble the endorsement round, record it on the handle,
   fire the failure hook, record the ``submit`` span, and say whether there
   is an envelope to broadcast (a failed round and a read-only invocation
@@ -47,6 +47,7 @@ from ..fabric.client import (
     select_endorsing_orgs,
 )
 from ..fabric.orderer import OrderingService
+from ..fabric.policy import PolicyNode
 from ..fabric.transaction import EndorsementFailure, Proposal, ProposalResponse
 from ..telemetry.lifecycle import record_phase
 from .channel import Channel
@@ -186,6 +187,9 @@ class Submission:
     tx: SubmittedTransaction
     client: Client
     proposal: Proposal
+    #: The chaincode's deployed policy, the client's copy: it picks the
+    #: endorsers and the response group (peers validate against their own).
+    policy: PolicyNode
     on_endorsement_failure: Optional[EndorsementFailureHook]
     #: When the submission began, on the telemetry clock (``submit`` span start).
     started: float
@@ -233,12 +237,9 @@ class Transport(ABC):
     def propose(
         self, client: Client, chaincode: str, function: str, args: Sequence[str]
     ) -> Proposal:
-        """``client``'s proposal for one invocation, under the chaincode's policy."""
+        """``client``'s proposal for one invocation."""
 
-        channel = self.channel
-        return client.new_proposal(
-            channel.name, chaincode, function, args, channel.policy_for(chaincode), self.now
-        )
+        return client.new_proposal(self.channel.name, chaincode, function, args, self.now)
 
     def begin(
         self,
@@ -248,26 +249,33 @@ class Transport(ABC):
         args: Sequence[str],
         on_endorsement_failure: Optional[EndorsementFailureHook] = None,
     ) -> Submission:
-        """Propose one transaction and create the handle its outcome lands on."""
+        """Propose one transaction and create the handle its outcome lands on.
+
+        An undeployed chaincode raises here: the channel has no policy for it.
+        """
 
         started = self.telemetry.now() if self.telemetry is not None else 0.0
+        policy = self.channel.policy_for(chaincode)
         proposal = self.propose(client, chaincode, function, args)
         tx = SubmittedTransaction(
             self, proposal.tx_id, proposal.submit_time, chaincode, function
         )
-        return Submission(tx, client, proposal, on_endorsement_failure, started)
+        return Submission(tx, client, proposal, policy, on_endorsement_failure, started)
 
-    def endorsers(self, proposal: Proposal) -> list:
+    def endorsers(self, policy: PolicyNode) -> list:
         """The channel peers a proposal is sent to: the first peer of each org
-        of a minimal set that satisfies its policy."""
+        of a minimal set that satisfies its chaincode's ``policy``."""
 
         channel = self.channel
-        orgs = select_endorsing_orgs(proposal.policy, channel.org_names)
+        orgs = select_endorsing_orgs(policy, channel.org_names)
         return [channel.peers_of(org)[0] for org in orgs]
 
     @staticmethod
     def assemble(
-        client: Client, proposal: Proposal, replies: Sequence[EndorserReply]
+        client: Client,
+        proposal: Proposal,
+        policy: PolicyNode,
+        replies: Sequence[EndorserReply],
     ) -> Union[AssembledTransaction, EndorsementRoundFailure]:
         """The endorsement round's outcome, from the endorsers' replies in
         the order they arrived."""
@@ -275,7 +283,7 @@ class Transport(ABC):
         responses, failures = [], []
         for reply in replies:
             (responses if isinstance(reply, ProposalResponse) else failures).append(reply)
-        return client.assemble(proposal, responses, failures)
+        return client.assemble(proposal, policy, responses, failures)
 
     def settle(
         self, submission: Submission, replies: Sequence[EndorserReply]
@@ -288,7 +296,9 @@ class Transport(ABC):
         """
 
         tx = submission.tx
-        outcome = self.assemble(submission.client, submission.proposal, replies)
+        outcome = self.assemble(
+            submission.client, submission.proposal, submission.policy, replies
+        )
         tx.record_endorsement(outcome, self.now)
         if tx.endorse_failure is not None:
             if submission.on_endorsement_failure is not None:
@@ -314,8 +324,9 @@ class Transport(ABC):
     ) -> Union[AssembledTransaction, EndorsementRoundFailure]:
         """One invocation endorsed by the anchor peer alone, now."""
 
+        policy = self.channel.policy_for(chaincode)
         proposal = self.propose(client, chaincode, function, args)
-        return self.assemble(client, proposal, self._ask_anchor(proposal))
+        return self.assemble(client, proposal, policy, self._ask_anchor(proposal))
 
     def evaluate(
         self, chaincode: str, function: str, args: Sequence[str], client_index: int = 0
@@ -437,7 +448,7 @@ class SyncTransport(Transport):
 
     def _start(self, submission: Submission) -> None:
         proposal, now = submission.proposal, self.now
-        replies = [peer.endorse(proposal, now) for peer in self.endorsers(proposal)]
+        replies = [peer.endorse(proposal, now) for peer in self.endorsers(submission.policy)]
         outcome = self.settle(submission, replies)
         if submission.tx.ordered:
             self.dispatch(self.orderer.submit(outcome.envelope, now), now)

@@ -37,6 +37,7 @@ from ..fabric.block import CommittedBlock
 from ..fabric.chaincode import ChaincodeRegistry
 from ..fabric.identity import MembershipRegistry
 from ..fabric.peer import Peer
+from ..fabric.policy import deployment_policy
 from ..fabric.transaction import ProposalResponse
 from ..gateway.channel import enroll_members, open_peer_store
 from ..telemetry.lifecycle import record_commit_phases, record_phase
@@ -75,8 +76,9 @@ def build_peer(profile: ClusterProfile, qualified_name: str) -> Peer:
 
     The channel's own enrolment order and per-peer store selection (with its
     refusal of a database a previous run left behind), the peer type the
-    config asks for.  That sameness is what makes per-peer state
-    fingerprints comparable against a
+    config asks for, and every chaincode under the policy the channel
+    resolves for it (what this peer's VSCC evaluates).  That sameness is
+    what makes per-peer state fingerprints comparable against a
     :class:`~repro.fabric.localnet.LocalNetwork` run.
     """
 
@@ -85,7 +87,9 @@ def build_peer(profile: ClusterProfile, qualified_name: str) -> Peer:
     enroll_members(membership, config.topology)
     chaincodes = ChaincodeRegistry()
     for ref in profile.chaincodes:
-        chaincodes.deploy(ref.instantiate())
+        chaincodes.deploy(
+            ref.instantiate(), deployment_policy(ref.policy, config.topology.org_names)
+        )
     identity = membership.identity(qualified_name)
     peer = peer_factory_for(config)(
         identity, membership, chaincodes, store=open_peer_store(config, identity)

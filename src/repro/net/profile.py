@@ -32,7 +32,7 @@ from ..common.config import (
     TopologyConfig,
 )
 from ..fabric.policy import PolicyNode
-from .wire import WireError, dec_policy, enc_policy
+from .wire import WireError, dec_policy_node, enc_policy_node
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,12 @@ class PeerEndpoint:
 
 @dataclass(frozen=True)
 class ChaincodeRef:
-    """A chaincode named by import spec, plus its endorsement policy.
+    """A chaincode definition: an import spec plus its endorsement policy.
 
-    ``policy`` is a bare policy node (``OutOf`` / ``Principal``), matching
-    how :meth:`~repro.gateway.channel.Channel.deploy` stores policies;
-    ``None`` means the channel default (``OR`` over all orgs).
+    Every peer process deploys the chaincode under ``policy`` and its VSCC
+    evaluates that policy; the client keeps the same definition to choose
+    endorsers.  ``None`` means the channel default
+    (:func:`~repro.fabric.policy.deployment_policy`).
     """
 
     spec: str  # "package.module:ClassName"
@@ -99,7 +100,7 @@ class ChaincodeRef:
     def to_dict(self) -> dict:
         return {
             "spec": self.spec,
-            "policy": enc_policy(self.policy) if self.policy is not None else None,
+            "policy": enc_policy_node(self.policy) if self.policy is not None else None,
         }
 
     @classmethod
@@ -107,7 +108,7 @@ class ChaincodeRef:
         policy = data.get("policy")
         return cls(
             spec=data["spec"],
-            policy=dec_policy(policy) if policy is not None else None,
+            policy=dec_policy_node(policy) if policy is not None else None,
         )
 
 

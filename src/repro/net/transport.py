@@ -555,7 +555,7 @@ class SocketTransport(Transport):
         if self._closed:
             raise TransportError("transport is closed")
         proposal = submission.proposal
-        peer_names = [mirror.name for mirror in self.endorsers(proposal)]
+        peer_names = [mirror.name for mirror in self.endorsers(submission.policy)]
         replies = self._send_proposal(proposal, peer_names, self.now)
         turn, written = self._last_written, self._loop.create_future()
         self._last_written = written

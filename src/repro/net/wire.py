@@ -9,7 +9,8 @@ request/response messages the servers speak.  Encoding rules:
 * :class:`~repro.common.types.Version` travels as its compact ``"b:t"``
   string (``None`` for never-committed keys);
 * :class:`~repro.common.types.ValidationCode` travels by name;
-* endorsement-policy trees travel as tagged dicts
+* an endorsement-policy tree — only in a cluster profile's chaincode
+  definitions, never in a transaction — travels as tagged dicts
   (``{"principal": org}`` / ``{"out_of": {...}}``).
 
 Every decoder is *strict*: unknown validation codes, malformed versions,
@@ -19,7 +20,7 @@ where a name or key belongs) and values the protocol types refuse (an
 invalid policy, a delete carrying a value) raise :class:`WireError` — never
 a bare ``KeyError`` / ``TypeError`` / ``ValueError`` a server or reader loop
 would have to guess about.  A decoded block shares what its transactions
-repeat (names, keys, versions, the policy; see :class:`_BlockDecoder`).
+repeat (names, keys, versions; see :class:`_BlockDecoder`).
 Round-tripping is exact (``decode(encode(x)) == x``), which the hypothesis property tests
 in ``tests/net`` pin down per message type; exactness matters beyond
 hygiene because block data hashes are recomputed from decoded envelopes on
@@ -45,7 +46,7 @@ from ..common.types import (
 )
 from ..fabric.block import Block, BlockHeader, BlockMetadata, CommittedBlock
 from ..fabric.identity import SignedPayload
-from ..fabric.policy import EndorsementPolicy, OutOf, Principal
+from ..fabric.policy import OutOf, Principal
 from ..fabric.transaction import (
     ChaincodeEvent,
     EndorsementFailure,
@@ -174,23 +175,6 @@ def dec_policy_node(data: Any, context: str = "policy"):
     raise WireError(f"{context}: unknown policy tag in {sorted(data)}")
 
 
-def enc_policy(policy) -> dict:
-    """Encode a policy: a bare node, or an :class:`EndorsementPolicy` wrapper.
-
-    The channel stores policies as bare ``OutOf``/``Principal`` nodes (see
-    ``Channel.deploy``); the wire canonicalizes to the node form, so a
-    wrapped policy decodes back as its expression node.
-    """
-
-    if isinstance(policy, EndorsementPolicy):
-        return enc_policy_node(policy.expression)
-    return enc_policy_node(policy)
-
-
-def dec_policy(data: Any, context: str = "policy"):
-    return dec_policy_node(data, context)
-
-
 # -- read-write sets ----------------------------------------------------------
 
 
@@ -275,9 +259,6 @@ class _Decoder:
     def version(self, text: Any, context: str) -> Optional[Version]:
         return dec_version(text, context)
 
-    def policy(self, data: Any, context: str):
-        return dec_policy_node(data, context)
-
     def write(self, item: Any, context: str) -> WriteItem:
         key = self.name(item, "key", context)
         value = dec_bytes(_require(item, "value", context), context)
@@ -338,7 +319,6 @@ class _Decoder:
             function=self.name(data, "function", context),
             args=tuple(args),
             creator=self.name(data, "creator", context),
-            policy=self.policy(_require(data, "policy", context), f"{context}.policy"),
             submit_time=dec_number(
                 _require(data, "submit_time", context), f"{context}.submit_time"
             ),
@@ -384,19 +364,17 @@ class _BlockDecoder(_Decoder):
     the decode.
 
     What a block's transactions repeat — the channel, chaincode, function,
-    creator and signer names, the read/write keys, the read versions and the
-    endorsement policy — is decoded into one object the whole block shares,
-    so a committing peer or a client mirror keeps it once per block, not
-    once per transaction.  Nothing is shared across blocks, and nothing is
-    interned process-wide.
+    creator and signer names, the read/write keys and the read versions — is
+    decoded into one object the whole block shares, so a committing peer or
+    a client mirror keeps it once per block, not once per transaction.
+    Nothing is shared across blocks, and nothing is interned process-wide.
     """
 
-    __slots__ = ("_names", "_versions", "_policies")
+    __slots__ = ("_names", "_versions")
 
     def __init__(self) -> None:
         self._names: dict[str, str] = {}
         self._versions: dict[str, Version] = {}
-        self._policies: dict[str, Any] = {}
 
     def name(self, mapping: Any, key: str, context: str) -> str:
         value = _string(mapping, key, context)
@@ -410,21 +388,6 @@ class _BlockDecoder(_Decoder):
             version = self._versions[text] = dec_version(text, context)
         return version
 
-    def policy(self, data: Any, context: str):
-        # Two JSON values with one ``repr`` are the same value, types
-        # included (``true`` is not ``1``, nor ``1.0``), so a policy that
-        # decoded once is never decoded or checked again in this block.  One
-        # nested too deep to ``repr`` decodes on its own, as it would
-        # outside a block: a peer refuses nothing the orderer accepted.
-        try:
-            key = repr(data)
-        except RecursionError:
-            return dec_policy_node(data, context)
-        node = self._policies.get(key)
-        if node is None:
-            node = self._policies[key] = dec_policy_node(data, context)
-        return node
-
 
 # -- proposals / responses / envelopes ---------------------------------------
 
@@ -437,7 +400,6 @@ def enc_proposal(proposal: Proposal) -> dict:
         "function": proposal.function,
         "args": list(proposal.args),
         "creator": proposal.creator,
-        "policy": enc_policy(proposal.policy),
         "submit_time": proposal.submit_time,
     }
 

@@ -7,6 +7,7 @@ import pytest
 from repro.common.errors import ChaincodeError
 from repro.contract import Contract, query, transaction
 from repro.fabric.chaincode import ChaincodeRegistry, ShimStub
+from repro.fabric.policy import or_policy
 from repro.fabric.store import MemoryStore
 from repro.gateway import Gateway
 
@@ -165,13 +166,13 @@ class TestDeployment:
     def test_registry_accepts_contract(self):
         registry = ChaincodeRegistry()
         contract = Typed()
-        registry.deploy(contract)
+        registry.deploy(contract, or_policy("Org1"))
         assert registry.get("typed") is contract
 
     def test_registry_rejects_nameless_objects(self):
         registry = ChaincodeRegistry()
         with pytest.raises(ChaincodeError):
-            registry.deploy(object())
+            registry.deploy(object(), or_policy("Org1"))
 
     def test_end_to_end_through_gateway(self, local_network):
         local_network.deploy(Typed())

@@ -147,6 +147,22 @@ class TestSecondPass:
         assert new_writes[1].is_crdt
 
 
+class TestUndeployedChaincode:
+    def test_its_crdt_write_is_invalid_and_never_merged(self):
+        peer = build_peer(peer_cls=CRDTPeer)
+        ghost = endorsed_tx(
+            peer, write_rwset(("k", {"l": ["ghost"]}), crdt=True), 1, chaincode="ghost"
+        )
+        txs = [crdt_tx(peer, 0, "k", {"l": ["a"]}), ghost, crdt_tx(peer, 2, "k", {"l": ["b"]})]
+        committed = peer.validate_and_commit(build_block(peer, txs))
+        assert committed.metadata.flags == [
+            ValidationCode.VALID,
+            ValidationCode.INVALID_ENDORSER_TRANSACTION,
+            ValidationCode.VALID,
+        ]
+        assert sorted(from_bytes(peer.ledger.state.get_value("k"))["l"]) == ["a", "b"]
+
+
 class TestDeterminism:
     def test_two_peers_compute_identical_plans(self):
         peer_a = build_peer(name="peerA")

@@ -10,12 +10,25 @@ from repro.common.types import ReadItem, ReadWriteSet, Version, WriteItem
 from repro.fabric.chaincode import ChaincodeRegistry
 from repro.fabric.identity import MembershipRegistry
 from repro.fabric.peer import Peer
-from repro.fabric.policy import EndorsementPolicy, or_policy
+from repro.fabric.policy import PolicyNode, or_policy
 from repro.fabric.transaction import (
     Proposal,
     TransactionEnvelope,
     endorsed_payload_bytes,
 )
+
+
+class HandCraftedChaincode:
+    """The chaincode ``cc`` that :func:`endorsed_tx` transactions name.
+
+    Their read-write sets are written by hand, so it is never invoked; it is
+    deployed only for the policy that VSCC evaluates.
+    """
+
+    name = "cc"
+
+    def invoke(self, stub, function, args):
+        return None
 
 
 def build_peer(
@@ -24,10 +37,18 @@ def build_peer(
     membership: Optional[MembershipRegistry] = None,
     chaincodes: Optional[ChaincodeRegistry] = None,
     peer_cls: type = Peer,
+    policy: Optional[PolicyNode] = None,
     **peer_kwargs,
 ) -> Peer:
+    """A peer of ``org``.  Without a shared ``chaincodes`` registry it gets its
+    own, with ``cc`` deployed under ``policy`` (default ``OR(org)``)."""
+
     membership = membership if membership is not None else MembershipRegistry()
-    chaincodes = chaincodes if chaincodes is not None else ChaincodeRegistry()
+    if chaincodes is None:
+        chaincodes = ChaincodeRegistry()
+        chaincodes.deploy(
+            HandCraftedChaincode(), policy if policy is not None else or_policy(org)
+        )
     identity = membership.enroll(org, name)
     return peer_cls(identity, membership, chaincodes, **peer_kwargs)
 
@@ -36,8 +57,8 @@ def endorsed_tx(
     peer: Peer,
     rwset: ReadWriteSet,
     nonce: int,
-    policy: Optional[EndorsementPolicy] = None,
     endorser_orgs: Optional[list[str]] = None,
+    chaincode: str = "cc",
 ) -> TransactionEnvelope:
     """A transaction with a hand-crafted rwset, properly signed.
 
@@ -45,14 +66,12 @@ def endorsed_tx(
     enrolled on demand as ``<org>.endorser``).
     """
 
-    policy = policy if policy is not None else EndorsementPolicy(or_policy(peer.org_name))
     proposal = Proposal.create(
         channel="ch",
-        chaincode="cc",
+        chaincode=chaincode,
         function="fn",
         args=(str(nonce),),
         creator=f"{peer.org_name}.client0",
-        policy=policy,
         nonce=nonce,
     )
     result_bytes = to_bytes(None)

@@ -7,14 +7,11 @@ from repro.fabric.block import (
     BlockMetadata,
     CommittedBlock,
 )
-from repro.fabric.policy import EndorsementPolicy, or_policy
 from repro.fabric.transaction import Proposal, TransactionEnvelope
-
-POLICY = EndorsementPolicy(or_policy("Org1"))
 
 
 def make_tx(nonce, value=b"v"):
-    proposal = Proposal.create("ch", "cc", "fn", (), "Org1.c", POLICY, nonce)
+    proposal = Proposal.create("ch", "cc", "fn", (), "Org1.c", nonce)
     return TransactionEnvelope(
         proposal=proposal,
         rwset=ReadWriteSet.build(writes=[WriteItem("k", value)]),

@@ -7,6 +7,7 @@ from repro.common.serialization import to_bytes
 from repro.common.types import Version
 from repro.contract import Contract, transaction
 from repro.fabric.chaincode import ChaincodeRegistry, ShimStub
+from repro.fabric.policy import or_policy
 from repro.fabric.store import MemoryStore
 
 
@@ -124,8 +125,10 @@ class TestChaincodeDispatch:
     def test_registry(self):
         registry = ChaincodeRegistry()
         chaincode = self.Adder()
-        registry.deploy(chaincode)
+        registry.deploy(chaincode, or_policy("Org1"))
         assert registry.get("adder") is chaincode
+        assert registry.policy_for("adder") == or_policy("Org1")
+        assert registry.policy_for("ghost") is None
         assert "adder" in registry
         assert registry.names() == ("adder",)
         with pytest.raises(ChaincodeError):

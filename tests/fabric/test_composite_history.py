@@ -76,14 +76,11 @@ class TestHistoryAPI:
             def invoke(self, stub, function, args):
                 return stub.get_history_for_key(args[0])
 
-        peer.chaincodes.deploy(HistoryCC())
-        from repro.fabric.policy import EndorsementPolicy, or_policy
+        from repro.fabric.policy import or_policy
         from repro.fabric.transaction import Proposal
 
-        proposal = Proposal.create(
-            "ch", "historycc", "q", ("K",), "Org1.c",
-            EndorsementPolicy(or_policy("Org1")), nonce=77,
-        )
+        peer.chaincodes.deploy(HistoryCC(), or_policy("Org1"))
+        proposal = Proposal.create("ch", "historycc", "q", ("K",), "Org1.c", nonce=77)
         response = peer.endorse(proposal)
         from repro.common.serialization import from_bytes
 

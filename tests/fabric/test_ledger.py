@@ -6,14 +6,11 @@ from repro.common.errors import LedgerError
 from repro.common.types import ReadWriteSet, ValidationCode, WriteItem
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block, BlockMetadata, CommittedBlock
 from repro.fabric.ledger import Ledger
-from repro.fabric.policy import EndorsementPolicy, or_policy
 from repro.fabric.transaction import Proposal, TransactionEnvelope
-
-POLICY = EndorsementPolicy(or_policy("Org1"))
 
 
 def make_tx(nonce, key="k", value=b"v"):
-    proposal = Proposal.create("ch", "cc", "fn", (str(nonce),), "Org1.c", POLICY, nonce)
+    proposal = Proposal.create("ch", "cc", "fn", (str(nonce),), "Org1.c", nonce)
     return TransactionEnvelope(
         proposal=proposal,
         rwset=ReadWriteSet.build(writes=[WriteItem(key, value)]),

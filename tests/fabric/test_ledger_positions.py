@@ -28,12 +28,10 @@ from repro.common.types import (
 from repro.core.peer import CRDTPeer
 from repro.fabric.block import Block, BlockMetadata, CommittedBlock
 from repro.fabric.ledger import Ledger
-from repro.fabric.policy import EndorsementPolicy, or_policy
 from repro.fabric.transaction import Proposal, TransactionEnvelope
 
 from .helpers import build_peer, endorsed_tx, write_rwset
 
-POLICY = EndorsementPolicy(or_policy("Org1"))
 KEYS = ("a", "b", "c", "d")
 CODES = (
     ValidationCode.VALID,
@@ -84,7 +82,7 @@ class CopyingIndexes:
 
 def _tx(nonce: int, writes: list[WriteItem]) -> TransactionEnvelope:
     # The tx id depends on the nonce only: a repeated nonce is a duplicate id.
-    proposal = Proposal.create("ch", "cc", "fn", (), "Org1.c", POLICY, nonce)
+    proposal = Proposal.create("ch", "cc", "fn", (), "Org1.c", nonce)
     return TransactionEnvelope(
         proposal=proposal, rwset=ReadWriteSet.build(writes=writes), endorsements=()
     )

@@ -6,14 +6,11 @@ from repro.common.config import OrdererConfig
 from repro.common.errors import OrderingError
 from repro.common.types import ReadWriteSet, WriteItem
 from repro.fabric.orderer import OrderingService
-from repro.fabric.policy import EndorsementPolicy, or_policy
 from repro.fabric.transaction import Proposal, TransactionEnvelope
-
-POLICY = EndorsementPolicy(or_policy("Org1"))
 
 
 def envelope(nonce, payload_bytes=10):
-    proposal = Proposal.create("ch", "cc", "fn", (str(nonce),), "Org1.c", POLICY, nonce)
+    proposal = Proposal.create("ch", "cc", "fn", (str(nonce),), "Org1.c", nonce)
     return TransactionEnvelope(
         proposal=proposal,
         rwset=ReadWriteSet.build(writes=[WriteItem("k", b"x" * payload_bytes)]),

@@ -12,7 +12,8 @@ import pytest
 from repro.common.types import ReadItem, ReadWriteSet, ValidationCode, Version, WriteItem
 from repro.common.serialization import to_bytes
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block
-from repro.fabric.policy import EndorsementPolicy, and_policy, or_policy
+from repro.fabric.policy import and_policy
+from repro.fabric.store import MemoryStore, SqliteStore
 
 from .helpers import build_peer, endorsed_tx, seed_block, seed_state, write_rwset
 
@@ -126,20 +127,35 @@ class TestVSCCAndDuplicates:
         assert committed.metadata.code_for(0) is ValidationCode.ENDORSEMENT_POLICY_FAILURE
 
     def test_unsatisfying_orgs_fail_policy(self):
-        peer = build_peer()
-        policy = EndorsementPolicy(and_policy("Org1", "Org2"))
-        tx = endorsed_tx(peer, write_rwset(("K", {})), 1, policy=policy, endorser_orgs=["Org1"])
+        peer = build_peer(policy=and_policy("Org1", "Org2"))
+        tx = endorsed_tx(peer, write_rwset(("K", {})), 1, endorser_orgs=["Org1"])
         committed = peer.validate_and_commit(make_block(peer, [tx]))
         assert committed.metadata.code_for(0) is ValidationCode.ENDORSEMENT_POLICY_FAILURE
 
     def test_multi_org_policy_satisfied(self):
-        peer = build_peer()
-        policy = EndorsementPolicy(and_policy("Org1", "Org2"))
-        tx = endorsed_tx(
-            peer, write_rwset(("K", {})), 1, policy=policy, endorser_orgs=["Org1", "Org2"]
-        )
+        peer = build_peer(policy=and_policy("Org1", "Org2"))
+        tx = endorsed_tx(peer, write_rwset(("K", {})), 1, endorser_orgs=["Org1", "Org2"])
         committed = peer.validate_and_commit(make_block(peer, [tx]))
         assert committed.metadata.code_for(0) is ValidationCode.VALID
+
+    @pytest.mark.parametrize("store", [MemoryStore, SqliteStore], ids=["memory", "sqlite"])
+    def test_an_undeployed_chaincode_is_a_code_not_a_crash(self, store):
+        peer = build_peer(store=store())
+        txs = [
+            endorsed_tx(peer, write_rwset(("A", {})), 1),
+            endorsed_tx(peer, write_rwset(("B", {})), 2, chaincode="ghost"),
+            endorsed_tx(peer, write_rwset(("C", {})), 3),
+        ]
+        committed = peer.validate_and_commit(make_block(peer, txs))
+        assert committed.metadata.flags == [
+            ValidationCode.VALID,
+            ValidationCode.INVALID_ENDORSER_TRANSACTION,
+            ValidationCode.VALID,
+        ]
+        assert peer.ledger.height == 1
+        assert [peer.ledger.state.get_value(key) is None for key in "ABC"] == [
+            False, True, False,
+        ]
 
     def test_tampered_rwset_fails_vscc(self):
         peer = build_peer()

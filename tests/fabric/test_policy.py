@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from repro.common.errors import PolicyError
 from repro.fabric.policy import (
-    EndorsementPolicy,
     OutOf,
     Principal,
     and_policy,
+    deployment_policy,
     majority_policy,
     or_policy,
 )
@@ -19,40 +19,39 @@ ORGS = ["Org1", "Org2", "Org3"]
 
 class TestCombinators:
     def test_or_any_single_org(self):
-        policy = EndorsementPolicy(or_policy(*ORGS))
+        policy = or_policy(*ORGS)
         assert policy.satisfied_by(["Org2"])
         assert not policy.satisfied_by(["OrgX"])
-        assert policy.min_endorsers() == 1
 
     def test_and_needs_all(self):
-        policy = EndorsementPolicy(and_policy(*ORGS))
+        policy = and_policy(*ORGS)
         assert policy.satisfied_by(ORGS)
         assert not policy.satisfied_by(["Org1", "Org2"])
-        assert policy.min_endorsers() == 3
 
     def test_majority(self):
-        policy = EndorsementPolicy(majority_policy(ORGS))
+        policy = majority_policy(ORGS)
         assert policy.satisfied_by(["Org1", "Org3"])
         assert not policy.satisfied_by(["Org2"])
-        assert policy.min_endorsers() == 2
 
     def test_nested_expression(self):
         # AND(Org1, OR(Org2, Org3))
-        expression = OutOf(2, (Principal("Org1"), or_policy("Org2", "Org3")))
-        policy = EndorsementPolicy(expression)
+        policy = OutOf(2, (Principal("Org1"), or_policy("Org2", "Org3")))
         assert policy.satisfied_by(["Org1", "Org3"])
         assert policy.satisfied_by(["Org1", "Org2"])
         assert not policy.satisfied_by(["Org2", "Org3"])
-        assert policy.min_endorsers() == 2
 
     def test_orgs_mentioned(self):
-        policy = EndorsementPolicy(and_policy("Org1", "Org2"))
+        policy = and_policy("Org1", "Org2")
         assert policy.orgs_mentioned() == frozenset({"Org1", "Org2"})
 
     def test_string_rendering(self):
-        assert str(EndorsementPolicy(and_policy("Org1", "Org2"))) == "AND('Org1.member', 'Org2.member')"
-        assert str(EndorsementPolicy(or_policy("Org1", "Org2"))) == "OR('Org1.member', 'Org2.member')"
-        assert "OutOf(2" in str(EndorsementPolicy(majority_policy(ORGS)))
+        assert str(and_policy("Org1", "Org2")) == "AND('Org1.member', 'Org2.member')"
+        assert str(or_policy("Org1", "Org2")) == "OR('Org1.member', 'Org2.member')"
+        assert "OutOf(2" in str(majority_policy(ORGS))
+
+    def test_deployment_default_is_or_over_the_channel_orgs(self):
+        assert deployment_policy(None, ORGS) == or_policy(*ORGS)
+        assert deployment_policy(and_policy("Org1"), ORGS) == and_policy("Org1")
 
 
 class TestValidation:
@@ -70,12 +69,12 @@ class TestValidation:
 class TestTruthTable:
     @given(st.sets(st.sampled_from(ORGS)))
     def test_out_of_2_matches_counting(self, endorsers):
-        policy = EndorsementPolicy(OutOf(2, tuple(Principal(o) for o in ORGS)))
+        policy = OutOf(2, tuple(Principal(o) for o in ORGS))
         expected = len(endorsers) >= 2
         assert policy.satisfied_by(endorsers) == expected
 
     @given(st.sets(st.sampled_from(ORGS + ["OrgX"])), st.integers(1, 3))
     def test_out_of_n_semantics(self, endorsers, threshold):
-        policy = EndorsementPolicy(OutOf(threshold, tuple(Principal(o) for o in ORGS)))
+        policy = OutOf(threshold, tuple(Principal(o) for o in ORGS))
         expected = len(endorsers & set(ORGS)) >= threshold
         assert policy.satisfied_by(endorsers) == expected

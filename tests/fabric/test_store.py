@@ -224,11 +224,9 @@ class TestFactoryAndConfig:
 
 def make_tx(nonce, key="k", value=b"v"):
     from repro.common.types import ReadWriteSet, WriteItem
-    from repro.fabric.policy import EndorsementPolicy, or_policy
     from repro.fabric.transaction import Proposal, TransactionEnvelope
 
-    policy = EndorsementPolicy(or_policy("Org1"))
-    proposal = Proposal.create("ch", "cc", "fn", (str(nonce),), "Org1.c", policy, nonce)
+    proposal = Proposal.create("ch", "cc", "fn", (str(nonce),), "Org1.c", nonce)
     return TransactionEnvelope(
         proposal=proposal,
         rwset=ReadWriteSet.build(writes=[WriteItem(key, value)]),

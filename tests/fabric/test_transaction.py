@@ -1,10 +1,7 @@
 """Tests for proposals, read-write-set hashing, and envelopes."""
 
 from repro.common.types import ReadItem, ReadWriteSet, TxType, Version, WriteItem
-from repro.fabric.policy import EndorsementPolicy, or_policy
 from repro.fabric.transaction import Proposal, TransactionEnvelope, rwset_hash, rwset_to_dict
-
-POLICY = EndorsementPolicy(or_policy("Org1"))
 
 
 def make_proposal(nonce=0, args=("x",)):
@@ -14,7 +11,6 @@ def make_proposal(nonce=0, args=("x",)):
         function="fn",
         args=args,
         creator="Org1.client0",
-        policy=POLICY,
         nonce=nonce,
     )
 

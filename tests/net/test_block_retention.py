@@ -1,17 +1,17 @@
 """A wire-decoded block keeps one copy of what its transactions repeat.
 
 Every transaction of a ``socket_crdt_hot`` block names the same channel,
-chaincode, function, creator, signers and hot key, and carries the same
-endorsement policy.  ``dec_block`` decodes a block's envelopes against one
+chaincode, function, creator, signers and hot key, and reads the same
+version.  ``dec_block`` decodes a block's envelopes against one
 block-local table, so those exist once per decoded block on a committing
 peer (and on a client mirror), not once per transaction.  Per transaction
 that leaves the envelope, its proposal, read-write set and signatures
-alive; a per-transaction policy tree (an ``OutOf``, its rules tuple and a
-``Principal`` per org) shows up here as retained GC-tracked objects.
+alive.  A transaction carries no endorsement policy (VSCC evaluates the
+deployed chaincode's), so a decoded one holds none.
 
 The bound sits between what a per-transaction decode retained (15.1
 objects per transaction; 17.3 for a mirrored block, which adds its
-effective writes) and what the shared table retains (10.3; 12.5).  This is
+effective writes) and what the shared table retains (10.2; 12.3).  This is
 an object count, not a timing: it repeats exactly from run to run.
 """
 
@@ -83,12 +83,13 @@ def test_a_decoded_block_shares_what_its_transactions_repeat():
     for block in blocks:
         assert block == committed.block and block.verify_integrity()
         txs = block.transactions
-        assert len({id(tx.proposal.policy) for tx in txs}) == 1
+        assert not any(hasattr(tx.proposal, "policy") for tx in txs)
+        assert len({id(tx.rwset.reads[0].version) for tx in txs}) == 1
         assert len({id(tx.rwset.writes[0].key) for tx in txs}) == 1
         assert len({id(tx.proposal.creator) for tx in txs}) == 1
     # Each decoded block has its own table: nothing outlives the block.
-    assert blocks[0].transactions[0].proposal.policy is not (
-        blocks[1].transactions[0].proposal.policy
+    assert blocks[0].transactions[0].rwset.reads[0].version is not (
+        blocks[1].transactions[0].rwset.reads[0].version
     )
 
 
@@ -99,4 +100,6 @@ def test_a_mirrored_block_shares_the_same_way():
     for mirrored in blocks:
         assert mirrored.block == committed.block
         assert mirrored.writes_applied() == committed.writes_applied()
-        assert len({id(tx.proposal.policy) for tx in mirrored.block.transactions}) == 1
+        txs = mirrored.block.transactions
+        assert not any(hasattr(tx.proposal, "policy") for tx in txs)
+        assert len({id(tx.rwset.reads[0].version) for tx in txs}) == 1

@@ -21,7 +21,6 @@ from repro.common.config import TopologyConfig, fabriccrdt_config
 from repro.common.serialization import from_bytes
 from repro.common.types import ReadWriteSet, WriteItem
 from repro.fabric.identity import SignedPayload
-from repro.fabric.policy import Principal
 from repro.fabric.transaction import Proposal, TransactionEnvelope
 from repro.gateway.gateway import Gateway
 from repro.net import Cluster, FrameDecoder, SocketTransport
@@ -91,7 +90,7 @@ def test_peer_answers_a_malformed_request_with_an_error_and_keeps_serving(cluste
     # socket closed without a reply and every request queued behind it failed.
     anchor = cluster.profile.anchor_peer
     proposal = enc_proposal(
-        Proposal("t", "c", "iot", "read_device", (), "Org1.client0", Principal("Org1"))
+        Proposal("t", "c", "iot", "read_device", (), "Org1.client0")
     )
     with socket.create_connection((anchor.host, anchor.port), timeout=10) as conn:
         ask = asker(conn)
@@ -116,7 +115,7 @@ def test_orderer_refuses_a_non_string_name_and_every_peer_keeps_committing(
     signed = SignedPayload(b"\x01" * 32, "Org1.client0", b"\x02" * 32)
     envelope = enc_envelope(
         TransactionEnvelope(
-            proposal=Proposal("t", "ch", "iot", "record", (), "Org1.client0", Principal("Org1")),
+            proposal=Proposal("t", "ch", "iot", "record", (), "Org1.client0"),
             rwset=ReadWriteSet(writes=(WriteItem("dev-x", b"{}", is_crdt=True),)),
             endorsements=(signed,),
         )

@@ -18,7 +18,6 @@ from repro.common.serialization import from_bytes
 from repro.common.types import ReadItem, ReadWriteSet, Version, WriteItem
 from repro.fabric.identity import SignedPayload
 from repro.fabric.orderer import OrderingService
-from repro.fabric.policy import or_policy
 from repro.fabric.transaction import Proposal, TransactionEnvelope
 from repro.net import ordererserver
 from repro.net.codec import (
@@ -39,8 +38,7 @@ def envelope(sequence: int) -> TransactionEnvelope:
     signed = SignedPayload(b"\x01" * 32, "Org1.peer0", b"\x02" * 32)
     return TransactionEnvelope(
         proposal=Proposal(
-            f"tx-{sequence}", "ch", "iot", "record", (str(sequence),), "Org1.client0",
-            or_policy("Org1", "Org2"),
+            f"tx-{sequence}", "ch", "iot", "record", (str(sequence),), "Org1.client0"
         ),
         rwset=ReadWriteSet(
             reads=(ReadItem("hot", Version(0, 0)),),

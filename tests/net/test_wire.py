@@ -26,7 +26,7 @@ from repro.common.types import (
 from repro.fabric.block import Block, BlockMetadata, CommittedBlock
 from repro.fabric.events import statuses_from_block
 from repro.fabric.identity import SignedPayload
-from repro.fabric.policy import OutOf, Principal, or_policy
+from repro.fabric.policy import OutOf, Principal
 from repro.fabric.transaction import (
     ChaincodeEvent,
     EndorsementFailure,
@@ -34,6 +34,7 @@ from repro.fabric.transaction import (
     ProposalResponse,
     TransactionEnvelope,
 )
+from repro.net.profile import ChaincodeRef
 from repro.net.transport import MirrorPeer
 from repro.net.wire import (
     WireError,
@@ -43,7 +44,6 @@ from repro.net.wire import (
     dec_endorsement_failure,
     dec_envelope,
     dec_metadata,
-    dec_policy,
     dec_proposal,
     dec_proposal_response,
     dec_rwset,
@@ -54,7 +54,6 @@ from repro.net.wire import (
     enc_endorsement_failure,
     enc_envelope,
     enc_metadata,
-    enc_policy,
     enc_proposal,
     enc_proposal_response,
     enc_rwset,
@@ -131,7 +130,6 @@ proposals = st.builds(
     function=names,
     args=st.lists(st.text(max_size=30), max_size=3).map(tuple),
     creator=names,
-    policy=policy_nodes,
     submit_time=finite_floats,
 )
 
@@ -198,17 +196,18 @@ def test_version_round_trip(version):
     assert dec_version(enc_version(version)) == version
 
 
-@given(node=policy_nodes)
+def dec_policy(data):
+    """A policy through the one codec that carries one: a chaincode
+    definition in a cluster profile (transactions carry none)."""
+
+    return ChaincodeRef.from_dict({"spec": "module:Class", "policy": data}).policy
+
+
+@given(node=st.none() | policy_nodes)
 @settings(max_examples=100, deadline=None)
 def test_policy_round_trip(node):
-    assert dec_policy(enc_policy(node)) == node
-
-
-def test_wrapped_policy_canonicalizes_to_its_expression():
-    from repro.fabric.policy import EndorsementPolicy
-
-    wrapped = EndorsementPolicy(or_policy("Org1", "Org2"))
-    assert dec_policy(enc_policy(wrapped)) == wrapped.expression
+    ref = ChaincodeRef("module:Class", node)
+    assert ChaincodeRef.from_dict(ref.to_dict()) == ref
 
 
 @given(rwset=rwsets)
@@ -346,7 +345,7 @@ _COMMITTED = enc_committed_block(
 )
 _BLOCK = _COMMITTED["block"]
 _STATUS = {"header": _BLOCK["header"], "commit_time": 0.0, "txs": []}
-_PROPOSAL = enc_proposal(Proposal("t", "c", "cc", "f", (), "cl", Principal("Org1")))
+_PROPOSAL = enc_proposal(Proposal("t", "c", "cc", "f", (), "cl"))
 
 
 @pytest.mark.parametrize(
@@ -389,7 +388,7 @@ def test_proposal_args_must_be_strings():
     proposal = enc_proposal(
         Proposal(
             tx_id="t", channel="c", chaincode="cc", function="f",
-            args=("a",), creator="cl", policy=Principal("Org1"),
+            args=("a",), creator="cl",
         )
     )
     proposal["args"] = [1, 2]
@@ -404,7 +403,7 @@ def test_proposal_args_must_be_strings():
 _SIGNED = SignedPayload(b"\x01" * 32, "Org1.peer0", b"\x02" * 32)
 _ENVELOPE = enc_envelope(
     TransactionEnvelope(
-        proposal=Proposal("t", "c", "cc", "f", ("a",), "Org1.client0", or_policy("Org1", "Org2")),
+        proposal=Proposal("t", "c", "cc", "f", ("a",), "Org1.client0"),
         rwset=ReadWriteSet(
             reads=(ReadItem("k", Version(1, 0)),),
             writes=(WriteItem("k", b"v", is_crdt=True),),
@@ -486,52 +485,14 @@ def test_a_write_that_breaks_write_item_invariants_raises_wire_error(write):
     ids=["no-rules", "threshold-0", "threshold-above-rules", "bool-threshold", "nested-no-rules"],
 )
 def test_an_invalid_policy_raises_wire_error(node):
-    # ``OutOf`` raises PolicyError; it used to pass through ``dec_policy``.
+    # ``OutOf`` raises PolicyError; a profile's decoder turns it into WireError.
     with pytest.raises(WireError):
         dec_policy(node)
-    with pytest.raises(WireError):
-        dec_envelope(_with(_ENVELOPE, ("proposal", "policy"), node))
-
-
-def test_a_block_checks_a_policy_that_compares_equal_to_a_valid_one():
-    # A block decodes each distinct policy once; ``true`` and ``1.0`` compare
-    # equal to ``1`` in Python, and must not ride on an earlier valid policy.
-    valid = {"out_of": {"threshold": 1, "rules": [{"principal": "Org1"}]}}
-    block = enc_block(Block.build(0, b"\x00" * 32, ()))
-    for threshold in (True, 1.0):
-        bad = {"out_of": {"threshold": threshold, "rules": [{"principal": "Org1"}]}}
-        assert bad == valid
-        transactions = [
-            _with(_ENVELOPE, ("proposal", "policy"), policy) for policy in (valid, bad)
-        ]
-        with pytest.raises(WireError):
-            dec_block({**block, "transactions": transactions})
-
-
-@pytest.mark.parametrize("stack", [0, 50, 200])
-def test_a_policy_nested_past_the_recursion_limit_fails_typed_in_a_block(stack):
-    # However deep the caller's stack, a block decode raises nothing but
-    # WireError, as a standalone decode does: a RecursionError would end a
-    # peer's deliver loop.
-    policy = {"principal": "Org1"}
-    for _ in range(400):
-        policy = {"out_of": {"threshold": 1, "rules": [policy]}}
-    block = {
-        **enc_block(Block.build(0, b"\x00" * 32, ())),
-        "transactions": [_with(_ENVELOPE, ("proposal", "policy"), {"principal": "Org1"})],
-    }
-    block["transactions"][0]["proposal"]["policy"] = policy
-
-    def decode_at(depth: int):
-        if depth:
-            return decode_at(depth - 1)
-        try:
-            return dec_block(block).transactions[0].proposal.policy
-        except WireError:
-            return None
-
-    decoded = decode_at(stack)
-    assert decoded is None or isinstance(decoded, OutOf)
+    # A transaction carries no policy: one a client still writes into its
+    # proposal, valid or not, is an unknown key the decoder never reads.
+    assert enc_envelope(dec_envelope(_with(_ENVELOPE, ("proposal", "policy"), node))) == (
+        _ENVELOPE
+    )
 
 
 def test_message_type_rejects_unknown_tags():

@@ -4,17 +4,14 @@ import pytest
 
 from repro.common.types import ReadWriteSet, ValidationCode, WriteItem
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block, BlockMetadata, CommittedBlock
-from repro.fabric.policy import EndorsementPolicy, or_policy
 from repro.fabric.transaction import Proposal, TransactionEnvelope
 from repro.sim import Environment
 from repro.workload.metrics import MetricsCollector
 
-POLICY = EndorsementPolicy(or_policy("Org1"))
-
 
 def make_tx(nonce, submit_time=0.0):
     proposal = Proposal.create(
-        "ch", "cc", "fn", (str(nonce),), "Org1.c", POLICY, nonce, submit_time=submit_time
+        "ch", "cc", "fn", (str(nonce),), "Org1.c", nonce, submit_time=submit_time
     )
     return TransactionEnvelope(
         proposal=proposal,
