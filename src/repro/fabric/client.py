@@ -16,7 +16,6 @@ from ..common.errors import EndorsementError
 from ..common.hashing import sha256
 from ..common.types import Counterstats
 from .identity import Identity, MembershipRegistry
-from .peer import Peer
 from .policy import PolicyNode
 from .transaction import (
     EndorsementFailure,
@@ -68,8 +67,7 @@ class Client:
 
     The transport (how proposals reach peers) is the caller's: every
     :class:`~repro.gateway.transport.Transport` performs the sends itself and
-    uses :meth:`assemble` only; :meth:`endorse_at` is the in-process round
-    for callers that hold the peers.
+    hands the replies to :meth:`assemble`.
     """
 
     def __init__(self, identity: Identity, membership: MembershipRegistry) -> None:
@@ -103,27 +101,6 @@ class Client:
             nonce=self.next_nonce(),
             submit_time=submit_time,
         )
-
-    # -- synchronous endorsement round ----------------------------------------
-
-    def endorse_at(
-        self,
-        proposal: Proposal,
-        policy: PolicyNode,
-        peers: Sequence[Peer],
-        timestamp: float = 0.0,
-    ) -> Union[AssembledTransaction, EndorsementRoundFailure]:
-        """Collect endorsements from ``peers`` and assemble the envelope."""
-
-        responses: list[ProposalResponse] = []
-        failures: list[EndorsementFailure] = []
-        for peer in peers:
-            outcome = peer.endorse(proposal, timestamp)
-            if isinstance(outcome, ProposalResponse):
-                responses.append(outcome)
-            else:
-                failures.append(outcome)
-        return self.assemble(proposal, policy, responses, failures)
 
     # -- assembly ----------------------------------------------------------------
 

@@ -8,11 +8,15 @@ fresh state database — the invariant test that the world state really is a
 pure function of the blockchain (§2.1 of the paper: "executing all valid
 transactions included in the blockchain ... results in the current state").
 
-A ledger fed the frames its blocks arrived in (a socket peer's) keeps only
-the newest :data:`DECODED_WINDOW` blocks decoded; an older block is a
-:class:`StoredBlock` — its frame, zlib-compressed, plus what the peer
-attached when committing it — and is decoded again only when read, as
-Fabric's block store keeps serialized blocks rather than live objects.
+A ledger fed its blocks' frames keeps only the newest
+:data:`DECODED_WINDOW` blocks decoded; an older block is a
+:class:`StoredBlock` — its ``raw_block`` payload
+(:func:`~repro.fabric.codec.raw_block_payload`), zlib-compressed, plus what
+the peer attached when committing it — and is decoded again with
+:mod:`repro.fabric.codec` only when read, as Fabric's block store keeps
+serialized blocks rather than live objects.  A socket peer compresses each
+frame as it arrives; the in-process channel encodes and compresses each cut
+block once and hands every peer the same bytes (:func:`block_frame`).
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import pairwise
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from ..common.errors import LedgerError
 from ..common.types import KeyModification, ValidationCode, Version, WriteItem
 from .block import GENESIS_PREVIOUS_HASH, Block, BlockMetadata, CommittedBlock
+from .codec import dec_raw_block, raw_block_payload
 from .store import MemoryStore, StateStore, WriteBatch
 
 
@@ -45,9 +50,21 @@ DECODED_WINDOW = 4
 FRAME_ZLIB_LEVEL = 1
 
 
+def compress_frame(payload: bytes) -> bytes:
+    """What a ledger is handed of a ``raw_block`` payload: zlib-compressed."""
+
+    return zlib.compress(payload, FRAME_ZLIB_LEVEL)
+
+
+def block_frame(block: Block) -> bytes:
+    """``block``'s frame as a ledger stores it, encoded and compressed once."""
+
+    return compress_frame(raw_block_payload(block))
+
+
 class StoredBlock(NamedTuple):
-    """A committed block out of the decoded window: the frame payload it
-    arrived in (zlib-compressed) plus what the peer attached to it."""
+    """A committed block out of the decoded window: its compressed frame plus
+    what the peer attached to it."""
 
     frame: bytes
     metadata: BlockMetadata
@@ -69,14 +86,15 @@ class Ledger:
     demand from the block's applied writes, as Fabric's history database
     keeps ``(block, tx)`` and reads values from the block store.
 
-    ``decode_frame`` (payload bytes -> :class:`Block`) is set by whoever
-    appends blocks with the frame they were decoded from; an in-process
-    ledger is given no frames and keeps every block decoded.
+    Socket and in-process peers append every block with its frame and so
+    keep a bounded window decoded.  A discrete-event peer appends none and
+    keeps every block decoded: a simulated round's network lives for about
+    1 500 transactions and is then dropped, so encoding its blocks would
+    cost the simulator CPU and save no memory.
     """
 
     def __init__(self, store: Optional[StateStore] = None) -> None:
         self.state: StateStore = store if store is not None else MemoryStore()
-        self.decode_frame: Optional[Callable[[bytes], Block]] = None
         self._blocks: list[CommittedBlock | StoredBlock] = []
         #: ``(number, frame)`` of each frame-fed block still decoded, oldest first.
         self._window: deque[tuple[int, bytes]] = deque()
@@ -102,7 +120,7 @@ class Ledger:
         if type(entry) is not StoredBlock:
             return entry
         return CommittedBlock(
-            self.decode_frame(zlib.decompress(entry.frame)),
+            dec_raw_block(zlib.decompress(entry.frame)),
             entry.metadata,
             entry.commit_time,
             entry.effective_writes,
@@ -175,9 +193,10 @@ class Ledger:
         applied the writes to ``self.state``; this records chain structure,
         the tx index, and key history.
 
-        ``frame`` is the payload ``committed.block`` was decoded from (with
-        :attr:`decode_frame`): the block is then kept decoded only while it
-        is among the newest :data:`DECODED_WINDOW`, and stored after that.
+        ``frame`` is ``committed.block``'s compressed ``raw_block`` payload
+        (:func:`compress_frame`): the block is then kept decoded only while
+        it is among the newest :data:`DECODED_WINDOW`, and stored as that
+        frame after that.
         """
 
         block = committed.block
@@ -195,8 +214,6 @@ class Ledger:
             raise LedgerError(
                 f"block {block.number}: effective writes out of transaction order"
             )
-        if frame is not None and self.decode_frame is None:
-            raise LedgerError(f"block {block.number}: a frame, but no decode_frame")
         self._blocks.append(committed)
         if frame is not None:
             self._window.append((block.number, frame))
@@ -219,7 +236,7 @@ class Ledger:
     def _store(self, number: int, frame: bytes) -> None:
         committed = self._blocks[number]
         self._blocks[number] = StoredBlock(
-            zlib.compress(frame, FRAME_ZLIB_LEVEL),
+            frame,
             committed.metadata,
             committed.commit_time,
             committed.effective_writes,

@@ -372,8 +372,8 @@ class Peer:
     ) -> CommittedBlock:
         """Apply a prepared commit: write state, append the block, publish.
 
-        ``frame`` is the payload the block was decoded from, if it came
-        over the wire; the ledger keeps old blocks as that (see
+        ``frame`` is the block's compressed ``raw_block`` payload, if the
+        caller has one; the ledger keeps old blocks as that (see
         :meth:`Ledger.append_block`).
         """
 
@@ -403,10 +403,12 @@ class Peer:
         self.events.publish(committed)
         return committed
 
-    def validate_and_commit(self, block: Block, commit_time: float = 0.0) -> CommittedBlock:
+    def validate_and_commit(
+        self, block: Block, commit_time: float = 0.0, frame: Optional[bytes] = None
+    ) -> CommittedBlock:
         """Run the full commit pipeline and append the block (synchronous)."""
 
-        return self.apply_prepared(self.prepare_block(block), commit_time)
+        return self.apply_prepared(self.prepare_block(block), commit_time, frame)
 
     # -- pipeline stages --------------------------------------------------------
 

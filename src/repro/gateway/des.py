@@ -120,7 +120,9 @@ class DESTransport(Transport):
         channel = self.channel
         blocks = []
         for args in args_list:
-            outcome = self.endorsed_by_anchor(channel.clients[0], chaincode, function, args)
+            outcome = self.endorsed_by_anchor(
+                channel.clients[0], chaincode, function, args, channel.policy_for(chaincode)
+            )
             if isinstance(outcome, EndorsementRoundFailure):
                 raise FabricError(f"bootstrap endorsement failed: {outcome.reason}")
             blocks.extend(self.ordering.submit(outcome.envelope, 0.0))

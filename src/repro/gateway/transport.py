@@ -10,7 +10,8 @@ submission — the lifecycle is written once:
   fire the failure hook, record the ``submit`` span, and say whether there
   is an envelope to broadcast (a failed round and a read-only invocation
   are never ordered, paper §3);
-* **evaluate** — a read-only invocation endorsed by the anchor peer.
+* **evaluate** — a read-only invocation endorsed by the anchor peer, which
+  no endorsement policy gates (it is never ordered).
 
 A transport implements only *how a message moves*: how a proposal reaches
 its endorsers, how an envelope reaches the orderer, and how to wait for a
@@ -46,8 +47,9 @@ from ..fabric.client import (
     EndorsementRoundFailure,
     select_endorsing_orgs,
 )
+from ..fabric.ledger import block_frame
 from ..fabric.orderer import OrderingService
-from ..fabric.policy import PolicyNode
+from ..fabric.policy import PolicyNode, or_policy
 from ..fabric.transaction import EndorsementFailure, Proposal, ProposalResponse
 from ..telemetry.lifecycle import record_phase
 from .channel import Channel
@@ -320,11 +322,16 @@ class Transport(ABC):
             )
 
     def endorsed_by_anchor(
-        self, client: Client, chaincode: str, function: str, args: Sequence[str]
+        self,
+        client: Client,
+        chaincode: str,
+        function: str,
+        args: Sequence[str],
+        policy: PolicyNode,
     ) -> Union[AssembledTransaction, EndorsementRoundFailure]:
-        """One invocation endorsed by the anchor peer alone, now."""
+        """One invocation endorsed by the anchor peer alone, now, its one
+        response assembled under ``policy``."""
 
-        policy = self.channel.policy_for(chaincode)
         proposal = self.propose(client, chaincode, function, args)
         return self.assemble(client, proposal, policy, self._ask_anchor(proposal))
 
@@ -338,10 +345,17 @@ class Transport(ABC):
         transport it is instantaneous — it observes committed state without
         consuming endorsement capacity, like a side-channel ledger read in
         a real benchmark harness.
+
+        A read is never ordered, so no endorsement policy gates it: the
+        anchor's response is assembled under ``OR`` over the channel's orgs,
+        which any one response satisfies, whatever the chaincode's deployed
+        policy asks of an ordered transaction.
         """
 
+        channel = self.channel
         outcome = self.endorsed_by_anchor(
-            self.channel.client(client_index), chaincode, function, args
+            channel.client(client_index), chaincode, function, args,
+            or_policy(*channel.org_names),
         )
         if isinstance(outcome, EndorsementRoundFailure):
             raise EndorseError(outcome)
@@ -437,7 +451,10 @@ class SyncTransport(Transport):
     """Inline transport: the full lifecycle runs during the call.
 
     Owns the ordering service; cut blocks are committed on every peer
-    immediately.  This is the engine behind :class:`LocalNetwork`.
+    immediately, each handed the one frame its ledger keeps once the block
+    leaves the decoded window (:func:`~repro.fabric.ledger.block_frame`, as
+    a socket orderer would send it).  This is the engine behind
+    :class:`LocalNetwork`.
     """
 
     def __init__(
@@ -468,5 +485,6 @@ class SyncTransport(Transport):
 
     def dispatch(self, blocks: Sequence[Block], now: float) -> None:
         for block in blocks:
+            frame = block_frame(block)  # one encoding, shared by every ledger
             for peer in self.channel.peers:
-                peer.validate_and_commit(block, commit_time=now)
+                peer.validate_and_commit(block, commit_time=now, frame=frame)

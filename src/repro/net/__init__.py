@@ -16,8 +16,10 @@ architecture's own separation of endorse/order/validate made literal
 Layers, bottom up:
 
 * :mod:`repro.net.codec` — length-prefixed frames over a byte stream;
-* :mod:`repro.net.wire` — the typed message schema (proposals, proposal
-  responses, envelopes, blocks, block statuses, deliver subscriptions);
+* :mod:`repro.net.wire` — the message vocabulary (request, reply and
+  stream types) over :mod:`repro.fabric.codec`, which encodes what the
+  messages carry: proposals, proposal responses, envelopes, blocks, block
+  statuses;
 * :mod:`repro.net.profile` — the serializable cluster connection profile;
 * :mod:`repro.net.peerserver` / :mod:`repro.net.ordererserver` — asyncio
   servers wrapping the existing node logic;

@@ -39,7 +39,7 @@ from ..telemetry.lifecycle import record_phase
 from .codec import (
     FrameError,
     close_writer,
-    encode_message,
+    encode_frame,
     install_codec_metrics,
     queue_message,
     read_message,
@@ -51,10 +51,10 @@ from .profile import config_from_dict
 from .wire import (
     WireError,
     dec_envelope,
-    enc_block,
     error_message,
     message_type,
     metrics_result_message,
+    raw_block_payload,
 )
 
 
@@ -119,7 +119,7 @@ class OrdererState:
             self._timer.cancel()  # the batch that timer belonged to was cut
             self._timer = None
         for block in blocks:
-            self._newest = encode_message({"type": "raw_block", "block": enc_block(block)})
+            self._newest = encode_frame(raw_block_payload(block))
             self.frames.append(zlib.compress(self._newest, FRAME_ZLIB_LEVEL))
             if self.telemetry is not None:
                 for tx in block.transactions:

@@ -12,8 +12,9 @@ module contributes only the deployment shell:
 * a follower task that subscribes to the orderer's deliver stream from
   block 0 and runs ``validate_and_commit`` on each block — the peer's
   committer, fed over a socket instead of a method call.  The ledger is
-  handed each block's frame too, and keeps a block older than its decoded
-  window as those bytes (see :class:`~repro.fabric.ledger.Ledger`).
+  handed each block's frame too, compressed on arrival, and keeps a block
+  older than its decoded window as those bytes (see
+  :class:`~repro.fabric.ledger.Ledger`).
 
 Everything runs on one event loop, so commits and endorsements interleave
 atomically exactly as they do on the in-process networks: an endorsement
@@ -36,6 +37,7 @@ from ..core.network import peer_factory_for
 from ..fabric.block import CommittedBlock
 from ..fabric.chaincode import ChaincodeRegistry
 from ..fabric.identity import MembershipRegistry
+from ..fabric.ledger import compress_frame
 from ..fabric.peer import Peer
 from ..fabric.policy import deployment_policy
 from ..fabric.transaction import ProposalResponse
@@ -91,11 +93,9 @@ def build_peer(profile: ClusterProfile, qualified_name: str) -> Peer:
             ref.instantiate(), deployment_policy(ref.policy, config.topology.org_names)
         )
     identity = membership.identity(qualified_name)
-    peer = peer_factory_for(config)(
+    return peer_factory_for(config)(
         identity, membership, chaincodes, store=open_peer_store(config, identity)
     )
-    peer.ledger.decode_frame = dec_raw_block  # the follower hands it each frame
-    return peer
 
 
 class PeerState:
@@ -159,7 +159,9 @@ async def _follow_orderer(state: PeerState, host: str, port: int) -> None:
                 received = state.now()
                 prepared = state.peer.prepare_block(block)
                 validated = state.now()
-                state.peer.apply_prepared(prepared, commit_time=validated, frame=frame)
+                state.peer.apply_prepared(
+                    prepared, commit_time=validated, frame=compress_frame(frame)
+                )
                 if state.telemetry is not None:
                     record_commit_phases(
                         state.telemetry, state.peer.name, prepared,

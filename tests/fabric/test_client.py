@@ -14,6 +14,7 @@ from repro.fabric.client import (
 from repro.fabric.identity import MembershipRegistry
 from repro.fabric.peer import Peer
 from repro.fabric.policy import and_policy, or_policy
+from repro.fabric.transaction import ProposalResponse
 
 from .helpers import seed_state
 
@@ -47,6 +48,15 @@ def build_world(num_orgs=3):
     return membership, peers, client
 
 
+def endorse(client, proposal, policy, peers):
+    """One in-process endorsement round: each peer endorses, the client assembles."""
+
+    replies = [peer.endorse(proposal, 0.0) for peer in peers]
+    responses = [reply for reply in replies if isinstance(reply, ProposalResponse)]
+    failures = [reply for reply in replies if not isinstance(reply, ProposalResponse)]
+    return client.assemble(proposal, policy, responses, failures)
+
+
 class TestSelectEndorsingOrgs:
     def test_or_picks_single(self):
         policy = or_policy("Org1", "Org2", "Org3")
@@ -67,7 +77,7 @@ class TestEndorsementRound:
         _, peers, client = build_world()
         policy = or_policy("Org1", "Org2", "Org3")
         proposal = client.new_proposal("ch", "writer", "put", ("k", "v"))
-        outcome = client.endorse_at(proposal, policy, peers[:1])
+        outcome = endorse(client, proposal, policy, peers[:1])
         assert isinstance(outcome, AssembledTransaction)
         assert outcome.envelope.tx_id == proposal.tx_id
         assert len(outcome.envelope.endorsements) == 1
@@ -77,7 +87,7 @@ class TestEndorsementRound:
         _, peers, client = build_world()
         policy = or_policy("Org1")
         proposal = client.new_proposal("ch", "writer", "boom", ())
-        outcome = client.endorse_at(proposal, policy, peers[:1])
+        outcome = endorse(client, proposal, policy, peers[:1])
         assert isinstance(outcome, EndorsementRoundFailure)
         assert outcome.failures[0].chaincode_error is not None
 
@@ -85,7 +95,7 @@ class TestEndorsementRound:
         _, peers, client = build_world()
         policy = and_policy("Org1", "Org2")
         proposal = client.new_proposal("ch", "writer", "put", ("k", "v"))
-        outcome = client.endorse_at(proposal, policy, peers[:2])
+        outcome = endorse(client, proposal, policy, peers[:2])
         assert isinstance(outcome, AssembledTransaction)
         assert len(outcome.envelope.endorsements) == 2
 
@@ -93,7 +103,7 @@ class TestEndorsementRound:
         _, peers, client = build_world()
         policy = and_policy("Org1", "Org2")
         proposal = client.new_proposal("ch", "writer", "put", ("k", "v"))
-        outcome = client.endorse_at(proposal, policy, peers[:1])
+        outcome = endorse(client, proposal, policy, peers[:1])
         assert isinstance(outcome, EndorsementRoundFailure)
 
 
@@ -107,7 +117,7 @@ class TestDivergentResponses:
         seed_state(peers[1], "k", {"value": "divergent"}, 0, 0)
         policy = or_policy("Org1", "Org2", "Org3")
         proposal = client.new_proposal("ch", "writer", "read", ("k",))
-        outcome = client.endorse_at(proposal, policy, peers)
+        outcome = endorse(client, proposal, policy, peers)
         assert isinstance(outcome, AssembledTransaction)
         # Org1+Org3 agree (both see the key absent): their group is larger.
         assert len(outcome.responses) == 2
@@ -119,7 +129,7 @@ class TestDivergentResponses:
         seed_state(peers[1], "k", {"value": "divergent"}, 0, 0)
         policy = and_policy("Org1", "Org2")
         proposal = client.new_proposal("ch", "writer", "read", ("k",))
-        outcome = client.endorse_at(proposal, policy, peers)
+        outcome = endorse(client, proposal, policy, peers)
         assert isinstance(outcome, EndorsementRoundFailure)
 
     def test_no_responses(self):

@@ -1,19 +1,21 @@
 """A committed transaction leaves no per-peer copy behind.
 
 Six in-process peers commit the same blocks.  What a committed transaction
-must keep alive is the transaction itself (shared by every peer) plus each
-peer's *positions* of it: an ``int`` in the tx index and one per written
+must keep alive is its share of the block's compressed frame (one bytes
+object shared by every peer) plus each peer's *positions* of it: an ``int`` in the tx index and one per written
 key in the key history, none of them GC-tracked.  A per-peer
 ``KeyModification``, ``Version`` or ``(block, index)`` tuple per write, or a
 second ``(tx_index, write)`` list beside a vanilla block's write-sets, shows
 up here as retained GC-tracked objects per committed transaction.
 
-The bounds sit between what copying indexes retained and what position
-indexes retain, measured with this module's own workload: vanilla 30.3 →
-12.2 objects per transaction (a ``KeyModification`` and a ``Version`` per
-peer and write, and the tx index's tuple, which the collector untracks, no
-longer kept), FabricCRDT 36.3 → 19.5.  This is an object count, not a
-timing: it repeats exactly from run to run.
+Measured with this module's own workload: copying indexes retained 30.3
+objects per vanilla transaction (a ``KeyModification`` and a ``Version``
+per peer and write, and the tx index's tuple) and 36.3 per FabricCRDT one;
+position indexes 12.2 and 19.5, most of it the decoded block every peer
+shared.  Now that each ledger keeps a block past its decoded window as the
+one compressed frame the channel encoded, 2.9 and 10.7 remain; the bounds
+sit just above those.  This is an object count, not a timing: it repeats
+exactly from run to run.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from repro.workload.iot import IoTChaincode, encode_call, reading_payload
 from ..conftest import small_config
 
 #: Retained GC-tracked objects per committed transaction, at most.
-VANILLA_BOUND = 20
-CRDT_BOUND = 28
+VANILLA_BOUND = 4
+CRDT_BOUND = 12
 
 
 def _retained_per_tx(network, blocks: int, block_size: int, hot_keys: Optional[int] = None):

@@ -8,10 +8,14 @@ ordering two envelopes as raw wire frames: one endorsed by Org1 alone, one
 by both orgs.  Both frames still carry the ``proposal.policy`` that clients
 used to send, set to ``OR(Org1)``; the decoder ignores it, so the first is
 ``ENDORSEMENT_POLICY_FAILURE`` and the second ``VALID`` on every peer.
+
+A read is never ordered, so no policy gates it: under the same
+``AND(Org1, Org2)``, ``evaluate`` returns the anchor's answer alone.
 """
 
 from __future__ import annotations
 
+import json
 import socket
 
 import pytest
@@ -27,11 +31,12 @@ from repro.fabric.network import SimulatedNetwork
 from repro.fabric.nodes import send_after
 from repro.fabric.policy import and_policy, or_policy
 from repro.fabric.transaction import ProposalResponse, endorsed_payload_bytes
+from repro.gateway import Gateway
 from repro.net import Cluster, SocketTransport
 from repro.net.profile import ChaincodeRef
 from repro.net.wire import dec_envelope, enc_envelope, enc_policy_node
 from repro.sim import Environment
-from repro.workload.iot import IoTChaincode
+from repro.workload.iot import IoTChaincode, initial_device_state
 
 from ..net.test_cluster import asker
 
@@ -141,3 +146,40 @@ def test_socket_peers_evaluate_the_chaincode_ref_policy():
                     assert reply["type"] == "broadcast_ack", reply
             transport.wait_for_height(1, timeout_s=10)
             assert statuses(channel, frames) == expected(channel)
+
+
+def read_back(network) -> None:
+    """Commit a key under ``DEPLOYED`` (both orgs endorse), then evaluate it."""
+
+    contract = Gateway.connect(network).get_contract("iot")
+    assert contract.submit("populate", json.dumps({"keys": ["dev-0"]})) == {"populated": 1}
+    read = contract.evaluate("read_device", json.dumps({"key": "dev-0"}))
+    assert read == initial_device_state("dev-0")
+
+
+@pytest.mark.parametrize("state_backend", ["memory", "sqlite"])
+def test_in_process_evaluate_is_not_gated_by_the_deployed_policy(state_backend):
+    network = LocalNetwork(config(state_backend))
+    try:
+        network.deploy(IoTChaincode(), DEPLOYED)
+        read_back(network)
+    finally:
+        network.close()
+
+
+def test_des_evaluate_is_not_gated_by_the_deployed_policy():
+    env = Environment()
+    network = SimulatedNetwork(env, config("memory"), cost=zero_latency_model())
+    try:
+        network.deploy(IoTChaincode(), DEPLOYED)
+        read_back(network)
+    finally:
+        network.close()
+        env.close()
+
+
+def test_socket_evaluate_is_not_gated_by_the_chaincode_ref_policy():
+    refs = [ChaincodeRef("repro.workload.iot:IoTChaincode", DEPLOYED)]
+    with Cluster.spawn(config("memory"), chaincodes=refs) as cluster:
+        with SocketTransport.connect(cluster.profile) as transport:
+            read_back(transport)

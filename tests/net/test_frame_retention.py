@@ -25,16 +25,16 @@ import tracemalloc
 
 from repro.common.config import OrdererConfig, TopologyConfig, fabriccrdt_config
 from repro.core.network import crdt_network
+from repro.fabric.codec import dec_raw_block, raw_block_payload
 from repro.fabric.ledger import DECODED_WINDOW
 from repro.fabric.orderer import OrderingService
 from repro.fabric.transaction import TransactionEnvelope
 from repro.gateway import Gateway
 from repro.net.codec import HEADER_BYTES
 from repro.net.ordererserver import OrdererState
-from repro.net.wire import dec_raw_block
 from repro.workload.iot import IoTChaincode, encode_call, reading_payload
 
-from .framefeed import feed, frame_fed_peer, raw_block_payload
+from .framefeed import feed, frame_fed_peer
 
 #: Traced bytes retained per committed transaction, at most.
 PEER_BOUND = 700

@@ -4,7 +4,7 @@ The ordering service cuts a block once and sends that same block to every
 peer.  The orderer process keeps each cut block as the ``raw_block`` frame
 it was encoded into when it was cut (zlib-compressed), and writes those
 stored bytes on every live deliver stream and on every replay.  The server runs here in
-this process, on an event loop of the test's own, so ``enc_block`` can be
+this process, on an event loop of the test's own, so its encodings can be
 counted and the codec's counters read.
 """
 
@@ -27,7 +27,7 @@ from repro.net.codec import (
     uninstall_codec_metrics,
 )
 from repro.net.ordererserver import OrdererState, _handle_connection
-from repro.net.wire import dec_block, enc_block, enc_envelope
+from repro.net.wire import dec_block, enc_block, enc_envelope, raw_block_payload
 from repro.telemetry.metrics import MetricsRegistry
 
 BLOCK_SIZE = 2
@@ -95,11 +95,11 @@ async def run_orderer(received: dict[str, list[bytes]]) -> OrdererState:
 def test_every_deliver_stream_gets_the_one_stored_frame(monkeypatch):
     encoded = []
 
-    def counting_enc_block(block):
+    def counting_raw_block_payload(block):
         encoded.append(block)
-        return enc_block(block)
+        return raw_block_payload(block)
 
-    monkeypatch.setattr(ordererserver, "enc_block", counting_enc_block)
+    monkeypatch.setattr(ordererserver, "raw_block_payload", counting_raw_block_payload)
     registry = MetricsRegistry()
     handle = install_codec_metrics(registry, node="orderer")
     received: dict[str, list[bytes]] = {"acks": []}
